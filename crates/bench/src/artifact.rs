@@ -27,27 +27,15 @@
 //! }
 //! ```
 //!
-//! Chaos-soak artifacts (grid label `"chaos-soak"`) reuse the schema with
-//! reinterpreted axes: `u` is the injected fault rate, `energy_norm` is
-//! the chaos run's energy against the same policy's fault-free baseline
-//! (the containment overhead), `deadline_miss` counts misses the audit
-//! classifier blames on the *policy*, and `fault_miss` counts the ones it
-//! attributes to injected faults. The guaranteed-policy zero-miss check
-//! then enforces "faults never turn into policy bugs" mechanically.
-//! Mode-churn artifacts (grid label `"mode-churn"`) reinterpret the axes
-//! the same way: `u` is the churn probability, `energy_norm` is against
-//! the churn-free baseline, and `fault_miss` counts kernel-log audit
-//! findings (see `crate::modes`). Regulator-soak artifacts (grid label
-//! `"regulator-soak"`) follow suit: `u` is the regulator adversity rate,
-//! `energy_norm` is against the regulator-free baseline, `deadline_miss`
-//! carries policy-blamed misses plus non-miss audit findings, and
-//! `fault_miss` the excused misses (see `crate::regulator`). Clock-soak
-//! artifacts (grid label `"clock-soak"`) are the same shape one layer
-//! deeper still: `u` is the clock adversity rate (drift/tick-loss/
-//! coalescing/backward-jump probabilities), `energy_norm` is against the
-//! clean-clock baseline, `deadline_miss` carries policy-blamed misses
-//! plus non-miss audit findings, and `fault_miss` the clock-excused
-//! misses (see `crate::clock`).
+//! Soak artifacts (grid labels `"chaos-soak"`, `"mode-churn"`,
+//! `"regulator-soak"` and `"clock-soak"`, see `crate::soak`) reuse the
+//! schema with reinterpreted axes: `u` is the adversity rate,
+//! `energy_norm` is the run's energy against the same policy's clean run
+//! at the same seeds, `deadline_miss` counts policy-blamed misses (plus,
+//! on the kernel soaks, non-miss audit findings), and `fault_miss` counts
+//! the misses an injected adversity excuses. The guaranteed-policy
+//! zero-miss check then enforces "adversity never turns into a policy
+//! bug" mechanically.
 //!
 //! The reader is deliberately forward-compatible: it looks fields up by
 //! name and ignores object keys it does not know, so an artifact written
@@ -64,6 +52,7 @@
 use core::fmt::Write as _;
 use std::fmt;
 
+use crate::soak::Soak;
 use crate::sweep::Sweep;
 
 /// Schema identifier emitted into (and required from) every artifact.
@@ -79,13 +68,13 @@ pub const GUARANTEED_POLICIES: [&str; 4] = ["EDF", "StaticEDF", "ccEDF", "laEDF"
 pub struct BenchPoint {
     /// Worst-case utilization (x axis).
     pub u: f64,
-    /// Mean energy normalized against plain EDF (y axis). Chaos grids
-    /// normalize against the same policy's fault-free run instead.
+    /// Mean energy normalized against plain EDF (y axis). Soak grids
+    /// normalize against the same policy's clean run instead.
     pub energy_norm: f64,
-    /// Total deadline misses across the point's task sets. Chaos grids
+    /// Total deadline misses across the point's task sets. Soak grids
     /// count only misses classified as policy bugs here.
     pub deadline_miss: u64,
-    /// Misses attributed to injected faults. Always 0 outside chaos
+    /// Misses attributed to injected adversity. Always 0 outside soak
     /// grids; absent in pre-fault artifacts, which parse as 0.
     pub fault_miss: u64,
 }
@@ -312,19 +301,14 @@ impl BenchArtifact {
     /// policies never miss, and energies are positive. Returns one message
     /// per violation.
     ///
-    /// Chaos-soak and mode-churn grids normalize each policy against its
-    /// own fault-free (respectively churn-free) baseline, so the
+    /// Soak grids normalize each policy against its own clean run, so the
     /// EDF-normalizes-to-1 check does not apply there; the
     /// guaranteed-policy check does (and, because those artifacts put
     /// only policy-blamed misses in `deadline_miss`, it enforces that no
-    /// injected fault or committed mode change was ever misclassified as
-    /// a policy bug).
+    /// injected adversity was ever misclassified as a policy bug).
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
-        let chaos = matches!(
-            self.grid.label.as_str(),
-            "chaos-soak" | "mode-churn" | "regulator-soak" | "clock-soak"
-        );
+        let soak = Soak::ALL.iter().any(|s| s.label() == self.grid.label);
         let mut problems = Vec::new();
         let expected_series = self.grid.policies.len() * self.grid.n_tasks.len();
         if self.series.len() != expected_series {
@@ -351,7 +335,7 @@ impl BenchArtifact {
                         point.energy_norm, point.u
                     ));
                 }
-                if !chaos && series.policy == "EDF" && (point.energy_norm - 1.0).abs() > 1e-9 {
+                if !soak && series.policy == "EDF" && (point.energy_norm - 1.0).abs() > 1e-9 {
                     problems.push(format!(
                         "{tag}: EDF normalization is {} at U={}, must be 1",
                         point.energy_norm, point.u
@@ -465,7 +449,7 @@ impl Json {
     pub(crate) fn parse(text: &str) -> Result<Json, ArtifactError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(ArtifactError(format!("trailing content at byte {pos}")));
@@ -535,8 +519,18 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), ArtifactError> 
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ArtifactError> {
+/// Deepest array/object nesting the reader accepts. Real artifacts nest
+/// at most 4 levels; the cap keeps hostile input from exhausting the
+/// stack through `parse_value`'s recursion.
+const MAX_NESTING: usize = 16;
+
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, ArtifactError> {
     skip_ws(bytes, pos);
+    if depth >= MAX_NESTING && matches!(bytes.get(*pos), Some(b'{' | b'[')) {
+        return Err(ArtifactError(format!(
+            "nesting deeper than {MAX_NESTING} levels at byte {pos}"
+        )));
+    }
     match bytes.get(*pos) {
         Some(b'{') => {
             *pos += 1;
@@ -551,7 +545,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ArtifactError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                fields.push((key, parse_value(bytes, pos)?));
+                fields.push((key, parse_value(bytes, pos, depth + 1)?));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -572,7 +566,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ArtifactError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -781,6 +775,14 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_rejected_without_recursing() {
+        let err = BenchArtifact::from_json(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert!(err.0.contains("nesting"), "{err}");
+        // The cap leaves room for every real artifact's 4 levels.
+        assert!(Json::parse("[[[[{\"a\": [1]}]]]]").is_ok());
+    }
+
+    #[test]
     fn compare_accepts_identity_and_small_drift() {
         let golden = sample();
         assert!(compare(&golden, &golden, 0.01).is_empty());
@@ -848,17 +850,19 @@ mod tests {
     }
 
     #[test]
-    fn chaos_grids_skip_the_edf_normalization_check_only() {
-        let mut art = sample();
-        art.grid.label = "chaos-soak".to_owned();
-        // Chaos normalizes per-policy, so EDF ≠ 1 is legitimate there...
-        art.series[0].points[1].energy_norm = 1.07;
-        art.series[0].points[1].fault_miss = 3;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        // ...but a policy-blamed miss from a guaranteed policy is still a
-        // finding.
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
+    fn soak_grids_skip_the_edf_normalization_check_only() {
+        for soak in Soak::ALL {
+            let mut art = sample();
+            art.grid.label = soak.label().to_owned();
+            // Soaks normalize per policy, so EDF ≠ 1 is legitimate there...
+            art.series[0].points[1].energy_norm = 1.07;
+            art.series[0].points[1].fault_miss = 3;
+            assert!(art.validate().is_empty(), "{soak:?}: {:?}", art.validate());
+            // ...but a policy-blamed miss from a guaranteed policy is still
+            // a finding.
+            art.series[1].points[0].deadline_miss = 1;
+            assert_eq!(art.validate().len(), 1, "{soak:?}");
+        }
     }
 
     #[test]
@@ -893,34 +897,6 @@ mod tests {
         assert_ne!(text, art.to_json(), "replacements must have applied");
         let parsed = BenchArtifact::from_json(&text).expect("tolerant parse");
         assert_eq!(parsed, art);
-    }
-
-    #[test]
-    fn clock_soak_label_normalizes_per_policy() {
-        // The clock soak normalizes each policy against its own
-        // clean-clock baseline, so EDF ≠ 1 is legitimate there while the
-        // guaranteed-policy miss check still bites.
-        let mut art = sample();
-        art.grid.label = "clock-soak".to_owned();
-        art.series[0].points[1].energy_norm = 1.02;
-        art.series[0].points[1].fault_miss = 5;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
-    }
-
-    #[test]
-    fn regulator_soak_label_normalizes_per_policy() {
-        // The regulator soak normalizes each policy against its own
-        // regulator-free baseline, so EDF ≠ 1 is legitimate there while
-        // the guaranteed-policy miss check still bites.
-        let mut art = sample();
-        art.grid.label = "regulator-soak".to_owned();
-        art.series[0].points[1].energy_norm = 1.04;
-        art.series[0].points[1].fault_miss = 2;
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        art.series[1].points[0].deadline_miss = 1;
-        assert_eq!(art.validate().len(), 1);
     }
 
     #[test]

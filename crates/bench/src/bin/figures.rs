@@ -3,67 +3,30 @@
 //!
 //! ```text
 //! figures [run] [--quick] [--threads N] [--seed S] [--out DIR]
-//!     Regenerate Figures 6–8, the smoke sweep, the chaos soak, and the
-//!     mode-churn soak; write BENCH_paper_figures.json, BENCH_sweep.json,
-//!     BENCH_faults.json, and BENCH_modes.json into DIR (default: the
-//!     repository root).
+//!     Regenerate every deterministic golden into DIR (default: the
+//!     repository root): Figures 6–8 (BENCH_paper_figures.json), the
+//!     smoke sweep (BENCH_sweep.json), the four single-fault soaks
+//!     (BENCH_faults.json, BENCH_modes.json, BENCH_regulator.json,
+//!     BENCH_clock.json), the tenant soak (BENCH_tenants.json) and the
+//!     chaos campaign (BENCH_campaign.json). A soak, tenant or campaign
+//!     run that breaks its own invariants is not written.
 //!
-//! figures check [--tolerance FRACTION] [--golden-dir DIR] [--threads N]
-//!     Re-run the smoke grid and diff it against the committed
-//!     BENCH_sweep.json (default tolerance ±1% energy, deadline misses
-//!     must match exactly), then structurally validate the committed
-//!     BENCH_paper_figures.json and BENCH_faults.json. Exits non-zero on any divergence —
-//!     this is what `xtask bench-check` and the CI bench-smoke stage run.
+//! figures check [--golden-dir DIR] [--threads N]
+//!     The single gate for every deterministic committed artifact: re-run
+//!     the smoke sweep and the four soaks and diff them against their
+//!     goldens (±1% energy, miss counts exact), structurally validate
+//!     BENCH_paper_figures.json (full regeneration is too slow for every
+//!     push), re-run the tenant soak and the campaign and diff their
+//!     canonical payloads byte-for-byte, enforce every artifact's own
+//!     invariants, and replay results/repro_availability_floor.json to its
+//!     bit-identical violation. Checks every artifact, then exits non-zero
+//!     if any diverged — this is what `xtask bench-check` and the CI
+//!     bench-smoke job run.
 //!
 //! figures bench [--threads-list 1,2,4] [--quick] [--seed S]
 //!     Run the Figure 6–8 grid once per thread count; report wall-clock,
 //!     event throughput, and speedup vs one thread, and verify the merged
 //!     results are byte-identical across thread counts.
-//!
-//! figures chaos [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the chaos-soak smoke grid (fault injection across all six
-//!     policies), assert that no miss is ever blamed on a policy, diff
-//!     the result against the committed BENCH_faults.json, and validate
-//!     its structure. This is what `xtask chaos` and the CI chaos-smoke
-//!     stage run.
-//!
-//! figures modes [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the mode-churn smoke grid (transactional mode changes
-//!     across all six policies), assert that no commit ever costs a
-//!     deadline and that every kernel log replays clean through the
-//!     lifecycle auditor, diff the result against the committed
-//!     BENCH_modes.json, and validate its structure. This is what
-//!     `xtask modes` and the CI mode-churn stage run.
-//!
-//! figures regulator [--tolerance FRACTION] [--golden-dir DIR]
-//!     Re-run the regulator-soak smoke grid (unreliable regulator plus
-//!     brownout caps across all six policies), assert that no miss is
-//!     ever policy-blamed and that the rate-0 column normalizes to
-//!     exactly 1 (the zero-cost-ideal proof), diff the result against
-//!     the committed BENCH_regulator.json, and validate its structure.
-//!     This is what `xtask regulator` and the CI regulator-smoke stage
-//!     run.
-//!
-//! figures clock [--tolerance FRACTION] [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the clock-fault soak smoke grid (oscillator drift, lost
-//!     and coalesced ticks, bounded backward RTC jumps across all six
-//!     policies), assert that no miss is ever policy-blamed and that
-//!     the rate-0 column normalizes to exactly 1 (the inactive clock
-//!     plan is provably free), diff the result against the committed
-//!     BENCH_clock.json, and validate its structure. `--write`
-//!     regenerates the golden instead. This is what `xtask clock` and
-//!     the CI clock-smoke stage run.
-//!
-//! figures tenants [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the multi-tenant serving soak (one tenant flooding at 10x
-//!     its quota beside five compliant tenants and the relaxed Table 2
-//!     hard-RT set under injected overruns), enforce the isolation
-//!     invariants (zero periodic misses, clean audits, no compliant-
-//!     tenant loss, compliant p99 within the configured limit of the
-//!     flood-free baseline), and diff the canonical payload byte-for-
-//!     byte against the committed BENCH_tenants.json. `--write`
-//!     regenerates the golden instead. This is what `xtask tenants` and
-//!     the CI tenants-smoke job run.
 //!
 //! figures throughput [--golden-dir DIR] [--seed S] [--write]
 //!     Pin the Table 2 traces byte-identically against the frozen
@@ -73,17 +36,6 @@
 //!     the events/s ratio floors (≥5x baseline on the engine-dominated
 //!     soak policies). `--write` regenerates the golden instead. This is
 //!     what `xtask throughput` and the CI throughput-smoke job run.
-//!
-//! figures campaign [--golden-dir DIR] [--seed S] [--write]
-//!     Re-run the composed chaos campaign (WCET overruns + unreliable
-//!     regulator with brownouts + crash/restore kills + mode churn + a
-//!     flooding tenant, all derived from one root seed with phased
-//!     windows) across all six paper policies, enforce the campaign
-//!     invariants (0 policy-blamed misses, 0 audit findings including
-//!     the availability rules, kills actually restored), and diff the
-//!     canonical payload byte-for-byte against the committed
-//!     BENCH_campaign.json. `--write` regenerates the golden instead.
-//!     This is what `xtask campaign` and the CI campaign-smoke job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`) and require the
@@ -102,14 +54,11 @@ use rtdvs_bench::campaign::{
     campaign_smoke_config, compare_campaign, known_violating_campaign, replay_repro, run_campaign,
     shrink_plan, CampaignArtifact, ReproArtifact,
 };
-use rtdvs_bench::chaos::{chaos_smoke_config, run_chaos};
-use rtdvs_bench::clock::{clock_smoke_config, run_clock};
 use rtdvs_bench::figures::{
     paper_figures, paper_figures_artifact, smoke_sweep_artifact, PaperFigure, Scale,
 };
-use rtdvs_bench::modes::{modes_smoke_config, run_modes};
-use rtdvs_bench::regulator::{regulator_smoke_config, run_regulator};
 use rtdvs_bench::render_normalized_chart;
+use rtdvs_bench::soak::{run_soak, soak_smoke_config, soak_violations, Soak};
 use rtdvs_bench::tenants::{compare_tenants, run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
     compare_throughput, floor_violations, pin_table2_traces, run_throughput,
@@ -119,13 +68,13 @@ use rtdvs_bench::throughput::{
 /// Default experiment seed (the sweep harness default, `0x5eed`).
 const DEFAULT_SEED: u64 = 0x5eed;
 
-/// File names of the committed golden artifacts at the repository root.
+/// Relative energy tolerance of the sweep and soak golden comparisons.
+const TOLERANCE: f64 = 0.01;
+
+/// File names of the committed golden artifacts at the repository root
+/// (the soaks' come from [`Soak::golden`]).
 const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
 const SWEEP_FILE: &str = "BENCH_sweep.json";
-const FAULTS_FILE: &str = "BENCH_faults.json";
-const MODES_FILE: &str = "BENCH_modes.json";
-const REGULATOR_FILE: &str = "BENCH_regulator.json";
-const CLOCK_FILE: &str = "BENCH_clock.json";
 const THROUGHPUT_FILE: &str = "BENCH_throughput.json";
 const TENANTS_FILE: &str = "BENCH_tenants.json";
 const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
@@ -142,7 +91,6 @@ struct Args {
     seed: u64,
     out: Option<PathBuf>,
     golden_dir: Option<PathBuf>,
-    tolerance: f64,
     write: bool,
     file: Option<PathBuf>,
 }
@@ -156,17 +104,13 @@ fn parse_args() -> Result<Args, String> {
         seed: DEFAULT_SEED,
         out: None,
         golden_dir: None,
-        tolerance: 0.01,
         write: false,
         file: None,
     };
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "run" | "check" | "bench" | "chaos" | "modes" | "regulator" | "clock"
-            | "throughput" | "tenants" | "campaign" | "repro" => {
-                args.command = a;
-            }
+            "run" | "check" | "bench" | "throughput" | "repro" => args.command = a,
             "--quick" => args.quick = true,
             "--write" => args.write = true,
             "--threads" => {
@@ -193,13 +137,6 @@ fn parse_args() -> Result<Args, String> {
                     argv.next().ok_or("--golden-dir needs a dir")?,
                 ));
             }
-            "--tolerance" => {
-                let v = argv.next().ok_or("--tolerance needs a fraction")?;
-                args.tolerance = v.parse().map_err(|e| format!("--tolerance {v}: {e}"))?;
-                if !(args.tolerance > 0.0 && args.tolerance < 1.0) {
-                    return Err(format!("tolerance {v} outside (0, 1)"));
-                }
-            }
             "--help" | "-h" => return Err(usage()),
             other if args.command == "repro" && args.file.is_none() && !other.starts_with('-') => {
                 args.file = Some(PathBuf::from(other));
@@ -211,10 +148,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: figures [run|check|bench|chaos|modes|regulator|clock|throughput|tenants|campaign|repro] \
-     [--quick] [--threads N] \
-     [--threads-list 1,2,4] [--seed S] [--out DIR] [--golden-dir DIR] [--tolerance FRACTION] \
-     [--write] [FILE (repro only)]"
+    "usage: figures [run|check|bench|throughput|repro] [--quick] [--threads N] \
+     [--threads-list 1,2,4] [--seed S] [--out DIR] [--golden-dir DIR] [--write] \
+     [FILE (repro only)]"
         .to_owned()
 }
 
@@ -277,12 +213,24 @@ fn print_panel(figure: &PaperFigure) {
     println!("{}", render_normalized_chart(&figure.run.sweep));
 }
 
-fn write_artifact(dir: &Path, name: &str, artifact: &BenchArtifact) -> Result<(), String> {
+fn write_file(dir: &Path, name: &str, text: &str) -> Result<(), String> {
     let path = dir.join(name);
-    std::fs::write(&path, artifact.to_json())
-        .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!("wrote {}", path.display());
     Ok(())
+}
+
+/// Reports one artifact's verdict: `what` it reproduces, or every
+/// problem found. Returns whether the artifact passed.
+fn gate(name: &str, what: &str, problems: &[String]) -> bool {
+    if problems.is_empty() {
+        println!("{name}: {what}");
+        return true;
+    }
+    for p in problems {
+        eprintln!("{name}: {p}");
+    }
+    false
 }
 
 fn run(args: &Args) -> Result<(), String> {
@@ -302,417 +250,114 @@ fn run(args: &Args) -> Result<(), String> {
         print_panel(figure);
     }
     let artifact = paper_figures_artifact(&figures, scale, args.seed, threads);
-    write_artifact(&out, PAPER_FIGURES_FILE, &artifact)?;
-
+    write_file(&out, PAPER_FIGURES_FILE, &artifact.to_json())?;
     let smoke = smoke_sweep_artifact(args.seed, threads);
-    write_artifact(&out, SWEEP_FILE, &smoke)?;
+    write_file(&out, SWEEP_FILE, &smoke.to_json())?;
 
-    let faults = run_chaos(&chaos_smoke_config(args.seed));
-    write_artifact(&out, FAULTS_FILE, &faults)?;
-
-    let churn = run_modes(&modes_smoke_config(args.seed));
-    write_artifact(&out, MODES_FILE, &churn)?;
-
-    let hardened = run_regulator(&regulator_smoke_config(args.seed));
-    write_artifact(&out, REGULATOR_FILE, &hardened)?;
-    println!(
-        "total wall: {} ms across {} simulations",
-        artifact.wall_ms + smoke.wall_ms + faults.wall_ms + churn.wall_ms + hardened.wall_ms,
-        figures.iter().map(|f| f.run.stats.sims).sum::<u64>()
-    );
+    let refuse = |name: &str| format!("{name} breaks its invariants; not written");
+    for soak in Soak::ALL {
+        let art = run_soak(&soak_smoke_config(soak, args.seed));
+        if !gate(
+            soak.golden(),
+            "keeps its promises",
+            &soak_violations(soak, &art),
+        ) {
+            return Err(refuse(soak.golden()));
+        }
+        write_file(&out, soak.golden(), &art.to_json())?;
+    }
+    let tenants = run_tenants(&tenants_smoke_config(args.seed));
+    if !gate(TENANTS_FILE, "isolation holds", &tenants.validate()) {
+        return Err(refuse(TENANTS_FILE));
+    }
+    write_file(&out, TENANTS_FILE, &tenants.to_json())?;
+    print_tenants_summary(&tenants);
+    let campaign = run_campaign(&campaign_smoke_config(args.seed));
+    if !gate(CAMPAIGN_FILE, "invariants hold", &campaign.validate()) {
+        return Err(refuse(CAMPAIGN_FILE));
+    }
+    write_file(&out, CAMPAIGN_FILE, &campaign.to_json())?;
+    print_campaign_summary(&campaign);
     Ok(())
+}
+
+fn read_golden(dir: &Path, name: &str) -> Result<String, String> {
+    let path = dir.join(name);
+    std::fs::read_to_string(&path)
+        .map_err(|e| format!("cannot read golden {}: {e}", path.display()))
 }
 
 fn load_golden(dir: &Path, name: &str) -> Result<BenchArtifact, String> {
-    let path = dir.join(name);
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures run` to create it)",
-            path.display()
-        )
-    })?;
-    BenchArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))
+    BenchArtifact::from_json(&read_golden(dir, name)?).map_err(|e| format!("{name}: {e}"))
 }
 
+/// Every deterministic committed artifact, reproduced from its seed and
+/// held to its invariants (see the module docs). Every artifact is
+/// checked and reported before any failure is returned, so one divergence
+/// never hides another.
 fn check(args: &Args) -> Result<(), String> {
     let threads = resolve_threads(args.threads)?;
     let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
+    let within = format!("reproduces within ±{:.0}%", 100.0 * TOLERANCE);
+    let mut failed = Vec::new();
+    let mut verdict = |name: &str, what: &str, problems: Result<Vec<String>, String>| {
+        if !gate(name, what, &problems.unwrap_or_else(|e| vec![e])) {
+            failed.push(name.to_owned());
+        }
+    };
 
-    // 1. Fresh smoke run vs the committed golden, within tolerance.
-    let golden = load_golden(&dir, SWEEP_FILE)?;
-    let fresh = smoke_sweep_artifact(golden.seed, threads);
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if problems.is_empty() {
-        println!(
-            "bench-check: smoke grid reproduces {} within ±{:.1}% ({} points, {} ms)",
-            SWEEP_FILE,
-            100.0 * args.tolerance,
-            golden.series.iter().map(|s| s.points.len()).sum::<usize>(),
-            fresh.wall_ms
-        );
+    let sweep = load_golden(&dir, SWEEP_FILE).map(|golden| {
+        let fresh = smoke_sweep_artifact(golden.seed, threads);
+        compare(&golden, &fresh, TOLERANCE)
+    });
+    verdict(SWEEP_FILE, &within, sweep);
+
+    let paper = load_golden(&dir, PAPER_FIGURES_FILE).map(|paper| paper.validate());
+    verdict(PAPER_FIGURES_FILE, "is structurally sound", paper);
+
+    for soak in Soak::ALL {
+        let problems = load_golden(&dir, soak.golden()).map(|golden| {
+            let fresh = run_soak(&soak_smoke_config(soak, golden.seed));
+            let mut problems = compare(&golden, &fresh, TOLERANCE);
+            problems.extend(soak_violations(soak, &fresh));
+            problems
+        });
+        verdict(soak.golden(), &within, problems);
+    }
+
+    let tenants = read_golden(&dir, TENANTS_FILE).and_then(|text| {
+        let golden =
+            TenantsArtifact::from_json(&text).map_err(|e| format!("{TENANTS_FILE}: {e}"))?;
+        let fresh = run_tenants(&tenants_smoke_config(golden.seed));
+        print_tenants_summary(&fresh);
+        let mut problems = compare_tenants(&golden, &fresh);
+        problems.extend(fresh.validate());
+        Ok(problems)
+    });
+    verdict(TENANTS_FILE, "reproduces byte-for-byte", tenants);
+
+    let campaign = read_golden(&dir, CAMPAIGN_FILE).and_then(|text| {
+        let golden =
+            CampaignArtifact::from_json(&text).map_err(|e| format!("{CAMPAIGN_FILE}: {e}"))?;
+        let fresh = run_campaign(&campaign_smoke_config(golden.seed));
+        print_campaign_summary(&fresh);
+        let mut problems = compare_campaign(&golden, &fresh);
+        problems.extend(fresh.validate());
+        Ok(problems)
+    });
+    verdict(CAMPAIGN_FILE, "reproduces byte-for-byte", campaign);
+
+    let repro = read_golden(&dir, REPRO_FILE).and_then(|text| {
+        let repro = ReproArtifact::from_json(&text).map_err(|e| format!("{REPRO_FILE}: {e}"))?;
+        Ok(replay_repro(&repro).err().into_iter().collect())
+    });
+    verdict(REPRO_FILE, "replays to the identical violation", repro);
+
+    if failed.is_empty() {
+        Ok(())
     } else {
-        for p in &problems {
-            eprintln!("bench-check: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {SWEEP_FILE}; if the energy model intentionally \
-             changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
+        Err(format!("diverged: {}", failed.join(", ")))
     }
-
-    // 2. Structural invariants of the committed paper-figures artifact
-    //    (full regeneration is `figures run`; too slow for every push).
-    for name in [PAPER_FIGURES_FILE, FAULTS_FILE, MODES_FILE, REGULATOR_FILE] {
-        let golden = load_golden(&dir, name)?;
-        let structural = golden.validate();
-        if structural.is_empty() {
-            println!(
-                "bench-check: {} is structurally sound ({} series)",
-                name,
-                golden.series.len()
-            );
-        } else {
-            for p in &structural {
-                eprintln!("bench-check: {name}: {p}");
-            }
-            return Err(format!(
-                "{name}: {} structural problem(s)",
-                structural.len()
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn chaos(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, FAULTS_FILE)?;
-    let fresh = run_chaos(&chaos_smoke_config(golden.seed));
-
-    // 1. Containment never lets an injected fault read as a policy bug.
-    let mut fault_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "chaos: {} blamed for {} miss(es) at fault rate {} — \
-                     a policy-bug miss under injection is a real bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            fault_misses += p.fault_miss;
-        }
-    }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("chaos: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {FAULTS_FILE}; if the fault model intentionally \
-             changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("chaos: {FAULTS_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    println!(
-        "chaos: {} policies x {} fault rates reproduce {} within ±{:.1}% \
-         ({} fault-induced misses, 0 policy bugs, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        FAULTS_FILE,
-        100.0 * args.tolerance,
-        fault_misses,
-        fresh.wall_ms
-    );
-    Ok(())
-}
-
-fn modes(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, MODES_FILE)?;
-    let fresh = run_modes(&modes_smoke_config(golden.seed));
-
-    // 1. No commit ever costs a deadline, and every kernel log replays
-    //    clean through the lifecycle auditor (fault_miss carries the
-    //    finding count in mode-churn grids).
-    let mut commits_energy = 0.0f64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "modes: {} missed {} deadline(s) at churn rate {} — \
-                     a miss under transactional churn is a safe-point bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            if p.fault_miss != 0 {
-                return Err(format!(
-                    "modes: {} has {} lifecycle audit finding(s) at churn rate {}",
-                    series.policy, p.fault_miss, p.u
-                ));
-            }
-            commits_energy = commits_energy.max(p.energy_norm);
-        }
-    }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("modes: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {MODES_FILE}; if the transaction machinery \
-             intentionally changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("modes: {MODES_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    println!(
-        "modes: {} policies x {} churn rates reproduce {} within ±{:.1}% \
-         (0 misses, 0 audit findings, worst churn overhead {:.3}x, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        MODES_FILE,
-        100.0 * args.tolerance,
-        commits_energy,
-        fresh.wall_ms
-    );
-    Ok(())
-}
-
-fn regulator(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let golden = load_golden(&dir, REGULATOR_FILE)?;
-    let fresh = run_regulator(&regulator_smoke_config(golden.seed));
-
-    // 1. No miss is ever policy-blamed, and the rate-0 column normalizes
-    //    to exactly 1: the ideal regulator is provably free.
-    let mut excused_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "regulator: {} blamed for {} miss(es) at adversity rate {} — \
-                     a policy-blamed miss under regulator failure is a driver bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            if p.u.to_bits() == 0.0_f64.to_bits() && p.energy_norm.to_bits() != 1.0_f64.to_bits() {
-                return Err(format!(
-                    "regulator: {} normalizes to {} at rate 0 — the ideal \
-                     regulator must be byte-identical to no regulator at all",
-                    series.policy, p.energy_norm
-                ));
-            }
-            excused_misses += p.fault_miss;
-        }
-    }
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("regulator: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {REGULATOR_FILE}; if the hardening model \
-             intentionally changed, regenerate the goldens with `figures run` and commit them",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("regulator: {REGULATOR_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    println!(
-        "regulator: {} policies x {} adversity rates reproduce {} within ±{:.1}% \
-         ({} excused misses, 0 policy-blamed, ideal regulator bit-exact, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        REGULATOR_FILE,
-        100.0 * args.tolerance,
-        excused_misses,
-        fresh.wall_ms
-    );
-    Ok(())
-}
-
-/// Shared invariants of a fresh clock-soak grid: no policy-blamed
-/// miss anywhere, and the rate-0 column bitwise 1 (the inactive clock
-/// plan draws nothing, so it must be byte-identical to no plan at all).
-fn clock_invariants(fresh: &BenchArtifact) -> Result<u64, String> {
-    let mut excused_misses = 0u64;
-    for series in &fresh.series {
-        for p in &series.points {
-            if p.deadline_miss != 0 {
-                return Err(format!(
-                    "clock: {} blamed for {} miss(es) at fault rate {} — \
-                     a policy-blamed miss under clock faults is a time-base bug",
-                    series.policy, p.deadline_miss, p.u
-                ));
-            }
-            if p.u.to_bits() == 0.0_f64.to_bits() && p.energy_norm.to_bits() != 1.0_f64.to_bits() {
-                return Err(format!(
-                    "clock: {} normalizes to {} at rate 0 — the inactive clock \
-                     plan must be byte-identical to no plan at all",
-                    series.policy, p.energy_norm
-                ));
-            }
-            excused_misses += p.fault_miss;
-        }
-    }
-    Ok(excused_misses)
-}
-
-fn clock(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(CLOCK_FILE);
-
-    if args.write {
-        let art = run_clock(&clock_smoke_config(args.seed));
-        clock_invariants(&art)?;
-        let structural = art.validate();
-        if !structural.is_empty() {
-            for p in &structural {
-                eprintln!("clock: {p}");
-            }
-            return Err(format!("{} structural problem(s)", structural.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        return Ok(());
-    }
-
-    let golden = load_golden(&dir, CLOCK_FILE)?;
-    let fresh = run_clock(&clock_smoke_config(golden.seed));
-
-    // 1. No miss is ever policy-blamed, and the rate-0 column normalizes
-    //    to exactly 1: the inactive clock plan is provably free.
-    let excused_misses = clock_invariants(&fresh)?;
-
-    // 2. The fresh soak reproduces the committed golden.
-    let problems = compare(&golden, &fresh, args.tolerance);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("clock: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {CLOCK_FILE}; if the time-base model \
-             intentionally changed, regenerate with `figures clock --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 3. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("clock: {CLOCK_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    println!(
-        "clock: {} policies x {} fault rates reproduce {} within ±{:.1}% \
-         ({} excused misses, 0 policy-blamed, inactive plan bit-exact, {} ms)",
-        fresh.grid.policies.len(),
-        fresh.grid.utilizations.len(),
-        CLOCK_FILE,
-        100.0 * args.tolerance,
-        excused_misses,
-        fresh.wall_ms
-    );
-    Ok(())
-}
-
-fn tenants(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(TENANTS_FILE);
-
-    if args.write {
-        let art = run_tenants(&tenants_smoke_config(args.seed));
-        print_tenants_summary(&art);
-        let broken = art.validate();
-        if !broken.is_empty() {
-            for p in &broken {
-                eprintln!("tenants: {p}");
-            }
-            return Err(format!("{} isolation invariant(s) broken", broken.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_tenants_summary(&art);
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures tenants --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        TenantsArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-
-    // 1. Fresh soak at the golden's seed; everything except wall clock is
-    //    a pure function of it, so the canonical payloads must be
-    //    byte-identical.
-    let fresh = run_tenants(&tenants_smoke_config(golden.seed));
-    let problems = compare_tenants(&golden, &fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("tenants: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {TENANTS_FILE}; if the serving model intentionally \
-             changed, regenerate with `figures tenants --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 2. The isolation invariants hold on the fresh run: no periodic
-    //    miss, clean audits, no compliant-tenant loss, p99 within limit.
-    let broken = fresh.validate();
-    if !broken.is_empty() {
-        for p in &broken {
-            eprintln!("tenants: {p}");
-        }
-        return Err(format!("{} isolation invariant(s) broken", broken.len()));
-    }
-
-    print_tenants_summary(&fresh);
-    Ok(())
 }
 
 fn print_tenants_summary(art: &TenantsArtifact) {
@@ -754,6 +399,37 @@ fn print_tenants_summary(art: &TenantsArtifact) {
             } else {
                 format!("  ({:.3}x flood-free p99)", t.p99_ratio)
             }
+        );
+    }
+}
+
+fn print_campaign_summary(art: &CampaignArtifact) {
+    println!(
+        "campaign: {} policies x [{}] over {} ms (seed {:#x}); 0 blamed misses, \
+         0 audit findings, floor {:.2}, recovery bound {:.0} ms, {} ms wall",
+        art.cells.len(),
+        art.dimensions.join(", "),
+        art.horizon_ms,
+        art.seed,
+        art.min_availability,
+        art.max_recovery_ms,
+        art.wall_ms
+    );
+    for c in &art.cells {
+        println!(
+            "  {:>9}  kills {:>2} restores {:>2}  churn {:>3}  served {:>5}/{:>5}  \
+             excused {:>3}  avail {:.4}  mttf {:>8.1} mttr {:>7.1} worst-rec {:>7.1} ms",
+            c.policy,
+            c.kills,
+            c.restores,
+            c.churn_commits,
+            c.served,
+            c.compliant_offered + c.flood_offered,
+            c.excused_misses,
+            c.availability,
+            c.mttf_ms,
+            c.mttr_ms,
+            c.worst_recovery_ms
         );
     }
 }
@@ -870,97 +546,6 @@ fn print_throughput_summary(art: &ThroughputArtifact) {
     }
 }
 
-fn campaign(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(CAMPAIGN_FILE);
-
-    if args.write {
-        let art = run_campaign(&campaign_smoke_config(args.seed));
-        let broken = art.validate();
-        if !broken.is_empty() {
-            for p in &broken {
-                eprintln!("campaign: {p}");
-            }
-            return Err(format!("{} campaign invariant(s) broken", broken.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_campaign_summary(&art);
-        return Ok(());
-    }
-
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures campaign --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        CampaignArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-
-    // 1. Fresh campaign at the golden's seed; everything except wall
-    //    clock is a pure function of it, so the canonical payloads must
-    //    be byte-identical.
-    let fresh = run_campaign(&campaign_smoke_config(golden.seed));
-    let problems = compare_campaign(&golden, &fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("campaign: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {CAMPAIGN_FILE}; if the chaos model intentionally \
-             changed, regenerate with `figures campaign --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 2. The campaign invariants hold on the fresh run: no policy-blamed
-    //    miss, no audit finding, every kill restored, availability above
-    //    the declared floor.
-    let broken = fresh.validate();
-    if !broken.is_empty() {
-        for p in &broken {
-            eprintln!("campaign: {p}");
-        }
-        return Err(format!("{} campaign invariant(s) broken", broken.len()));
-    }
-
-    print_campaign_summary(&fresh);
-    Ok(())
-}
-
-fn print_campaign_summary(art: &CampaignArtifact) {
-    println!(
-        "campaign: {} policies x [{}] over {} ms (seed {:#x}); 0 blamed misses, \
-         0 audit findings, floor {:.2}, recovery bound {:.0} ms, {} ms wall",
-        art.cells.len(),
-        art.dimensions.join(", "),
-        art.horizon_ms,
-        art.seed,
-        art.min_availability,
-        art.max_recovery_ms,
-        art.wall_ms
-    );
-    for c in &art.cells {
-        println!(
-            "  {:>9}  kills {:>2} restores {:>2}  churn {:>3}  served {:>5}/{:>5}  \
-             excused {:>3}  avail {:.4}  mttf {:>8.1} mttr {:>7.1} worst-rec {:>7.1} ms",
-            c.policy,
-            c.kills,
-            c.restores,
-            c.churn_commits,
-            c.served,
-            c.compliant_offered + c.flood_offered,
-            c.excused_misses,
-            c.availability,
-            c.mttf_ms,
-            c.mttr_ms,
-            c.worst_recovery_ms
-        );
-    }
-}
-
 fn repro(args: &Args) -> Result<(), String> {
     let path = args
         .file
@@ -1071,15 +656,14 @@ fn main() -> ExitCode {
     };
     let result = match args.command.as_str() {
         "run" => run(&args),
-        "check" => check(&args),
+        "check" => check(&args).map_err(|e| {
+            format!(
+                "{e}\nif the change is intentional, regenerate the goldens with `figures run` \
+                 (the repro with `figures repro --write`) and commit them"
+            )
+        }),
         "bench" => bench(&args),
-        "chaos" => chaos(&args),
-        "modes" => modes(&args),
-        "regulator" => regulator(&args),
-        "clock" => clock(&args),
         "throughput" => throughput(&args),
-        "tenants" => tenants(&args),
-        "campaign" => campaign(&args),
         "repro" => repro(&args),
         other => Err(format!("unknown command {other}\n{}", usage())),
     };

@@ -3,10 +3,9 @@
 //! minimization.
 //!
 //! The earlier soaks each stress one layer in isolation — WCET overruns
-//! (`crate::tenants`), regulator failures plus brownouts
-//! (`crate::regulator`), transactional mode churn (`crate::modes`),
-//! crash/restore (`tests/recovery.rs`), a flooding tenant
-//! (`crate::tenants`), and clock/timer faults (`crate::clock`). The
+//! (`crate::tenants`), regulator failures plus brownouts, transactional
+//! mode churn and clock/timer faults (`crate::soak`), crash/restore
+//! (`tests/recovery.rs`), and a flooding tenant (`crate::tenants`). The
 //! campaign turns them into *dimensions* of one
 //! [`ChaosPlan`] and runs all of them against the same kernel at once:
 //! the relaxed Table 2 hard-RT set plus a two-lane tenant server on the
@@ -29,9 +28,9 @@
 //! per-rung ladder histogram, post-kill recovery latency) and audited
 //! against the campaign's [`AvailabilityPolicy`] (bounded recovery,
 //! availability floor) on top of the lifecycle and tenant-isolation
-//! auditors. Misses are blame-classified as in `crate::regulator`, with
-//! injected overruns also excusing (the fault dimension voids the
-//! admission premises just like hardware adversity does).
+//! auditors. Misses are blame-classified by [`kernel_blame`], the one
+//! classifier the kernel soaks share: any logged adversity, injected
+//! overruns included, voids the admission premises for later misses.
 //!
 //! # Repro minimization
 //!
@@ -51,15 +50,17 @@ use rtdvs_audit::{
     TenantStanding, Violation,
 };
 use rtdvs_core::policy::PolicyKind;
+use rtdvs_core::task::Task;
 use rtdvs_core::tenant::{TenantId, TenantQuota};
 use rtdvs_core::time::{Time, Work};
-use rtdvs_kernel::{KernelEvent, ModeChange, OverrunBody, RtKernel, Snapshot, TenantServer};
+use rtdvs_kernel::{
+    KernelError, KernelEvent, ModeChange, OverrunBody, RtKernel, Snapshot, TaskHandle, TenantServer,
+};
 use rtdvs_platform::{PowerNowCpu, UnreliableRegulator};
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
 
 use crate::artifact::{fmt_f64, ArtifactError, Json};
-use crate::clock::clock_plan;
-use crate::regulator::regulator_plan;
+use crate::soak::{clock_plan, regulator_plan};
 use crate::tenants::RELAXED_TABLE2;
 
 /// Schema identifier of the campaign golden (`BENCH_campaign.json`).
@@ -88,23 +89,24 @@ const SLOT_MS: f64 = 10.0;
 /// instant inside the slot (revived from the latest checkpoint).
 const KILL_SLOT_MS: f64 = 500.0;
 
-/// Spacing of the churn decision slots (matches `crate::modes`).
+/// Spacing of the churn decision slots.
 const CHURN_SLOT_MS: f64 = 20.0;
 
-/// Spacing of the brownout decision slots (matches `crate::regulator`).
+/// Spacing of the brownout decision slots.
 const BROWNOUT_SLOT_MS: f64 = 100.0;
 
 /// The operating point a brownout clamps to (index into the K6-2+'s
 /// seven points; keeps the relaxed set feasible under the cap).
 const BROWNOUT_CAP_POINT: usize = 3;
 
+/// How far a churn transaction stretches the first task's period (and
+/// back). Table 2 at 8→12 ms and its relaxed twin at 16→24 ms both stay
+/// admissible under every paper policy, so a churn-induced miss is a
+/// transaction bug.
+const CHURN_STRETCH: f64 = 1.5;
+
 /// Checkpoint cadence: what a kill can rewind to.
 const CHECKPOINT_MS: f64 = 90.0;
-
-/// The period the churn dimension toggles the first periodic task to
-/// (and back from its nominal 16 ms). Both shapes stay admissible under
-/// every paper policy, so a churn-induced miss is a transaction bug.
-const CHURN_RELAXED_PERIOD_MS: f64 = 24.0;
 
 /// Server shape: two lanes (compliant + flood) inside one budget.
 const SERVER_PERIOD_MS: f64 = 10.0;
@@ -227,8 +229,8 @@ pub struct FloodDim {
 
 /// Clock-fault dimension: a seeded [`rtdvs_sim::ClockPlan`] at `rate`
 /// (drift retargets at the rate; tick loss and coalescing at half,
-/// backward jumps at a quarter — the same scaling as
-/// [`crate::clock::clock_plan`]), acting only inside the window.
+/// backward jumps at a quarter — [`crate::soak::clock_plan`]), acting
+/// only inside the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockDim {
     /// Clock adversity rate (per-tick drift-retarget probability).
@@ -519,7 +521,7 @@ pub fn materialize(plan: &ChaosPlan) -> CampaignSchedules {
 /// One coin per slot regardless of rate or window (stable stream
 /// positions); cap changes are emitted only inside the window, and an
 /// imposed cap is lifted at the first boundary at or past the window end.
-fn brownout_schedule(
+pub(crate) fn brownout_schedule(
     stream: &mut SplitMix64,
     rate: f64,
     window: &Window,
@@ -571,7 +573,7 @@ fn kill_schedule(
 }
 
 /// One coin per slot regardless of rate or window.
-fn churn_schedule(
+pub(crate) fn churn_schedule(
     stream: &mut SplitMix64,
     rate: f64,
     window: &Window,
@@ -790,7 +792,8 @@ fn run_cell(
     let mut batch: Vec<Request> = Vec::new();
     let mut ei = 0usize;
     let n_slots = (plan.horizon_ms / SLOT_MS).floor() as u64;
-    let nominal_wcet = Work::from_ms(RELAXED_TABLE2[0].1);
+    let nominal = Task::from_ms(RELAXED_TABLE2[0].0, RELAXED_TABLE2[0].1)
+        .expect("the relaxed Table 2 set is valid");
     for b in 1..=n_slots {
         let t = Time::from_ms(SLOT_MS * b as f64);
         batch.clear();
@@ -828,23 +831,10 @@ fn run_cell(
             match events[ei].2 {
                 Chaos::Brownout(cap) => kernel.set_brownout_cap(cap),
                 Chaos::Churn => {
-                    let target = if relaxed {
-                        Time::from_ms(RELAXED_TABLE2[0].0)
-                    } else {
-                        Time::from_ms(CHURN_RELAXED_PERIOD_MS)
-                    };
                     // A staged-but-uncommitted transaction or a transient
                     // infeasibility just skips this slot's toggle — under
                     // composed chaos any rejection reason is acceptable.
-                    if kernel
-                        .submit_mode_change(ModeChange::new().reparam(
-                            handles[0],
-                            target,
-                            nominal_wcet,
-                        ))
-                        .is_ok()
-                    {
-                        relaxed = !relaxed;
+                    if submit_churn(&mut kernel, handles[0], &nominal, &mut relaxed).is_ok() {
                         churn_commits += 1;
                     }
                 }
@@ -877,39 +867,12 @@ fn run_cell(
         }
     }
 
-    // Blame classification: once any hardware adversity, restore, clock
-    // fault, or injected overrun is in the log, the admission premises
-    // are void and later misses are excused; a miss before all of that
-    // is a policy bug.
-    let mut adversity_acted = false;
-    let mut blamed = 0u64;
-    let mut excused = 0u64;
-    let mut clock_events = 0u64;
-    for (_, event) in kernel.log() {
-        match event {
-            KernelEvent::RegulatorFallback { .. }
-            | KernelEvent::BrownoutCapSet { .. }
-            | KernelEvent::LadderStepped { .. }
-            | KernelEvent::SupervisorRestored
-            | KernelEvent::Overrun { .. } => adversity_acted = true,
-            KernelEvent::ClockTickGap { .. }
-            | KernelEvent::ClockJumpClamped { .. }
-            | KernelEvent::ClockWatchdog { .. }
-            | KernelEvent::ReleaseLate { .. } => {
-                adversity_acted = true;
-                clock_events += 1;
-            }
-            KernelEvent::DeadlineMiss { .. } => {
-                if adversity_acted {
-                    excused += 1;
-                } else {
-                    blamed += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-
+    let KernelBlame {
+        blamed,
+        excused,
+        clock_events,
+        mut findings,
+    } = kernel_blame(kernel.log());
     let n_periods = n_slots.max(1);
     let standings = [
         TenantStanding {
@@ -926,10 +889,6 @@ fn run_cell(
         },
     ];
     let rungs = kernel.ladder_rung_names();
-    let mut findings: Vec<Violation> = audit_kernel_log(kernel.log())
-        .into_iter()
-        .filter(|v| v.rule != Rule::DeadlineMiss)
-        .collect();
     findings.extend(audit_tenant_isolation(&standings, kernel.log()));
     findings.extend(audit_availability(
         kernel.log(),
@@ -957,6 +916,78 @@ fn run_cell(
         served,
         stats,
     }
+}
+
+/// A finished kernel log's misses split by blame, plus its non-miss
+/// audit findings.
+pub(crate) struct KernelBlame {
+    /// Misses with no adversity logged before them: policy bugs.
+    pub(crate) blamed: u64,
+    /// Misses after some adversity voided the admission premises.
+    pub(crate) excused: u64,
+    /// Clock-fault events (tick gaps, clamped jumps, watchdog actions,
+    /// late releases).
+    pub(crate) clock_events: u64,
+    /// Lifecycle audit findings other than the misses themselves.
+    pub(crate) findings: Vec<Violation>,
+}
+
+/// The kernel blame classifier, in log order: once any regulator
+/// fallback, brownout cap change, ladder step, supervisor restore,
+/// injected overrun, or clock event is logged, the admission test's
+/// premises are void and later misses are excused; a miss before all of
+/// that is a policy bug.
+pub(crate) fn kernel_blame(log: &[(Time, KernelEvent)]) -> KernelBlame {
+    let mut adversity_acted = false;
+    let (mut blamed, mut excused, mut clock_events) = (0, 0, 0);
+    for (_, event) in log {
+        match event {
+            KernelEvent::RegulatorFallback { .. }
+            | KernelEvent::BrownoutCapSet { .. }
+            | KernelEvent::LadderStepped { .. }
+            | KernelEvent::SupervisorRestored
+            | KernelEvent::Overrun { .. } => adversity_acted = true,
+            KernelEvent::ClockTickGap { .. }
+            | KernelEvent::ClockJumpClamped { .. }
+            | KernelEvent::ClockWatchdog { .. }
+            | KernelEvent::ReleaseLate { .. } => {
+                adversity_acted = true;
+                clock_events += 1;
+            }
+            KernelEvent::DeadlineMiss { .. } if adversity_acted => excused += 1,
+            KernelEvent::DeadlineMiss { .. } => blamed += 1,
+            _ => {}
+        }
+    }
+    let findings = audit_kernel_log(log)
+        .into_iter()
+        .filter(|v| v.rule != Rule::DeadlineMiss)
+        .collect();
+    KernelBlame {
+        blamed,
+        excused,
+        clock_events,
+        findings,
+    }
+}
+
+/// Submits one churn transaction: `handle` (spawned as `nominal`) toggles
+/// between its nominal period and [`CHURN_STRETCH`] times it, and
+/// `relaxed` flips when the kernel accepts the change.
+pub(crate) fn submit_churn(
+    kernel: &mut RtKernel,
+    handle: TaskHandle,
+    nominal: &Task,
+    relaxed: &mut bool,
+) -> Result<(), KernelError> {
+    let period = if *relaxed {
+        nominal.period()
+    } else {
+        Time::from_ms(nominal.period().as_ms() * CHURN_STRETCH)
+    };
+    kernel.submit_mode_change(ModeChange::new().reparam(handle, period, nominal.wcet()))?;
+    *relaxed = !*relaxed;
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------

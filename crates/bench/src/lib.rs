@@ -11,14 +11,11 @@
 
 pub mod artifact;
 pub mod campaign;
-pub mod chaos;
 pub mod chart;
-pub mod clock;
 pub mod figures;
 pub mod microbench;
-pub mod modes;
-pub mod regulator;
 pub mod runner;
+pub mod soak;
 pub mod stats;
 pub mod sweep;
 pub mod taskfile;
@@ -32,13 +29,10 @@ pub use campaign::{
     CampaignConfig, CampaignSchedules, ChaosPlan, ChurnDim, ClockDim, FaultDim, FloodDim, KillDim,
     RegulatorDim, ReproArtifact, ReproViolation, Window,
 };
-pub use chaos::{chaos_smoke_config, run_chaos, ChaosConfig};
 pub use chart::render_normalized_chart;
-pub use clock::{clock_smoke_config, run_clock, ClockConfig};
 pub use figures::*;
-pub use modes::{modes_smoke_config, run_modes, ModesConfig};
-pub use regulator::{regulator_smoke_config, run_regulator, RegulatorConfig};
 pub use runner::{run_sweep_threads, RunnerStats, SweepRun};
+pub use soak::{run_soak, soak_smoke_config, soak_violations, Soak, SoakConfig};
 pub use stats::{welch_t, Summary};
 pub use sweep::{run_sweep, Sweep, SweepConfig, SweepRow};
 pub use tenants::{

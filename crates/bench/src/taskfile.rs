@@ -67,11 +67,12 @@ pub fn parse_task_set(text: &str) -> Result<TaskSet, TaskFileError> {
         if content.is_empty() {
             continue;
         }
+        // `nan` and `inf` parse as f64 but are no time at all.
         let fields: Vec<f64> = content
             .split_whitespace()
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|_| TaskFileError::BadLine {
+            .map(|f| f.parse::<f64>().ok().filter(|x| x.is_finite()))
+            .collect::<Option<_>>()
+            .ok_or_else(|| TaskFileError::BadLine {
                 line,
                 content: content.to_owned(),
             })?;
@@ -140,6 +141,10 @@ mod tests {
         assert!(matches!(err, TaskFileError::BadLine { line: 2, .. }));
         let err = parse_task_set("8 3 1 7\n").unwrap_err();
         assert!(matches!(err, TaskFileError::BadLine { line: 1, .. }));
+        let err = parse_task_set("nan 3\n").unwrap_err();
+        assert!(matches!(err, TaskFileError::BadLine { line: 1, .. }));
+        let err = parse_task_set("8 3\n8 inf\n").unwrap_err();
+        assert!(matches!(err, TaskFileError::BadLine { line: 2, .. }));
     }
 
     #[test]

@@ -929,6 +929,33 @@ mod tests {
         }
     }
 
+    /// A run past the timing wheel's 2^30-tick horizon window (1 048 576
+    /// ms) keeps firing releases. The run happens on a worker so an engine
+    /// that stalls there fails the test instead of hanging it.
+    #[test]
+    fn runs_past_the_wheel_horizon_window() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let cfg = SimConfig::new(Time::from_ms(1_100_000.0));
+            let r = simulate(
+                &table2_task_set(),
+                &Machine::machine0(),
+                PolicyKind::CcEdf,
+                &cfg,
+            );
+            let _ = tx.send(r);
+        });
+        let r = rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the engine stalled at the wheel horizon or panicked");
+        worker
+            .join()
+            .expect("the simulation thread finished cleanly");
+        assert!(r.all_deadlines_met());
+        // Task 1 (8 ms period) releases at 0, 8, ..., 1 099 992 ms.
+        assert_eq!(r.task_stats[0].releases, 137_500);
+    }
+
     /// Table 4, checked exactly: the normalized energies of all six
     /// policies on the worked example.
     #[test]

@@ -7,7 +7,8 @@
 //! [`SLOTS`] slots each. Level `l` slots are `64^l` ticks wide (one tick
 //! is `1/1024` ms, see [`rtdvs_core::readyq::TICKS_PER_MS`]), so five
 //! levels cover ~17 minutes of simulated time; anything beyond goes to a
-//! `far` overflow set resolved by exact linear comparison.
+//! `far` overflow set resolved by exact linear comparison and re-placed
+//! whenever `now` enters a new horizon window.
 //!
 //! Placement invariant: a timer sits at the *lowest* level whose current
 //! window (the `64^(l+1)`-tick span containing `now`) contains its expiry
@@ -32,6 +33,8 @@ pub const LEVELS: usize = 5;
 pub const SLOTS: usize = 64;
 
 const LEVEL_SHIFT: u32 = 6; // log2(SLOTS)
+/// log2 of the wheel horizon: one top-level window spans `2^30` ticks.
+const HORIZON_SHIFT: u32 = LEVEL_SHIFT * LEVELS as u32;
 const NOT_PLACED: u32 = u32::MAX;
 const FAR: u32 = u32::MAX - 1;
 
@@ -241,6 +244,23 @@ impl TimingWheel {
         }
     }
 
+    /// Re-places the far set against `now` after it entered a new horizon
+    /// window, which may bring far timers into range (members still beyond
+    /// it stay far). Runs once per 2^30 ticks, so it stays out of line.
+    #[cold]
+    #[inline(never)]
+    fn replace_far(&mut self) {
+        for w in 0..self.words {
+            let mut word = self.far.get_mut(w).map_or(0, std::mem::take);
+            while word != 0 {
+                let k = w * SLOTS + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let etick = self.tick.get(k).copied().unwrap_or(0).max(self.now_tick);
+                self.place(k, etick);
+            }
+        }
+    }
+
     /// Advances the wheel to `t`, cascading timers across window
     /// boundaries so the placement invariant holds at the new instant.
     ///
@@ -262,6 +282,9 @@ impl TimingWheel {
         // No slot boundary above level 0 was crossed: nothing can cascade.
         if (old_tick ^ new_tick) >> LEVEL_SHIFT == 0 {
             return;
+        }
+        if (old_tick ^ new_tick) >> HORIZON_SHIFT != 0 {
+            self.replace_far();
         }
         // A level needs attention only if `now` crossed one of its slot
         // boundaries. Work top-down so a timer cascading multiple levels
@@ -408,8 +431,8 @@ impl TimingWheel {
                 }
             }
         }
-        // Far timers are ≥ the wheel horizon (~17 simulated minutes out)
-        // and can never be due.
+        // Far timers lie beyond the current horizon window (`advance`
+        // re-places them on entering theirs), so none is due yet.
     }
 
     /// In-order catch-up cascade after a tick gap: drains every timer due
@@ -572,6 +595,32 @@ mod tests {
         wheel.cancel(1);
         assert_eq!(wheel.peek_min().map(Time::as_ms), Some(1.0e8));
         assert!(wheel.is_scheduled(0));
+    }
+
+    #[test]
+    fn far_timers_fire_past_the_horizon_window() {
+        // Drive the wheel like the engine with a 100 ms periodic companion
+        // until a timer just past 2^30 ticks (1 048 576 ms) fires: it must
+        // be reported due at its exact time, not stall `now` there.
+        let mut wheel = TimingWheel::new(2);
+        let far = ms(1_048_581.0);
+        wheel.schedule(0, far);
+        wheel.schedule(1, ms(100.0));
+        let mut due = Vec::new();
+        let mut fired = None;
+        for _ in 0..20_000 {
+            let now = wheel.peek_min().expect("two timers pending");
+            wheel.advance(now);
+            wheel.collect_due(now, &mut due);
+            if due[0] & 1 != 0 {
+                fired = Some(now);
+                break;
+            }
+            if due[0] & 2 != 0 {
+                wheel.schedule(1, now + ms(100.0));
+            }
+        }
+        assert_eq!(fired.map(Time::as_ms), Some(far.as_ms()));
     }
 
     #[test]

@@ -1,42 +1,30 @@
 //! Workspace tooling.
 //!
-//! Three subcommands:
+//! Six subcommands:
 //!
-//! * `cargo run -p xtask -- ci` — the full local gate: fmt, clippy,
-//!   `lint`, release build, workspace tests, examples, and `bench-check`,
-//!   each stage wall-clock-timed with a summary table at the end. `ci.sh`
-//!   and the GitHub Actions workflow both delegate here, so the shell
-//!   script and the hosted pipeline cannot drift. `--skip a,b` skips
-//!   stages by name (unknown names are hard errors); `--json PATH`
+//! * `cargo run -p xtask -- ci` — the full local gate, ten stages: fmt,
+//!   clippy, `lint`, `analyze`, release build, workspace tests, the
+//!   crash-recovery smoke test, examples, `bench-check`, and
+//!   `throughput`, each wall-clock-timed with a summary table at the end.
+//!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
+//!   shell script and the hosted pipeline cannot drift. `--skip a,b`
+//!   skips stages by name (unknown names are hard errors); `--json PATH`
 //!   additionally writes the per-stage timing table as
 //!   `xtask-ci-times/v1` JSON, which every CI job uploads as an
 //!   artifact.
-//! * `cargo run -p xtask -- bench-check` — the quantitative regression
-//!   gate: delegates to `figures check` (crates/bench), which re-runs the
-//!   reduced sweep grid and diffs it against the committed
-//!   `BENCH_sweep.json` within ±1% energy, and structurally validates
-//!   `BENCH_paper_figures.json` and `BENCH_faults.json`.
-//! * `cargo run -p xtask -- chaos` — the fault-injection gate: delegates
-//!   to `figures chaos`, which re-runs the chaos-soak grid, asserts no
-//!   injected fault is ever misclassified as a policy bug, and diffs the
-//!   result against the committed `BENCH_faults.json`.
-//! * `cargo run -p xtask -- modes` — the mode-churn gate: delegates to
-//!   `figures modes`, which re-runs the transactional mode-change soak,
-//!   asserts no commit ever costs a deadline and that every kernel log
-//!   replays clean through the lifecycle auditor, and diffs the result
-//!   against the committed `BENCH_modes.json`.
-//! * `cargo run -p xtask -- regulator` — the regulator-hardening gate:
-//!   delegates to `figures regulator`, which re-runs the regulator-soak
-//!   grid (unreliable regulator plus brownout caps), asserts no miss is
-//!   ever policy-blamed and that the ideal regulator is bit-exact against
-//!   no regulator at all, and diffs the result against the committed
-//!   `BENCH_regulator.json`.
-//! * `cargo run -p xtask -- clock` — the time-base hardening gate:
-//!   delegates to `figures clock`, which re-runs the clock-fault soak
-//!   grid (oscillator drift, lost and coalesced ticks, bounded backward
-//!   RTC jumps), asserts no miss is ever policy-blamed and that the
-//!   inactive clock plan is bit-exact against no plan at all, and diffs
-//!   the result against the committed `BENCH_clock.json`.
+//! * `cargo run -p xtask -- bench-check` — the golden gate: delegates to
+//!   `figures check` (crates/bench), the single check of every
+//!   deterministic committed artifact. It re-runs the reduced sweep grid
+//!   and the four single-fault soaks (`BENCH_sweep.json`,
+//!   `BENCH_faults.json`, `BENCH_modes.json`, `BENCH_regulator.json`,
+//!   `BENCH_clock.json`) within ±1% energy, structurally validates
+//!   `BENCH_paper_figures.json`, re-runs the tenant soak and the chaos
+//!   campaign byte-for-byte against `BENCH_tenants.json` and
+//!   `BENCH_campaign.json`, holds each to its invariants (no
+//!   policy-blamed miss, inactive plans bit-exact, tenant isolation,
+//!   campaign availability), and replays the committed repro
+//!   `results/repro_availability_floor.json` to its bit-identical
+//!   violation. `figures run` regenerates all of them but the repro.
 //! * `cargo run -p xtask -- throughput` — the scheduler hot-path gate:
 //!   delegates to `figures throughput`, which pins the Table 2 traces
 //!   byte-identically against the frozen pre-refactor engine, re-measures
@@ -46,23 +34,6 @@
 //!   on the engine-dominated policies (a ratio against an in-process
 //!   reference run, never wall-clock, so it cannot flake on slow
 //!   runners).
-//! * `cargo run -p xtask -- tenants` — the tenant-isolation gate:
-//!   delegates to `figures tenants`, which re-runs the seeded two-pass
-//!   multi-tenant soak (one tenant flooding at 10x its quota next to
-//!   five compliant tenants and the hard-RT periodic set under
-//!   fault-injected overruns), asserts zero periodic deadline misses,
-//!   zero quota theft from compliant tenants, and compliant p99 response
-//!   latency within 5% of the flood-free run, and diffs the result
-//!   against the committed `BENCH_tenants.json`.
-//! * `cargo run -p xtask -- campaign` — the composed-chaos gate:
-//!   delegates to `figures campaign`, which re-runs the unified chaos
-//!   campaign (WCET overruns, unreliable regulator with brownout caps,
-//!   crash/restore kills, transactional mode churn, and a flooding
-//!   tenant — all derived from one root seed with phased adversity
-//!   windows) across all six paper policies, enforces the campaign
-//!   invariants (no policy-blamed miss, no audit finding including the
-//!   availability rules, every kill restored), and diffs the canonical
-//!   payload byte-for-byte against the committed `BENCH_campaign.json`.
 //! * `cargo run -p xtask -- repro [FILE]` — replays a minimized chaos
 //!   repro (`rtdvs-repro/v1`, default
 //!   `results/repro_availability_floor.json`) via `figures repro` and
@@ -160,19 +131,11 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(&args[1..]),
         Some("ci") => ci(&args[1..]),
         Some("bench-check") => figures_gate("check", &args[1..]),
-        Some("chaos") => figures_gate("chaos", &args[1..]),
-        Some("modes") => figures_gate("modes", &args[1..]),
-        Some("regulator") => figures_gate("regulator", &args[1..]),
-        Some("clock") => figures_gate("clock", &args[1..]),
         Some("throughput") => figures_gate("throughput", &args[1..]),
-        Some("tenants") => figures_gate("tenants", &args[1..]),
-        Some("campaign") => figures_gate("campaign", &args[1..]),
         Some("repro") => figures_gate("repro", &args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- \
-                 <lint|analyze|ci|bench-check|chaos|modes|regulator|clock|throughput|tenants|\
-                 campaign|repro>"
+                "usage: cargo run -p xtask -- <lint|analyze|ci|bench-check|throughput|repro>"
             );
             ExitCode::from(2)
         }
@@ -190,7 +153,7 @@ struct Stage {
 /// The full local gate, in dependency order. `lint` and `analyze` are
 /// the in-process passes (empty argv); everything else shells out to
 /// cargo so the stages are exactly what a contributor would type.
-const STAGES: [Stage; 16] = [
+const STAGES: [Stage; 10] = [
     Stage {
         name: "fmt",
         args: &["fmt", "--all", "--check"],
@@ -246,62 +209,6 @@ const STAGES: [Stage; 16] = [
         ],
     },
     Stage {
-        name: "chaos",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "chaos",
-        ],
-    },
-    Stage {
-        name: "modes",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "modes",
-        ],
-    },
-    Stage {
-        name: "regulator",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "regulator",
-        ],
-    },
-    Stage {
-        name: "clock",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "clock",
-        ],
-    },
-    Stage {
         name: "throughput",
         args: &[
             "run",
@@ -313,34 +220,6 @@ const STAGES: [Stage; 16] = [
             "figures",
             "--",
             "throughput",
-        ],
-    },
-    Stage {
-        name: "tenants",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "tenants",
-        ],
-    },
-    Stage {
-        name: "campaign",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "campaign",
         ],
     },
 ];
@@ -483,9 +362,9 @@ fn stage_times_json(results: &[(&str, &str, f64)], total_secs: f64, failed: bool
     s
 }
 
-/// Delegates to an artifact gate in `rtdvs-bench` (`figures check` or
-/// `figures chaos`), forwarding any extra arguments (e.g. `--tolerance
-/// 0.02` or `--golden-dir some/dir`).
+/// Delegates to an artifact gate in `rtdvs-bench` (`figures check`,
+/// `throughput` or `repro`), forwarding any extra arguments (e.g.
+/// `--golden-dir some/dir`).
 fn figures_gate(command: &str, args: &[String]) -> ExitCode {
     let status = Command::new("cargo")
         .args([
