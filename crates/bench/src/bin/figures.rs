@@ -17,11 +17,13 @@
 //!     goldens (±1% energy, miss counts exact), structurally validate
 //!     BENCH_paper_figures.json (full regeneration is too slow for every
 //!     push), re-run the tenant soak and the campaign and diff their
-//!     canonical payloads byte-for-byte, enforce every artifact's own
-//!     invariants, and replay results/repro_availability_floor.json to its
-//!     bit-identical violation. Checks every artifact, then exits non-zero
-//!     if any diverged — this is what `xtask bench-check` and the CI
-//!     bench-smoke job run.
+//!     canonical trees exactly (naming every member that differs), enforce
+//!     every artifact's own invariants, and replay
+//!     results/repro_availability_floor.json to its bit-identical
+//!     violation. Every file it reads must also be a fixed point of
+//!     parse→write, so hand edits and layout drift fail. Checks every
+//!     artifact, then exits non-zero if any diverged — this is what
+//!     `xtask bench-check` and the CI bench-smoke job run.
 //!
 //! figures bench [--threads-list 1,2,4] [--quick] [--seed S]
 //!     Run the Figure 6–8 grid once per thread count; report wall-clock,
@@ -32,37 +34,39 @@
 //!     Pin the Table 2 traces byte-identically against the frozen
 //!     pre-refactor engine, measure events/s for both engines on the
 //!     Table 2 set and a 128-task soak, diff the machine-independent
-//!     payload against the committed BENCH_throughput.json, and enforce
-//!     the events/s ratio floors (≥5x baseline on the engine-dominated
-//!     soak policies). `--write` regenerates the golden instead. This is
-//!     what `xtask throughput` and the CI throughput-smoke job run.
+//!     payload against the committed BENCH_throughput.json (which must be
+//!     a fixed point of parse→write), and enforce the events/s ratio
+//!     floors (≥5x baseline on the engine-dominated soak policies).
+//!     `--write` regenerates the golden instead. This is what
+//!     `xtask throughput` and the CI throughput-smoke job run.
 //!
 //! figures repro [--write] [FILE]
-//!     Replay a minimized chaos repro (`rtdvs-repro/v1`) and require the
-//!     bit-identical audit violation it pins (default FILE:
-//!     results/repro_availability_floor.json). With `--write`, instead
-//!     shrink the known-violating campaign down to a minimal repro and
-//!     write it to FILE. This is what `xtask repro` runs.
+//!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
+//!     parse→write) and require the bit-identical audit violation it pins
+//!     (default FILE: results/repro_availability_floor.json). With
+//!     `--write`, instead shrink the known-violating campaign down to a
+//!     minimal repro and write it to FILE. This is what `xtask repro`
+//!     runs.
 //! ```
 
 use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rtdvs_bench::artifact::{compare, BenchArtifact};
+use rtdvs_bench::artifact::{check_layout, compare, Artifact, BenchArtifact};
 use rtdvs_bench::campaign::{
-    campaign_smoke_config, compare_campaign, known_violating_campaign, replay_repro, run_campaign,
-    shrink_plan, CampaignArtifact, ReproArtifact,
+    campaign_smoke_config, known_violating_campaign, replay_repro, run_campaign, shrink_plan,
+    CampaignArtifact, ReproArtifact,
 };
 use rtdvs_bench::figures::{
     paper_figures, paper_figures_artifact, smoke_sweep_artifact, PaperFigure, Scale,
 };
 use rtdvs_bench::render_normalized_chart;
-use rtdvs_bench::soak::{run_soak, soak_smoke_config, soak_violations, Soak};
-use rtdvs_bench::tenants::{compare_tenants, run_tenants, tenants_smoke_config, TenantsArtifact};
+use rtdvs_bench::soak::{run_soak, soak_violations, Soak};
+use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
-    compare_throughput, floor_violations, pin_table2_traces, run_throughput,
-    throughput_smoke_config, ThroughputArtifact,
+    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config,
+    ThroughputArtifact,
 };
 
 /// Default experiment seed (the sweep harness default, `0x5eed`).
@@ -256,7 +260,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     let refuse = |name: &str| format!("{name} breaks its invariants; not written");
     for soak in Soak::ALL {
-        let art = run_soak(&soak_smoke_config(soak, args.seed));
+        let art = run_soak(soak, args.seed);
         if !gate(
             soak.golden(),
             "keeps its promises",
@@ -281,14 +285,14 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn read_golden(dir: &Path, name: &str) -> Result<String, String> {
-    let path = dir.join(name);
-    std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read golden {}: {e}", path.display()))
-}
-
-fn load_golden(dir: &Path, name: &str) -> Result<BenchArtifact, String> {
-    BenchArtifact::from_json(&read_golden(dir, name)?).map_err(|e| format!("{name}: {e}"))
+/// Reads a committed artifact, which must also be in the writer's exact
+/// layout (a fixed point of parse→write).
+fn load<A: Artifact>(path: &Path) -> Result<A, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    check_layout(&text)
+        .and_then(|()| A::from_json(&text))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Every deterministic committed artifact, reproduced from its seed and
@@ -306,18 +310,18 @@ fn check(args: &Args) -> Result<(), String> {
         }
     };
 
-    let sweep = load_golden(&dir, SWEEP_FILE).map(|golden| {
+    let sweep = load::<BenchArtifact>(&dir.join(SWEEP_FILE)).map(|golden| {
         let fresh = smoke_sweep_artifact(golden.seed, threads);
         compare(&golden, &fresh, TOLERANCE)
     });
     verdict(SWEEP_FILE, &within, sweep);
 
-    let paper = load_golden(&dir, PAPER_FIGURES_FILE).map(|paper| paper.validate());
+    let paper = load::<BenchArtifact>(&dir.join(PAPER_FIGURES_FILE)).map(|paper| paper.validate());
     verdict(PAPER_FIGURES_FILE, "is structurally sound", paper);
 
     for soak in Soak::ALL {
-        let problems = load_golden(&dir, soak.golden()).map(|golden| {
-            let fresh = run_soak(&soak_smoke_config(soak, golden.seed));
+        let problems = load::<BenchArtifact>(&dir.join(soak.golden())).map(|golden| {
+            let fresh = run_soak(soak, golden.seed);
             let mut problems = compare(&golden, &fresh, TOLERANCE);
             problems.extend(soak_violations(soak, &fresh));
             problems
@@ -325,32 +329,26 @@ fn check(args: &Args) -> Result<(), String> {
         verdict(soak.golden(), &within, problems);
     }
 
-    let tenants = read_golden(&dir, TENANTS_FILE).and_then(|text| {
-        let golden =
-            TenantsArtifact::from_json(&text).map_err(|e| format!("{TENANTS_FILE}: {e}"))?;
+    let tenants = load::<TenantsArtifact>(&dir.join(TENANTS_FILE)).map(|golden| {
         let fresh = run_tenants(&tenants_smoke_config(golden.seed));
         print_tenants_summary(&fresh);
-        let mut problems = compare_tenants(&golden, &fresh);
+        let mut problems = golden.diff(&fresh);
         problems.extend(fresh.validate());
-        Ok(problems)
+        problems
     });
     verdict(TENANTS_FILE, "reproduces byte-for-byte", tenants);
 
-    let campaign = read_golden(&dir, CAMPAIGN_FILE).and_then(|text| {
-        let golden =
-            CampaignArtifact::from_json(&text).map_err(|e| format!("{CAMPAIGN_FILE}: {e}"))?;
+    let campaign = load::<CampaignArtifact>(&dir.join(CAMPAIGN_FILE)).map(|golden| {
         let fresh = run_campaign(&campaign_smoke_config(golden.seed));
         print_campaign_summary(&fresh);
-        let mut problems = compare_campaign(&golden, &fresh);
+        let mut problems = golden.diff(&fresh);
         problems.extend(fresh.validate());
-        Ok(problems)
+        problems
     });
     verdict(CAMPAIGN_FILE, "reproduces byte-for-byte", campaign);
 
-    let repro = read_golden(&dir, REPRO_FILE).and_then(|text| {
-        let repro = ReproArtifact::from_json(&text).map_err(|e| format!("{REPRO_FILE}: {e}"))?;
-        Ok(replay_repro(&repro).err().into_iter().collect())
-    });
+    let repro = load::<ReproArtifact>(&dir.join(REPRO_FILE))
+        .map(|repro| replay_repro(&repro).err().into_iter().collect());
     verdict(REPRO_FILE, "replays to the identical violation", repro);
 
     if failed.is_empty() {
@@ -460,14 +458,8 @@ fn throughput(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read golden {}: {e} (run `figures throughput --write` to create it)",
-            path.display()
-        )
-    })?;
-    let golden =
-        ThroughputArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let golden: ThroughputArtifact =
+        load(&path).map_err(|e| format!("{e} (`figures throughput --write` regenerates it)"))?;
 
     // 2. Fresh measurement at the golden's seed and shape.
     let mut cfg = throughput_smoke_config(golden.seed);
@@ -477,7 +469,7 @@ fn throughput(args: &Args) -> Result<(), String> {
 
     // 3. The machine-independent payload (event counts, panel shapes,
     //    floors) must reproduce the golden exactly.
-    let problems = compare_throughput(&golden, &fresh);
+    let problems = golden.diff(&fresh);
     if !problems.is_empty() {
         for p in &problems {
             eprintln!("throughput: {p}");
@@ -574,13 +566,8 @@ fn repro(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    let text = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "cannot read repro {}: {e} (run `figures repro --write` to create it)",
-            path.display()
-        )
-    })?;
-    let repro = ReproArtifact::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let repro: ReproArtifact =
+        load(&path).map_err(|e| format!("{e} (`figures repro --write` regenerates it)"))?;
     replay_repro(&repro)?;
     println!(
         "repro: {} replays to the identical violation",

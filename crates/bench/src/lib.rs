@@ -22,24 +22,25 @@ pub mod taskfile;
 pub mod tenants;
 pub mod throughput;
 
-pub use artifact::{compare, BenchArtifact, BenchGrid, BenchPoint, BenchSeries};
+pub use artifact::{
+    check_layout, compare, Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint,
+    BenchSeries, Json,
+};
 pub use campaign::{
-    campaign_smoke_config, cell_findings, compare_campaign, known_violating_campaign, materialize,
-    policy_by_name, replay_repro, run_campaign, shrink_plan, CampaignArtifact, CampaignCell,
-    CampaignConfig, CampaignSchedules, ChaosPlan, ChurnDim, ClockDim, FaultDim, FloodDim, KillDim,
-    RegulatorDim, ReproArtifact, ReproViolation, Window,
+    campaign_smoke_config, cell_findings, known_violating_campaign, materialize, policy_by_name,
+    replay_repro, run_campaign, shrink_plan, CampaignArtifact, CampaignCell, CampaignConfig,
+    CampaignSchedules, ChaosPlan, Dim, ReproArtifact, ReproViolation, Window,
 };
 pub use chart::render_normalized_chart;
 pub use figures::*;
 pub use runner::{run_sweep_threads, RunnerStats, SweepRun};
-pub use soak::{run_soak, soak_smoke_config, soak_violations, Soak, SoakConfig};
+pub use soak::{run_soak, soak_violations, Soak};
 pub use stats::{welch_t, Summary};
 pub use sweep::{run_sweep, Sweep, SweepConfig, SweepRow};
 pub use tenants::{
-    compare_tenants, run_tenants, tenants_smoke_config, TenantOutcome, TenantSpec, TenantsArtifact,
-    TenantsConfig,
+    run_tenants, tenants_smoke_config, TenantOutcome, TenantSpec, TenantsArtifact, TenantsConfig,
 };
 pub use throughput::{
-    compare_throughput, floor_violations, pin_table2_traces, run_throughput,
-    throughput_smoke_config, PolicyThroughput, ThroughputArtifact, ThroughputConfig,
+    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config, PolicyThroughput,
+    ThroughputArtifact, ThroughputConfig,
 };

@@ -61,6 +61,12 @@ const COALESCE_BURST: u32 = 4;
 /// Largest backward RTC jump the clock plan may attempt, ms.
 const JUMP_MAX_MS: f64 = 2.0;
 
+/// Independent seed sets averaged per rate.
+const SETS_PER_RATE: usize = 3;
+
+/// Simulated horizon per run, ms.
+const DURATION_MS: f64 = 600.0;
+
 /// Which adversity a soak sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Soak {
@@ -100,6 +106,16 @@ impl Soak {
         }
     }
 
+    /// The adversity rates swept (x axis), each in `[0, 1]`; 0 is an
+    /// inactive plan.
+    fn rates(self) -> [f64; 4] {
+        match self {
+            Soak::Faults => [0.0, 0.05, 0.1, 0.2],
+            Soak::Modes => [0.0, 0.2, 0.5, 1.0],
+            Soak::Regulator | Soak::Clock => [0.0, 0.05, 0.2, 0.5],
+        }
+    }
+
     /// The soaked task set: Table 2 on machine 0, or Table 2 with doubled
     /// periods on the K6-2+, whose accounted switch overhead inflates
     /// its utilization to about 0.49.
@@ -110,42 +126,6 @@ impl Soak {
                 TaskSet::from_ms_pairs(&RELAXED_TABLE2).expect("the relaxed Table 2 set is valid")
             }
         }
-    }
-}
-
-/// Shape of one soak run.
-#[derive(Debug, Clone)]
-pub struct SoakConfig {
-    /// The adversity swept.
-    pub soak: Soak,
-    /// Policies to soak, in column order.
-    pub policies: Vec<PolicyKind>,
-    /// Adversity rates (x axis), each in `[0, 1]`; 0 is an inactive plan.
-    pub rates: Vec<f64>,
-    /// Independent seed sets averaged per rate.
-    pub sets_per_rate: usize,
-    /// Simulated horizon per run.
-    pub duration: Time,
-    /// Base RNG seed every per-cell stream derives from.
-    pub seed: u64,
-}
-
-/// The grid behind each soak's committed golden: all six paper policies,
-/// four rates, three seed sets per rate, 600 ms per run.
-#[must_use]
-pub fn soak_smoke_config(soak: Soak, seed: u64) -> SoakConfig {
-    let rates = match soak {
-        Soak::Faults => vec![0.0, 0.05, 0.1, 0.2],
-        Soak::Modes => vec![0.0, 0.2, 0.5, 1.0],
-        Soak::Regulator | Soak::Clock => vec![0.0, 0.05, 0.2, 0.5],
-    };
-    SoakConfig {
-        soak,
-        policies: PolicyKind::paper_six().to_vec(),
-        rates,
-        sets_per_rate: 3,
-        duration: Time::from_ms(600.0),
-        seed,
     }
 }
 
@@ -297,9 +277,10 @@ fn kernel_run(
 }
 
 /// One policy's run under `plan` (`None`: the twin) on the soak's executor.
-fn run_one(cfg: &SoakConfig, kind: PolicyKind, body_seed: u64, plan: Option<&Plan>) -> Tally {
-    if cfg.soak != Soak::Faults {
-        let kernel = kernel_run(cfg.soak, kind, cfg.duration, body_seed, plan);
+fn run_one(soak: Soak, kind: PolicyKind, body_seed: u64, plan: Option<&Plan>) -> Tally {
+    let duration = Time::from_ms(DURATION_MS);
+    if soak != Soak::Faults {
+        let kernel = kernel_run(soak, kind, duration, body_seed, plan);
         let blame = kernel_blame(kernel.log());
         return Tally {
             energy: kernel.energy(),
@@ -308,13 +289,13 @@ fn run_one(cfg: &SoakConfig, kind: PolicyKind, body_seed: u64, plan: Option<&Pla
             ..Tally::default()
         };
     }
-    let mut sim = SimConfig::new(cfg.duration)
+    let mut sim = SimConfig::new(duration)
         .with_exec(ExecModel::uniform())
         .with_seed(body_seed);
     if let Some(Plan::Faults(faults)) = plan {
         sim = sim.with_faults(*faults);
     }
-    let report = simulate(&cfg.soak.tasks(), &Machine::machine0(), kind, &sim);
+    let report = simulate(&soak.tasks(), &Machine::machine0(), kind, &sim);
     Tally {
         energy: report.energy(),
         blamed: policy_bug_misses(&report),
@@ -323,40 +304,36 @@ fn run_one(cfg: &SoakConfig, kind: PolicyKind, body_seed: u64, plan: Option<&Pla
     }
 }
 
-/// Runs a soak and packs it into an artifact under the soak's label.
+/// Runs a soak's grid — all six paper policies, the soak's four rates,
+/// `SETS_PER_RATE` seed sets per rate, `DURATION_MS` per run — and
+/// packs it into an artifact under the soak's label.
 ///
-/// Deterministic in `cfg` alone: each `(rate, set)` cell draws its body
-/// seed, then its plan, from
-/// `SplitMix64::seed_from_u64(cfg.seed).split(cell_id)`, and the grid is
+/// Deterministic in `(soak, seed)`: each `(rate, set)` cell draws its
+/// body seed, then its plan, from
+/// `SplitMix64::seed_from_u64(seed).split(cell_id)`, and the grid is
 /// folded in cell-id order. Only `wall_ms` varies between runs.
 ///
 /// # Panics
 ///
-/// Panics if the grid is empty, a rate is outside `[0, 1]`, a policy
-/// rejects the soaked set, or a churn transaction is refused for any
-/// reason but one still in flight (both are admissible by construction).
+/// Panics if a policy rejects the soaked set, or a churn transaction is
+/// refused for any reason but one still in flight (both are admissible
+/// by construction).
 #[must_use]
-pub fn run_soak(cfg: &SoakConfig) -> BenchArtifact {
-    assert!(
-        !cfg.rates.is_empty() && cfg.sets_per_rate > 0 && !cfg.policies.is_empty(),
-        "soak grid must be non-empty"
-    );
-    assert!(
-        cfg.rates.iter().all(|r| (0.0..=1.0).contains(r)),
-        "soak rates are probabilities"
-    );
+pub fn run_soak(soak: Soak, seed: u64) -> BenchArtifact {
     let start = Instant::now();
-    let n_pol = cfg.policies.len();
-    let mut cells = vec![Tally::default(); cfg.rates.len() * n_pol];
-    for (ri, &rate) in cfg.rates.iter().enumerate() {
-        for s in 0..cfg.sets_per_rate {
-            let cell_id = (ri * cfg.sets_per_rate + s) as u64;
-            let mut stream = SplitMix64::seed_from_u64(cfg.seed).split(cell_id);
+    let policies = PolicyKind::paper_six();
+    let rates = soak.rates();
+    let n_pol = policies.len();
+    let mut cells = vec![Tally::default(); rates.len() * n_pol];
+    for (ri, &rate) in rates.iter().enumerate() {
+        for s in 0..SETS_PER_RATE {
+            let cell_id = (ri * SETS_PER_RATE + s) as u64;
+            let mut stream = SplitMix64::seed_from_u64(seed).split(cell_id);
             let body_seed = stream.next_u64();
-            let plan = Plan::draw(cfg.soak, &mut stream, rate, cfg.duration);
-            for (pi, &kind) in cfg.policies.iter().enumerate() {
-                let hard = run_one(cfg, kind, body_seed, Some(&plan));
-                let clean = run_one(cfg, kind, body_seed, None);
+            let plan = Plan::draw(soak, &mut stream, rate, Time::from_ms(DURATION_MS));
+            for (pi, &kind) in policies.iter().enumerate() {
+                let hard = run_one(soak, kind, body_seed, Some(&plan));
+                let clean = run_one(soak, kind, body_seed, None);
                 let cell = &mut cells[ri * n_pol + pi];
                 cell.energy += hard.energy;
                 cell.baseline += clean.energy;
@@ -366,16 +343,14 @@ pub fn run_soak(cfg: &SoakConfig) -> BenchArtifact {
         }
     }
 
-    let n_tasks = cfg.soak.tasks().len();
-    let series = cfg
-        .policies
+    let n_tasks = soak.tasks().len();
+    let series = policies
         .iter()
         .enumerate()
         .map(|(pi, kind)| BenchSeries {
             policy: kind.name().to_owned(),
             n_tasks,
-            points: cfg
-                .rates
+            points: rates
                 .iter()
                 .enumerate()
                 .map(|(ri, &rate)| {
@@ -391,15 +366,15 @@ pub fn run_soak(cfg: &SoakConfig) -> BenchArtifact {
         })
         .collect();
     BenchArtifact {
-        seed: cfg.seed,
+        seed,
         threads: 1,
         grid: BenchGrid {
-            label: cfg.soak.label().to_owned(),
+            label: soak.label().to_owned(),
             n_tasks: vec![n_tasks],
-            utilizations: cfg.rates.clone(),
-            sets_per_point: cfg.sets_per_rate,
-            duration_ms: cfg.duration.as_ms(),
-            policies: cfg.policies.iter().map(|k| k.name().to_owned()).collect(),
+            utilizations: rates.to_vec(),
+            sets_per_point: SETS_PER_RATE,
+            duration_ms: DURATION_MS,
+            policies: policies.iter().map(|k| k.name().to_owned()).collect(),
         },
         series,
         wall_ms: start.elapsed().as_millis() as u64,
@@ -466,6 +441,7 @@ pub fn soak_violations(soak: Soak, art: &BenchArtifact) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::Artifact;
     use rtdvs_audit::audit_kernel_log;
 
     /// The committed goldens' seed.
@@ -474,12 +450,11 @@ mod tests {
     #[test]
     fn every_soak_is_deterministic_and_keeps_its_promises() {
         for soak in Soak::ALL {
-            let cfg = soak_smoke_config(soak, GOLDEN_SEED);
-            let art = run_soak(&cfg);
+            let art = run_soak(soak, GOLDEN_SEED);
             assert_eq!(art.grid.label, soak.label());
             assert_eq!(
                 art.canonical_json(),
-                run_soak(&cfg).canonical_json(),
+                run_soak(soak, GOLDEN_SEED).canonical_json(),
                 "{soak:?}"
             );
             let problems = soak_violations(soak, &art);
@@ -489,7 +464,7 @@ mod tests {
 
     #[test]
     fn violations_catch_a_costly_inactive_plan_a_blamed_miss_and_free_hardening() {
-        let clean = run_soak(&soak_smoke_config(Soak::Regulator, GOLDEN_SEED));
+        let clean = run_soak(Soak::Regulator, GOLDEN_SEED);
         let mut art = clean.clone();
         art.series[0].points[0].energy_norm = 1.0 + f64::EPSILON;
         art.series[1].points[1].deadline_miss = 1;

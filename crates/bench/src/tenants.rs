@@ -31,7 +31,6 @@
 //! math), so the committed golden (`BENCH_tenants.json`, schema
 //! `rtdvs-tenants/v1`) is compared byte-for-byte on its canonical form.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rtdvs_audit::{audit_kernel_log, audit_tenant_isolation, Rule, TenantStanding};
@@ -45,10 +44,7 @@ use rtdvs_sim::wheel::TimingWheel;
 use rtdvs_sim::FaultPlan;
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
 
-use crate::artifact::{fmt_f64, ArtifactError, Json};
-
-/// Schema identifier of the tenant-soak golden.
-pub const TENANTS_SCHEMA: &str = "rtdvs-tenants/v1";
+use crate::artifact::{Artifact, ArtifactError, Json};
 
 /// The hard-RT periodic set sharing the kernel with the server: Table 2
 /// relaxed to twice the paper's periods (U ≈ 0.37) so the server budget
@@ -209,111 +205,61 @@ pub struct TenantsArtifact {
     pub wall_ms: u64,
 }
 
-impl TenantsArtifact {
-    /// Serializes the artifact, provenance included.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
+impl Artifact for TenantsArtifact {
+    const SCHEMA: &'static str = "rtdvs-tenants/v1";
+    const PROVENANCE: &'static [&'static str] = &["wall_ms"];
+
+    fn to_tree(&self) -> Json {
+        let tenant = |t: &TenantOutcome| {
+            Json::obj([
+                ("tenant", t.tenant.into()),
+                ("flood", t.flood.into()),
+                ("quota_ms", Json::fixed(t.quota_ms, 3)),
+                ("offered", t.offered.into()),
+                ("served", t.served.into()),
+                ("shed", t.shed.into()),
+                ("rejected", t.rejected.into()),
+                ("quarantined_periods", t.quarantined_periods.into()),
+                ("p50_ms", Json::fixed(t.p50_ms, 6)),
+                ("p99_ms", Json::fixed(t.p99_ms, 6)),
+                ("p999_ms", Json::fixed(t.p999_ms, 6)),
+                ("baseline_p99_ms", Json::fixed(t.baseline_p99_ms, 6)),
+                ("p99_ratio", Json::fixed(t.p99_ratio, 4)),
+            ])
+        };
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("horizon_ms", Json::fixed(self.horizon_ms, 3)),
+            ("server_period_ms", Json::fixed(self.server_period_ms, 3)),
+            ("server_budget_ms", Json::fixed(self.server_budget_ms, 3)),
+            ("p99_ratio_limit", Json::fixed(self.p99_ratio_limit, 4)),
+            ("periodic_misses", self.periodic_misses.into()),
+            ("audit_violations", self.audit_violations.into()),
+            ("forfeited_releases", self.forfeited_releases.into()),
+            (
+                "energy_per_request",
+                Json::fixed(self.energy_per_request, 9),
+            ),
+            ("tenants", self.tenants.iter().map(tenant).collect()),
+            ("wall_ms", self.wall_ms.into()),
+        ])
     }
 
-    /// Serializes the machine-independent payload only (`wall_ms`
-    /// zeroed). Gate comparisons diff this form byte-for-byte.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, canonical: bool) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{TENANTS_SCHEMA}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"horizon_ms\": {},", fmt_f64(self.horizon_ms, 3));
-        let _ = writeln!(
-            s,
-            "  \"server_period_ms\": {},",
-            fmt_f64(self.server_period_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "  \"server_budget_ms\": {},",
-            fmt_f64(self.server_budget_ms, 3)
-        );
-        let _ = writeln!(
-            s,
-            "  \"p99_ratio_limit\": {},",
-            fmt_f64(self.p99_ratio_limit, 4)
-        );
-        let _ = writeln!(s, "  \"periodic_misses\": {},", self.periodic_misses);
-        let _ = writeln!(s, "  \"audit_violations\": {},", self.audit_violations);
-        let _ = writeln!(s, "  \"forfeited_releases\": {},", self.forfeited_releases);
-        let _ = writeln!(
-            s,
-            "  \"energy_per_request\": {},",
-            fmt_f64(self.energy_per_request, 9)
-        );
-        let _ = writeln!(s, "  \"tenants\": [");
-        for (i, t) in self.tenants.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "    {{\"tenant\": {}, \"flood\": {}, \"quota_ms\": {}, \"offered\": {}, \
-                 \"served\": {}, \"shed\": {}, \"rejected\": {}, \"quarantined_periods\": {}, \
-                 \"p50_ms\": {}, \"p99_ms\": {}, \"p999_ms\": {}, \"baseline_p99_ms\": {}, \
-                 \"p99_ratio\": {}}}{}",
-                t.tenant,
-                t.flood,
-                fmt_f64(t.quota_ms, 3),
-                t.offered,
-                t.served,
-                t.shed,
-                t.rejected,
-                t.quarantined_periods,
-                fmt_f64(t.p50_ms, 6),
-                fmt_f64(t.p99_ms, 6),
-                fmt_f64(t.p999_ms, 6),
-                fmt_f64(t.baseline_p99_ms, 6),
-                fmt_f64(t.p99_ratio, 4),
-                if i + 1 < self.tenants.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(s, "  ],");
-        let _ = writeln!(
-            s,
-            "  \"wall_ms\": {}\n}}",
-            if canonical { 0 } else { self.wall_ms }
-        );
-        s
-    }
-
-    /// Parses an artifact back from its JSON form. Unknown object keys are
-    /// ignored (forward compatibility with newer producers).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem: malformed JSON, wrong schema
-    /// identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<TenantsArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != TENANTS_SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {TENANTS_SCHEMA:?}"
-            )));
-        }
-        let tenants = value
-            .get("tenants")?
-            .as_array()?
-            .iter()
-            .map(|t| {
+    fn from_tree(tree: &Json) -> Result<Self, ArtifactError> {
+        Ok(TenantsArtifact {
+            seed: tree.get("seed")?.as_u64()?,
+            horizon_ms: tree.get("horizon_ms")?.as_f64()?,
+            server_period_ms: tree.get("server_period_ms")?.as_f64()?,
+            server_budget_ms: tree.get("server_budget_ms")?.as_f64()?,
+            p99_ratio_limit: tree.get("p99_ratio_limit")?.as_f64()?,
+            periodic_misses: tree.get("periodic_misses")?.as_u64()?,
+            audit_violations: tree.get("audit_violations")?.as_u64()?,
+            forfeited_releases: tree.get("forfeited_releases")?.as_u64()?,
+            energy_per_request: tree.get("energy_per_request")?.as_f64()?,
+            tenants: tree.get("tenants")?.list(|t| {
                 Ok(TenantOutcome {
                     tenant: t.get("tenant")?.as_u64()?,
-                    flood: match t.get("flood")? {
-                        Json::Bool(b) => *b,
-                        other => {
-                            return Err(ArtifactError(format!(
-                                "expected bool for \"flood\", found {other:?}"
-                            )))
-                        }
-                    },
+                    flood: t.get("flood")?.as_bool()?,
                     quota_ms: t.get("quota_ms")?.as_f64()?,
                     offered: t.get("offered")?.as_u64()?,
                     served: t.get("served")?.as_u64()?,
@@ -326,23 +272,13 @@ impl TenantsArtifact {
                     baseline_p99_ms: t.get("baseline_p99_ms")?.as_f64()?,
                     p99_ratio: t.get("p99_ratio")?.as_f64()?,
                 })
-            })
-            .collect::<Result<Vec<_>, ArtifactError>>()?;
-        Ok(TenantsArtifact {
-            seed: value.get("seed")?.as_u64()?,
-            horizon_ms: value.get("horizon_ms")?.as_f64()?,
-            server_period_ms: value.get("server_period_ms")?.as_f64()?,
-            server_budget_ms: value.get("server_budget_ms")?.as_f64()?,
-            p99_ratio_limit: value.get("p99_ratio_limit")?.as_f64()?,
-            periodic_misses: value.get("periodic_misses")?.as_u64()?,
-            audit_violations: value.get("audit_violations")?.as_u64()?,
-            forfeited_releases: value.get("forfeited_releases")?.as_u64()?,
-            energy_per_request: value.get("energy_per_request")?.as_f64()?,
-            tenants,
-            wall_ms: value.get("wall_ms")?.as_u64()?,
+            })?,
+            wall_ms: tree.get("wall_ms")?.as_u64()?,
         })
     }
+}
 
+impl TenantsArtifact {
     /// The isolation invariants any passing soak obeys. Non-empty means
     /// the tenant server broke a promise.
     #[must_use]
@@ -393,55 +329,14 @@ impl TenantsArtifact {
                 }
                 if !(t.p99_ratio > 0.0 && t.p99_ratio <= self.p99_ratio_limit) {
                     problems.push(format!(
-                        "{who}: flooded p99 is {}x the flood-free p99 (limit {})",
-                        fmt_f64(t.p99_ratio, 4),
-                        fmt_f64(self.p99_ratio_limit, 4)
+                        "{who}: flooded p99 is {:.4}x the flood-free p99 (limit {:.4})",
+                        t.p99_ratio, self.p99_ratio_limit
                     ));
                 }
             }
         }
         problems
     }
-}
-
-/// Differences in the canonical payload between a golden and a fresh
-/// artifact. Empty means byte-identical (modulo `wall_ms`).
-#[must_use]
-pub fn compare_tenants(golden: &TenantsArtifact, fresh: &TenantsArtifact) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.canonical_json() != fresh.canonical_json() {
-        if golden.seed != fresh.seed {
-            problems.push(format!("seed {} vs golden {}", fresh.seed, golden.seed));
-        }
-        if golden.tenants.len() != fresh.tenants.len() {
-            problems.push(format!(
-                "{} tenants vs golden {}",
-                fresh.tenants.len(),
-                golden.tenants.len()
-            ));
-        }
-        for (g, f) in golden.tenants.iter().zip(&fresh.tenants) {
-            if g != f {
-                problems.push(format!(
-                    "tenant{}: served {} shed {} rejected {} p99 {} vs golden served {} \
-                     shed {} rejected {} p99 {}",
-                    f.tenant,
-                    f.served,
-                    f.shed,
-                    f.rejected,
-                    fmt_f64(f.p99_ms, 6),
-                    g.served,
-                    g.shed,
-                    g.rejected,
-                    fmt_f64(g.p99_ms, 6)
-                ));
-            }
-        }
-        if problems.is_empty() {
-            problems.push("canonical payloads differ".to_owned());
-        }
-    }
-    problems
 }
 
 /// Nearest-rank percentile of an unsorted latency sample (0 if empty).
@@ -708,15 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrips_through_json() {
-        let art = run_tenants(&tiny());
-        let parsed = TenantsArtifact::from_json(&art.to_json()).expect("roundtrip");
-        assert_eq!(parsed.to_json(), art.to_json());
-        assert_eq!(parsed.canonical_json(), art.canonical_json());
-        assert!(compare_tenants(&art, &parsed).is_empty());
-    }
-
-    #[test]
     fn canonical_json_is_deterministic_and_hides_wall_clock() {
         let a = run_tenants(&tiny());
         let b = run_tenants(&tiny());
@@ -739,37 +625,6 @@ mod tests {
         }
         assert_eq!(art.periodic_misses, 0);
         assert_eq!(art.audit_violations, 0);
-    }
-
-    #[test]
-    fn unknown_fields_are_tolerated() {
-        // Forward compatibility: a newer producer may add per-tenant or
-        // top-level fields; this reader must skim past them.
-        let art = run_tenants(&tiny());
-        let text = art
-            .to_json()
-            .replace(
-                "\"seed\":",
-                "\"starvation_events\": 0, \"per_tenant_energy\": {\"tenant1\": 0.5}, \"seed\":",
-            )
-            .replace("\"flood\":", "\"retry_hint_p99\": 3, \"flood\":");
-        let parsed = TenantsArtifact::from_json(&text).expect("unknown fields must be skimmed");
-        assert_eq!(parsed.canonical_json(), art.canonical_json());
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let art = run_tenants(&tiny());
-        let bad = art.to_json().replace(TENANTS_SCHEMA, "rtdvs-bench/v1");
-        assert!(TenantsArtifact::from_json(&bad).is_err());
-    }
-
-    #[test]
-    fn compare_flags_served_count_drift() {
-        let art = run_tenants(&tiny());
-        let mut other = art.clone();
-        other.tenants[0].served += 1;
-        assert!(!compare_tenants(&art, &other).is_empty());
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //! events/s and ratios are provenance — recorded by `--write`, zeroed in
 //! the canonical form the gate diffs.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use rtdvs_core::example::{table2_task_set, table3_actual_times, EXAMPLE_HORIZON_MS};
@@ -49,10 +48,7 @@ use rtdvs_sim::baseline::simulate_baseline;
 use rtdvs_sim::{simulate, ExecModel, SimConfig, SimReport};
 use rtdvs_taskgen::{generate, TaskGenSpec};
 
-use crate::artifact::{fmt_f64, ArtifactError, Json};
-
-/// Schema identifier of the throughput golden.
-pub const THROUGHPUT_SCHEMA: &str = "rtdvs-throughput/v1";
+use crate::artifact::{Artifact, ArtifactError, Json};
 
 /// Shape of the throughput soak.
 #[derive(Debug, Clone)]
@@ -130,111 +126,65 @@ pub struct ThroughputArtifact {
     pub wall_ms: u64,
 }
 
-impl ThroughputArtifact {
-    /// Serializes the artifact, measurements included.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.render(false)
-    }
+impl Artifact for ThroughputArtifact {
+    const SCHEMA: &'static str = "rtdvs-throughput/v1";
+    const PROVENANCE: &'static [&'static str] = &["engine_eps", "baseline_eps", "ratio", "wall_ms"];
 
-    /// Serializes the machine-independent payload only: wall clock,
-    /// events/s, and ratios are zeroed. Gate comparisons diff this form.
-    #[must_use]
-    pub fn canonical_json(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, canonical: bool) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{\n  \"schema\": \"{THROUGHPUT_SCHEMA}\",");
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"soak_tasks\": {},", self.soak_tasks);
-        let _ = writeln!(s, "  \"floor_ratio\": {},", fmt_f64(self.floor_ratio, 2));
-        let _ = writeln!(
-            s,
-            "  \"table2_floor_ratio\": {},",
-            fmt_f64(self.table2_floor_ratio, 2)
-        );
-        for (name, panel) in [("table2", &self.table2), ("soak", &self.soak)] {
-            let _ = writeln!(s, "  \"{name}\": [");
-            for (i, p) in panel.iter().enumerate() {
-                let (eng, base, ratio) = if canonical {
-                    (0.0, 0.0, 0.0)
-                } else {
-                    (p.engine_eps, p.baseline_eps, p.ratio)
-                };
-                let _ = writeln!(
-                    s,
-                    "    {{\"policy\": \"{}\", \"events\": {}, \"floored\": {}, \
-                     \"engine_eps\": {}, \"baseline_eps\": {}, \"ratio\": {}}}{}",
-                    p.policy,
-                    p.events,
-                    p.floored,
-                    fmt_f64(eng, 0),
-                    fmt_f64(base, 0),
-                    fmt_f64(ratio, 2),
-                    if i + 1 < panel.len() { "," } else { "" }
-                );
-            }
-            let _ = writeln!(s, "  ],");
-        }
-        let _ = writeln!(
-            s,
-            "  \"wall_ms\": {}\n}}",
-            if canonical { 0 } else { self.wall_ms }
-        );
-        s
-    }
-
-    /// Parses an artifact back from its JSON form.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem: malformed JSON, wrong schema
-    /// identifier, or a missing/ill-typed field.
-    pub fn from_json(text: &str) -> Result<ThroughputArtifact, ArtifactError> {
-        let value = Json::parse(text)?;
-        let schema = value.get("schema")?.as_str()?;
-        if schema != THROUGHPUT_SCHEMA {
-            return Err(ArtifactError(format!(
-                "schema mismatch: artifact says {schema:?}, reader speaks {THROUGHPUT_SCHEMA:?}"
-            )));
-        }
-        let panel = |key: &str| -> Result<Vec<PolicyThroughput>, ArtifactError> {
-            value
-                .get(key)?
-                .as_array()?
-                .iter()
+    fn to_tree(&self) -> Json {
+        let panel = |rows: &[PolicyThroughput]| {
+            rows.iter()
                 .map(|p| {
-                    Ok(PolicyThroughput {
-                        policy: p.get("policy")?.as_str()?.to_owned(),
-                        events: p.get("events")?.as_u64()?,
-                        floored: match p.get("floored")? {
-                            Json::Bool(b) => *b,
-                            other => {
-                                return Err(ArtifactError(format!(
-                                    "expected bool for \"floored\", found {other:?}"
-                                )))
-                            }
-                        },
-                        engine_eps: p.get("engine_eps")?.as_f64()?,
-                        baseline_eps: p.get("baseline_eps")?.as_f64()?,
-                        ratio: p.get("ratio")?.as_f64()?,
-                    })
+                    Json::obj([
+                        ("policy", p.policy.as_str().into()),
+                        ("events", p.events.into()),
+                        ("floored", p.floored.into()),
+                        ("engine_eps", Json::fixed(p.engine_eps, 0)),
+                        ("baseline_eps", Json::fixed(p.baseline_eps, 0)),
+                        ("ratio", Json::fixed(p.ratio, 2)),
+                    ])
                 })
                 .collect()
         };
-        Ok(ThroughputArtifact {
-            seed: value.get("seed")?.as_u64()?,
-            soak_tasks: value.get("soak_tasks")?.as_u64()?,
-            floor_ratio: value.get("floor_ratio")?.as_f64()?,
-            table2_floor_ratio: value.get("table2_floor_ratio")?.as_f64()?,
-            table2: panel("table2")?,
-            soak: panel("soak")?,
-            wall_ms: value.get("wall_ms")?.as_u64()?,
-        })
+        Json::obj([
+            ("seed", self.seed.into()),
+            ("soak_tasks", self.soak_tasks.into()),
+            ("floor_ratio", Json::fixed(self.floor_ratio, 2)),
+            (
+                "table2_floor_ratio",
+                Json::fixed(self.table2_floor_ratio, 2),
+            ),
+            ("table2", panel(&self.table2)),
+            ("soak", panel(&self.soak)),
+            ("wall_ms", self.wall_ms.into()),
+        ])
     }
 
+    fn from_tree(tree: &Json) -> Result<Self, ArtifactError> {
+        let panel = |key: &str| {
+            tree.get(key)?.list(|p| {
+                Ok(PolicyThroughput {
+                    policy: p.get("policy")?.as_str()?.to_owned(),
+                    events: p.get("events")?.as_u64()?,
+                    floored: p.get("floored")?.as_bool()?,
+                    engine_eps: p.get("engine_eps")?.as_f64()?,
+                    baseline_eps: p.get("baseline_eps")?.as_f64()?,
+                    ratio: p.get("ratio")?.as_f64()?,
+                })
+            })
+        };
+        Ok(ThroughputArtifact {
+            seed: tree.get("seed")?.as_u64()?,
+            soak_tasks: tree.get("soak_tasks")?.as_u64()?,
+            floor_ratio: tree.get("floor_ratio")?.as_f64()?,
+            table2_floor_ratio: tree.get("table2_floor_ratio")?.as_f64()?,
+            table2: panel("table2")?,
+            soak: panel("soak")?,
+            wall_ms: tree.get("wall_ms")?.as_u64()?,
+        })
+    }
+}
+
+impl ThroughputArtifact {
     /// Structural invariants any well-formed throughput artifact obeys.
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
@@ -273,50 +223,6 @@ impl ThroughputArtifact {
         }
         problems
     }
-}
-
-/// Differences in the machine-independent payload between a golden and a
-/// fresh artifact (event counts, shapes, floors). Empty means identical.
-#[must_use]
-pub fn compare_throughput(golden: &ThroughputArtifact, fresh: &ThroughputArtifact) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.canonical_json() != fresh.canonical_json() {
-        // Localize the divergence for the error message.
-        if golden.seed != fresh.seed {
-            problems.push(format!("seed {} vs golden {}", fresh.seed, golden.seed));
-        }
-        if golden.soak_tasks != fresh.soak_tasks {
-            problems.push(format!(
-                "soak_tasks {} vs golden {}",
-                fresh.soak_tasks, golden.soak_tasks
-            ));
-        }
-        for (name, g, f) in [
-            ("table2", &golden.table2, &fresh.table2),
-            ("soak", &golden.soak, &fresh.soak),
-        ] {
-            if g.len() != f.len() {
-                problems.push(format!(
-                    "{name}: {} policies vs golden {}",
-                    f.len(),
-                    g.len()
-                ));
-                continue;
-            }
-            for (gp, fp) in g.iter().zip(f) {
-                if gp.policy != fp.policy || gp.events != fp.events || gp.floored != fp.floored {
-                    problems.push(format!(
-                        "{name}/{}: {} events (floored {}) vs golden {}/{} events (floored {})",
-                        fp.policy, fp.events, fp.floored, gp.policy, gp.events, gp.floored
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            problems.push("canonical payloads differ".to_owned());
-        }
-    }
-    problems
 }
 
 /// The paper's Table 2 set with the Table 3 execution trace, the trace
@@ -522,18 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn artifact_roundtrips_through_json() {
-        let art = run_throughput(&tiny_config());
-        let parsed = ThroughputArtifact::from_json(&art.to_json()).expect("roundtrip");
-        // Measurements are rounded on the way out, so compare the
-        // serialized forms (idempotent) and the pinned payload.
-        assert_eq!(parsed.to_json(), art.to_json());
-        assert_eq!(parsed.canonical_json(), art.canonical_json());
-        assert!(art.validate().is_empty(), "{:?}", art.validate());
-        assert!(compare_throughput(&art, &parsed).is_empty());
-    }
-
-    #[test]
     fn canonical_json_hides_measurements() {
         let art = run_throughput(&tiny_config());
         let canon = art.canonical_json();
@@ -548,22 +442,12 @@ mod tests {
     #[test]
     fn event_counts_are_deterministic_and_engine_independent() {
         let art = run_throughput(&tiny_config());
+        assert!(art.validate().is_empty(), "{:?}", art.validate());
         for panel in [&art.table2, &art.soak] {
             for p in panel {
                 assert!(p.events > 0, "{}: no events simulated", p.policy);
             }
         }
-    }
-
-    #[test]
-    fn compare_flags_event_count_drift() {
-        let art = run_throughput(&tiny_config());
-        let mut other = art.clone();
-        if let Some(p) = other.soak.first_mut() {
-            p.events += 1;
-        }
-        let problems = compare_throughput(&art, &other);
-        assert!(!problems.is_empty(), "event drift must be reported");
     }
 
     #[test]
@@ -573,12 +457,5 @@ mod tests {
             p.ratio = 0.1;
         }
         assert!(!floor_violations(&art).is_empty());
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let art = run_throughput(&tiny_config());
-        let bad = art.to_json().replace(THROUGHPUT_SCHEMA, "rtdvs-bench/v1");
-        assert!(ThroughputArtifact::from_json(&bad).is_err());
     }
 }

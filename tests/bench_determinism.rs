@@ -12,7 +12,7 @@
 use std::num::NonZeroUsize;
 
 use rtdvs_bench::figures::{smoke_sweep_artifact, smoke_sweep_config};
-use rtdvs_bench::{compare, run_sweep, run_sweep_threads};
+use rtdvs_bench::{compare, run_sweep, run_sweep_threads, Artifact};
 
 const SEED: u64 = 0x5eed;
 

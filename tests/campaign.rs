@@ -11,21 +11,13 @@
 
 use rtdvs_bench::{
     campaign_smoke_config, known_violating_campaign, materialize, replay_repro, shrink_plan,
-    ChaosPlan, ReproArtifact,
+    Artifact, ChaosPlan, ReproArtifact,
 };
 
 /// Sets one dimension's rate to zero, by canonical index.
 fn toggle_off(plan: &ChaosPlan, dim: usize) -> ChaosPlan {
     let mut p = plan.clone();
-    match dim {
-        0 => p.faults.rate = 0.0,
-        1 => p.regulator.rate = 0.0,
-        2 => p.kills.rate = 0.0,
-        3 => p.mode_churn.rate = 0.0,
-        4 => p.flood.rate = 0.0,
-        5 => p.clock.rate = 0.0,
-        _ => unreachable!("six dimensions"),
-    }
+    p.dims_mut()[dim].1.rate = 0.0;
     p
 }
 
