@@ -17,7 +17,7 @@
 //!   test.
 
 use crate::machine::{Machine, PointIdx};
-use crate::task::{Task, TaskSet};
+use crate::task::{Task, TaskId, TaskSet};
 use crate::time::EPS;
 
 /// Which RM schedulability test to use.
@@ -86,36 +86,43 @@ fn ceil_tolerant(t: f64, p: f64) -> f64 {
 /// For each task `i` in priority order, searches the scheduling points
 /// `S_i = { k·P_j : j ≤ i, k = 1..⌊P_i/P_j⌋ } ∪ {P_i}` for a `t` with
 /// `Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`.
+///
+/// The search tries `t = P_i` first and then enumerates the `k·P_j` lazily.
+/// Whether some point of a set fits does not depend on the order the
+/// points are tried in, so the verdict is that of a full search over
+/// `S_i`; the search only stops sooner.
 fn rm_scheduling_points_feasible(tasks: &TaskSet, alpha: f64) -> bool {
     debug_assert!(alpha > 0.0);
     let order = tasks.rm_order();
-    for (i, &id_i) in order.iter().enumerate() {
+    order.iter().enumerate().all(|(i, &id_i)| {
+        let level = &order[..=i];
         let p_i = tasks.task(id_i).period().as_ms();
-        // Collect scheduling points for level i.
-        let mut points: Vec<f64> = Vec::new();
-        for &id_j in &order[..=i] {
-            let p_j = tasks.task(id_j).period().as_ms();
-            let kmax = (p_i / p_j + 1e-9).floor() as u64;
-            for k in 1..=kmax {
-                points.push(k as f64 * p_j);
-            }
-        }
-        points.push(p_i);
-        let fits = points.iter().any(|&t| {
-            let workload: f64 = order[..=i]
-                .iter()
-                .map(|&id_j| {
-                    let task = tasks.task(id_j);
-                    ceil_tolerant(t, task.period().as_ms()) * task.wcet().as_ms() / alpha
-                })
-                .sum();
-            workload <= t + EPS
-        });
-        if !fits {
+        level_fits_at(tasks, level, alpha, p_i)
+            || level.iter().any(|&id_j| {
+                let p_j = tasks.task(id_j).period().as_ms();
+                let kmax = (p_i / p_j + 1e-9).floor() as u64;
+                (1..=kmax).any(|k| level_fits_at(tasks, level, alpha, k as f64 * p_j))
+            })
+    })
+}
+
+/// Whether the level-`i` workload at `t`, `Σ_{j ∈ level} ⌈t/P_j⌉ · C_j/α`
+/// summed in `level` order, is at most `t + EPS`.
+///
+/// The sum is abandoned once a partial sum exceeds `t + EPS`. Every term
+/// is non-negative, and adding a non-negative `f64` never lowers a sum
+/// (rounding is monotone), so the full sum would exceed the bound too.
+fn level_fits_at(tasks: &TaskSet, level: &[TaskId], alpha: f64, t: f64) -> bool {
+    let bound = t + EPS;
+    let mut workload = 0.0;
+    for &id_j in level {
+        let task = tasks.task(id_j);
+        workload += ceil_tolerant(t, task.period().as_ms()) * task.wcet().as_ms() / alpha;
+        if workload > bound {
             return false;
         }
     }
-    true
+    workload <= bound
 }
 
 /// Exact response-time RM analysis at frequency factor `alpha`.

@@ -24,9 +24,10 @@
 use crate::analysis::{static_rm_point, RmTest};
 use crate::machine::{Machine, PointIdx};
 use crate::policy::{point_for_demand, scheduler_guarantees, DvsPolicy};
+use crate::readyq::{for_each_set_bit, word_index, WORD_BITS};
 use crate::sched::SchedulerKind;
 use crate::task::{TaskId, TaskSet};
-use crate::time::Work;
+use crate::time::{Time, Work};
 use crate::view::SystemView;
 
 /// Per-task progress bookkeeping.
@@ -41,18 +42,40 @@ struct TaskState {
 }
 
 /// Cycle-conserving RM.
+///
+/// Besides the paper's per-task bookkeeping the struct keeps two caches
+/// that confine a callback to the tasks whose `d_i` can be non-zero:
+///
+/// * the live set, a bitset of the tasks the last allocation gave a
+///   non-zero share and that have not completed since. Every other task
+///   has `d_i = 0` exactly: only an allocation makes `d_i` non-zero, and
+///   syncing a zero `d_i` computes `max(0 − Δ, 0) = 0` again. So `sync`
+///   visits only live tasks, and `Σ d_i` sums only them: adding `±0.0`
+///   leaves a non-zero `f64` sum unchanged.
+/// * the allocation end, one past the last RM position the last
+///   allocation gave a non-zero share; every live task sits before it.
+///
+/// A task outside the live set keeps the sync marks of its last visit;
+/// the allocation that makes it live again sets them from the view, as
+/// the full sync at the start of that callback would have. So no cache
+/// supplies a decision, and every `d_i`, `Σ d_i` and operating point is
+/// the one a sync of every task would give.
 #[derive(Debug, Clone)]
 pub struct CcRm {
     rm_test: RmTest,
     /// Frequency factor `α` chosen by static scaling for this task set.
     alpha: f64,
     states: Vec<TaskState>,
+    /// The live set: one bit per task id.
+    live: Vec<u64>,
+    /// The allocation end, an index into the RM order.
+    alloc_end: usize,
     point: PointIdx,
     /// End of the current pacing window (the `D₁` used by the last
     /// allocation/selection). In the periodic model a release always lands
     /// there; under sporadic arrivals the policy asks the engine for a
     /// review at this instant so the next window gets its allocation.
-    planned_boundary: Option<crate::time::Time>,
+    planned_boundary: Option<Time>,
 }
 
 impl CcRm {
@@ -64,6 +87,8 @@ impl CcRm {
             rm_test,
             alpha: 1.0,
             states: Vec::new(),
+            live: Vec::new(),
+            alloc_end: 0,
             point: 0,
             planned_boundary: None,
         }
@@ -78,14 +103,28 @@ impl CcRm {
     /// Current `Σ d_i` (exposed for inspection and tests).
     #[must_use]
     pub fn outstanding_allotment(&self) -> Work {
-        self.states.iter().map(|s| s.d).sum()
+        let mut sum = Work::ZERO;
+        for_each_set_bit(&self.live, |i| sum += self.states[i].d);
+        sum
+    }
+
+    fn set_live(&mut self, id: TaskId, live: bool) {
+        let (w, mask) = word_index(id.0);
+        if live {
+            self.live[w] |= mask;
+        } else {
+            self.live[w] &= !mask;
+        }
     }
 
     /// Applies execution progress since the last callback: "during task
     /// execution, decrement `c_left_i` and `d_i`" (Fig. 6). `c_left` is
-    /// derived from the view; only `d_i` needs explicit decrementing.
+    /// derived from the view; only `d_i` needs explicit decrementing, and
+    /// only for live tasks: every other `d_i` is 0 and would stay 0.
     fn sync(&mut self, sys: &SystemView<'_>) {
-        for (state, view) in self.states.iter_mut().zip(sys.views) {
+        let states = &mut self.states;
+        for_each_set_bit(&self.live, |i| {
+            let (state, view) = (&mut states[i], &sys.views[i]);
             if view.invocation != state.last_invocation {
                 state.last_invocation = view.invocation;
                 state.last_executed = Work::ZERO;
@@ -93,25 +132,48 @@ impl CcRm {
             let delta = (view.executed - state.last_executed).clamp_non_negative();
             state.d = (state.d - delta).clamp_non_negative();
             state.last_executed = view.executed;
-        }
+        });
     }
 
     /// Deals out `budget` cycles to tasks in RM priority order, each task
     /// receiving at most its `c_left` (Fig. 6 `allocate_cycles`).
     fn allocate(&mut self, budget: Work, sys: &SystemView<'_>) {
         let mut k = budget;
-        for &id in sys.tasks.rm_order() {
-            let c_left = sys.c_left(id);
-            let share = c_left.min(k);
-            self.states[id.0].d = share;
+        let mut end = 0;
+        for (pos, &id) in sys.tasks.rm_order().iter().enumerate() {
+            // With k = 0 every later share is min(c_left, 0) = 0, and past
+            // the allocation end every d_i is 0 already, so the rest of
+            // the walk would change nothing. The test is for exact zero: a
+            // k below EPS still buys the next task a share.
+            if k == Work::ZERO && pos >= self.alloc_end {
+                break;
+            }
+            // A zero share (a task that is not active has c_left = 0)
+            // leaves k as it is.
+            let share = sys.c_left(id).min(k);
+            if share == Work::ZERO {
+                self.states[id.0].d = Work::ZERO;
+                self.set_live(id, false);
+                continue;
+            }
+            let view = sys.view(id);
+            // The marks the full sync at the start of this callback would
+            // have left; a task outside the live set skipped that sync.
+            self.states[id.0] = TaskState {
+                d: share,
+                last_invocation: view.invocation,
+                last_executed: view.executed,
+            };
+            self.set_live(id, true);
+            end = pos + 1;
             k = (k - share).clamp_non_negative();
         }
+        self.alloc_end = end;
     }
 
     /// Fig. 6 `select_frequency`: lowest point retiring `Σ d_i` by the
-    /// earliest deadline.
-    fn select(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let boundary = sys.earliest_boundary();
+    /// window's end, `boundary`.
+    fn select(&mut self, boundary: Time, sys: &SystemView<'_>) -> PointIdx {
         self.planned_boundary = Some(boundary);
         self.point = point_for_demand(
             sys.machine,
@@ -125,10 +187,11 @@ impl CcRm {
     /// up to the next deadline and selects the frequency — the release
     /// path and the sporadic-boundary review path share this step.
     fn reallocate(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let horizon = sys.earliest_boundary() - sys.now;
+        let boundary = sys.earliest_boundary();
+        let horizon = boundary - sys.now;
         let budget = Work::from_ms((horizon.as_ms() * self.alpha).max(0.0));
         self.allocate(budget, sys);
-        self.select(sys)
+        self.select(boundary, sys)
     }
 }
 
@@ -145,6 +208,8 @@ impl DvsPolicy for CcRm {
         self.alpha = static_rm_point(tasks, machine, self.rm_test)
             .map_or(1.0, |idx| machine.point(idx).freq);
         self.states = vec![TaskState::default(); tasks.len()];
+        self.live = vec![0; tasks.len().div_ceil(WORD_BITS)];
+        self.alloc_end = 0;
         // The first release events will allocate and select; starting at
         // the statically-scaled point is always safe.
         self.point = machine.point_at_least(self.alpha);
@@ -161,10 +226,11 @@ impl DvsPolicy for CcRm {
     fn on_completion(&mut self, task: TaskId, sys: &SystemView<'_>) -> PointIdx {
         self.sync(sys);
         self.states[task.0].d = Work::ZERO;
-        self.select(sys)
+        self.set_live(task, false);
+        self.select(sys.earliest_boundary(), sys)
     }
 
-    fn review_at(&self) -> Option<crate::time::Time> {
+    fn review_at(&self) -> Option<Time> {
         self.planned_boundary
     }
 
@@ -189,7 +255,6 @@ impl DvsPolicy for CcRm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Time;
     use crate::view::{InvState, TaskView};
 
     fn paper_set() -> TaskSet {

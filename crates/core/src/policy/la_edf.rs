@@ -19,14 +19,28 @@ use crate::machine::{Machine, PointIdx};
 use crate::policy::{point_for_demand, scheduler_guarantees, DvsPolicy};
 use crate::sched::SchedulerKind;
 use crate::task::{TaskId, TaskSet};
-use crate::time::{Work, EPS};
-use crate::view::SystemView;
+use crate::time::{Time, Work, EPS};
+use crate::view::{InvState, SystemView, TaskView};
 
 /// Look-ahead EDF.
 ///
-/// The algorithm is stateless between scheduling points — everything is
-/// recomputed from the engine's [`SystemView`] — so the struct only caches
-/// the current operating point.
+/// Every decision is computed from the engine's [`SystemView`]. Besides
+/// the current operating point and the planning boundary, the struct keeps
+/// two caches that only make a callback cheaper:
+///
+/// * the tasks in reverse EDF order as of the last callback. Each callback
+///   refreshes every deadline from the view and re-sorts; between two
+///   callbacks few deadlines move, so the insertion sort does little work.
+///   `(deadline, id)` is a strict total order, so the sorted order is
+///   unique: it is what a full sort of the view gives, whatever the cache
+///   held before.
+/// * each task's utilization `U_i` and their total, computed at
+///   [`DvsPolicy::init`] as [`TaskSet::total_utilization`] computes them
+///   (and rebuilt if a view of a set of another size arrives). They are a
+///   function of the task set alone, which `init` receives.
+///
+/// So no cache supplies a decision: a policy rebuilt by hot-swap or
+/// snapshot restore decides exactly as a long-lived one does.
 #[derive(Debug, Clone, Default)]
 pub struct LaEdf {
     point: PointIdx,
@@ -35,10 +49,22 @@ pub struct LaEdf {
     /// engine must grant a review at `D1` if no scheduling point happens
     /// first (only relevant under sporadic arrivals; in the periodic model
     /// a release always lands on `D1`).
-    planned_d1: Option<crate::time::Time>,
-    /// Scratch buffer for the reverse-EDF task ordering, kept to avoid a
-    /// per-callback allocation.
-    order: Vec<TaskId>,
+    planned_d1: Option<Time>,
+    /// Every task, latest deadline first and ties by descending id
+    /// (reverse EDF order), as of the last callback.
+    order: Vec<Entry>,
+    /// `Σ U_i`, as [`TaskSet::total_utilization`] sums it.
+    total_utilization: f64,
+}
+
+/// One task in the reverse-EDF walk.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// The deadline the task had at the last callback.
+    deadline: Time,
+    id: TaskId,
+    /// `U_i`.
+    utilization: f64,
 }
 
 impl LaEdf {
@@ -55,36 +81,49 @@ impl LaEdf {
     /// callbacks.
     #[must_use]
     pub fn work_due_before_next_deadline(&mut self, sys: &SystemView<'_>) -> Work {
-        let d1 = sys.earliest_deadline();
+        self.defer(sys).0
+    }
 
-        // Latest deadline first; ties in reverse id order so the loop as a
-        // whole visits tasks in exact reverse EDF order.
-        self.order.clear();
-        self.order.extend(sys.iter().map(|(id, _)| id));
-        self.order.sort_by(|&a, &b| {
-            sys.view(b)
-                .deadline
-                .total_cmp(&sys.view(a).deadline)
-                .then(b.0.cmp(&a.0))
-        });
+    /// `defer()` and the `D₁` it planned against.
+    fn defer(&mut self, sys: &SystemView<'_>) -> (Work, Time) {
+        if self.order.len() != sys.tasks.len() {
+            self.cache_task_set(sys.tasks);
+        }
+        self.sort_reverse_edf(sys.views);
+        let d1 = self.earliest_deadline(sys.now);
 
         // `u` starts at the total worst-case utilization; each iteration
         // swaps task i's worst-case reservation for its actual demand
         // spread over [D₁, D_i].
-        let mut u: f64 = sys.tasks.total_utilization();
+        let mut u = self.total_utilization;
         let mut s = Work::ZERO;
-        for &id in &self.order {
-            u -= sys.tasks.task(id).utilization();
+        for &Entry {
+            deadline,
+            id,
+            utilization,
+        } in &self.order
+        {
+            u -= utilization;
+            let view = sys.view(id);
+            // A completed task has c_left = 0. With u ≤ 1 the deferral
+            // below computes x = max(0 − (1 − u)·span, 0) = 0 and adds 0
+            // to u and to s, and with span ≤ EPS it adds 0 to s: neither
+            // changes (up to the sign of a zero u, which no later step can
+            // observe), so only the subtraction above is needed.
+            if view.state == InvState::Completed && u <= 1.0 {
+                continue;
+            }
             // A task that has not been released yet (possible only with
             // offsets or deferred admission, an extension over the paper's
             // synchronous model) will still need its full worst case before
             // its first deadline — plan for it conservatively.
-            let c_left = if sys.view(id).state == crate::view::InvState::Inactive {
-                sys.tasks.task(id).wcet()
+            let wcet = sys.tasks.task(id).wcet();
+            let c_left = if view.state == InvState::Inactive {
+                wcet
             } else {
-                sys.c_left(id)
+                view.c_left(wcet)
             };
-            let span = (sys.view(id).deadline - d1).as_ms();
+            let span = (deadline - d1).as_ms();
             if span > EPS {
                 // Defer what fits into [D₁, D_i] at the residual capacity
                 // (1 − u); the remainder x must run before D₁.
@@ -96,16 +135,66 @@ impl LaEdf {
                 s += c_left;
             }
         }
-        s
+        (s, d1)
+    }
+
+    /// Rebuilds the walk for a task set, in id order.
+    fn cache_task_set(&mut self, tasks: &TaskSet) {
+        self.order.clear();
+        self.order.extend(tasks.iter().map(|(id, task)| Entry {
+            deadline: Time::ZERO,
+            id,
+            utilization: task.utilization(),
+        }));
+        self.total_utilization = tasks.total_utilization();
+    }
+
+    /// Refreshes every deadline from the view and restores reverse EDF
+    /// order by insertion sort, which costs `n` plus the number of pairs
+    /// the moved deadlines put out of order. Between two callbacks that is
+    /// a few pairs, where it is cheaper than `slice::sort_by`; a fully
+    /// permuted order, as at the first callback after `init`, costs
+    /// `O(n²)`.
+    fn sort_reverse_edf(&mut self, views: &[TaskView]) {
+        for i in 0..self.order.len() {
+            let mut entry = self.order[i];
+            entry.deadline = views[entry.id.0].deadline;
+            let mut j = i;
+            while j > 0 && runs_before(&entry, &self.order[j - 1]) {
+                self.order[j] = self.order[j - 1];
+                j -= 1;
+            }
+            self.order[j] = entry;
+        }
+    }
+
+    /// [`SystemView::earliest_deadline`] read off the sorted order: the
+    /// deadlines it excludes (at or before `now + EPS`) are the smallest,
+    /// so they sit at the tail, and the first one before them is `D₁`.
+    fn earliest_deadline(&self, now: Time) -> Time {
+        self.order
+            .iter()
+            .rev()
+            .map(|entry| entry.deadline)
+            .find(|d| d.as_ms() > now.as_ms() + EPS)
+            .unwrap_or(now)
     }
 
     fn select(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let s = self.work_due_before_next_deadline(sys);
-        let d1 = sys.earliest_deadline();
+        let (s, d1) = self.defer(sys);
         self.planned_d1 = Some(d1);
         self.point = point_for_demand(sys.machine, s, d1 - sys.now);
         self.point
     }
+}
+
+/// Reverse EDF order: `a` runs before `b` in the walk if its deadline is
+/// later, or equal with a larger id.
+fn runs_before(a: &Entry, b: &Entry) -> bool {
+    b.deadline
+        .total_cmp(&a.deadline)
+        .then(b.id.cmp(&a.id))
+        .is_lt()
 }
 
 impl DvsPolicy for LaEdf {
@@ -117,7 +206,8 @@ impl DvsPolicy for LaEdf {
         SchedulerKind::Edf
     }
 
-    fn init(&mut self, _tasks: &TaskSet, machine: &Machine) -> PointIdx {
+    fn init(&mut self, tasks: &TaskSet, machine: &Machine) -> PointIdx {
+        self.cache_task_set(tasks);
         // The release events at t = 0 run defer(); starting anywhere is
         // safe, so start at the bottom.
         self.point = machine.lowest();
@@ -132,7 +222,7 @@ impl DvsPolicy for LaEdf {
         self.select(sys)
     }
 
-    fn review_at(&self) -> Option<crate::time::Time> {
+    fn review_at(&self) -> Option<Time> {
         self.planned_d1
     }
 
@@ -156,8 +246,6 @@ impl DvsPolicy for LaEdf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Time;
-    use crate::view::{InvState, TaskView};
 
     fn paper_set() -> TaskSet {
         TaskSet::from_ms_pairs(&[(8.0, 3.0), (10.0, 3.0), (14.0, 1.0)]).expect("valid task set")

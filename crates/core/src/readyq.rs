@@ -38,7 +38,8 @@ pub const TICKS_PER_MS: f64 = 1024.0;
 /// Number of EDF deadline buckets (a power of two).
 pub const NUM_BUCKETS: usize = 256;
 
-const WORD_BITS: usize = 64;
+/// Bits per bitmap word.
+pub(crate) const WORD_BITS: usize = 64;
 
 /// Converts an instant to its bucket/wheel tick. Total: negative times
 /// map to tick 0 and `+inf`/huge times saturate at `u64::MAX`.
@@ -47,13 +48,14 @@ pub fn tick_of(t: Time) -> u64 {
     (t.as_ms() * TICKS_PER_MS).floor() as u64
 }
 
+/// The word holding `bit` and the bit's mask within it.
 #[inline]
-fn word_index(bit: usize) -> (usize, u64) {
+pub(crate) fn word_index(bit: usize) -> (usize, u64) {
     (bit / WORD_BITS, 1u64 << (bit % WORD_BITS))
 }
 
 /// Iterates the set bits of a word slice in ascending bit order.
-fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
+pub(crate) fn for_each_set_bit(words: &[u64], mut f: impl FnMut(usize)) {
     for (w, &word) in words.iter().enumerate() {
         let mut bits = word;
         while bits != 0 {
