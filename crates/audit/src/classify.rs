@@ -94,7 +94,6 @@ mod tests {
             clamp_events: 0,
             faults: vec![],
             containment: ContainmentStats::default(),
-            sched_ns: 0,
         }
     }
 

@@ -3,42 +3,34 @@
 //!
 //! ```text
 //! figures [run] [--quick] [--threads N] [--seed S] [--out DIR]
-//!     Regenerate every deterministic golden into DIR (default: the
-//!     repository root): Figures 6–8 (BENCH_paper_figures.json), the
-//!     smoke sweep (BENCH_sweep.json), the four single-fault soaks
-//!     (BENCH_faults.json, BENCH_modes.json, BENCH_regulator.json,
-//!     BENCH_clock.json), the tenant soak (BENCH_tenants.json) and the
-//!     chaos campaign (BENCH_campaign.json). A soak, tenant or campaign
-//!     run that breaks its own invariants is not written.
+//!     The one writer: regenerate every committed golden into DIR
+//!     (default: the repository root): Figures 6–8
+//!     (BENCH_paper_figures.json), the smoke sweep (BENCH_sweep.json), the
+//!     four single-fault soaks (BENCH_faults.json, BENCH_modes.json,
+//!     BENCH_regulator.json, BENCH_clock.json), the tenant soak
+//!     (BENCH_tenants.json), the chaos campaign (BENCH_campaign.json) and
+//!     the engine-vs-baseline throughput soak (BENCH_throughput.json, its
+//!     events/s measured on this machine as provenance). A run that
+//!     breaks its own invariants is not written; the throughput floors
+//!     are the gate's, not the writer's.
 //!
 //! figures check [--golden-dir DIR] [--threads N]
-//!     The single gate for every deterministic committed artifact: re-run
-//!     the smoke sweep and the four soaks and diff them against their
-//!     goldens (±1% energy, miss counts exact), structurally validate
+//!     The one gate for every committed artifact: re-run the smoke sweep
+//!     and the four soaks and diff them against their goldens (±1%
+//!     energy, miss counts exact), structurally validate
 //!     BENCH_paper_figures.json (full regeneration is too slow for every
 //!     push), re-run the tenant soak and the campaign and diff their
-//!     canonical trees exactly (naming every member that differs), enforce
-//!     every artifact's own invariants, and replay
+//!     canonical trees exactly (naming every member that differs),
+//!     re-measure the throughput soak, diff its machine-independent
+//!     payload against BENCH_throughput.json and enforce its events/s
+//!     ratio floors (≥5x baseline on the engine-dominated soak policies,
+//!     a ratio against an in-process reference run, never wall-clock),
+//!     enforce every artifact's own invariants, and replay
 //!     results/repro_availability_floor.json to its bit-identical
 //!     violation. Every file it reads must also be a fixed point of
 //!     parse→write, so hand edits and layout drift fail. Checks every
 //!     artifact, then exits non-zero if any diverged — this is what
 //!     `xtask bench-check` and the CI bench-smoke job run.
-//!
-//! figures bench [--threads-list 1,2,4] [--quick] [--seed S]
-//!     Run the Figure 6–8 grid once per thread count; report wall-clock,
-//!     event throughput, and speedup vs one thread, and verify the merged
-//!     results are byte-identical across thread counts.
-//!
-//! figures throughput [--golden-dir DIR] [--seed S] [--write]
-//!     Pin the Table 2 traces byte-identically against the frozen
-//!     pre-refactor engine, measure events/s for both engines on the
-//!     Table 2 set and a 128-task soak, diff the machine-independent
-//!     payload against the committed BENCH_throughput.json (which must be
-//!     a fixed point of parse→write), and enforce the events/s ratio
-//!     floors (≥5x baseline on the engine-dominated soak policies).
-//!     `--write` regenerates the golden instead. This is what
-//!     `xtask throughput` and the CI throughput-smoke job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
@@ -65,8 +57,7 @@ use rtdvs_bench::render_normalized_chart;
 use rtdvs_bench::soak::{run_soak, soak_violations, Soak};
 use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
-    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config,
-    ThroughputArtifact,
+    floor_violations, run_throughput, throughput_smoke_config, ThroughputArtifact,
 };
 
 /// Default experiment seed (the sweep harness default, `0x5eed`).
@@ -91,7 +82,6 @@ struct Args {
     command: String,
     quick: bool,
     threads: Option<usize>,
-    threads_list: Vec<usize>,
     seed: u64,
     out: Option<PathBuf>,
     golden_dir: Option<PathBuf>,
@@ -104,7 +94,6 @@ fn parse_args() -> Result<Args, String> {
         command: "run".to_owned(),
         quick: false,
         threads: None,
-        threads_list: vec![1, 2, 4],
         seed: DEFAULT_SEED,
         out: None,
         golden_dir: None,
@@ -114,22 +103,12 @@ fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     while let Some(a) = argv.next() {
         match a.as_str() {
-            "run" | "check" | "bench" | "throughput" | "repro" => args.command = a,
+            "run" | "check" | "repro" => args.command = a,
             "--quick" => args.quick = true,
             "--write" => args.write = true,
             "--threads" => {
                 let v = argv.next().ok_or("--threads needs a count")?;
                 args.threads = Some(v.parse().map_err(|e| format!("--threads {v}: {e}"))?);
-            }
-            "--threads-list" => {
-                let v = argv.next().ok_or("--threads-list needs e.g. 1,2,4")?;
-                args.threads_list = v
-                    .split(',')
-                    .map(|t| t.trim().parse::<usize>().map_err(|e| format!("{t}: {e}")))
-                    .collect::<Result<_, _>>()?;
-                if args.threads_list.is_empty() || args.threads_list.contains(&0) {
-                    return Err("--threads-list needs positive counts".to_owned());
-                }
             }
             "--seed" => {
                 let v = argv.next().ok_or("--seed needs a value")?;
@@ -152,9 +131,8 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: figures [run|check|bench|throughput|repro] [--quick] [--threads N] \
-     [--threads-list 1,2,4] [--seed S] [--out DIR] [--golden-dir DIR] [--write] \
-     [FILE (repro only)]"
+    "usage: figures [run|check|repro] [--quick] [--threads N] [--seed S] [--out DIR] \
+     [--golden-dir DIR] [--write] [FILE (repro only)]"
         .to_owned()
 }
 
@@ -282,6 +260,12 @@ fn run(args: &Args) -> Result<(), String> {
     }
     write_file(&out, CAMPAIGN_FILE, &campaign.to_json())?;
     print_campaign_summary(&campaign);
+    let throughput = run_throughput(&throughput_smoke_config(args.seed));
+    if !gate(THROUGHPUT_FILE, "is well formed", &throughput.validate()) {
+        return Err(refuse(THROUGHPUT_FILE));
+    }
+    write_file(&out, THROUGHPUT_FILE, &throughput.to_json())?;
+    print_throughput_summary(&throughput);
     Ok(())
 }
 
@@ -346,6 +330,25 @@ fn check(args: &Args) -> Result<(), String> {
         problems
     });
     verdict(CAMPAIGN_FILE, "reproduces byte-for-byte", campaign);
+
+    // The events/s ratios are this machine's; only the event counts,
+    // panel shapes and floors are pinned.
+    let throughput = load::<ThroughputArtifact>(&dir.join(THROUGHPUT_FILE)).map(|golden| {
+        let mut cfg = throughput_smoke_config(golden.seed);
+        cfg.floor_ratio = golden.floor_ratio;
+        cfg.table2_floor_ratio = golden.table2_floor_ratio;
+        let fresh = run_throughput(&cfg);
+        print_throughput_summary(&fresh);
+        let mut problems = golden.diff(&fresh);
+        problems.extend(floor_violations(&fresh));
+        problems.extend(fresh.validate());
+        problems
+    });
+    verdict(
+        THROUGHPUT_FILE,
+        "reproduces its event counts and clears its floors",
+        throughput,
+    );
 
     let repro = load::<ReproArtifact>(&dir.join(REPRO_FILE))
         .map(|repro| replay_repro(&repro).err().into_iter().collect());
@@ -432,80 +435,6 @@ fn print_campaign_summary(art: &CampaignArtifact) {
     }
 }
 
-fn throughput(args: &Args) -> Result<(), String> {
-    let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let path = dir.join(THROUGHPUT_FILE);
-
-    // 1. Byte-identical-trace pinning: the O(1) engine must agree with
-    //    the frozen baseline on the paper's Table 2 set, byte for byte,
-    //    before any timing is trusted.
-    pin_table2_traces().map_err(|e| format!("throughput: trace pinning failed: {e}"))?;
-    println!("throughput: Table 2 traces byte-identical to the pre-refactor engine (6 policies)");
-
-    if args.write {
-        let art = run_throughput(&throughput_smoke_config(args.seed));
-        let structural = art.validate();
-        if !structural.is_empty() {
-            for p in &structural {
-                eprintln!("throughput: {p}");
-            }
-            return Err(format!("{} structural problem(s)", structural.len()));
-        }
-        std::fs::write(&path, art.to_json())
-            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("wrote {}", path.display());
-        print_throughput_summary(&art);
-        return Ok(());
-    }
-
-    let golden: ThroughputArtifact =
-        load(&path).map_err(|e| format!("{e} (`figures throughput --write` regenerates it)"))?;
-
-    // 2. Fresh measurement at the golden's seed and shape.
-    let mut cfg = throughput_smoke_config(golden.seed);
-    cfg.floor_ratio = golden.floor_ratio;
-    cfg.table2_floor_ratio = golden.table2_floor_ratio;
-    let fresh = run_throughput(&cfg);
-
-    // 3. The machine-independent payload (event counts, panel shapes,
-    //    floors) must reproduce the golden exactly.
-    let problems = golden.diff(&fresh);
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("throughput: {p}");
-        }
-        return Err(format!(
-            "{} divergence(s) from {THROUGHPUT_FILE}; if the engine or workload \
-             intentionally changed, regenerate with `figures throughput --write` and commit",
-            problems.len()
-        ));
-    }
-
-    // 4. The events/s floors hold on this machine's fresh measurement.
-    let slow = floor_violations(&fresh);
-    if !slow.is_empty() {
-        for p in &slow {
-            eprintln!("throughput: {p}");
-        }
-        return Err(format!(
-            "{} events/s floor violation(s) — the O(1) hot path has regressed",
-            slow.len()
-        ));
-    }
-
-    // 5. Structural invariants of the artifact itself.
-    let structural = fresh.validate();
-    if !structural.is_empty() {
-        for p in &structural {
-            eprintln!("throughput: {THROUGHPUT_FILE}: {p}");
-        }
-        return Err(format!("{} structural problem(s)", structural.len()));
-    }
-
-    print_throughput_summary(&fresh);
-    Ok(())
-}
-
 fn print_throughput_summary(art: &ThroughputArtifact) {
     let floored: Vec<&rtdvs_bench::PolicyThroughput> =
         art.soak.iter().filter(|p| p.floored).collect();
@@ -515,7 +444,7 @@ fn print_throughput_summary(art: &ThroughputArtifact) {
         .fold(f64::INFINITY, f64::min);
     println!(
         "throughput: {}-task soak sustains {:.1}-{:.1}x baseline events/s on {} floored \
-         policies (floor {}x), table2 pinned, {} ms",
+         policies (floor {}x), {} ms",
         art.soak_tasks,
         worst,
         floored.iter().map(|p| p.ratio).fold(0.0, f64::max),
@@ -591,48 +520,6 @@ fn print_repro_summary(repro: &ReproArtifact) {
     );
 }
 
-fn bench(args: &Args) -> Result<(), String> {
-    let scale = figures_scale(args.quick);
-    println!(
-        "== thread scaling on the Figure 6-8 grid ({} points x {} sets x 6 policies x 3 panels) ==",
-        scale.grid, scale.sets_per_point
-    );
-    let mut baseline_ms = None;
-    let mut baseline_json = None;
-    println!("  threads    wall_ms    events/s   speedup");
-    for &n in &args.threads_list {
-        let threads = NonZeroUsize::new(n).ok_or("thread counts must be positive")?;
-        let figures = paper_figures(scale, args.seed, threads);
-        let artifact = paper_figures_artifact(&figures, scale, args.seed, threads);
-        let wall: u64 = figures.iter().map(|f| f.run.stats.wall_ms).sum();
-        let events: u64 = figures.iter().map(|f| f.run.stats.events).sum();
-        let speedup = match baseline_ms {
-            None => {
-                baseline_ms = Some(wall);
-                1.0
-            }
-            Some(base) => base as f64 / (wall.max(1)) as f64,
-        };
-        println!(
-            "  {n:>7} {wall:>10} {:>11.0} {speedup:>8.2}x",
-            events as f64 * 1000.0 / wall.max(1) as f64
-        );
-        let canonical = artifact.canonical_json();
-        match &baseline_json {
-            None => baseline_json = Some(canonical),
-            Some(base) => {
-                if *base != canonical {
-                    return Err(format!(
-                        "merged results at {n} threads are not byte-identical to the baseline"
-                    ));
-                }
-                println!("           merged results byte-identical to 1-thread baseline");
-            }
-        }
-    }
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args = match parse_args() {
         Ok(a) => a,
@@ -649,8 +536,6 @@ fn main() -> ExitCode {
                  (the repro with `figures repro --write`) and commit them"
             )
         }),
-        "bench" => bench(&args),
-        "throughput" => throughput(&args),
         "repro" => repro(&args),
         other => Err(format!("unknown command {other}\n{}", usage())),
     };

@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Machines: `machine0` (default), `machine1`, `machine2`, `k6`, `crusoe`,
-//! `xscale`. Policies: `edf`, `rm`, `static-edf`, `static-rm`, `cc-edf`,
-//! `cc-rm`, `la-edf` (default), `stoch-edf=<confidence>`, `interval`,
-//! `manual=<point>`.
+//! `xscale`. Policies, named as procfs names them
+//! (`rtdvs_kernel::procfs::parse_policy_name`): `edf`, `rm`, `static-edf`,
+//! `static-rm`, `cc-edf`, `cc-rm`, `la-edf` (default),
+//! `stoch-edf=<confidence>`, `interval`, `manual-edf=<point>`.
 
 use std::fs;
 use std::process::ExitCode;
@@ -23,9 +24,9 @@ use rtdvs_core::analysis::{
 use rtdvs_core::hyperperiod::hyperperiod;
 use rtdvs_core::machine::Machine;
 use rtdvs_core::policy::PolicyKind;
-use rtdvs_core::sched::SchedulerKind;
 use rtdvs_core::task::TaskSet;
 use rtdvs_core::time::Time;
+use rtdvs_kernel::procfs::parse_policy_name;
 use rtdvs_platform::{crusoe_tm5400, xscale_80200, PowerNowCpu};
 use rtdvs_sim::{simulate, theoretical_bound, ArrivalModel, ExecModel, SimConfig};
 
@@ -42,34 +43,6 @@ fn machine_by_name(name: &str) -> Result<Machine, String> {
         other => Err(format!(
             "unknown machine {other}; expected machine0|machine1|machine2|k6|crusoe|xscale"
         )),
-    }
-}
-
-fn policy_by_name(name: &str) -> Result<PolicyKind, String> {
-    if let Some(conf) = name.strip_prefix("stoch-edf=") {
-        let confidence: f64 = conf.parse().map_err(|_| format!("bad confidence {conf}"))?;
-        if !(confidence > 0.0 && confidence <= 1.0) {
-            return Err(format!("confidence {confidence} outside (0, 1]"));
-        }
-        return Ok(PolicyKind::StochasticEdf { confidence });
-    }
-    if let Some(point) = name.strip_prefix("manual=") {
-        let point: usize = point.parse().map_err(|_| format!("bad point {point}"))?;
-        return Ok(PolicyKind::Manual {
-            scheduler: SchedulerKind::Edf,
-            point,
-        });
-    }
-    match name {
-        "edf" => Ok(PolicyKind::PlainEdf),
-        "rm" => Ok(PolicyKind::PlainRm),
-        "static-edf" => Ok(PolicyKind::StaticEdf),
-        "static-rm" => Ok(PolicyKind::StaticRm(RmTest::default())),
-        "cc-edf" => Ok(PolicyKind::CcEdf),
-        "cc-rm" => Ok(PolicyKind::CcRm(RmTest::default())),
-        "la-edf" => Ok(PolicyKind::LaEdf),
-        "interval" => Ok(PolicyKind::Interval),
-        other => Err(format!("unknown policy {other}")),
     }
 }
 
@@ -130,7 +103,7 @@ fn parse_options() -> Result<Options, String> {
         match flag.as_str() {
             "--tasks" => opts.tasks = Some(value("--tasks")?),
             "--machine" => opts.machine = machine_by_name(&value("--machine")?)?,
-            "--policy" => opts.policy = policy_by_name(&value("--policy")?)?,
+            "--policy" => opts.policy = parse_policy_name(&value("--policy")?)?,
             "--duration-ms" => {
                 let ms: f64 = value("--duration-ms")?
                     .parse()

@@ -13,10 +13,8 @@ pub mod artifact;
 pub mod campaign;
 pub mod chart;
 pub mod figures;
-pub mod microbench;
 pub mod runner;
 pub mod soak;
-pub mod stats;
 pub mod sweep;
 pub mod taskfile;
 pub mod tenants;
@@ -35,12 +33,11 @@ pub use chart::render_normalized_chart;
 pub use figures::*;
 pub use runner::{run_sweep_threads, RunnerStats, SweepRun};
 pub use soak::{run_soak, soak_violations, Soak};
-pub use stats::{welch_t, Summary};
 pub use sweep::{run_sweep, Sweep, SweepConfig, SweepRow};
 pub use tenants::{
     run_tenants, tenants_smoke_config, TenantOutcome, TenantSpec, TenantsArtifact, TenantsConfig,
 };
 pub use throughput::{
-    floor_violations, pin_table2_traces, run_throughput, throughput_smoke_config, PolicyThroughput,
+    floor_violations, run_throughput, throughput_smoke_config, PolicyThroughput,
     ThroughputArtifact, ThroughputConfig,
 };

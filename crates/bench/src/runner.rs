@@ -28,7 +28,6 @@ use std::time::Instant;
 use rtdvs_sim::{simulate, theoretical_bound, SimConfig};
 use rtdvs_taskgen::{generate, SplitMix64, TaskGenSpec};
 
-use crate::stats::Summary;
 use crate::sweep::{Sweep, SweepConfig, SweepRow};
 
 /// All policies evaluated on one generated task set.
@@ -76,15 +75,11 @@ impl RunnerStats {
     }
 }
 
-/// A sweep plus the per-point spread and cost accounting the plain
-/// [`Sweep`] does not carry.
+/// A sweep plus the cost accounting the plain [`Sweep`] does not carry.
 #[derive(Debug, Clone)]
 pub struct SweepRun {
     /// The merged sweep (identical for every thread count).
     pub sweep: Sweep,
-    /// Energy summary per grid point per policy (mean ± spread across the
-    /// `sets_per_point` task sets), merged in cell order.
-    pub summaries: Vec<Vec<Summary>>,
     /// Cost accounting for this run.
     pub stats: RunnerStats,
 }
@@ -215,14 +210,12 @@ pub fn run_sweep_threads(cfg: &SweepConfig, threads: NonZeroUsize) -> SweepRun {
     // order, so float summation is identical for every worker count.
     let n_pol = cfg.policies.len();
     let mut rows = Vec::with_capacity(cfg.utilizations.len());
-    let mut summaries = Vec::with_capacity(cfg.utilizations.len());
     let mut events = 0u64;
     for (ui, &util) in cfg.utilizations.iter().enumerate() {
         let mut energy_sum = vec![0.0; n_pol];
         let mut work_sum = vec![0.0; n_pol];
         let mut miss_sum = vec![0u64; n_pol];
         let mut bound_sum = 0.0;
-        let mut point_summaries: Vec<Option<Summary>> = vec![None; n_pol];
         for s in 0..cfg.sets_per_point {
             let cell = ui * cfg.sets_per_point + s;
             let out = slots[cell]
@@ -234,11 +227,6 @@ pub fn run_sweep_threads(cfg: &SweepConfig, threads: NonZeroUsize) -> SweepRun {
                 energy_sum[p] += out.energy[p];
                 work_sum[p] += out.work[p];
                 miss_sum[p] += out.misses[p];
-                let sample = Summary::of(&[out.energy[p]]);
-                point_summaries[p] = Some(match point_summaries[p] {
-                    Some(acc) => acc.merge(&sample),
-                    None => sample,
-                });
             }
             bound_sum += out.bound;
             events += out.events;
@@ -251,12 +239,6 @@ pub fn run_sweep_threads(cfg: &SweepConfig, threads: NonZeroUsize) -> SweepRun {
             work: work_sum.iter().map(|w| w / n).collect(),
             misses: miss_sum,
         });
-        summaries.push(
-            point_summaries
-                .into_iter()
-                .map(|s| s.expect("sets_per_point > 0"))
-                .collect(),
-        );
     }
 
     SweepRun {
@@ -264,7 +246,6 @@ pub fn run_sweep_threads(cfg: &SweepConfig, threads: NonZeroUsize) -> SweepRun {
             policy_names: cfg.policies.iter().map(|k| k.name()).collect(),
             rows,
         },
-        summaries,
         stats: RunnerStats {
             threads: workers,
             cells: n_cells,
@@ -321,14 +302,6 @@ mod tests {
         assert_eq!(run.stats.cells, 6);
         assert_eq!(run.stats.sims, 6 * 6);
         assert!(run.stats.events > 0);
-        assert_eq!(run.summaries.len(), 2);
-        for (row, per_policy) in run.sweep.rows.iter().zip(&run.summaries) {
-            assert_eq!(per_policy.len(), 6);
-            for (mean_energy, summary) in row.energy.iter().zip(per_policy) {
-                assert_eq!(summary.n, 3);
-                assert!((summary.mean - mean_energy).abs() < 1e-9 * mean_energy.abs().max(1.0));
-            }
-        }
     }
 
     #[test]

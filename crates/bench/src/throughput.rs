@@ -4,13 +4,16 @@
 //! The engine rewrite (priority-bitmap ready queue + hierarchical timing
 //! wheel, `rtdvs_sim::engine`) must hold two promises at once:
 //!
-//! 1. **Bit-exact behavior** — on the paper's Table 2 set, every policy's
-//!    trace (segments *and* events) and full report must be byte-identical
-//!    to `rtdvs_sim::baseline`, the frozen copy of the retired engine.
+//! 1. **Bit-exact behavior** — every report and trace must be
+//!    byte-identical to `rtdvs_sim::baseline`, the frozen copy of the
+//!    retired engine. `crates/sim/tests/equivalence.rs` pins this, the
+//!    paper's Table 2 set included.
 //! 2. **Throughput** — on a task set large enough that the old engine's
 //!    per-event linear scans actually cost something, the new engine must
 //!    sustain at least [`ThroughputConfig::floor_ratio`] times the
-//!    baseline's events per second.
+//!    baseline's events per second. This module measures it; `figures
+//!    check` diffs the result against `BENCH_throughput.json` and applies
+//!    [`floor_violations`].
 //!
 //! The floor is a *ratio against a reference run in the same process*,
 //! never a wall-clock number: the baseline engine is the reference
@@ -23,9 +26,8 @@
 //! * `table2` — the paper's 3-task example. With three tasks the linear
 //!   scans the rewrite removed are a few nanoseconds per event, so both
 //!   engines are dominated by shared work (policy callbacks, the RNG,
-//!   energy accounting) and the ratio sits near 1. This panel pins the
-//!   traces and guards against regressions
-//!   ([`ThroughputConfig::table2_floor_ratio`]).
+//!   energy accounting) and the ratio sits near 1. This panel guards
+//!   against regressions ([`ThroughputConfig::table2_floor_ratio`]).
 //! * `soak` — a generated [`ThroughputConfig::soak_tasks`]-task set where
 //!   the baseline pays its O(n) per event. The ≥5× floor is enforced here,
 //!   on the policies whose per-event cost is engine-dominated (plain EDF,
@@ -36,12 +38,12 @@
 //! The committed golden (`BENCH_throughput.json`, schema
 //! `rtdvs-throughput/v1`) pins the machine-independent payload: seed,
 //! panel shapes, per-policy event counts, and the floor values. Measured
-//! events/s and ratios are provenance — recorded by `--write`, zeroed in
-//! the canonical form the gate diffs.
+//! events/s and ratios are provenance — recorded by `figures run`, zeroed
+//! in the canonical form the gate diffs.
 
 use std::time::Instant;
 
-use rtdvs_core::example::{table2_task_set, table3_actual_times, EXAMPLE_HORIZON_MS};
+use rtdvs_core::example::table2_task_set;
 use rtdvs_core::task::TaskSet;
 use rtdvs_core::{Machine, PolicyKind, Time};
 use rtdvs_sim::baseline::simulate_baseline;
@@ -225,66 +227,8 @@ impl ThroughputArtifact {
     }
 }
 
-/// The paper's Table 2 set with the Table 3 execution trace, the trace
-/// pinning workload.
-fn table2_cfg() -> (TaskSet, SimConfig) {
-    let tasks = table2_task_set();
-    let cfg = SimConfig::new(Time::from_ms(EXAMPLE_HORIZON_MS))
-        .with_exec(ExecModel::Trace(table3_actual_times()))
-        .with_trace();
-    (tasks, cfg)
-}
-
-/// Byte-identical-trace pinning on the Table 2 set: every policy's trace
-/// segments, trace events, and full report must match the frozen
-/// pre-refactor engine exactly.
-///
-/// # Errors
-///
-/// Returns the first policy whose engines disagree, with the field that
-/// diverged.
-pub fn pin_table2_traces() -> Result<(), String> {
-    let machine = Machine::machine0();
-    let (tasks, cfg) = table2_cfg();
-    for kind in PolicyKind::paper_six() {
-        let new = simulate(&tasks, &machine, kind, &cfg);
-        let old = simulate_baseline(&tasks, &machine, kind, &cfg);
-        let name = kind.name();
-        if new.events != old.events {
-            return Err(format!(
-                "{name}: {} events vs baseline {}",
-                new.events, old.events
-            ));
-        }
-        if new.energy().to_bits() != old.energy().to_bits() {
-            return Err(format!(
-                "{name}: energy {} vs baseline {} (not bit-identical)",
-                new.energy(),
-                old.energy()
-            ));
-        }
-        match (&new.trace, &old.trace) {
-            (Some(a), Some(b)) => {
-                if a.segments() != b.segments() {
-                    return Err(format!("{name}: trace segments diverge from baseline"));
-                }
-                if a.events() != b.events() {
-                    return Err(format!("{name}: trace events diverge from baseline"));
-                }
-            }
-            _ => return Err(format!("{name}: one engine lost its trace")),
-        }
-        if format!("{new:?}") != format!("{old:?}") {
-            return Err(format!("{name}: reports are not byte-identical"));
-        }
-    }
-    Ok(())
-}
-
 /// Times one simulator repeatedly until `min_ms` of wall clock has
-/// accumulated and returns `(events_per_run, best events/s)`. The
-/// per-run timing is written into [`SimReport::sched_ns`] so the
-/// events/s figure flows through [`SimReport::events_per_sec`].
+/// accumulated and returns `(events_per_run, best events/s)`.
 fn measure<F: FnMut() -> SimReport>(mut run: F, min_ms: u64) -> (u64, f64) {
     let mut events = 0u64;
     let mut best = 0.0f64;
@@ -292,14 +236,11 @@ fn measure<F: FnMut() -> SimReport>(mut run: F, min_ms: u64) -> (u64, f64) {
     let budget_ns = u128::from(min_ms) * 1_000_000;
     while spent_ns < budget_ns {
         let t0 = Instant::now();
-        let mut report = run();
-        let ns = t0.elapsed().as_nanos();
+        let report = run();
+        let ns = t0.elapsed().as_nanos().max(1);
         spent_ns += ns;
-        report.sched_ns = u64::try_from(ns).unwrap_or(u64::MAX).max(1);
         events = report.events;
-        if let Some(eps) = report.events_per_sec() {
-            best = best.max(eps);
-        }
+        best = best.max(events as f64 * 1e9 / ns as f64);
     }
     (events, best)
 }
@@ -345,8 +286,8 @@ fn measure_panel(
         .collect()
 }
 
-/// Runs the full soak: trace pinning is the caller's job
-/// ([`pin_table2_traces`]); this measures events/s on both panels.
+/// Runs the full soak: measures events/s for both engines on both
+/// panels.
 ///
 /// # Panics
 ///
@@ -420,11 +361,6 @@ mod tests {
             floor_ratio: 5.0,
             table2_floor_ratio: 0.5,
         }
-    }
-
-    #[test]
-    fn table2_traces_pin_against_the_baseline() {
-        pin_table2_traces().expect("the engines must agree byte for byte");
     }
 
     #[test]

@@ -31,6 +31,13 @@ pub enum RmTest {
     /// Sufficient-only utilization bound `n(2^{1/n} − 1)`.
     LiuLayland,
     /// Exact scheduling-point (Lehoczky–Sha–Ding) test. The default.
+    ///
+    /// Each priority level tries at most [`MAX_SCHEDULING_POINTS`] points
+    /// and counts as not fitting once they are spent. The cap can reject
+    /// a feasible set only when a level has more points than that, such
+    /// as two tasks whose periods are more than 2¹⁸ apart; it never
+    /// admits an infeasible set. Generated sets, whose periods span at
+    /// most 1,000 to one, need at most 1,000 points per task.
     #[default]
     SchedulingPoints,
     /// Exact iterative response-time analysis.
@@ -69,12 +76,22 @@ pub fn rm_feasible_at(tasks: &TaskSet, alpha: f64, test: RmTest) -> bool {
     }
 }
 
+/// The most scheduling points [`RmTest::SchedulingPoints`] tries for one
+/// priority level. A level that needs more counts as not fitting. A
+/// level of `n` generated tasks needs at most `1000·n + 1` points, so no
+/// generated set of up to 262 tasks reaches the cap (the largest the
+/// experiments generate has 128); without it, a set with periods 10¹²
+/// apart would take hours to decide.
+pub const MAX_SCHEDULING_POINTS: u64 = 1 << 18;
+
 /// Ceiling of `t / p` that tolerates float round-off: values within a
-/// relative hair of an integer are treated as that integer.
+/// relative hair of a positive integer are treated as that integer. The
+/// hair around 0 is empty, so any `t > 0` counts at least once, however
+/// long the period.
 fn ceil_tolerant(t: f64, p: f64) -> f64 {
     let q = t / p;
     let r = q.round();
-    if (q - r).abs() <= 1e-9 * r.max(1.0) {
+    if (q - r).abs() <= 1e-9 * r {
         r
     } else {
         q.ceil()
@@ -87,20 +104,25 @@ fn ceil_tolerant(t: f64, p: f64) -> f64 {
 /// `S_i = { k·P_j : j ≤ i, k = 1..⌊P_i/P_j⌋ } ∪ {P_i}` for a `t` with
 /// `Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`.
 ///
-/// The search tries `t = P_i` first and then enumerates the `k·P_j` lazily.
+/// The search tries `t = P_i` first and then enumerates the `k·P_j` lazily,
+/// `j` in level order, until [`MAX_SCHEDULING_POINTS`] points are spent.
 /// Whether some point of a set fits does not depend on the order the
-/// points are tried in, so the verdict is that of a full search over
-/// `S_i`; the search only stops sooner.
+/// points are tried in, so below the cap the verdict is that of a full
+/// search over `S_i`; the search only stops sooner.
 fn rm_scheduling_points_feasible(tasks: &TaskSet, alpha: f64) -> bool {
     debug_assert!(alpha > 0.0);
     let order = tasks.rm_order();
     order.iter().enumerate().all(|(i, &id_i)| {
         let level = &order[..=i];
         let p_i = tasks.task(id_i).period().as_ms();
+        // `t = P_i` is the first point; each `j` takes its multiples out
+        // of what is left.
+        let mut budget = MAX_SCHEDULING_POINTS - 1;
         level_fits_at(tasks, level, alpha, p_i)
             || level.iter().any(|&id_j| {
                 let p_j = tasks.task(id_j).period().as_ms();
-                let kmax = (p_i / p_j + 1e-9).floor() as u64;
+                let kmax = ((p_i / p_j + 1e-9).floor() as u64).min(budget);
+                budget -= kmax;
                 (1..=kmax).any(|k| level_fits_at(tasks, level, alpha, k as f64 * p_j))
             })
     })
@@ -336,6 +358,52 @@ mod tests {
         // A value that is an exact multiple only up to float noise.
         let t = 0.3 * 3.0; // 0.8999999999999999
         assert_eq!(ceil_tolerant(t, 0.3), 3.0);
+    }
+
+    #[test]
+    fn far_longer_periods_still_count_at_every_point() {
+        // U = 0.5 + 0.6 = 1.1 with the second period `ratio` times the
+        // first: infeasible, however far apart the periods are.
+        let freqs = [
+            Machine::machine0(),
+            Machine::machine1(),
+            Machine::machine2(),
+        ]
+        .iter()
+        .flat_map(|m| m.points().iter().map(|p| p.freq).collect::<Vec<_>>())
+        .collect::<Vec<_>>();
+        for ratio in [1e9, 1e10, 1e12] {
+            let p = 1e-5;
+            let set = TaskSet::from_ms_pairs(&[(p, 0.5 * p), (p * ratio, 0.6 * p * ratio)])
+                .expect("valid task set");
+            for &alpha in &freqs {
+                for test in [
+                    RmTest::LiuLayland,
+                    RmTest::SchedulingPoints,
+                    RmTest::ResponseTime,
+                ] {
+                    assert!(
+                        !rm_feasible_at(&set, alpha, test),
+                        "{test:?} admits U = 1.1 at ratio {ratio:e}, alpha {alpha}"
+                    );
+                }
+            }
+        }
+        // A period 10¹² times another adds its task's full WCET at the
+        // shortest scheduling point.
+        assert_eq!(ceil_tolerant(1e-5, 1e7).to_bits(), 1f64.to_bits());
+        assert_eq!(ceil_tolerant(0.0, 1e7).to_bits(), 0f64.to_bits());
+    }
+
+    #[test]
+    fn the_point_cap_bounds_the_search() {
+        // The second level does not fit at any of its 10¹² points: the
+        // cap stops the search after MAX_SCHEDULING_POINTS of them.
+        let set = TaskSet::from_ms_pairs(&[(1e-5, 0.5e-5), (1e7, 0.6e7)]).expect("valid task set");
+        let start = std::time::Instant::now();
+        assert!(!rm_feasible_at(&set, 1.0, RmTest::SchedulingPoints));
+        let took = start.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "deciding took {took:?}");
     }
 
     #[test]

@@ -120,18 +120,28 @@ impl<'a> SystemView<'a> {
     /// strictly periodic model the earliest deadline *is* the earliest
     /// release, so this equals [`SystemView::earliest_deadline`] there;
     /// they diverge only under sporadic arrivals.
+    ///
+    /// With no future deadline the boundary is `now`, as for
+    /// [`SystemView::earliest_deadline`], whatever the releases.
     #[must_use]
     pub fn earliest_boundary(&self) -> Time {
-        let next_release = self
-            .views
-            .iter()
-            .map(|v| v.next_release)
-            .filter(|t| t.as_ms() > self.now.as_ms() + crate::time::EPS)
-            .reduce(Time::min);
-        let deadline_boundary = self.earliest_deadline();
-        match next_release {
-            Some(release) => deadline_boundary.min(release),
-            None => deadline_boundary,
+        // Both minima fold in view order, so each is bit-identical to
+        // `reduce(Time::min)` over the same views.
+        let after = self.now.as_ms() + crate::time::EPS;
+        let mut deadline: Option<Time> = None;
+        let mut release: Option<Time> = None;
+        for v in self.views {
+            if v.deadline.as_ms() > after {
+                deadline = Some(deadline.map_or(v.deadline, |d| d.min(v.deadline)));
+            }
+            if v.next_release.as_ms() > after {
+                release = Some(release.map_or(v.next_release, |r| r.min(v.next_release)));
+            }
+        }
+        match (deadline, release) {
+            (None, _) => self.now,
+            (Some(d), None) => d,
+            (Some(d), Some(r)) => d.min(r),
         }
     }
 

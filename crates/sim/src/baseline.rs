@@ -6,14 +6,14 @@
 //! and fresh `Vec` allocations for the ready queue, the due-event sets,
 //! and every policy notification. It exists for two reasons:
 //!
-//! 1. **Trace pinning.** The throughput gate (`xtask throughput`) runs
-//!    both engines on the Table 2 set and requires byte-identical
-//!    reports and traces, proving the rewrite is observationally pure
-//!    speed.
-//! 2. **Floor calibration.** The events/s floor in
-//!    `BENCH_throughput.json` is a *ratio* against this engine measured
-//!    back-to-back on the same host, so the gate does not flake with CI
-//!    runner speed.
+//! 1. **Trace pinning.** `tests/equivalence.rs` runs both engines on the
+//!    Table 2 set and on generated, sporadic, overloaded and faulty
+//!    workloads and requires byte-identical reports and traces, proving
+//!    the rewrite is observationally pure speed.
+//! 2. **Floor calibration.** The events/s floor that `figures check`
+//!    holds `BENCH_throughput.json` to is a *ratio* against this engine
+//!    measured back-to-back on the same host, so the gate does not flake
+//!    with CI runner speed.
 //!
 //! Do not "fix" or optimize this module; its value is that it does not
 //! change.
@@ -699,7 +699,6 @@ impl<'a> BaselineEngine<'a> {
             clamp_events: self.clamp_events,
             faults: self.fault_log,
             containment: self.containment,
-            sched_ns: 0,
         }
     }
 }

@@ -24,7 +24,7 @@
 //! quantized structures resolve order by comparing the exact `f64` times,
 //! so every pick, event set, and event order is bit-for-bit identical to
 //! the retired linear scans — `crate::baseline` keeps that engine frozen
-//! and the differential suite (`tests/throughput_equiv.rs`) plus the
+//! and the differential suite (`tests/equivalence.rs`) plus the
 //! debug/audit [`Engine::sanitize`] cross-checks hold the two equal.
 
 use rtdvs_core::machine::{Machine, PointIdx};
@@ -893,7 +893,6 @@ impl<'a> Engine<'a> {
             clamp_events: self.clamp_events,
             faults: self.fault_log,
             containment: self.containment,
-            sched_ns: 0,
         }
     }
 }

@@ -95,13 +95,6 @@ pub struct SimReport {
     pub faults: Vec<FaultEvent>,
     /// Overrun-containment accounting (all zero without faults).
     pub containment: ContainmentStats,
-    /// Wall-clock nanoseconds the simulation took, when measured. The
-    /// engine itself never reads a clock (determinism: results are a pure
-    /// function of inputs); harnesses that time a run — the throughput
-    /// soak in `rtdvs-bench` — fill this in afterwards so
-    /// [`SimReport::events_per_sec`] can report scheduler throughput.
-    /// Zero means "not measured".
-    pub sched_ns: u64,
 }
 
 impl SimReport {
@@ -109,16 +102,6 @@ impl SimReport {
     #[must_use]
     pub fn energy(&self) -> f64 {
         self.meter.total_energy()
-    }
-
-    /// Scheduler throughput in events per wall-clock second, or `None`
-    /// when the run was not timed (`sched_ns == 0`).
-    #[must_use]
-    pub fn events_per_sec(&self) -> Option<f64> {
-        if self.sched_ns == 0 {
-            return None;
-        }
-        Some(self.events as f64 * 1e9 / self.sched_ns as f64)
     }
 
     /// Mean processor power over the horizon.
@@ -187,7 +170,6 @@ mod tests {
             task_stats: vec![],
             trace: None,
             clamp_events: 0,
-            sched_ns: 0,
             faults: vec![],
             containment: ContainmentStats::default(),
         }

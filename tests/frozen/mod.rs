@@ -1,8 +1,10 @@
-//! Frozen copies of look-ahead EDF, cycle-conserving RM and the exact
-//! scheduling-point RM test as they were before each callback became
-//! incremental: the references `policy_equivalence.rs` compares the
-//! library against. The bodies are verbatim except for imports, and for
-//! ccRM's RM test, which is the frozen one below. Do not optimize them.
+//! Frozen copies of look-ahead EDF, cycle-conserving RM, the exact
+//! scheduling-point RM test and `SystemView::earliest_boundary` as they
+//! were before each became incremental or one-pass: the references
+//! `policy_equivalence.rs` compares the library against. The bodies are
+//! verbatim except for imports, for ccRM's RM test and boundary, which
+//! are the frozen ones below, and for `earliest_boundary`, a method made
+//! a function. Do not optimize them.
 
 use rtdvs::core::analysis::RmTest;
 use rtdvs::core::machine::{Machine, PointIdx};
@@ -11,6 +13,22 @@ use rtdvs::core::sched::SchedulerKind;
 use rtdvs::core::task::{TaskId, TaskSet};
 use rtdvs::core::time::{Time, Work, EPS};
 use rtdvs::core::view::{InvState, SystemView};
+
+/// `SystemView::earliest_boundary` as two passes: the earliest future
+/// release capped by `earliest_deadline`.
+pub fn earliest_boundary(sys: &SystemView<'_>) -> Time {
+    let next_release = sys
+        .views
+        .iter()
+        .map(|v| v.next_release)
+        .filter(|t| t.as_ms() > sys.now.as_ms() + EPS)
+        .reduce(Time::min);
+    let deadline_boundary = sys.earliest_deadline();
+    match next_release {
+        Some(release) => deadline_boundary.min(release),
+        None => deadline_boundary,
+    }
+}
 
 /// `analysis::rm_feasible_at` with the frozen scheduling-point test.
 pub fn rm_feasible_at(tasks: &TaskSet, alpha: f64, test: RmTest) -> bool {
@@ -287,7 +305,7 @@ impl CcRm {
     /// Fig. 6 `select_frequency`: lowest point retiring `Σ d_i` by the
     /// earliest deadline.
     fn select(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let boundary = sys.earliest_boundary();
+        let boundary = earliest_boundary(sys);
         self.planned_boundary = Some(boundary);
         self.point = point_for_demand(
             sys.machine,
@@ -301,7 +319,7 @@ impl CcRm {
     /// up to the next deadline and selects the frequency — the release
     /// path and the sporadic-boundary review path share this step.
     fn reallocate(&mut self, sys: &SystemView<'_>) -> PointIdx {
-        let horizon = sys.earliest_boundary() - sys.now;
+        let horizon = earliest_boundary(sys) - sys.now;
         let budget = Work::from_ms((horizon.as_ms() * self.alpha).max(0.0));
         self.allocate(budget, sys);
         self.select(sys)

@@ -17,6 +17,10 @@
 //!   allotment must be equal under `f64` `==` (which ignores only the sign
 //!   of a zero). Comparing points alone misses inexact shortcuts: a
 //!   sub-`EPS` difference in the planned work rarely moves the point.
+//!   `SystemView::earliest_boundary` must equal the frozen two-pass rule
+//!   bit for bit on every view the fuzz makes and on three variants of
+//!   it: no future deadline, one deadline at `now`, and a release before
+//!   every deadline.
 //! * (c) RM test: the verdict of the scheduling-point test at every
 //!   machine frequency, over generated, harmonic and tied-period sets.
 //!
@@ -394,6 +398,35 @@ impl Sequence {
         }
     }
 
+    /// Asserts the one-pass `earliest_boundary` equals the frozen
+    /// two-pass rule bit for bit on this view and on three variants:
+    /// every deadline at `now` (no future deadline), the first task's
+    /// deadline at `now`, and the last task's release halfway to the
+    /// earliest future deadline. Draws nothing from the sequence's stream.
+    fn check_boundary(&self, label: &str) {
+        let now = Time::from_ms(self.now);
+        let d1 = self.sys().earliest_deadline();
+        let mut variants = vec![self.views.clone(); 4];
+        for v in &mut variants[1] {
+            v.deadline = now;
+        }
+        variants[2][0].deadline = now;
+        if let Some(last) = variants[3].last_mut() {
+            last.next_release = Time::from_ms(self.now + 0.5 * (d1.as_ms() - self.now));
+        }
+        for (k, views) in variants.iter().enumerate() {
+            let sys = SystemView {
+                views,
+                ..self.sys()
+            };
+            let (a, b) = (sys.earliest_boundary(), frozen::earliest_boundary(&sys));
+            assert!(
+                a.as_ms().to_bits() == b.as_ms().to_bits(),
+                "{label}: boundary variant {k} is {a:?}, frozen {b:?}"
+            );
+        }
+    }
+
     fn draw_call(&mut self) -> Call {
         let id = TaskId(self.r.index(self.tasks.len()));
         match self.r.index(20) {
@@ -444,7 +477,9 @@ fn callbacks_match_frozen_policies() {
             if !matches!(call, Call::Init) && s.r.index(40) == 0 {
                 pair.la = LaEdf::new();
             }
-            pair.call(call, &s.sys(), &format!("seq {seq} step {step}"));
+            let label = format!("seq {seq} step {step}");
+            pair.call(call, &s.sys(), &label);
+            s.check_boundary(&label);
             last = call;
             calls += 1;
         }

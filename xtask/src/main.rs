@@ -1,11 +1,11 @@
 //! Workspace tooling.
 //!
-//! Six subcommands:
+//! Five subcommands:
 //!
-//! * `cargo run -p xtask -- ci` — the full local gate, ten stages: fmt,
+//! * `cargo run -p xtask -- ci` — the full local gate, nine stages: fmt,
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
-//!   crash-recovery smoke test, examples, `bench-check`, and
-//!   `throughput`, each wall-clock-timed with a summary table at the end.
+//!   crash-recovery smoke test, examples and `bench-check`, each
+//!   wall-clock-timed with a summary table at the end.
 //!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
 //!   shell script and the hosted pipeline cannot drift. `--skip a,b`
 //!   skips stages by name (unknown names are hard errors); `--json PATH`
@@ -13,27 +13,21 @@
 //!   `xtask-ci-times/v1` JSON, which every CI job uploads as an
 //!   artifact.
 //! * `cargo run -p xtask -- bench-check` — the golden gate: delegates to
-//!   `figures check` (crates/bench), the single check of every
-//!   deterministic committed artifact. It re-runs the reduced sweep grid
-//!   and the four single-fault soaks (`BENCH_sweep.json`,
-//!   `BENCH_faults.json`, `BENCH_modes.json`, `BENCH_regulator.json`,
-//!   `BENCH_clock.json`) within ±1% energy, structurally validates
+//!   `figures check` (crates/bench), the single check of every committed
+//!   artifact. It re-runs the reduced sweep grid and the four
+//!   single-fault soaks (`BENCH_sweep.json`, `BENCH_faults.json`,
+//!   `BENCH_modes.json`, `BENCH_regulator.json`, `BENCH_clock.json`)
+//!   within ±1% energy, structurally validates
 //!   `BENCH_paper_figures.json`, re-runs the tenant soak and the chaos
 //!   campaign byte-for-byte against `BENCH_tenants.json` and
-//!   `BENCH_campaign.json`, holds each to its invariants (no
-//!   policy-blamed miss, inactive plans bit-exact, tenant isolation,
-//!   campaign availability), and replays the committed repro
+//!   `BENCH_campaign.json`, re-measures the engine-vs-baseline soak
+//!   against `BENCH_throughput.json` (event counts exact, ≥5x events/s
+//!   ratio floor on the engine-dominated policies, a ratio against an
+//!   in-process reference run and never wall-clock), holds each to its
+//!   invariants (no policy-blamed miss, inactive plans bit-exact, tenant
+//!   isolation, campaign availability), and replays the committed repro
 //!   `results/repro_availability_floor.json` to its bit-identical
 //!   violation. `figures run` regenerates all of them but the repro.
-//! * `cargo run -p xtask -- throughput` — the scheduler hot-path gate:
-//!   delegates to `figures throughput`, which pins the Table 2 traces
-//!   byte-identically against the frozen pre-refactor engine, re-measures
-//!   events/s for both engines on a 128-task soak, diffs the
-//!   machine-independent payload against the committed
-//!   `BENCH_throughput.json`, and enforces the ≥5x events/s ratio floor
-//!   on the engine-dominated policies (a ratio against an in-process
-//!   reference run, never wall-clock, so it cannot flake on slow
-//!   runners).
 //! * `cargo run -p xtask -- repro [FILE]` — replays a minimized chaos
 //!   repro (`rtdvs-repro/v1`, default
 //!   `results/repro_availability_floor.json`) via `figures repro` and
@@ -131,12 +125,9 @@ fn main() -> ExitCode {
         Some("analyze") => analyze(&args[1..]),
         Some("ci") => ci(&args[1..]),
         Some("bench-check") => figures_gate("check", &args[1..]),
-        Some("throughput") => figures_gate("throughput", &args[1..]),
         Some("repro") => figures_gate("repro", &args[1..]),
         _ => {
-            eprintln!(
-                "usage: cargo run -p xtask -- <lint|analyze|ci|bench-check|throughput|repro>"
-            );
+            eprintln!("usage: cargo run -p xtask -- <lint|analyze|ci|bench-check|repro>");
             ExitCode::from(2)
         }
     }
@@ -153,7 +144,7 @@ struct Stage {
 /// The full local gate, in dependency order. `lint` and `analyze` are
 /// the in-process passes (empty argv); everything else shells out to
 /// cargo so the stages are exactly what a contributor would type.
-const STAGES: [Stage; 10] = [
+const STAGES: [Stage; 9] = [
     Stage {
         name: "fmt",
         args: &["fmt", "--all", "--check"],
@@ -206,20 +197,6 @@ const STAGES: [Stage; 10] = [
             "figures",
             "--",
             "check",
-        ],
-    },
-    Stage {
-        name: "throughput",
-        args: &[
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "rtdvs-bench",
-            "--bin",
-            "figures",
-            "--",
-            "throughput",
         ],
     },
 ];
@@ -362,8 +339,8 @@ fn stage_times_json(results: &[(&str, &str, f64)], total_secs: f64, failed: bool
     s
 }
 
-/// Delegates to an artifact gate in `rtdvs-bench` (`figures check`,
-/// `throughput` or `repro`), forwarding any extra arguments (e.g.
+/// Delegates to an artifact gate in `rtdvs-bench` (`figures check` or
+/// `figures repro`), forwarding any extra arguments (e.g.
 /// `--golden-dir some/dir`).
 fn figures_gate(command: &str, args: &[String]) -> ExitCode {
     let status = Command::new("cargo")
