@@ -8,8 +8,19 @@
 //! job queue of a polling server), the shed list, and the complete event
 //! log. All floating-point values are written as the hex of their IEEE-754
 //! bits, so a round trip is bit-exact, and the final line carries an
-//! FNV-1a checksum of everything above it: a torn or tampered snapshot is
-//! detected at load, never silently restored.
+//! FNV-1a checksum of everything above it.
+//!
+//! The writer seals as it writes: one pass appends each line to a buffer
+//! pre-sized from the log length and folds the line into the running
+//! checksum, so a checkpoint walks its text once.
+//!
+//! The checksum catches a torn or accidentally altered text at load; it
+//! does not authenticate. Anyone can edit a snapshot and reseal it, so
+//! restore checks every field it decodes — a non-finite time, an
+//! out-of-range policy or meter parameter, an impossible count — and
+//! answers [`SnapshotError::Corrupt`] instead of panicking. Restore relies
+//! on the checks done when the [`Snapshot`] was constructed (see the type)
+//! and does not repeat them.
 //!
 //! What is *not* serialized is the policy module's internal state (a
 //! `dyn DvsPolicy` is opaque). Restore rebuilds the policy from its
@@ -87,6 +98,12 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// A validated, self-checksummed kernel checkpoint.
+///
+/// The text is private and never changes, and only two constructors make
+/// one: [`Snapshot::from_text`], which checks the version line and the
+/// checksum, and [`RtKernel::checkpoint`], which writes and seals the text
+/// itself. Every `Snapshot` therefore holds a text that passed those
+/// checks, and [`Snapshot::restore`] does not repeat them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     text: String,
@@ -108,32 +125,26 @@ impl Snapshot {
     /// [`SnapshotError::ChecksumMismatch`] for torn or altered text, and
     /// [`SnapshotError::Corrupt`] for structural damage.
     pub fn from_text(text: &str) -> Result<Snapshot, SnapshotError> {
-        let snap = Snapshot {
-            text: text.to_string(),
-        };
-        snap.validate()?;
-        Ok(snap)
-    }
-
-    fn validate(&self) -> Result<(), SnapshotError> {
-        let Some(first) = self.text.lines().next() else {
+        let Some(first) = text.lines().next() else {
             return Err(SnapshotError::Corrupt("empty text".into()));
         };
         if first != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(first.to_string()));
         }
-        let Some(idx) = self.text.rfind("\nchecksum ") else {
+        let Some(idx) = text.rfind("\nchecksum ") else {
             return Err(SnapshotError::Corrupt("missing checksum line".into()));
         };
-        let body = &self.text[..idx + 1];
-        let line = self.text[idx + 1..].trim_end();
-        let claimed = line
+        let body = &text[..idx + 1];
+        let claimed = text[idx + 1..]
+            .trim_end()
             .strip_prefix("checksum ")
             .ok_or_else(|| SnapshotError::Corrupt("malformed checksum line".into()))?;
-        if claimed != format!("{:016x}", fnv1a64(body.as_bytes())) {
+        if claimed != format!("{:016x}", fnv1a64(FNV_OFFSET, body.as_bytes())) {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        Ok(())
+        Ok(Snapshot {
+            text: text.to_string(),
+        })
     }
 
     /// Revives the kernel this snapshot captured, plus a fresh
@@ -142,10 +153,10 @@ impl Snapshot {
     ///
     /// # Errors
     ///
-    /// Any [`SnapshotError`] a structurally damaged snapshot produces;
-    /// validation errors surface before any state is built.
+    /// [`SnapshotError::Corrupt`] for a text whose checksum holds but whose
+    /// content does not decode to a kernel this build can run (an edited
+    /// and resealed snapshot).
     pub fn restore(&self) -> Result<(RtKernel, Vec<(TaskHandle, AperiodicServer)>), SnapshotError> {
-        self.validate()?;
         restore_from_text(&self.text)
     }
 }
@@ -185,10 +196,7 @@ impl RtKernel {
         }
         self.last_snapshot_at = Some(self.now);
         self.log.push((self.now, KernelEvent::SnapshotTaken));
-        let mut out = String::new();
-        write_kernel(&mut out, self, &entry_bodies, &shed_bodies);
-        out.push_str(&format!("checksum {:016x}\n", fnv1a64(out.as_bytes())));
-        Ok(Snapshot { text: out })
+        Ok(write_kernel(self, &entry_bodies, &shed_bodies))
     }
 }
 
@@ -196,12 +204,10 @@ impl RtKernel {
 // Serialization
 // ---------------------------------------------------------------------------
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// Folds `bytes` into the FNV-1a state `h` (start from [`FNV_OFFSET`]).
+fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -209,181 +215,404 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-fn write_kernel(
-    out: &mut String,
-    k: &RtKernel,
-    entry_bodies: &[BodyState],
-    shed_bodies: &[BodyState],
-) {
-    use std::fmt::Write;
-    let w = out;
-    let _ = writeln!(w, "{SNAPSHOT_VERSION}");
-    let _ = writeln!(w, "clock {}", hex(k.now.as_ms()));
-    let _ = writeln!(w, "epoch {}", k.mode_epoch);
-    let _ = writeln!(w, "next-handle {}", k.next_handle);
-    let _ = writeln!(w, "switches {}", k.switches);
-    let _ = writeln!(w, "stall-until {}", hex(k.stall_until.as_ms()));
-    match k.applied {
-        Some(p) => {
-            let _ = writeln!(w, "applied {p}");
+/// Buffer bytes reserved per log line. A typical `ev` line (hex time,
+/// event word, small handle and invocation numbers) is 35–40 bytes, so a
+/// checkpoint of a long log fills its buffer without regrowing it.
+const EV_LINE_BYTES: usize = 40;
+/// Buffer bytes reserved per header, meter-point, entry and shed line.
+const LINE_BYTES: usize = 256;
+
+/// The one-pass snapshot writer. Every token goes straight into one
+/// pre-sized buffer — hex and decimal digits in place, no per-token
+/// `String` — and [`Writer::end`] folds each finished line into the
+/// running FNV-1a state while it is still in cache, so the checksum line
+/// costs no second walk over the text.
+struct Writer {
+    out: String,
+    /// Bytes of `out` already folded into `hash`.
+    hashed: usize,
+    hash: u64,
+}
+
+impl Writer {
+    /// Appends `s` with no separator: a line's tag, or the tail of a
+    /// compound token.
+    fn tag(&mut self, s: &str) -> &mut Writer {
+        self.out.push_str(s);
+        self
+    }
+
+    fn word(&mut self, word: &str) -> &mut Writer {
+        self.out.push(' ');
+        self.tag(word)
+    }
+
+    /// 16 lowercase hex digits, no separator.
+    fn hex(&mut self, bits: u64) -> &mut Writer {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        for shift in (0..16).rev() {
+            let nibble = (bits >> (4 * shift)) as usize & 0xf;
+            let digit = DIGITS.get(nibble).copied().unwrap_or(b'0');
+            self.out.push(char::from(digit));
         }
-        None => {
-            let _ = writeln!(w, "applied none");
+        self
+    }
+
+    /// Decimal digits, no separator.
+    fn decimal(&mut self, mut v: u64) -> &mut Writer {
+        let mut digits = [0u8; 20];
+        let mut len = 0;
+        for d in &mut digits {
+            *d = b'0' + (v % 10) as u8;
+            v /= 10;
+            len += 1;
+            if v == 0 {
+                break;
+            }
+        }
+        for &d in digits.iter().take(len).rev() {
+            self.out.push(char::from(d));
+        }
+        self
+    }
+
+    fn bits(&mut self, bits: u64) -> &mut Writer {
+        self.out.push(' ');
+        self.hex(bits)
+    }
+
+    /// A float as the hex of its IEEE-754 bits: bit-exact, NaN payloads
+    /// and the sign of zero included.
+    fn f64(&mut self, v: f64) -> &mut Writer {
+        self.bits(v.to_bits())
+    }
+
+    fn time(&mut self, t: Time) -> &mut Writer {
+        self.f64(t.as_ms())
+    }
+
+    fn work(&mut self, w: Work) -> &mut Writer {
+        self.f64(w.as_ms())
+    }
+
+    fn num(&mut self, v: u64) -> &mut Writer {
+        self.out.push(' ');
+        self.decimal(v)
+    }
+
+    fn index(&mut self, v: usize) -> &mut Writer {
+        self.num(v as u64)
+    }
+
+    fn handle(&mut self, h: TaskHandle) -> &mut Writer {
+        self.num(h.raw())
+    }
+
+    /// A policy's display name (an `ev` field codec, like `handle`).
+    fn policy_name(&mut self, name: &str) -> &mut Writer {
+        self.word(name)
+    }
+
+    fn flag(&mut self, b: bool) -> &mut Writer {
+        self.word(if b { "1" } else { "0" })
+    }
+
+    /// A point index, or `none`.
+    fn opt_point(&mut self, p: Option<usize>) -> &mut Writer {
+        match p {
+            Some(p) => self.index(p),
+            None => self.word("none"),
         }
     }
-    let _ = writeln!(
-        w,
-        "flags {} {} {} {}",
-        u8::from(k.account_switch_overhead),
-        u8::from(k.defer_new_tasks),
-        u8::from(k.degrade_on_fault),
-        u8::from(k.trace.is_some()),
-    );
+
+    fn policy(&mut self, kind: PolicyKind) -> &mut Writer {
+        match kind {
+            PolicyKind::PlainEdf => self.word("edf"),
+            PolicyKind::PlainRm => self.word("rm"),
+            PolicyKind::StaticEdf => self.word("static-edf"),
+            PolicyKind::StaticRm(t) => self.word("static-rm:").tag(rm_test_token(t)),
+            PolicyKind::CcEdf => self.word("cc-edf"),
+            PolicyKind::CcRm(t) => self.word("cc-rm:").tag(rm_test_token(t)),
+            PolicyKind::LaEdf => self.word("la-edf"),
+            PolicyKind::StochasticEdf { confidence } => {
+                self.word("stoch-edf:").hex(confidence.to_bits())
+            }
+            PolicyKind::Interval => self.word("interval"),
+            PolicyKind::Manual { scheduler, point } => {
+                let scheduler = match scheduler {
+                    SchedulerKind::Edf => "edf",
+                    SchedulerKind::Rm => "rm",
+                };
+                let point = point as u64;
+                self.word("manual:").tag(scheduler).tag(":").decimal(point)
+            }
+        }
+    }
+
+    /// Ends the line and folds it into the checksum.
+    fn end(&mut self) {
+        self.out.push('\n');
+        self.hash = fnv1a64(self.hash, &self.out.as_bytes()[self.hashed..]);
+        self.hashed = self.out.len();
+    }
+
+    fn body_state(&mut self, b: &BodyState) -> &mut Writer {
+        match b {
+            BodyState::Wcet => self.word("wcet"),
+            BodyState::Fraction(f) => self.word("fraction").f64(*f),
+            BodyState::Uniform { rng_state } => self.word("uniform").bits(*rng_state),
+            BodyState::Overrun {
+                base_state,
+                fault_state,
+                rate,
+                factor,
+                from,
+                until,
+            } => self
+                .word("overrun")
+                .bits(*base_state)
+                .bits(*fault_state)
+                .f64(*rate)
+                .f64(*factor)
+                .num(*from)
+                .num(*until),
+            BodyState::ColdStart { surcharge, inner } => {
+                self.word("coldstart").f64(*surcharge).body_state(inner)
+            }
+            // A classic single-stream server keeps the original v1 token
+            // stream; a multi-tenant one writes the shared counters, then
+            // one lane record per tenant.
+            BodyState::Server(s) if s.tenants.is_empty() => self
+                .word("server")
+                .num(s.next_id)
+                .work(s.served)
+                .num(s.forfeited_releases)
+                .jobs(&s.queue, &s.finishing, &s.completed),
+            BodyState::Server(s) => {
+                self.word("tserver")
+                    .num(s.next_id)
+                    .work(s.served)
+                    .num(s.forfeited_releases)
+                    .index(s.tenants.len());
+                for l in &s.tenants {
+                    self.num(l.tenant)
+                        .work(l.quota)
+                        .index(l.max_backlog)
+                        .work(l.budget_remaining)
+                        .flag(l.quarantined)
+                        .num(u64::from(l.over_streak))
+                        .num(l.shed)
+                        .num(l.rejected)
+                        .num(l.served_jobs)
+                        .work(l.served_work)
+                        .jobs(&l.queue, &l.finishing, &l.completed);
+                }
+                self
+            }
+        }
+    }
+
+    /// A server's (or lane's) queued, finishing and completed jobs, each
+    /// list prefixed with its length.
+    fn jobs(
+        &mut self,
+        queue: &[JobRecord],
+        finishing: &[JobRecord],
+        completed: &[CompletedJob],
+    ) -> &mut Writer {
+        for list in [queue, finishing] {
+            self.index(list.len());
+            for r in list {
+                self.num(r.id)
+                    .time(r.arrival)
+                    .work(r.total)
+                    .work(r.remaining);
+            }
+        }
+        self.index(completed.len());
+        for c in completed {
+            self.num(c.id.raw())
+                .time(c.arrival)
+                .time(c.completed)
+                .work(c.work);
+        }
+        self
+    }
+}
+
+/// The `ev` record of every [`KernelEvent`]: its word, then its fields in
+/// token order, each with its codec — a [`Writer`] method and the [`Toks`]
+/// method of the same name. This one table generates both
+/// `Writer::event` and `parse_event`; the writer's match is exhaustive,
+/// so a new variant does not compile until it has a row here.
+macro_rules! event_records {
+    ($($variant:ident $word:literal { $($field:ident: $codec:ident),* })*) => {
+        impl Writer {
+            fn event(&mut self, ev: &KernelEvent) -> &mut Writer {
+                match ev {
+                    $(KernelEvent::$variant { $($field),* } => {
+                        self.word($word)$(.$codec(*$field))*
+                    })*
+                }
+            }
+        }
+
+        fn parse_event(t: &mut Toks<'_>) -> Result<KernelEvent, SnapshotError> {
+            match t.word()? {
+                $($word => Ok(KernelEvent::$variant { $($field: t.$codec()?),* }),)*
+                w => Err(corrupt(format!("unknown event {w:?}"))),
+            }
+        }
+    };
+}
+
+event_records! {
+    Admitted "admitted" { handle: handle, deferred: flag }
+    Removed "removed" { handle: handle }
+    Released "released" { handle: handle, invocation: num }
+    Completed "completed" { handle: handle, invocation: num }
+    DeadlineMiss "miss" { handle: handle, invocation: num, remaining: work }
+    Overrun "overrun" { handle: handle, invocation: num, used: work, bound: work }
+    PolicyLoaded "policy" { name: policy_name }
+    Shed "shed" { handle: handle, observed: work }
+    Readmitted "readmitted" { handle: handle, bound: work }
+    Degraded "degraded" { active: flag }
+    ModeChangeStaged "mc-staged" { ops: index }
+    ModeChangeCommitted "mc-committed" { epoch: num }
+    ModeChangeRejected "mc-rejected" { utilization: f64 }
+    GovernorStretched "gov-stretched" { stretched: index, factor: f64 }
+    GovernorRelaxed "gov-relaxed" {}
+    Renegotiated "renegotiated" { handle: handle, bound: work }
+    SnapshotTaken "snapshot" {}
+    RegulatorFallback "reg-fallback" { desired: index, applied: index }
+    BrownoutCapSet "cap" { cap: opt_point }
+    LadderStepped "ladder" { from: policy_name, to: policy_name }
+    SupervisorRestored "sup-restored" {}
+    ClockTickGap "clock-gap" { missed: num }
+    ClockJumpClamped "clock-jump" { attempted: time }
+    ClockWatchdog "clock-watchdog" { engaged: flag }
+    ReleaseLate "release-late" { handle: handle, invocation: num, latency: time }
+}
+
+fn write_kernel(k: &RtKernel, entry_bodies: &[BodyState], shed_bodies: &[BodyState]) -> Snapshot {
+    let lines = 24 + k.machine.len() + k.entries.len() + k.shed.len();
+    let mut w = Writer {
+        out: String::with_capacity(LINE_BYTES * lines + EV_LINE_BYTES * k.log.len()),
+        hashed: 0,
+        hash: FNV_OFFSET,
+    };
+    w.tag(SNAPSHOT_VERSION).end();
+    w.tag("clock").time(k.now).end();
+    w.tag("epoch").num(k.mode_epoch).end();
+    w.tag("next-handle").num(k.next_handle).end();
+    w.tag("switches").num(k.switches).end();
+    w.tag("stall-until").time(k.stall_until).end();
+    w.tag("applied").opt_point(k.applied).end();
+    w.tag("flags")
+        .flag(k.account_switch_overhead)
+        .flag(k.defer_new_tasks)
+        .flag(k.degrade_on_fault)
+        .flag(k.trace.is_some())
+        .end();
     match k.switch_overhead {
-        Some(ov) => {
-            let _ = writeln!(
-                w,
-                "overhead {} {}",
-                hex(ov.freq_only.as_ms()),
-                hex(ov.voltage_change.as_ms())
-            );
-        }
-        None => {
-            let _ = writeln!(w, "overhead none");
-        }
+        Some(ov) => w.tag("overhead").time(ov.freq_only).time(ov.voltage_change),
+        None => w.tag("overhead none"),
     }
+    .end();
     match k.last_snapshot_at {
-        Some(t) => {
-            let _ = writeln!(w, "last-snapshot {}", hex(t.as_ms()));
-        }
-        None => {
-            let _ = writeln!(w, "last-snapshot none");
-        }
+        Some(t) => w.tag("last-snapshot").time(t),
+        None => w.tag("last-snapshot none"),
     }
-    match k.brownout_cap {
-        Some(c) => {
-            let _ = writeln!(w, "cap {c}");
-        }
-        None => {
-            let _ = writeln!(w, "cap none");
-        }
-    }
-    let _ = writeln!(
-        w,
-        "ladder {} {} {} {}",
-        k.ladder_pos,
-        hex(k.ladder_review_at.as_ms()),
-        k.fallbacks_at_review,
-        policy_token(k.preferred_policy),
-    );
-    let _ = writeln!(
-        w,
-        "regulator-stats {} {} {} {}",
-        k.transition_retries, k.transition_failures, k.regulator_fallbacks, k.forced_transitions,
-    );
+    .end();
+    w.tag("cap").opt_point(k.brownout_cap).end();
+    w.tag("ladder")
+        .index(k.ladder_pos)
+        .time(k.ladder_review_at)
+        .num(k.fallbacks_at_review)
+        .policy(k.preferred_policy)
+        .end();
+    w.tag("regulator-stats")
+        .num(k.transition_retries)
+        .num(k.transition_failures)
+        .num(k.regulator_fallbacks)
+        .num(k.forced_transitions)
+        .end();
     // Time-base stanza: written only when something was observed, so a
     // kernel that never saw a clock fault serializes exactly as before
     // (and old snapshots restore to the default time base).
     if !k.timebase.is_default_state() {
         let tb = &k.timebase;
-        let _ = writeln!(
-            w,
-            "timebase {} {} {} {} {} {} {}",
-            hex(tb.ewma_err_ms),
-            tb.clamped_jumps,
-            hex(tb.last_clamp.as_ms()),
-            tb.max_catch_up,
-            tb.pending_gap,
-            u8::from(tb.pending_catch_up),
-            u8::from(tb.watchdog),
-        );
+        w.tag("timebase")
+            .f64(tb.ewma_err_ms)
+            .num(tb.clamped_jumps)
+            .time(tb.last_clamp)
+            .num(tb.max_catch_up)
+            .num(tb.pending_gap)
+            .flag(tb.pending_catch_up)
+            .flag(tb.watchdog)
+            .end();
     }
-    let _ = write!(w, "machine {}", k.machine.len());
+    w.tag("machine").index(k.machine.len());
     for p in k.machine.points() {
-        let _ = write!(w, " {} {}", hex(p.freq), hex(p.volts));
+        w.f64(p.freq).f64(p.volts);
     }
-    let _ = writeln!(w, " {}", k.machine.name());
-    let _ = writeln!(w, "policy {}", policy_token(k.policy_kind));
+    w.word(k.machine.name()).end();
+    w.tag("policy").policy(k.policy_kind).end();
     let meter = &k.meter;
-    let _ = writeln!(
-        w,
-        "meter {} {} {} {} {}",
-        hex(meter.idle_level()),
-        hex(meter.busy_energy()),
-        hex(meter.idle_energy()),
-        hex(meter.stall_time().as_ms()),
-        meter.busy_time().len(),
-    );
+    w.tag("meter")
+        .f64(meter.idle_level())
+        .f64(meter.busy_energy())
+        .f64(meter.idle_energy())
+        .time(meter.stall_time())
+        .index(meter.busy_time().len())
+        .end();
     for i in 0..meter.busy_time().len() {
-        let _ = writeln!(
-            w,
-            "meter-point {} {} {}",
-            hex(meter.busy_time()[i].as_ms()),
-            hex(meter.idle_time()[i].as_ms()),
-            hex(meter.work_done()[i].as_ms()),
-        );
+        w.tag("meter-point")
+            .time(meter.busy_time()[i])
+            .time(meter.idle_time()[i])
+            .work(meter.work_done()[i])
+            .end();
     }
-    let _ = writeln!(w, "entries {}", k.entries.len());
+    w.tag("entries").index(k.entries.len()).end();
     for (e, body) in k.entries.iter().zip(entry_bodies) {
-        let _ = writeln!(
-            w,
-            "entry {} {} {} {} {} {} {} {} {} {} {} {} {} {} {}",
-            e.handle.raw(),
-            hex(e.user_spec.period().as_ms()),
-            hex(e.user_spec.wcet().as_ms()),
-            hex(e.nominal_period.as_ms()),
-            e.invocation,
-            state_token(e.state),
-            hex(e.executed.as_ms()),
-            hex(e.actual.as_ms()),
-            hex(e.deadline.as_ms()),
-            hex(e.next_release.as_ms()),
-            u8::from(e.deferred),
-            u8::from(e.overrun_logged),
-            hex(e.observed_peak.as_ms()),
-            u8::from(e.pending_shed),
-            body_tokens(body),
-        );
+        w.tag("entry")
+            .handle(e.handle)
+            .time(e.user_spec.period())
+            .work(e.user_spec.wcet())
+            .time(e.nominal_period)
+            .num(e.invocation)
+            .word(state_token(e.state))
+            .work(e.executed)
+            .work(e.actual)
+            .time(e.deadline)
+            .time(e.next_release)
+            .flag(e.deferred)
+            .flag(e.overrun_logged)
+            .work(e.observed_peak)
+            .flag(e.pending_shed)
+            .body_state(body)
+            .end();
     }
-    let _ = writeln!(w, "shed-tasks {}", k.shed.len());
+    w.tag("shed-tasks").index(k.shed.len()).end();
     for (s, body) in k.shed.iter().zip(shed_bodies) {
-        let _ = writeln!(
-            w,
-            "shed {} {} {} {} {} {} {}",
-            s.handle.raw(),
-            hex(s.period.as_ms()),
-            hex(s.wcet.as_ms()),
-            hex(s.observed_peak.as_ms()),
-            s.invocation,
-            hex(s.next_attempt.as_ms()),
-            body_tokens(body),
-        );
+        w.tag("shed")
+            .handle(s.handle)
+            .time(s.period)
+            .work(s.wcet)
+            .work(s.observed_peak)
+            .num(s.invocation)
+            .time(s.next_attempt)
+            .body_state(body)
+            .end();
     }
-    let _ = writeln!(w, "log {}", k.log.len());
+    w.tag("log").index(k.log.len()).end();
     for (t, ev) in &k.log {
-        let _ = writeln!(w, "ev {} {}", hex(t.as_ms()), event_tokens(ev));
+        w.tag("ev").time(*t).event(ev).end();
     }
-}
-
-fn policy_token(kind: PolicyKind) -> String {
-    match kind {
-        PolicyKind::PlainEdf => "edf".into(),
-        PolicyKind::PlainRm => "rm".into(),
-        PolicyKind::StaticEdf => "static-edf".into(),
-        PolicyKind::StaticRm(t) => format!("static-rm:{}", rm_test_token(t)),
-        PolicyKind::CcEdf => "cc-edf".into(),
-        PolicyKind::CcRm(t) => format!("cc-rm:{}", rm_test_token(t)),
-        PolicyKind::LaEdf => "la-edf".into(),
-        PolicyKind::StochasticEdf { confidence } => format!("stoch-edf:{}", hex(confidence)),
-        PolicyKind::Interval => "interval".into(),
-        PolicyKind::Manual { scheduler, point } => format!(
-            "manual:{}:{point}",
-            match scheduler {
-                SchedulerKind::Edf => "edf",
-                SchedulerKind::Rm => "rm",
-            }
-        ),
-    }
+    // The checksum line covers everything above it, and not itself.
+    let hash = w.hash;
+    w.tag("checksum").bits(hash).out.push('\n');
+    Snapshot { text: w.out }
 }
 
 fn rm_test_token(t: RmTest) -> &'static str {
@@ -402,191 +631,6 @@ fn state_token(s: InvState) -> &'static str {
     }
 }
 
-fn body_tokens(b: &BodyState) -> String {
-    match b {
-        BodyState::Wcet => "wcet".into(),
-        BodyState::Fraction(f) => format!("fraction {}", hex(*f)),
-        BodyState::Uniform { rng_state } => format!("uniform {rng_state:016x}"),
-        BodyState::Overrun {
-            base_state,
-            fault_state,
-            rate,
-            factor,
-            from,
-            until,
-        } => format!(
-            "overrun {base_state:016x} {fault_state:016x} {} {} {from} {until}",
-            hex(*rate),
-            hex(*factor)
-        ),
-        BodyState::ColdStart { surcharge, inner } => {
-            format!("coldstart {} {}", hex(*surcharge), body_tokens(inner))
-        }
-        BodyState::Server(s) => {
-            let job = |r: &JobRecord| {
-                format!(
-                    " {} {} {} {}",
-                    r.id,
-                    hex(r.arrival.as_ms()),
-                    hex(r.total.as_ms()),
-                    hex(r.remaining.as_ms())
-                )
-            };
-            let completed = |c: &CompletedJob| {
-                format!(
-                    " {} {} {} {}",
-                    c.id.raw(),
-                    hex(c.arrival.as_ms()),
-                    hex(c.completed.as_ms()),
-                    hex(c.work.as_ms())
-                )
-            };
-            if s.tenants.is_empty() {
-                // Classic single-stream server: the v1 token stream is
-                // unchanged, so old snapshots stay loadable byte-for-byte.
-                let mut out = format!(
-                    "server {} {} {} {}",
-                    s.next_id,
-                    hex(s.served.as_ms()),
-                    s.forfeited_releases,
-                    s.queue.len(),
-                );
-                for r in &s.queue {
-                    out.push_str(&job(r));
-                }
-                out.push_str(&format!(" {}", s.finishing.len()));
-                for r in &s.finishing {
-                    out.push_str(&job(r));
-                }
-                out.push_str(&format!(" {}", s.completed.len()));
-                for c in &s.completed {
-                    out.push_str(&completed(c));
-                }
-                out
-            } else {
-                // Multi-tenant server: shared counters, then one lane
-                // record per tenant.
-                let mut out = format!(
-                    "tserver {} {} {} {}",
-                    s.next_id,
-                    hex(s.served.as_ms()),
-                    s.forfeited_releases,
-                    s.tenants.len(),
-                );
-                for l in &s.tenants {
-                    out.push_str(&format!(
-                        " {} {} {} {} {} {} {} {} {} {}",
-                        l.tenant,
-                        hex(l.quota.as_ms()),
-                        l.max_backlog,
-                        hex(l.budget_remaining.as_ms()),
-                        u8::from(l.quarantined),
-                        l.over_streak,
-                        l.shed,
-                        l.rejected,
-                        l.served_jobs,
-                        hex(l.served_work.as_ms()),
-                    ));
-                    out.push_str(&format!(" {}", l.queue.len()));
-                    for r in &l.queue {
-                        out.push_str(&job(r));
-                    }
-                    out.push_str(&format!(" {}", l.finishing.len()));
-                    for r in &l.finishing {
-                        out.push_str(&job(r));
-                    }
-                    out.push_str(&format!(" {}", l.completed.len()));
-                    for c in &l.completed {
-                        out.push_str(&completed(c));
-                    }
-                }
-                out
-            }
-        }
-    }
-}
-
-fn event_tokens(ev: &KernelEvent) -> String {
-    match ev {
-        KernelEvent::Admitted { handle, deferred } => {
-            format!("admitted {} {}", handle.raw(), u8::from(*deferred))
-        }
-        KernelEvent::Removed { handle } => format!("removed {}", handle.raw()),
-        KernelEvent::Released { handle, invocation } => {
-            format!("released {} {invocation}", handle.raw())
-        }
-        KernelEvent::Completed { handle, invocation } => {
-            format!("completed {} {invocation}", handle.raw())
-        }
-        KernelEvent::DeadlineMiss {
-            handle,
-            invocation,
-            remaining,
-        } => format!(
-            "miss {} {invocation} {}",
-            handle.raw(),
-            hex(remaining.as_ms())
-        ),
-        KernelEvent::Overrun {
-            handle,
-            invocation,
-            used,
-            bound,
-        } => format!(
-            "overrun {} {invocation} {} {}",
-            handle.raw(),
-            hex(used.as_ms()),
-            hex(bound.as_ms())
-        ),
-        KernelEvent::PolicyLoaded { name } => format!("policy {name}"),
-        KernelEvent::Shed { handle, observed } => {
-            format!("shed {} {}", handle.raw(), hex(observed.as_ms()))
-        }
-        KernelEvent::Readmitted { handle, bound } => {
-            format!("readmitted {} {}", handle.raw(), hex(bound.as_ms()))
-        }
-        KernelEvent::Degraded { active } => format!("degraded {}", u8::from(*active)),
-        KernelEvent::ModeChangeStaged { ops } => format!("mc-staged {ops}"),
-        KernelEvent::ModeChangeCommitted { epoch } => format!("mc-committed {epoch}"),
-        KernelEvent::ModeChangeRejected { utilization } => {
-            format!("mc-rejected {}", hex(*utilization))
-        }
-        KernelEvent::GovernorStretched { stretched, factor } => {
-            format!("gov-stretched {stretched} {}", hex(*factor))
-        }
-        KernelEvent::GovernorRelaxed => "gov-relaxed".into(),
-        KernelEvent::Renegotiated { handle, bound } => {
-            format!("renegotiated {} {}", handle.raw(), hex(bound.as_ms()))
-        }
-        KernelEvent::SnapshotTaken => "snapshot".into(),
-        KernelEvent::RegulatorFallback { desired, applied } => {
-            format!("reg-fallback {desired} {applied}")
-        }
-        KernelEvent::BrownoutCapSet { cap } => match cap {
-            Some(c) => format!("cap {c}"),
-            None => "cap none".into(),
-        },
-        KernelEvent::LadderStepped { from, to } => format!("ladder {from} {to}"),
-        KernelEvent::SupervisorRestored => "sup-restored".into(),
-        KernelEvent::ClockTickGap { missed } => format!("clock-gap {missed}"),
-        KernelEvent::ClockJumpClamped { attempted } => {
-            format!("clock-jump {}", hex(attempted.as_ms()))
-        }
-        KernelEvent::ClockWatchdog { engaged } => {
-            format!("clock-watchdog {}", u8::from(*engaged))
-        }
-        KernelEvent::ReleaseLate {
-            handle,
-            invocation,
-            latency,
-        } => format!(
-            "release-late {} {invocation} {}",
-            handle.raw(),
-            hex(latency.as_ms())
-        ),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Deserialization
 // ---------------------------------------------------------------------------
@@ -595,16 +639,47 @@ fn corrupt(what: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(what.into())
 }
 
-/// Space-separated token cursor over one line.
+fn hex_token(tok: &str) -> Result<u64, SnapshotError> {
+    u64::from_str_radix(tok, 16).map_err(|_| corrupt(format!("bad hex {tok:?}")))
+}
+
+/// Decodes a time or work field. A non-finite value would panic in
+/// `Time::from_ms`/`Work::from_ms`, so it is corrupt.
+fn finite_ms(tok: &str) -> Result<f64, SnapshotError> {
+    let v = f64::from_bits(hex_token(tok)?);
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(corrupt(format!("non-finite time or work {tok:?}")))
+    }
+}
+
+/// The largest magnitude of a stall duration, drift estimate or demand
+/// multiplier: the kernel's far future, 10^15 ms. A running kernel's own
+/// values stay far below it, and within it the doublings, backoff
+/// scalings and demand products the kernel takes of them stay finite.
+const MAX_SCALAR: f64 = 1e15;
+
+/// Decodes a stall duration, drift estimate or demand multiplier.
+fn bounded(v: f64) -> Result<f64, SnapshotError> {
+    if v.abs() <= MAX_SCALAR {
+        Ok(v)
+    } else {
+        Err(corrupt(format!("{v:e} is out of range")))
+    }
+}
+
+/// Token cursor over one line. Tokens are separated by ASCII whitespace,
+/// the only separator the writer emits.
 struct Toks<'a> {
-    it: std::str::SplitWhitespace<'a>,
+    it: std::str::SplitAsciiWhitespace<'a>,
     line: &'a str,
 }
 
 impl<'a> Toks<'a> {
     fn new(line: &'a str) -> Toks<'a> {
         Toks {
-            it: line.split_whitespace(),
+            it: line.split_ascii_whitespace(),
             line,
         }
     }
@@ -615,31 +690,68 @@ impl<'a> Toks<'a> {
             .ok_or_else(|| corrupt(format!("truncated line {:?}", self.line)))
     }
 
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
+    fn num<T: std::str::FromStr>(&mut self) -> Result<T, SnapshotError> {
         let t = self.word()?;
         t.parse().map_err(|_| corrupt(format!("bad integer {t:?}")))
     }
 
-    fn usize_(&mut self) -> Result<usize, SnapshotError> {
-        let t = self.word()?;
-        t.parse().map_err(|_| corrupt(format!("bad integer {t:?}")))
+    /// A count or position the running kernel increments. No kernel
+    /// counts into the top half of its counter's range (2^63 events take
+    /// 292 years at one per nanosecond), so such a count is forged, and
+    /// incrementing it would overflow.
+    fn count<T: TryFrom<u64>>(&mut self) -> Result<T, SnapshotError> {
+        let v: u64 = self.num()?;
+        match (v.checked_mul(2).map(T::try_from), T::try_from(v)) {
+            (Some(Ok(_)), Ok(c)) => Ok(c),
+            _ => Err(corrupt(format!("count {v} leaves no headroom"))),
+        }
     }
 
     fn bits(&mut self) -> Result<u64, SnapshotError> {
-        let t = self.word()?;
-        u64::from_str_radix(t, 16).map_err(|_| corrupt(format!("bad hex {t:?}")))
+        hex_token(self.word()?)
     }
 
-    fn f64_(&mut self) -> Result<f64, SnapshotError> {
+    fn f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.bits()?))
     }
 
+    fn index(&mut self) -> Result<usize, SnapshotError> {
+        self.num()
+    }
+
+    fn handle(&mut self) -> Result<TaskHandle, SnapshotError> {
+        Ok(TaskHandle::from_raw(self.num()?))
+    }
+
+    fn policy_name(&mut self) -> Result<&'static str, SnapshotError> {
+        intern_policy_name(self.word()?)
+    }
+
     fn time(&mut self) -> Result<Time, SnapshotError> {
-        Ok(Time::from_ms(self.f64_()?))
+        Ok(Time::from_ms(finite_ms(self.word()?)?))
     }
 
     fn work(&mut self) -> Result<Work, SnapshotError> {
-        Ok(Work::from_ms(self.f64_()?))
+        Ok(Work::from_ms(finite_ms(self.word()?)?))
+    }
+
+    /// A time, or `none`.
+    fn opt_time(&mut self) -> Result<Option<Time>, SnapshotError> {
+        match self.word()? {
+            "none" => Ok(None),
+            tok => Ok(Some(Time::from_ms(finite_ms(tok)?))),
+        }
+    }
+
+    /// A point index, or `none`.
+    fn opt_point(&mut self) -> Result<Option<usize>, SnapshotError> {
+        match self.word()? {
+            "none" => Ok(None),
+            tok => tok
+                .parse()
+                .map(Some)
+                .map_err(|_| corrupt(format!("bad point index {tok:?}"))),
+        }
     }
 
     fn flag(&mut self) -> Result<bool, SnapshotError> {
@@ -687,6 +799,18 @@ impl<'a> LineReader<'a> {
         Ok(toks)
     }
 
+    /// Reads a line that holds `tag` and exactly one value.
+    fn one<T>(
+        &mut self,
+        tag: &str,
+        value: impl FnOnce(&mut Toks<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        let mut t = self.tagged(tag)?;
+        let v = value(&mut t)?;
+        t.done()?;
+        Ok(v)
+    }
+
     /// Like [`LineReader::tagged`], but a line with a different tag (or
     /// end of input) is not an error: it stays queued and `None` comes
     /// back. Used for stanzas that older snapshots simply don't carry.
@@ -723,11 +847,12 @@ fn parse_policy_token(tok: &str) -> Result<PolicyKind, SnapshotError> {
             } else if let Some(t) = tok.strip_prefix("cc-rm:") {
                 Ok(PolicyKind::CcRm(rm_test(t)?))
             } else if let Some(c) = tok.strip_prefix("stoch-edf:") {
-                let bits = u64::from_str_radix(c, 16)
-                    .map_err(|_| corrupt(format!("bad confidence {c:?}")))?;
-                Ok(PolicyKind::StochasticEdf {
-                    confidence: f64::from_bits(bits),
-                })
+                let confidence = f64::from_bits(hex_token(c)?);
+                // `PolicyKind::build` asserts this range.
+                if !(confidence > 0.0 && confidence <= 1.0) {
+                    return Err(corrupt(format!("confidence {confidence} outside (0, 1]")));
+                }
+                Ok(PolicyKind::StochasticEdf { confidence })
             } else if let Some(rest) = tok.strip_prefix("manual:") {
                 let (sched, point) = rest
                     .split_once(':')
@@ -760,20 +885,20 @@ fn parse_state_token(tok: &str) -> Result<InvState, SnapshotError> {
 fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
     match toks.word()? {
         "wcet" => Ok(BodyState::Wcet),
-        "fraction" => Ok(BodyState::Fraction(toks.f64_()?)),
+        "fraction" => Ok(BodyState::Fraction(toks.f64()?)),
         "uniform" => Ok(BodyState::Uniform {
             rng_state: toks.bits()?,
         }),
         "overrun" => Ok(BodyState::Overrun {
             base_state: toks.bits()?,
             fault_state: toks.bits()?,
-            rate: toks.f64_()?,
-            factor: toks.f64_()?,
-            from: toks.u64()?,
-            until: toks.u64()?,
+            rate: toks.f64()?,
+            factor: toks.f64()?,
+            from: toks.num()?,
+            until: toks.num()?,
         }),
         "coldstart" => {
-            let surcharge = toks.f64_()?;
+            let surcharge = toks.f64()?;
             let inner = parse_body_state(toks)?;
             Ok(BodyState::ColdStart {
                 surcharge,
@@ -781,40 +906,36 @@ fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
             })
         }
         "server" => {
-            let next_id = toks.u64()?;
+            let next_id = toks.count()?;
             let served = toks.work()?;
-            let forfeited_releases = toks.u64()?;
-            let queue = parse_jobs(toks)?;
-            let finishing = parse_jobs(toks)?;
-            let completed = parse_completed(toks)?;
+            let forfeited_releases = toks.count()?;
             Ok(BodyState::Server(ServerSnapshot {
-                queue,
-                finishing,
-                completed,
                 next_id,
                 served,
                 forfeited_releases,
+                queue: parse_jobs(toks)?,
+                finishing: parse_jobs(toks)?,
+                completed: parse_completed(toks)?,
                 tenants: Vec::new(),
             }))
         }
         "tserver" => {
-            let next_id = toks.u64()?;
+            let next_id = toks.count()?;
             let served = toks.work()?;
-            let forfeited_releases = toks.u64()?;
-            let n_lanes = toks.usize_()?;
+            let forfeited_releases = toks.count()?;
+            let n_lanes: usize = toks.num()?;
             let tenants = (0..n_lanes)
                 .map(|_| {
                     Ok(TenantLaneSnapshot {
-                        tenant: toks.u64()?,
+                        tenant: toks.num()?,
                         quota: toks.work()?,
-                        max_backlog: toks.usize_()?,
+                        max_backlog: toks.num()?,
                         budget_remaining: toks.work()?,
                         quarantined: toks.flag()?,
-                        over_streak: u32::try_from(toks.u64()?)
-                            .map_err(|_| corrupt("over_streak out of range"))?,
-                        shed: toks.u64()?,
-                        rejected: toks.u64()?,
-                        served_jobs: toks.u64()?,
+                        over_streak: toks.count()?,
+                        shed: toks.count()?,
+                        rejected: toks.count()?,
+                        served_jobs: toks.count()?,
                         served_work: toks.work()?,
                         queue: parse_jobs(toks)?,
                         finishing: parse_jobs(toks)?,
@@ -823,13 +944,11 @@ fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
                 })
                 .collect::<Result<Vec<_>, SnapshotError>>()?;
             Ok(BodyState::Server(ServerSnapshot {
-                queue: Vec::new(),
-                finishing: Vec::new(),
-                completed: Vec::new(),
                 next_id,
                 served,
                 forfeited_releases,
                 tenants,
+                ..ServerSnapshot::default()
             }))
         }
         t => Err(corrupt(format!("unknown body state {t:?}"))),
@@ -837,11 +956,11 @@ fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
 }
 
 fn parse_jobs(toks: &mut Toks<'_>) -> Result<Vec<JobRecord>, SnapshotError> {
-    let n = toks.usize_()?;
+    let n: usize = toks.num()?;
     (0..n)
         .map(|_| {
             Ok(JobRecord {
-                id: toks.u64()?,
+                id: toks.num()?,
                 arrival: toks.time()?,
                 total: toks.work()?,
                 remaining: toks.work()?,
@@ -851,11 +970,11 @@ fn parse_jobs(toks: &mut Toks<'_>) -> Result<Vec<JobRecord>, SnapshotError> {
 }
 
 fn parse_completed(toks: &mut Toks<'_>) -> Result<Vec<CompletedJob>, SnapshotError> {
-    let n = toks.usize_()?;
+    let n: usize = toks.num()?;
     (0..n)
         .map(|_| {
             Ok(CompletedJob {
-                id: JobId::from_raw(toks.u64()?),
+                id: JobId::from_raw(toks.num()?),
                 arrival: toks.time()?,
                 completed: toks.time()?,
                 work: toks.work()?,
@@ -891,8 +1010,10 @@ enum RevivedServer {
 
 /// Revives a body from its captured state, also returning the fresh queue
 /// handle when the body is a polling server.
-fn rebuild_body(state: &BodyState) -> (Box<dyn TaskBody>, Option<RevivedServer>) {
-    match state {
+fn rebuild_body(
+    state: &BodyState,
+) -> Result<(Box<dyn TaskBody>, Option<RevivedServer>), SnapshotError> {
+    Ok(match state {
         BodyState::Wcet => (Box::new(WcetBody), None),
         BodyState::Fraction(f) => (Box::new(FractionBody(*f)), None),
         BodyState::Uniform { rng_state } => (Box::new(UniformBody::from_state(*rng_state)), None),
@@ -903,34 +1024,27 @@ fn rebuild_body(state: &BodyState) -> (Box<dyn TaskBody>, Option<RevivedServer>)
             factor,
             from,
             until,
-        } => (
-            Box::new(OverrunBody::from_state(
-                *base_state,
-                *fault_state,
-                *rate,
-                *factor,
-                *from,
-                *until,
-            )),
-            None,
-        ),
+        } => {
+            // An unbounded factor would make an overrun's demand infinite.
+            let factor = bounded(*factor)?;
+            let body =
+                OverrunBody::from_state(*base_state, *fault_state, *rate, factor, *from, *until);
+            (Box::new(body), None)
+        }
         BodyState::ColdStart { surcharge, inner } => {
-            let (inner, server) = rebuild_body(inner);
-            (
-                Box::new(ColdStartBody::new(DynBody(inner), *surcharge)),
-                server,
-            )
+            let (inner, server) = rebuild_body(inner)?;
+            let body = ColdStartBody::new(DynBody(inner), bounded(*surcharge)?);
+            (Box::new(body), server)
+        }
+        BodyState::Server(snap) if snap.tenants.is_empty() => {
+            let server = AperiodicServer::from_snapshot(snap);
+            (server.body(), Some(RevivedServer::Classic(server)))
         }
         BodyState::Server(snap) => {
-            if snap.tenants.is_empty() {
-                let server = AperiodicServer::from_snapshot(snap);
-                (server.body(), Some(RevivedServer::Classic(server)))
-            } else {
-                let server = TenantServer::from_snapshot(snap);
-                (server.body(), Some(RevivedServer::Tenant(server)))
-            }
+            let server = TenantServer::from_snapshot(snap);
+            (server.body(), Some(RevivedServer::Tenant(server)))
         }
-    }
+    })
 }
 
 /// Maps a serialized policy name back to the `'static` string the live
@@ -956,103 +1070,16 @@ fn intern_policy_name(name: &str) -> Result<&'static str, SnapshotError> {
         .ok_or_else(|| corrupt(format!("unknown policy name {name:?}")))
 }
 
-fn parse_event(toks: &mut Toks<'_>) -> Result<KernelEvent, SnapshotError> {
-    let handle = |toks: &mut Toks<'_>| -> Result<TaskHandle, SnapshotError> {
-        Ok(TaskHandle::from_raw(toks.u64()?))
-    };
-    match toks.word()? {
-        "admitted" => Ok(KernelEvent::Admitted {
-            handle: handle(toks)?,
-            deferred: toks.flag()?,
-        }),
-        "removed" => Ok(KernelEvent::Removed {
-            handle: handle(toks)?,
-        }),
-        "released" => Ok(KernelEvent::Released {
-            handle: handle(toks)?,
-            invocation: toks.u64()?,
-        }),
-        "completed" => Ok(KernelEvent::Completed {
-            handle: handle(toks)?,
-            invocation: toks.u64()?,
-        }),
-        "miss" => Ok(KernelEvent::DeadlineMiss {
-            handle: handle(toks)?,
-            invocation: toks.u64()?,
-            remaining: toks.work()?,
-        }),
-        "overrun" => Ok(KernelEvent::Overrun {
-            handle: handle(toks)?,
-            invocation: toks.u64()?,
-            used: toks.work()?,
-            bound: toks.work()?,
-        }),
-        "policy" => Ok(KernelEvent::PolicyLoaded {
-            name: intern_policy_name(toks.word()?)?,
-        }),
-        "shed" => Ok(KernelEvent::Shed {
-            handle: handle(toks)?,
-            observed: toks.work()?,
-        }),
-        "readmitted" => Ok(KernelEvent::Readmitted {
-            handle: handle(toks)?,
-            bound: toks.work()?,
-        }),
-        "degraded" => Ok(KernelEvent::Degraded {
-            active: toks.flag()?,
-        }),
-        "mc-staged" => Ok(KernelEvent::ModeChangeStaged {
-            ops: toks.usize_()?,
-        }),
-        "mc-committed" => Ok(KernelEvent::ModeChangeCommitted { epoch: toks.u64()? }),
-        "mc-rejected" => Ok(KernelEvent::ModeChangeRejected {
-            utilization: toks.f64_()?,
-        }),
-        "gov-stretched" => Ok(KernelEvent::GovernorStretched {
-            stretched: toks.usize_()?,
-            factor: toks.f64_()?,
-        }),
-        "gov-relaxed" => Ok(KernelEvent::GovernorRelaxed),
-        "renegotiated" => Ok(KernelEvent::Renegotiated {
-            handle: handle(toks)?,
-            bound: toks.work()?,
-        }),
-        "snapshot" => Ok(KernelEvent::SnapshotTaken),
-        "reg-fallback" => Ok(KernelEvent::RegulatorFallback {
-            desired: toks.usize_()?,
-            applied: toks.usize_()?,
-        }),
-        "cap" => Ok(KernelEvent::BrownoutCapSet {
-            cap: match toks.word()? {
-                "none" => None,
-                tok => Some(
-                    tok.parse::<usize>()
-                        .map_err(|_| corrupt(format!("bad point index {tok:?}")))?,
-                ),
-            },
-        }),
-        "ladder" => Ok(KernelEvent::LadderStepped {
-            from: intern_policy_name(toks.word()?)?,
-            to: intern_policy_name(toks.word()?)?,
-        }),
-        "sup-restored" => Ok(KernelEvent::SupervisorRestored),
-        "clock-gap" => Ok(KernelEvent::ClockTickGap {
-            missed: toks.u64()?,
-        }),
-        "clock-jump" => Ok(KernelEvent::ClockJumpClamped {
-            attempted: toks.time()?,
-        }),
-        "clock-watchdog" => Ok(KernelEvent::ClockWatchdog {
-            engaged: toks.flag()?,
-        }),
-        "release-late" => Ok(KernelEvent::ReleaseLate {
-            handle: handle(toks)?,
-            invocation: toks.u64()?,
-            latency: toks.time()?,
-        }),
-        t => Err(corrupt(format!("unknown event {t:?}"))),
-    }
-}
+/// The shortest line an `ev` record can take: the log is reserved from
+/// its declared count, capped by how many such lines the text can hold.
+const MIN_EV_LINE: usize = "ev 0 snapshot\n".len();
+
+/// How many periods a live task's next release may trail the clock. A
+/// running kernel fires each release as the clock passes it (a stalled
+/// timer holds releases back for at most `WATCHDOG_GAP_TICKS` ticks), so
+/// a longer trail is forged, and replaying it would stall the revived
+/// kernel's first run.
+const MAX_TRAIL_PERIODS: f64 = 65_536.0;
 
 #[allow(clippy::too_many_lines)]
 fn restore_from_text(
@@ -1062,35 +1089,15 @@ fn restore_from_text(
         it: text.lines(),
         pending: None,
     };
-    let first = lines.next_line().ok_or_else(|| corrupt("empty text"))?;
-    if first != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(first.to_string()));
-    }
+    // The version line, checked when the snapshot was constructed.
+    lines.next_line();
 
-    let mut t = lines.tagged("clock")?;
-    let now = t.time()?;
-    t.done()?;
-    let mut t = lines.tagged("epoch")?;
-    let mode_epoch = t.u64()?;
-    t.done()?;
-    let mut t = lines.tagged("next-handle")?;
-    let next_handle = t.u64()?;
-    t.done()?;
-    let mut t = lines.tagged("switches")?;
-    let switches = t.u64()?;
-    t.done()?;
-    let mut t = lines.tagged("stall-until")?;
-    let stall_until = t.time()?;
-    t.done()?;
-    let mut t = lines.tagged("applied")?;
-    let applied = match t.word()? {
-        "none" => None,
-        tok => Some(
-            tok.parse::<usize>()
-                .map_err(|_| corrupt(format!("bad point index {tok:?}")))?,
-        ),
-    };
-    t.done()?;
+    let now = lines.one("clock", Toks::time)?;
+    let mode_epoch = lines.one("epoch", Toks::count)?;
+    let next_handle = lines.one("next-handle", Toks::count)?;
+    let switches = lines.one("switches", Toks::count)?;
+    let stall_until = lines.one("stall-until", Toks::time)?;
+    let applied = lines.one("applied", Toks::opt_point)?;
     let mut t = lines.tagged("flags")?;
     let account_switch_overhead = t.flag()?;
     let defer_new_tasks = t.flag()?;
@@ -1098,82 +1105,61 @@ fn restore_from_text(
     let traced = t.flag()?;
     t.done()?;
     let mut t = lines.tagged("overhead")?;
-    let switch_overhead = {
-        let first = t.word()?;
-        if first == "none" {
-            None
-        } else {
-            let bits = u64::from_str_radix(first, 16)
-                .map_err(|_| corrupt(format!("bad hex {first:?}")))?;
-            Some(SwitchOverhead {
-                freq_only: Time::from_ms(f64::from_bits(bits)),
-                voltage_change: t.time()?,
-            })
-        }
-    };
-    t.done()?;
-    let mut t = lines.tagged("last-snapshot")?;
-    let last_snapshot_at = match t.word()? {
+    let switch_overhead = match t.word()? {
         "none" => None,
-        tok => {
-            let bits =
-                u64::from_str_radix(tok, 16).map_err(|_| corrupt(format!("bad hex {tok:?}")))?;
-            Some(Time::from_ms(f64::from_bits(bits)))
-        }
+        tok => Some(SwitchOverhead {
+            freq_only: Time::from_ms(bounded(f64::from_bits(hex_token(tok)?))?),
+            voltage_change: Time::from_ms(bounded(t.f64()?)?),
+        }),
     };
     t.done()?;
-    let mut t = lines.tagged("cap")?;
-    let brownout_cap = match t.word()? {
-        "none" => None,
-        tok => Some(
-            tok.parse::<usize>()
-                .map_err(|_| corrupt(format!("bad point index {tok:?}")))?,
-        ),
-    };
-    t.done()?;
+    let last_snapshot_at = lines.one("last-snapshot", Toks::opt_time)?;
+    let brownout_cap = lines.one("cap", Toks::opt_point)?;
     let mut t = lines.tagged("ladder")?;
-    let ladder_pos = t.usize_()?;
+    let ladder_pos = t.count()?;
     let ladder_review_at = t.time()?;
-    let fallbacks_at_review = t.u64()?;
+    let fallbacks_at_review = t.num()?;
     let preferred_policy = parse_policy_token(t.word()?)?;
     t.done()?;
     let mut t = lines.tagged("regulator-stats")?;
-    let transition_retries = t.u64()?;
-    let transition_failures = t.u64()?;
-    let regulator_fallbacks = t.u64()?;
-    let forced_transitions = t.u64()?;
+    let transition_retries = t.num()?;
+    let transition_failures = t.num()?;
+    let regulator_fallbacks = t.num()?;
+    let forced_transitions = t.num()?;
     t.done()?;
     let mut timebase = crate::timebase::TimeBase::default();
     if let Some(mut t) = lines.optional_tagged("timebase") {
-        timebase.ewma_err_ms = t.f64_()?;
-        timebase.clamped_jumps = t.u64()?;
+        timebase.ewma_err_ms = bounded(t.f64()?)?;
+        timebase.clamped_jumps = t.num()?;
         timebase.last_clamp = t.time()?;
-        timebase.max_catch_up = t.u64()?;
-        timebase.pending_gap = t.u64()?;
+        timebase.max_catch_up = t.num()?;
+        timebase.pending_gap = t.num()?;
         timebase.pending_catch_up = t.flag()?;
         timebase.watchdog = t.flag()?;
         t.done()?;
     }
     let mut t = lines.tagged("machine")?;
-    let n_points = t.usize_()?;
-    let mut pairs = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        pairs.push((t.f64_()?, t.f64_()?));
-    }
+    // No pre-sizing from the claimed count: a short line ends the loop.
+    let n_points: usize = t.num()?;
+    let pairs = (0..n_points)
+        .map(|_| Ok((t.f64()?, t.f64()?)))
+        .collect::<Result<Vec<_>, SnapshotError>>()?;
     let name = t.rest();
     let machine = Machine::new(&name, &pairs).map_err(|e| corrupt(format!("bad machine: {e}")))?;
-    let mut t = lines.tagged("policy")?;
-    let policy_kind = parse_policy_token(t.word()?)?;
-    t.done()?;
+    let policy_kind = lines.one("policy", |t| parse_policy_token(t.word()?))?;
     let mut t = lines.tagged("meter")?;
-    let idle_level = t.f64_()?;
-    let busy_energy = t.f64_()?;
-    let idle_energy = t.f64_()?;
+    let idle_level = t.f64()?;
+    let busy_energy = t.f64()?;
+    let idle_energy = t.f64()?;
     let stall_time = t.time()?;
-    let meter_points = t.usize_()?;
+    let meter_points: usize = t.num()?;
     t.done()?;
     if meter_points != machine.len() {
         return Err(corrupt("meter/machine point-count mismatch"));
+    }
+    // `EnergyMeter::from_parts` asserts this range.
+    if !(idle_level.is_finite() && idle_level >= 0.0) {
+        return Err(corrupt(format!("bad meter idle level {idle_level}")));
     }
     let mut busy_time = Vec::with_capacity(meter_points);
     let mut idle_time = Vec::with_capacity(meter_points);
@@ -1243,17 +1229,24 @@ fn restore_from_text(
     }
     let stall = kernel.stall_budget();
     let mut servers = Vec::new();
+    let mut revive = |kernel: &mut RtKernel, handle, state: &BodyState| {
+        let (body, server) = rebuild_body(state)?;
+        match server {
+            Some(RevivedServer::Classic(s)) => servers.push((handle, s)),
+            Some(RevivedServer::Tenant(s)) => kernel.tenant_servers.push((handle, s)),
+            None => {}
+        }
+        Ok::<_, SnapshotError>(body)
+    };
 
-    let mut t = lines.tagged("entries")?;
-    let n_entries = t.usize_()?;
-    t.done()?;
+    let n_entries: usize = lines.one("entries", Toks::num)?;
     for _ in 0..n_entries {
         let mut t = lines.tagged("entry")?;
-        let handle = TaskHandle::from_raw(t.u64()?);
+        let handle = t.handle()?;
         let period = t.time()?;
         let wcet = t.work()?;
         let nominal_period = t.time()?;
-        let invocation = t.u64()?;
+        let invocation = t.count()?;
         let state = parse_state_token(t.word()?)?;
         let executed = t.work()?;
         let actual = t.work()?;
@@ -1270,12 +1263,10 @@ fn restore_from_text(
         let spec = user_spec
             .with_inflated_wcet(stall)
             .map_err(|e| corrupt(format!("bad inflated spec: {e}")))?;
-        let (body, server) = rebuild_body(&body_state);
-        match server {
-            Some(RevivedServer::Classic(s)) => servers.push((handle, s)),
-            Some(RevivedServer::Tenant(s)) => kernel.tenant_servers.push((handle, s)),
-            None => {}
+        if !deferred && (now - next_release).as_ms() > MAX_TRAIL_PERIODS * period.as_ms() {
+            return Err(corrupt(format!("task {handle} trails the clock")));
         }
+        let body = revive(&mut kernel, handle, &body_state)?;
         kernel.insert_entry(Entry {
             handle,
             spec,
@@ -1295,25 +1286,23 @@ fn restore_from_text(
         });
     }
 
-    let mut t = lines.tagged("shed-tasks")?;
-    let n_shed = t.usize_()?;
-    t.done()?;
+    let n_shed: usize = lines.one("shed-tasks", Toks::num)?;
+    if n_shed > 0 && !degrade_on_fault {
+        // Only degraded mode sheds, and only it retries a shed task.
+        return Err(corrupt("shed tasks outside degraded mode"));
+    }
     for _ in 0..n_shed {
         let mut t = lines.tagged("shed")?;
-        let handle = TaskHandle::from_raw(t.u64()?);
+        let handle = t.handle()?;
         let period = t.time()?;
         let wcet = t.work()?;
         let observed_peak = t.work()?;
-        let invocation = t.u64()?;
+        let invocation = t.count()?;
         let next_attempt = t.time()?;
         let body_state = parse_body_state(&mut t)?;
         t.done()?;
-        let (body, server) = rebuild_body(&body_state);
-        match server {
-            Some(RevivedServer::Classic(s)) => servers.push((handle, s)),
-            Some(RevivedServer::Tenant(s)) => kernel.tenant_servers.push((handle, s)),
-            None => {}
-        }
+        Task::new(period, wcet).map_err(|e| corrupt(format!("bad shed task: {e}")))?;
+        let body = revive(&mut kernel, handle, &body_state)?;
         kernel.shed.push(ShedTask {
             handle,
             period,
@@ -1325,9 +1314,8 @@ fn restore_from_text(
         });
     }
 
-    let mut t = lines.tagged("log")?;
-    let n_log = t.usize_()?;
-    t.done()?;
+    let n_log: usize = lines.one("log", Toks::num)?;
+    kernel.log.reserve(n_log.min(text.len() / MIN_EV_LINE));
     for _ in 0..n_log {
         let mut t = lines.tagged("ev")?;
         let at = t.time()?;
@@ -1349,6 +1337,7 @@ fn restore_from_text(
 #[cfg(test)]
 mod tests {
     use rtdvs_core::policy::PolicyKind;
+    use rtdvs_taskgen::SplitMix64;
 
     use super::*;
     use crate::body::FractionBody;
@@ -1588,5 +1577,786 @@ mod tests {
         assert_eq!(revived.governor(), crate::kernel::GovernorState::Stretched);
         assert_eq!(revived.mode_epoch(), k.mode_epoch());
         assert_eq!(revived.status(), k.status());
+    }
+
+    /// The restore checks beyond finiteness, each on a state no running
+    /// kernel reaches and that would overflow a counter, stall the revived
+    /// kernel's first run or overflow its arithmetic.
+    #[test]
+    fn forged_states_a_kernel_cannot_reach_are_corrupt() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        k.run_until(ms(30.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let far_clock = format!("{:016x}", 1e9_f64.to_bits());
+        let shed = "shed-tasks 1\nshed 9 4020000000000000 3ff0000000000000 \
+                    3ff0000000000000 0 0000000000000000 wcet";
+        let text = snap.as_text();
+        let b = &text[..text.rfind("checksum ").expect("a sealed text")];
+        let overrun = format!("overrun 1 2 3fe0000000000000 {INF_ISH} 1");
+        let forged = [
+            ("count", set_field(b, "switches", 1, "9223372036854775808")),
+            ("trail", set_field(b, "clock", 1, &far_clock)),
+            (
+                "shed outside degraded mode",
+                b.replacen("shed-tasks 0", shed, 1),
+            ),
+            (
+                "shed task spec",
+                set_field(b, "flags", 3, "1").replacen(
+                    "shed-tasks 0",
+                    &shed.replace(" 4020", " 0000"),
+                    1,
+                ),
+            ),
+            (
+                "stall",
+                b.replacen("overhead none", &format!("overhead {INF_ISH} 0"), 1),
+            ),
+            (
+                "drift",
+                b.replacen(
+                    "\nmachine ",
+                    &format!("\ntimebase {INF_ISH} 0 0 0 0 0 0\nmachine "),
+                    1,
+                ),
+            ),
+            (
+                "overrun factor",
+                set_field(&set_field(b, "entry", 16, "9"), "entry", 15, &overrun),
+            ),
+            (
+                "cold-start surcharge",
+                b.replacen(" uniform ", &format!(" coldstart {INF_ISH} uniform "), 1),
+            ),
+            (
+                "invocation",
+                set_field(b, "entry", 5, &u64::MAX.to_string()),
+            ),
+        ];
+        for (what, body) in forged {
+            let e = restore_forged(&snap, move |_| body);
+            assert!(matches!(e, SnapshotError::Corrupt(_)), "{what}: {e:?}");
+        }
+    }
+
+    /// The first `rtdvs-snapshot/v1` writer, frozen verbatim as the
+    /// reference the one-pass writer is held to, record by record.
+    mod frozen {
+        use rtdvs_core::analysis::RmTest;
+        use rtdvs_core::policy::PolicyKind;
+        use rtdvs_core::sched::SchedulerKind;
+
+        use crate::body::BodyState;
+        use crate::kernel::KernelEvent;
+        use crate::server::{CompletedJob, JobRecord};
+
+        pub(super) fn hex(v: f64) -> String {
+            format!("{:016x}", v.to_bits())
+        }
+
+        pub(super) fn policy_token(kind: PolicyKind) -> String {
+            match kind {
+                PolicyKind::PlainEdf => "edf".into(),
+                PolicyKind::PlainRm => "rm".into(),
+                PolicyKind::StaticEdf => "static-edf".into(),
+                PolicyKind::StaticRm(t) => format!("static-rm:{}", rm_test_token(t)),
+                PolicyKind::CcEdf => "cc-edf".into(),
+                PolicyKind::CcRm(t) => format!("cc-rm:{}", rm_test_token(t)),
+                PolicyKind::LaEdf => "la-edf".into(),
+                PolicyKind::StochasticEdf { confidence } => {
+                    format!("stoch-edf:{}", hex(confidence))
+                }
+                PolicyKind::Interval => "interval".into(),
+                PolicyKind::Manual { scheduler, point } => format!(
+                    "manual:{}:{point}",
+                    match scheduler {
+                        SchedulerKind::Edf => "edf",
+                        SchedulerKind::Rm => "rm",
+                    }
+                ),
+            }
+        }
+
+        fn rm_test_token(t: RmTest) -> &'static str {
+            match t {
+                RmTest::LiuLayland => "ll",
+                RmTest::SchedulingPoints => "sp",
+                RmTest::ResponseTime => "rt",
+            }
+        }
+
+        pub(super) fn body_tokens(b: &BodyState) -> String {
+            match b {
+                BodyState::Wcet => "wcet".into(),
+                BodyState::Fraction(f) => format!("fraction {}", hex(*f)),
+                BodyState::Uniform { rng_state } => format!("uniform {rng_state:016x}"),
+                BodyState::Overrun {
+                    base_state,
+                    fault_state,
+                    rate,
+                    factor,
+                    from,
+                    until,
+                } => format!(
+                    "overrun {base_state:016x} {fault_state:016x} {} {} {from} {until}",
+                    hex(*rate),
+                    hex(*factor)
+                ),
+                BodyState::ColdStart { surcharge, inner } => {
+                    format!("coldstart {} {}", hex(*surcharge), body_tokens(inner))
+                }
+                BodyState::Server(s) => {
+                    let job = |r: &JobRecord| {
+                        format!(
+                            " {} {} {} {}",
+                            r.id,
+                            hex(r.arrival.as_ms()),
+                            hex(r.total.as_ms()),
+                            hex(r.remaining.as_ms())
+                        )
+                    };
+                    let completed = |c: &CompletedJob| {
+                        format!(
+                            " {} {} {} {}",
+                            c.id.raw(),
+                            hex(c.arrival.as_ms()),
+                            hex(c.completed.as_ms()),
+                            hex(c.work.as_ms())
+                        )
+                    };
+                    if s.tenants.is_empty() {
+                        // Classic single-stream server: the v1 token stream is
+                        // unchanged, so old snapshots stay loadable byte-for-byte.
+                        let mut out = format!(
+                            "server {} {} {} {}",
+                            s.next_id,
+                            hex(s.served.as_ms()),
+                            s.forfeited_releases,
+                            s.queue.len(),
+                        );
+                        for r in &s.queue {
+                            out.push_str(&job(r));
+                        }
+                        out.push_str(&format!(" {}", s.finishing.len()));
+                        for r in &s.finishing {
+                            out.push_str(&job(r));
+                        }
+                        out.push_str(&format!(" {}", s.completed.len()));
+                        for c in &s.completed {
+                            out.push_str(&completed(c));
+                        }
+                        out
+                    } else {
+                        // Multi-tenant server: shared counters, then one lane
+                        // record per tenant.
+                        let mut out = format!(
+                            "tserver {} {} {} {}",
+                            s.next_id,
+                            hex(s.served.as_ms()),
+                            s.forfeited_releases,
+                            s.tenants.len(),
+                        );
+                        for l in &s.tenants {
+                            out.push_str(&format!(
+                                " {} {} {} {} {} {} {} {} {} {}",
+                                l.tenant,
+                                hex(l.quota.as_ms()),
+                                l.max_backlog,
+                                hex(l.budget_remaining.as_ms()),
+                                u8::from(l.quarantined),
+                                l.over_streak,
+                                l.shed,
+                                l.rejected,
+                                l.served_jobs,
+                                hex(l.served_work.as_ms()),
+                            ));
+                            out.push_str(&format!(" {}", l.queue.len()));
+                            for r in &l.queue {
+                                out.push_str(&job(r));
+                            }
+                            out.push_str(&format!(" {}", l.finishing.len()));
+                            for r in &l.finishing {
+                                out.push_str(&job(r));
+                            }
+                            out.push_str(&format!(" {}", l.completed.len()));
+                            for c in &l.completed {
+                                out.push_str(&completed(c));
+                            }
+                        }
+                        out
+                    }
+                }
+            }
+        }
+
+        pub(super) fn event_tokens(ev: &KernelEvent) -> String {
+            match ev {
+                KernelEvent::Admitted { handle, deferred } => {
+                    format!("admitted {} {}", handle.raw(), u8::from(*deferred))
+                }
+                KernelEvent::Removed { handle } => format!("removed {}", handle.raw()),
+                KernelEvent::Released { handle, invocation } => {
+                    format!("released {} {invocation}", handle.raw())
+                }
+                KernelEvent::Completed { handle, invocation } => {
+                    format!("completed {} {invocation}", handle.raw())
+                }
+                KernelEvent::DeadlineMiss {
+                    handle,
+                    invocation,
+                    remaining,
+                } => format!(
+                    "miss {} {invocation} {}",
+                    handle.raw(),
+                    hex(remaining.as_ms())
+                ),
+                KernelEvent::Overrun {
+                    handle,
+                    invocation,
+                    used,
+                    bound,
+                } => format!(
+                    "overrun {} {invocation} {} {}",
+                    handle.raw(),
+                    hex(used.as_ms()),
+                    hex(bound.as_ms())
+                ),
+                KernelEvent::PolicyLoaded { name } => format!("policy {name}"),
+                KernelEvent::Shed { handle, observed } => {
+                    format!("shed {} {}", handle.raw(), hex(observed.as_ms()))
+                }
+                KernelEvent::Readmitted { handle, bound } => {
+                    format!("readmitted {} {}", handle.raw(), hex(bound.as_ms()))
+                }
+                KernelEvent::Degraded { active } => format!("degraded {}", u8::from(*active)),
+                KernelEvent::ModeChangeStaged { ops } => format!("mc-staged {ops}"),
+                KernelEvent::ModeChangeCommitted { epoch } => format!("mc-committed {epoch}"),
+                KernelEvent::ModeChangeRejected { utilization } => {
+                    format!("mc-rejected {}", hex(*utilization))
+                }
+                KernelEvent::GovernorStretched { stretched, factor } => {
+                    format!("gov-stretched {stretched} {}", hex(*factor))
+                }
+                KernelEvent::GovernorRelaxed => "gov-relaxed".into(),
+                KernelEvent::Renegotiated { handle, bound } => {
+                    format!("renegotiated {} {}", handle.raw(), hex(bound.as_ms()))
+                }
+                KernelEvent::SnapshotTaken => "snapshot".into(),
+                KernelEvent::RegulatorFallback { desired, applied } => {
+                    format!("reg-fallback {desired} {applied}")
+                }
+                KernelEvent::BrownoutCapSet { cap } => match cap {
+                    Some(c) => format!("cap {c}"),
+                    None => "cap none".into(),
+                },
+                KernelEvent::LadderStepped { from, to } => format!("ladder {from} {to}"),
+                KernelEvent::SupervisorRestored => "sup-restored".into(),
+                KernelEvent::ClockTickGap { missed } => format!("clock-gap {missed}"),
+                KernelEvent::ClockJumpClamped { attempted } => {
+                    format!("clock-jump {}", hex(attempted.as_ms()))
+                }
+                KernelEvent::ClockWatchdog { engaged } => {
+                    format!("clock-watchdog {}", u8::from(*engaged))
+                }
+                KernelEvent::ReleaseLate {
+                    handle,
+                    invocation,
+                    latency,
+                } => format!(
+                    "release-late {} {invocation} {}",
+                    handle.raw(),
+                    hex(latency.as_ms())
+                ),
+            }
+        }
+    }
+
+    /// Writes one line through `f` and returns its text and the writer's
+    /// running checksum.
+    fn write_line(f: impl FnOnce(&mut Writer)) -> (String, u64) {
+        let mut w = Writer {
+            out: String::new(),
+            hashed: 0,
+            hash: FNV_OFFSET,
+        };
+        f(&mut w);
+        w.end();
+        (w.out, w.hash)
+    }
+
+    /// Raw-`f64` fields travel bit-exactly: −0.0, subnormals, NaN
+    /// payloads of either sign and infinities included.
+    fn raw_f64(rng: &mut SplitMix64) -> f64 {
+        match rng.next_u64() % 6 {
+            0 => -0.0,
+            1 => f64::from_bits(1 + rng.next_u64() % 0x000f_ffff_ffff_ffff),
+            2 => f64::from_bits(0x7ff0_0000_0000_0001 | rng.next_u64()),
+            3 => f64::INFINITY,
+            _ => rng.range_f64(-1e3, 1e3),
+        }
+    }
+
+    /// Time and work fields: any finite value, −0.0 and subnormals too.
+    fn finite_ms(rng: &mut SplitMix64) -> f64 {
+        match rng.next_u64() % 4 {
+            0 => -0.0,
+            1 => f64::from_bits(1 + rng.next_u64() % 0x000f_ffff_ffff_ffff),
+            2 => f64::MAX,
+            _ => rng.range_f64(-1e6, 1e6),
+        }
+    }
+
+    fn id(rng: &mut SplitMix64) -> u64 {
+        match rng.next_u64() % 3 {
+            0 => u64::MAX,
+            1 => rng.next_u64() % 100,
+            _ => rng.next_u64(),
+        }
+    }
+
+    /// A count the kernel increments: anything up to the top half of the
+    /// range, which restore rejects (see `Toks::count`).
+    fn count(rng: &mut SplitMix64) -> u64 {
+        id(rng) >> 1
+    }
+
+    /// The index of `ev`'s variant. The match is exhaustive, so a new
+    /// variant does not compile until [`gen_event`] draws it.
+    fn event_kind(ev: &KernelEvent) -> u64 {
+        match ev {
+            KernelEvent::Admitted { .. } => 0,
+            KernelEvent::Removed { .. } => 1,
+            KernelEvent::Released { .. } => 2,
+            KernelEvent::Completed { .. } => 3,
+            KernelEvent::DeadlineMiss { .. } => 4,
+            KernelEvent::Overrun { .. } => 5,
+            KernelEvent::PolicyLoaded { .. } => 6,
+            KernelEvent::Shed { .. } => 7,
+            KernelEvent::Readmitted { .. } => 8,
+            KernelEvent::Degraded { .. } => 9,
+            KernelEvent::ModeChangeStaged { .. } => 10,
+            KernelEvent::ModeChangeCommitted { .. } => 11,
+            KernelEvent::ModeChangeRejected { .. } => 12,
+            KernelEvent::GovernorStretched { .. } => 13,
+            KernelEvent::GovernorRelaxed => 14,
+            KernelEvent::Renegotiated { .. } => 15,
+            KernelEvent::SnapshotTaken => 16,
+            KernelEvent::RegulatorFallback { .. } => 17,
+            KernelEvent::BrownoutCapSet { .. } => 18,
+            KernelEvent::LadderStepped { .. } => 19,
+            KernelEvent::SupervisorRestored => 20,
+            KernelEvent::ClockTickGap { .. } => 21,
+            KernelEvent::ClockJumpClamped { .. } => 22,
+            KernelEvent::ClockWatchdog { .. } => 23,
+            KernelEvent::ReleaseLate { .. } => 24,
+        }
+    }
+
+    const EVENT_KINDS: u64 = 25;
+
+    /// A seeded event of variant `kind` (see [`event_kind`]).
+    fn gen_event(kind: u64, rng: &mut SplitMix64) -> KernelEvent {
+        const NAMES: [&str; 10] = [
+            "EDF",
+            "RM",
+            "StaticEDF",
+            "StaticRM",
+            "ccEDF",
+            "ccRM",
+            "laEDF",
+            "stochEDF",
+            "interval",
+            "manual",
+        ];
+        let handle = TaskHandle::from_raw(id(rng));
+        let invocation = id(rng);
+        let index = id(rng) as usize;
+        let flag = rng.next_u64() % 2 == 1;
+        let work = w(finite_ms(rng));
+        let time = ms(finite_ms(rng));
+        let name = NAMES[(rng.next_u64() % 10) as usize];
+        match kind {
+            0 => KernelEvent::Admitted {
+                handle,
+                deferred: flag,
+            },
+            1 => KernelEvent::Removed { handle },
+            2 => KernelEvent::Released { handle, invocation },
+            3 => KernelEvent::Completed { handle, invocation },
+            4 => KernelEvent::DeadlineMiss {
+                handle,
+                invocation,
+                remaining: work,
+            },
+            5 => KernelEvent::Overrun {
+                handle,
+                invocation,
+                used: work,
+                bound: w(finite_ms(rng)),
+            },
+            6 => KernelEvent::PolicyLoaded { name },
+            7 => KernelEvent::Shed {
+                handle,
+                observed: work,
+            },
+            8 => KernelEvent::Readmitted {
+                handle,
+                bound: work,
+            },
+            9 => KernelEvent::Degraded { active: flag },
+            10 => KernelEvent::ModeChangeStaged { ops: index },
+            11 => KernelEvent::ModeChangeCommitted { epoch: invocation },
+            12 => KernelEvent::ModeChangeRejected {
+                utilization: raw_f64(rng),
+            },
+            13 => KernelEvent::GovernorStretched {
+                stretched: index,
+                factor: raw_f64(rng),
+            },
+            14 => KernelEvent::GovernorRelaxed,
+            15 => KernelEvent::Renegotiated {
+                handle,
+                bound: work,
+            },
+            16 => KernelEvent::SnapshotTaken,
+            17 => KernelEvent::RegulatorFallback {
+                desired: index,
+                applied: id(rng) as usize,
+            },
+            18 => KernelEvent::BrownoutCapSet {
+                cap: flag.then_some(index),
+            },
+            19 => KernelEvent::LadderStepped {
+                from: name,
+                to: NAMES[(rng.next_u64() % 10) as usize],
+            },
+            20 => KernelEvent::SupervisorRestored,
+            21 => KernelEvent::ClockTickGap { missed: invocation },
+            22 => KernelEvent::ClockJumpClamped { attempted: time },
+            23 => KernelEvent::ClockWatchdog { engaged: flag },
+            24 => KernelEvent::ReleaseLate {
+                handle,
+                invocation,
+                latency: time,
+            },
+            _ => panic!("no generator for event kind {kind}"),
+        }
+    }
+
+    /// The index of `b`'s form; exhaustive over the variants, like
+    /// [`event_kind`].
+    fn body_kind(b: &BodyState) -> u64 {
+        match b {
+            BodyState::Wcet => 0,
+            BodyState::Fraction(_) => 1,
+            BodyState::Uniform { .. } => 2,
+            BodyState::Overrun { .. } => 3,
+            BodyState::ColdStart { .. } => 4,
+            BodyState::Server(s) if s.tenants.is_empty() => 5,
+            BodyState::Server(_) => 6,
+        }
+    }
+
+    const BODY_KINDS: u64 = 7;
+
+    fn gen_jobs(rng: &mut SplitMix64) -> Vec<JobRecord> {
+        (0..1 + rng.next_u64() % 3)
+            .map(|_| JobRecord {
+                id: id(rng),
+                arrival: ms(finite_ms(rng)),
+                total: w(finite_ms(rng)),
+                remaining: w(finite_ms(rng)),
+            })
+            .collect()
+    }
+
+    fn gen_completed(rng: &mut SplitMix64) -> Vec<CompletedJob> {
+        (0..1 + rng.next_u64() % 3)
+            .map(|_| CompletedJob {
+                id: JobId::from_raw(id(rng)),
+                arrival: ms(finite_ms(rng)),
+                completed: ms(finite_ms(rng)),
+                work: w(finite_ms(rng)),
+            })
+            .collect()
+    }
+
+    /// A seeded body state of form `kind` (see [`body_kind`]); cold
+    /// starts nest up to `depth` more levels.
+    fn gen_body(kind: u64, depth: u32, rng: &mut SplitMix64) -> BodyState {
+        match kind {
+            0 => BodyState::Wcet,
+            1 => BodyState::Fraction(raw_f64(rng)),
+            2 => BodyState::Uniform { rng_state: id(rng) },
+            3 => BodyState::Overrun {
+                base_state: id(rng),
+                fault_state: id(rng),
+                rate: raw_f64(rng),
+                factor: raw_f64(rng),
+                from: id(rng),
+                until: id(rng),
+            },
+            4 => {
+                let inner = if depth == 0 {
+                    0
+                } else {
+                    rng.next_u64() % BODY_KINDS
+                };
+                BodyState::ColdStart {
+                    surcharge: raw_f64(rng),
+                    inner: Box::new(gen_body(inner, depth.saturating_sub(1), rng)),
+                }
+            }
+            5 => BodyState::Server(ServerSnapshot {
+                queue: gen_jobs(rng),
+                finishing: gen_jobs(rng),
+                completed: gen_completed(rng),
+                next_id: count(rng),
+                served: w(finite_ms(rng)),
+                forfeited_releases: count(rng),
+                tenants: Vec::new(),
+            }),
+            6 => BodyState::Server(ServerSnapshot {
+                next_id: count(rng),
+                served: w(finite_ms(rng)),
+                forfeited_releases: count(rng),
+                tenants: (0..1 + rng.next_u64() % 3)
+                    .map(|_| TenantLaneSnapshot {
+                        tenant: id(rng),
+                        quota: w(finite_ms(rng)),
+                        max_backlog: id(rng) as usize,
+                        budget_remaining: w(finite_ms(rng)),
+                        quarantined: rng.next_u64() % 2 == 1,
+                        over_streak: (count(rng) >> 32) as u32,
+                        shed: count(rng),
+                        rejected: count(rng),
+                        served_jobs: count(rng),
+                        served_work: w(finite_ms(rng)),
+                        queue: gen_jobs(rng),
+                        finishing: gen_jobs(rng),
+                        completed: gen_completed(rng),
+                    })
+                    .collect(),
+                ..ServerSnapshot::default()
+            }),
+            _ => panic!("no generator for body kind {kind}"),
+        }
+    }
+
+    /// Parses `line` past its tag with `parse`, requiring the whole line
+    /// to be consumed.
+    fn reparse<T>(line: &str, parse: impl FnOnce(&mut Toks<'_>) -> Result<T, SnapshotError>) -> T {
+        let mut toks = Toks::new(line);
+        toks.word().expect("a tag");
+        let value = parse(&mut toks).expect("the writer's own record parses");
+        toks.done().expect("the record is consumed");
+        value
+    }
+
+    #[test]
+    fn every_event_record_matches_the_frozen_writer() {
+        let mut rng = SplitMix64::seed_from_u64(0xE7E_4C0D);
+        for kind in 0..EVENT_KINDS {
+            for _ in 0..200 {
+                let ev = gen_event(kind, &mut rng);
+                assert_eq!(event_kind(&ev), kind);
+                let at = ms(finite_ms(&mut rng));
+                let (line, hash) = write_line(|w| {
+                    w.tag("ev").time(at).event(&ev);
+                });
+                let frozen = format!(
+                    "ev {} {}\n",
+                    frozen::hex(at.as_ms()),
+                    frozen::event_tokens(&ev)
+                );
+                assert_eq!(line, frozen, "{ev:?}");
+                assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
+                let (t, back) = reparse(&line, |t| Ok((t.time()?, parse_event(t)?)));
+                assert_eq!(t.as_ms().to_bits(), at.as_ms().to_bits());
+                let (again, _) = write_line(|w| {
+                    w.tag("ev").time(t).event(&back);
+                });
+                assert_eq!(again, line, "the parse is not bit-exact");
+                if ev == ev {
+                    assert_eq!(back, ev);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_body_record_matches_the_frozen_writer() {
+        let mut rng = SplitMix64::seed_from_u64(0xB0D_7E57);
+        for kind in 0..BODY_KINDS {
+            for _ in 0..200 {
+                let body = gen_body(kind, 3, &mut rng);
+                assert_eq!(body_kind(&body), kind);
+                let (line, hash) = write_line(|w| {
+                    w.tag("body").body_state(&body);
+                });
+                let frozen = format!("body {}\n", frozen::body_tokens(&body));
+                assert_eq!(line, frozen, "{body:?}");
+                assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
+                let back = reparse(&line, parse_body_state);
+                let (again, _) = write_line(|w| {
+                    w.tag("body").body_state(&back);
+                });
+                assert_eq!(again, line, "the parse is not bit-exact");
+                if body == body {
+                    assert_eq!(back, body);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_token_matches_the_frozen_writer() {
+        let mut kinds = vec![
+            PolicyKind::PlainEdf,
+            PolicyKind::PlainRm,
+            PolicyKind::StaticEdf,
+            PolicyKind::CcEdf,
+            PolicyKind::LaEdf,
+            PolicyKind::Interval,
+            PolicyKind::StochasticEdf { confidence: 0.9 },
+            PolicyKind::StochasticEdf { confidence: 1.0 },
+            PolicyKind::StochasticEdf {
+                confidence: f64::MIN_POSITIVE / 4.0,
+            },
+        ];
+        for t in [
+            RmTest::LiuLayland,
+            RmTest::SchedulingPoints,
+            RmTest::ResponseTime,
+        ] {
+            kinds.extend([PolicyKind::StaticRm(t), PolicyKind::CcRm(t)]);
+        }
+        for scheduler in [SchedulerKind::Edf, SchedulerKind::Rm] {
+            for point in [0, 2, usize::MAX] {
+                kinds.push(PolicyKind::Manual { scheduler, point });
+            }
+        }
+        for kind in kinds {
+            let (line, _) = write_line(|w| {
+                w.tag("policy").policy(kind);
+            });
+            assert_eq!(line, format!("policy {}\n", frozen::policy_token(kind)));
+            assert_eq!(reparse(&line, |t| parse_policy_token(t.word()?)), kind);
+        }
+    }
+
+    /// Reseals `snap`'s text after `edit`, as a forger would, and
+    /// restores it.
+    fn restore_forged(snap: &Snapshot, edit: impl FnOnce(&str) -> String) -> SnapshotError {
+        let text = snap.as_text();
+        let body = edit(&text[..text.rfind("checksum ").expect("a sealed text")]);
+        let sum = fnv1a64(FNV_OFFSET, body.as_bytes());
+        let forged = Snapshot::from_text(&format!("{body}checksum {sum:016x}\n"))
+            .expect("a resealed text passes the checksum");
+        match forged.restore() {
+            Ok(_) => panic!("the forged snapshot restored"),
+            Err(e) => e,
+        }
+    }
+
+    /// Replaces token `field` of the first line tagged `tag`.
+    fn set_field(body: &str, tag: &str, field: usize, value: &str) -> String {
+        let mut done = false;
+        let lines: Vec<String> = body
+            .lines()
+            .map(|line| {
+                let mut toks: Vec<&str> = line.split(' ').collect();
+                if done || toks[0] != tag {
+                    return line.to_owned();
+                }
+                done = true;
+                toks[field] = value;
+                toks.join(" ")
+            })
+            .collect();
+        assert!(done, "no {tag:?} line");
+        lines.join("\n") + "\n"
+    }
+
+    const NAN: &str = "7ff8000000000000";
+    /// `f64::MAX`: finite, but past every bound restore keeps.
+    const INF_ISH: &str = "7fefffffffffffff";
+    const INF: &str = "7ff0000000000000";
+    const NEG_INF: &str = "fff0000000000000";
+
+    fn assert_corrupt(e: SnapshotError) {
+        assert!(matches!(e, SnapshotError::Corrupt(_)), "{e:?}");
+    }
+
+    #[test]
+    fn non_finite_times_and_works_are_corrupt() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        k.run_until(ms(30.0));
+        let snap = k.checkpoint().expect("serializable set");
+        for value in [NAN, INF, NEG_INF] {
+            for (tag, field) in [
+                ("clock", 1),
+                ("stall-until", 1),
+                ("last-snapshot", 1),
+                ("ev", 1),
+                ("entry", 3),
+            ] {
+                assert_corrupt(restore_forged(&snap, |b| set_field(b, tag, field, value)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_meter_idle_level_is_corrupt() {
+        let snap = paper_kernel(PolicyKind::CcEdf)
+            .checkpoint()
+            .expect("serializable set");
+        for value in ["bff0000000000000", NAN] {
+            assert_corrupt(restore_forged(&snap, |b| set_field(b, "meter", 1, value)));
+        }
+    }
+
+    #[test]
+    fn a_stochastic_confidence_outside_the_unit_interval_is_corrupt() {
+        let snap = paper_kernel(PolicyKind::StochasticEdf { confidence: 0.9 })
+            .checkpoint()
+            .expect("serializable set");
+        for value in [NAN, "3ff8000000000000"] {
+            let token = format!("stoch-edf:{value}");
+            assert_corrupt(restore_forged(&snap, |b| set_field(b, "policy", 1, &token)));
+        }
+    }
+
+    #[test]
+    fn a_huge_machine_point_count_is_corrupt() {
+        let snap = paper_kernel(PolicyKind::CcEdf)
+            .checkpoint()
+            .expect("serializable set");
+        let count = u64::MAX.to_string();
+        assert_corrupt(restore_forged(&snap, |b| {
+            set_field(b, "machine", 1, &count)
+        }));
+    }
+
+    #[test]
+    fn tokens_split_on_ascii_whitespace_only() {
+        let machine = Machine::new("k6\u{a0}550", &[(0.5, 3.0), (1.0, 5.0)]).expect("valid");
+        let mut k = RtKernel::new(machine, PolicyKind::CcEdf);
+        k.spawn(ms(10.0), w(2.0), Box::new(UniformBody::new(7)))
+            .expect("admits");
+        k.run_until(ms(25.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let (mut revived, _) = snap.restore().expect("valid");
+        assert_eq!(revived.machine.name(), "k6\u{a0}550");
+        let again = revived.checkpoint().expect("serializable set");
+        let name_line = |s: &Snapshot| {
+            let line = s.as_text().lines().find(|l| l.starts_with("machine "));
+            line.expect("a machine line").to_owned()
+        };
+        assert_eq!(name_line(&again), name_line(&snap));
+        // A separator the writer never emits is not a separator.
+        assert_corrupt(restore_forged(&snap, |b| {
+            b.replacen("epoch 0", "epoch\u{2003}0", 1)
+        }));
     }
 }

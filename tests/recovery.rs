@@ -417,3 +417,332 @@ fn recovery_preserves_mode_epoch_and_reparams() {
     let findings = audit_kernel_log(restored.log());
     assert!(findings.is_empty(), "stitched trace findings: {findings:?}");
 }
+
+/// A kernel of the `kernel-recovery` benchmark's shape (seed 1): a
+/// generated 32-task set at U = 0.7 with uniform bodies, hot-swapped
+/// through the paper six policies, checkpointed once at the end of each
+/// policy's phase. Returns the six checkpoint texts.
+fn recovery_shape_checkpoints() -> Vec<String> {
+    use rtdvs::taskgen::{generate, TaskGenSpec};
+    let spec = TaskGenSpec::new(32, 0.7).expect("valid spec");
+    let root = SplitMix64::seed_from_u64(1);
+    let tasks = generate(&spec, root.split(1).next_u64()).expect("the generator is total");
+    let policies = PolicyKind::paper_six();
+    let mut kernel = RtKernel::new(Machine::machine0(), policies[0]);
+    for (i, task) in tasks.tasks().iter().enumerate() {
+        let body = UniformBody::new(root.split(2).split(i as u64).next_u64());
+        kernel
+            .spawn(task.period(), task.wcet(), Box::new(body))
+            .expect("U = 0.7 passes EDF admission");
+    }
+    let mut texts = Vec::new();
+    for (phase, kind) in policies.into_iter().enumerate() {
+        if phase > 0 {
+            kernel.load_policy(kind);
+        }
+        kernel.run_until(ms(100.0 * (phase + 1) as f64));
+        let snap = kernel.checkpoint().expect("uniform bodies serialize");
+        texts.push(snap.as_text().to_owned());
+    }
+    texts
+}
+
+/// Kernels whose checkpoints, between them, carry every snapshot stanza
+/// and body form: switch overheads, a brownout cap, a failing regulator
+/// (ladder and regulator counters), a classic polling server and a
+/// multi-tenant server with queued jobs, cold-start, fraction, uniform
+/// and overrun bodies, a shed task, a stochastic-EDF policy token and the
+/// `timebase` stanza.
+fn stanza_kernels() -> Vec<(&'static str, RtKernel)> {
+    use rtdvs::core::analysis::RmTest;
+    use rtdvs::core::tenant::{TenantId, TenantQuota};
+    use rtdvs::kernel::{ColdStartBody, FractionBody, OverrunBody};
+    use rtdvs::platform::{PowerNowCpu, RegulatorPlan, UnreliableRegulator};
+    use rtdvs::sim::ClockPlan;
+
+    let mut rng = SplitMix64::seed_from_u64(0x57A_BA5E);
+
+    // Classic server, cold start, cap and a failing regulator on the K6.
+    let cpu = PowerNowCpu::k6_2_plus_550();
+    let machine = cpu.machine().expect("prototype machine is valid");
+    let mut classic = RtKernel::new(machine, PolicyKind::CcRm(RmTest::SchedulingPoints))
+        .with_accounted_switch_overhead(cpu.switch_overhead());
+    for &(p, c) in &[(16.0, 3.0), (20.0, 3.0)] {
+        classic
+            .spawn(ms(p), w(c), Box::new(UniformBody::new(rng.next_u64())))
+            .expect("relaxed Table 2 admits");
+    }
+    classic
+        .spawn(
+            ms(28.0),
+            w(1.0),
+            Box::new(ColdStartBody::new(FractionBody(0.5), 0.4)),
+        )
+        .expect("relaxed Table 2 admits");
+    let (_, server) = classic
+        .spawn_polling_server(ms(10.0), w(1.0))
+        .expect("room for a server");
+    classic.attach_regulator(Box::new(UnreliableRegulator::new(
+        PowerNowCpu::k6_2_plus_550(),
+        RegulatorPlan::new(rng.next_u64()).with_failures(0.5),
+    )));
+    classic.set_brownout_cap(Some(3));
+    for step in 0..12 {
+        server.submit(w(0.7), classic.now());
+        classic.run_until(ms(10.0 * f64::from(step) + 7.0));
+    }
+
+    // Tenant server and a shed overrunning task in degraded mode.
+    let mut tenant = RtKernel::new(
+        Machine::machine0(),
+        PolicyKind::StochasticEdf { confidence: 0.9 },
+    )
+    .with_degraded_mode();
+    for &(p, c) in &TABLE2[..2] {
+        tenant
+            .spawn(ms(p), w(c), Box::new(UniformBody::new(rng.next_u64())))
+            .expect("Table 2 admits");
+    }
+    let overrun = OverrunBody::new(rng.split(0), 1.0, 2.0).with_window(3, u64::MAX);
+    tenant
+        .spawn(ms(40.0), w(2.0), Box::new(overrun))
+        .expect("room for the overrunning task");
+    let quotas = [
+        TenantQuota::new(TenantId::from_raw(1), w(0.4), 8),
+        TenantQuota::new(TenantId::from_raw(2), w(0.2), 2),
+    ];
+    let (_, lanes) = tenant
+        .spawn_tenant_server(ms(10.0), w(0.6), &quotas)
+        .expect("room for the tenant server");
+    while !tenant.degraded() && tenant.now() < ms(400.0) {
+        let _ = lanes.submit(TenantId::from_raw(1), w(0.3), tenant.now());
+        let _ = lanes.submit(TenantId::from_raw(2), w(0.4), tenant.now());
+        tenant.run_for(ms(2.0));
+    }
+    assert!(tenant.degraded(), "the overrunning task must be shed");
+
+    // Time-base state from a faulty clock.
+    let (mut clock, _) = build(PolicyKind::LaEdf, rng.next_u64());
+    clock.set_clock_plan(
+        ClockPlan::new(rng.next_u64())
+            .with_drift(0.4, 400.0)
+            .with_tick_loss(0.3)
+            .with_backward_jumps(0.2, 2.0),
+    );
+    clock.run_until(ms(120.0));
+
+    vec![("classic", classic), ("tenant", tenant), ("clock", clock)]
+}
+
+fn checksum_line(text: &str) -> &str {
+    text.lines().last().expect("a snapshot has lines")
+}
+
+/// The bytes of `rtdvs-snapshot/v1` are pinned: these checksum lines were
+/// computed from checkpoints written by the format's first writer, and any
+/// change to what the writer emits changes them.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let recovery: Vec<String> = recovery_shape_checkpoints()
+        .iter()
+        .map(|t| checksum_line(t).to_owned())
+        .collect();
+    let stanzas: Vec<String> = stanza_kernels()
+        .into_iter()
+        .map(|(name, mut k)| {
+            let snap = k.checkpoint().expect("stanza kernels serialize");
+            format!("{name} {}", checksum_line(snap.as_text()))
+        })
+        .collect();
+    assert_eq!(recovery, RECOVERY_CHECKSUMS);
+    assert_eq!(stanzas, STANZA_CHECKSUMS);
+}
+
+/// Checksum lines of [`recovery_shape_checkpoints`].
+const RECOVERY_CHECKSUMS: [&str; 6] = [
+    "checksum 327ed5e08899ad5a",
+    "checksum f2a7c06e432b5f33",
+    "checksum 01150525509e7800",
+    "checksum 075d021ddf23b996",
+    "checksum d5ad587774903343",
+    "checksum 9d5db1123fd75316",
+];
+
+/// Checksum lines of a checkpoint of each of [`stanza_kernels`].
+const STANZA_CHECKSUMS: [&str; 3] = [
+    "classic checksum 493ff9e5ce335122",
+    "tenant checksum 741c9dcd65f64830",
+    "clock checksum b9b9e5633966513f",
+];
+
+/// FNV-1a 64, the `rtdvs-snapshot/v1` checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Seals `body` (the text above the checksum line) with a fresh checksum,
+/// as anyone who edits a snapshot can.
+fn reseal(mut body: String) -> String {
+    if !body.ends_with('\n') {
+        body.push('\n');
+    }
+    let sum = fnv1a64(body.as_bytes());
+    body + &format!("checksum {sum:016x}\n")
+}
+
+/// Field values a forger might write: NaN, ±∞, −0 and the largest
+/// finite float as hex bits, and integers at and past the end of `u64`.
+const HOSTILE_FIELDS: [&str; 7] = [
+    "7ff8000000000000",
+    "7ff0000000000000",
+    "fff0000000000000",
+    "8000000000000000",
+    "7fefffffffffffff",
+    "18446744073709551615",
+    "340282366920938463463374607431768211456",
+];
+
+/// One SplitMix64 mutation of a snapshot body: truncation, a bit flip,
+/// a token swap, a duplicated, reordered or deleted line, or (twice as
+/// likely) a field replaced by a hostile value. Three edits in four aim
+/// at the lines other than the `ev` log, which would otherwise draw
+/// almost all of them.
+fn mutate(body: &str, rng: &mut SplitMix64) -> String {
+    let mut lines: Vec<String> = body.lines().map(str::to_owned).collect();
+    let header: Vec<usize> = (0..lines.len())
+        .filter(|&i| !lines[i].starts_with("ev "))
+        .collect();
+    let pick = |rng: &mut SplitMix64, n: usize| (rng.next_u64() % n as u64) as usize;
+    let at = if rng.next_u64() & 3 != 0 {
+        header[pick(rng, header.len())]
+    } else {
+        pick(rng, lines.len())
+    };
+    match rng.next_u64() % 8 {
+        0 => {
+            let mut cut = pick(rng, body.len());
+            while !body.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return body[..cut].to_owned();
+        }
+        1 => {
+            let mut bytes = lines[at].clone().into_bytes();
+            if !bytes.is_empty() {
+                let i = pick(rng, bytes.len());
+                bytes[i] ^= 1 << (rng.next_u64() % 8);
+            }
+            lines[at] = String::from_utf8_lossy(&bytes).into_owned();
+        }
+        2 => {
+            let mut toks: Vec<&str> = lines[at].split(' ').collect();
+            let (a, b) = (pick(rng, toks.len()), pick(rng, toks.len()));
+            toks.swap(a, b);
+            lines[at] = toks.join(" ");
+        }
+        3 => {
+            let dup = lines[at].clone();
+            lines.insert(at, dup);
+        }
+        4 => {
+            let other = pick(rng, lines.len());
+            lines.swap(at, other);
+        }
+        5 => {
+            lines.remove(at);
+        }
+        _ => {
+            let mut toks: Vec<String> = lines[at].split(' ').map(str::to_owned).collect();
+            // A field, never the tag (unless the line is only a tag).
+            let i = if toks.len() > 1 {
+                1 + pick(rng, toks.len() - 1)
+            } else {
+                0
+            };
+            let value = HOSTILE_FIELDS[pick(rng, HOSTILE_FIELDS.len())];
+            // Inside a compound token (`stoch-edf:<hex>`) only the value
+            // after the last colon is replaced.
+            let field = &mut toks[i];
+            *field = match field.rfind(':') {
+                Some(c) => format!("{}{value}", &field[..=c]),
+                None => value.to_owned(),
+            };
+            lines[at] = toks.join(" ");
+        }
+    }
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
+/// The restore contract for one resealed mutant: `from_text` and
+/// `restore` return an error or a kernel, never panic; a kernel they
+/// return runs 200 ms, answers `status` and `availability`, and
+/// re-checkpoints to a text that loads and restores again. Returns
+/// whether the mutant restored.
+fn check_mutant(text: &str) -> bool {
+    let Ok((mut kernel, _)) = Snapshot::from_text(text).and_then(|s| s.restore()) else {
+        return false;
+    };
+    kernel.run_for(ms(200.0));
+    let _ = kernel.status();
+    let _ = kernel.availability();
+    let again = kernel.checkpoint().expect("a restored kernel serializes");
+    let reloaded = Snapshot::from_text(again.as_text()).and_then(|s| s.restore());
+    assert!(
+        reloaded.is_ok(),
+        "a restored kernel's checkpoint does not restore: {:?}",
+        reloaded.err()
+    );
+    true
+}
+
+/// Seeded reseal fuzz of snapshot restore: the checksum catches torn
+/// text, not a forgery, so every mutant here is resealed and reaches the
+/// parser. The contract is [`check_mutant`]'s.
+#[test]
+fn resealed_mutants_never_panic_restore() {
+    const MUTANTS_PER_TEXT: usize = 1400;
+    let texts: Vec<String> = stanza_kernels()
+        .into_iter()
+        .map(|(_, mut k)| {
+            let text = k.checkpoint().expect("stanza kernels serialize");
+            text.as_text().to_owned()
+        })
+        .collect();
+    let all = texts.concat();
+    for stanza in [
+        "\noverhead 3",
+        "\ncap 3",
+        "\ntimebase ",
+        "\nshed ",
+        " server ",
+        " tserver ",
+        " coldstart ",
+        " fraction ",
+        " uniform ",
+        " overrun ",
+        "stoch-edf:",
+        "cc-rm:sp",
+    ] {
+        assert!(all.contains(stanza), "no input carries {stanza:?}");
+    }
+    let mut rng = SplitMix64::seed_from_u64(0xF022_5EA1);
+    let (mut mutants, mut restored) = (0, 0);
+    for text in &texts {
+        let body = &text[..text.rfind("checksum ").expect("sealed text")];
+        for _ in 0..MUTANTS_PER_TEXT {
+            let mutant = reseal(mutate(body, &mut rng));
+            let outcome = std::panic::catch_unwind(|| check_mutant(&mutant));
+            match outcome {
+                Ok(ok) => restored += usize::from(ok),
+                Err(_) => panic!("mutant {mutants} panicked:\n{mutant}"),
+            }
+            mutants += 1;
+        }
+    }
+    println!("{mutants} resealed mutants, {restored} restored and re-checkpointed");
+    assert!(restored > 0 && restored < mutants);
+}
