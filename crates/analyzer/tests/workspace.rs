@@ -23,8 +23,9 @@ fn workspace_analysis_matches_the_checked_in_baseline() {
         a.unused_allows
     );
     assert_eq!(
-        a.report.deny_panic_roots, 2,
-        "expected exactly the sim scheduling loop and the kernel transition driver"
+        a.report.deny_panic_roots, 4,
+        "expected exactly the sim scheduling loop, the kernel transition driver, the \
+         repro reader and the results diff"
     );
     // The zero-panic budget holds: no tier-1 findings (they all carry the
     // `zero-panic-budget` wording), only baselined surface reports.

@@ -1,36 +1,41 @@
-//! Regenerates the paper's headline figures on the sharded runner and
-//! maintains the repo's `BENCH_*.json` trajectory.
+//! Regenerates every paper number and every committed golden, and checks
+//! them all by value.
 //!
 //! ```text
-//! figures [run] [--quick] [--threads N] [--seed S] [--out DIR]
+//! figures [run] [--out DIR]
 //!     The one writer: regenerate every committed golden into DIR
-//!     (default: the repository root): Figures 6–8
-//!     (BENCH_paper_figures.json), the smoke sweep (BENCH_sweep.json), the
-//!     four single-fault soaks (BENCH_faults.json, BENCH_modes.json,
-//!     BENCH_regulator.json, BENCH_clock.json), the tenant soak
-//!     (BENCH_tenants.json), the chaos campaign (BENCH_campaign.json) and
-//!     the engine-vs-baseline throughput soak (BENCH_throughput.json, its
-//!     events/s measured on this machine as provenance). A run that
-//!     breaks its own invariants is not written; the throughput floors
-//!     are the gate's, not the writer's.
+//!     (default: the repository root). That is every table and figure of
+//!     the paper at one committed scale (20 task sets per point, 2 s, a
+//!     20-point grid): Figures 6–8 (BENCH_paper_figures.json) and the
+//!     results/ tables, traces and sweeps (Fig. 9's CSVs come from the
+//!     same run as Figures 6–8). It also writes the four single-fault
+//!     soaks (BENCH_faults.json, BENCH_modes.json, BENCH_regulator.json,
+//!     BENCH_clock.json), the tenant soak (BENCH_tenants.json), the chaos
+//!     campaign (BENCH_campaign.json) and the engine-vs-baseline
+//!     throughput soak (BENCH_throughput.json, its events/s measured on
+//!     this machine as provenance). A run that breaks its own invariants
+//!     is not written; the throughput floors are the gate's, not the
+//!     writer's.
 //!
-//! figures check [--golden-dir DIR] [--threads N]
-//!     The one gate for every committed artifact: re-run the smoke sweep
-//!     and the four soaks and diff them against their goldens (±1%
-//!     energy, miss counts exact), structurally validate
-//!     BENCH_paper_figures.json (full regeneration is too slow for every
-//!     push), re-run the tenant soak and the campaign and diff their
-//!     canonical trees exactly (naming every member that differs),
-//!     re-measure the throughput soak, diff its machine-independent
-//!     payload against BENCH_throughput.json and enforce its events/s
-//!     ratio floors (≥5x baseline on the engine-dominated soak policies,
-//!     a ratio against an in-process reference run, never wall-clock),
-//!     enforce every artifact's own invariants, and replay
-//!     results/repro_availability_floor.json to its bit-identical
-//!     violation. Every file it reads must also be a fixed point of
-//!     parse→write, so hand edits and layout drift fail. Checks every
-//!     artifact, then exits non-zero if any diverged — this is what
-//!     `xtask bench-check` and the CI bench-smoke job run.
+//! figures check [--golden-dir DIR]
+//!     The one gate for every committed artifact, read from DIR (default:
+//!     the repository root). It re-derives Figures 6–8 and diffs them
+//!     against BENCH_paper_figures.json (±1% energy, miss counts exact)
+//!     and re-derives every results/ file: tables and traces byte for
+//!     byte, sweep cells within ±1%, integer and text cells exactly, each
+//!     divergence named by file, line and column. It re-runs the four
+//!     soaks within ±1%, re-runs the tenant soak and the campaign and
+//!     diffs their canonical trees exactly (naming every member that
+//!     differs), re-measures the throughput soak, diffs its
+//!     machine-independent payload against BENCH_throughput.json and
+//!     enforces its events/s ratio floors (≥5x baseline on the
+//!     engine-dominated soak policies, a ratio against an in-process
+//!     reference run, never wall-clock), enforces every artifact's own
+//!     invariants, and replays results/repro_availability_floor.json to
+//!     its bit-identical violation. Every JSON file it reads must also be
+//!     a fixed point of parse→write, so hand edits and layout drift fail.
+//!     Checks every artifact, then exits non-zero if any diverged — this
+//!     is what `xtask bench-check` and the CI bench-smoke job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
@@ -40,8 +45,10 @@
 //!     minimal repro and write it to FILE. This is what `xtask repro`
 //!     runs.
 //! ```
+//!
+//! Every sweep shards over all cores; the results are bit-identical at
+//! any thread count, so the thread count is not a setting.
 
-use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -51,28 +58,27 @@ use rtdvs_bench::campaign::{
     CampaignArtifact, ReproArtifact,
 };
 use rtdvs_bench::figures::{
-    paper_figures, paper_figures_artifact, smoke_sweep_artifact, PaperFigure, Scale,
+    diff_results_file, paper_figures, paper_figures_artifact, results_files, PaperFigure, Scale,
+    TOLERANCE,
 };
 use rtdvs_bench::render_normalized_chart;
 use rtdvs_bench::soak::{run_soak, soak_violations, Soak};
+use rtdvs_bench::sweep::{available_threads, DEFAULT_SEED};
 use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
 use rtdvs_bench::throughput::{
     floor_violations, run_throughput, throughput_smoke_config, ThroughputArtifact,
 };
 
-/// Default experiment seed (the sweep harness default, `0x5eed`).
-const DEFAULT_SEED: u64 = 0x5eed;
-
-/// Relative energy tolerance of the sweep and soak golden comparisons.
-const TOLERANCE: f64 = 0.01;
-
 /// File names of the committed golden artifacts at the repository root
 /// (the soaks' come from [`Soak::golden`]).
 const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
-const SWEEP_FILE: &str = "BENCH_sweep.json";
 const THROUGHPUT_FILE: &str = "BENCH_throughput.json";
 const TENANTS_FILE: &str = "BENCH_tenants.json";
 const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
+
+/// The directory of the paper's tables, traces and sweeps, relative to
+/// the repository root.
+const RESULTS_DIR: &str = "results";
 
 /// Default location of the committed minimized repro, relative to the
 /// repository root.
@@ -80,9 +86,6 @@ const REPRO_FILE: &str = "results/repro_availability_floor.json";
 
 struct Args {
     command: String,
-    quick: bool,
-    threads: Option<usize>,
-    seed: u64,
     out: Option<PathBuf>,
     golden_dir: Option<PathBuf>,
     write: bool,
@@ -92,9 +95,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         command: "run".to_owned(),
-        quick: false,
-        threads: None,
-        seed: DEFAULT_SEED,
         out: None,
         golden_dir: None,
         write: false,
@@ -104,16 +104,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = argv.next() {
         match a.as_str() {
             "run" | "check" | "repro" => args.command = a,
-            "--quick" => args.quick = true,
             "--write" => args.write = true,
-            "--threads" => {
-                let v = argv.next().ok_or("--threads needs a count")?;
-                args.threads = Some(v.parse().map_err(|e| format!("--threads {v}: {e}"))?);
-            }
-            "--seed" => {
-                let v = argv.next().ok_or("--seed needs a value")?;
-                args.seed = parse_seed(&v)?;
-            }
             "--out" => args.out = Some(PathBuf::from(argv.next().ok_or("--out needs a dir")?)),
             "--golden-dir" => {
                 args.golden_dir = Some(PathBuf::from(
@@ -131,17 +122,9 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: figures [run|check|repro] [--quick] [--threads N] [--seed S] [--out DIR] \
-     [--golden-dir DIR] [--write] [FILE (repro only)]"
+    "usage: figures [run|check|repro] [--out DIR] [--golden-dir DIR] [--write] \
+     [FILE (repro only)]"
         .to_owned()
-}
-
-fn parse_seed(v: &str) -> Result<u64, String> {
-    let parsed = match v.strip_prefix("0x") {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => v.parse(),
-    };
-    parsed.map_err(|e| format!("--seed {v}: {e}"))
 }
 
 /// The workspace root: `crates/bench` sits two levels below it.
@@ -151,32 +134,6 @@ fn repo_root() -> PathBuf {
         .and_then(Path::parent)
         .expect("crates/bench sits two levels below the workspace root")
         .to_path_buf()
-}
-
-fn default_threads() -> NonZeroUsize {
-    std::thread::available_parallelism().unwrap_or(NonZeroUsize::new(1).expect("non-zero"))
-}
-
-fn resolve_threads(requested: Option<usize>) -> Result<NonZeroUsize, String> {
-    match requested {
-        None => Ok(default_threads()),
-        Some(n) => NonZeroUsize::new(n).ok_or_else(|| "--threads 0 is meaningless".to_owned()),
-    }
-}
-
-/// The grid the committed `BENCH_paper_figures.json` is generated at:
-/// full 20-point utilization grid, trimmed sample count so regeneration
-/// stays tractable on a laptop while the curves stay smooth.
-fn figures_scale(quick: bool) -> Scale {
-    if quick {
-        Scale::quick()
-    } else {
-        Scale {
-            sets_per_point: 20,
-            duration: rtdvs_core::time::Time::from_secs(2.0),
-            grid: 20,
-        }
-    }
 }
 
 fn print_panel(figure: &PaperFigure) {
@@ -216,10 +173,13 @@ fn gate(name: &str, what: &str, problems: &[String]) -> bool {
 }
 
 fn run(args: &Args) -> Result<(), String> {
-    let threads = resolve_threads(args.threads)?;
-    let scale = figures_scale(args.quick);
+    let threads = available_threads();
+    let scale = Scale::committed();
     let out = args.out.clone().unwrap_or_else(repo_root);
-    std::fs::create_dir_all(&out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
+    let results = out.join(RESULTS_DIR);
+    std::fs::create_dir_all(&results)
+        .map_err(|e| format!("cannot create {}: {e}", results.display()))?;
+    let refuse = |name: &str| format!("{name} breaks its invariants; not written");
 
     println!(
         "== Figures 6-8: {}-point grid x {} sets x 6 policies, {} thread(s) ==",
@@ -227,18 +187,21 @@ fn run(args: &Args) -> Result<(), String> {
         scale.sets_per_point,
         threads.get()
     );
-    let figures = paper_figures(scale, args.seed, threads);
+    let figures = paper_figures(scale, DEFAULT_SEED, threads);
     for figure in &figures {
         print_panel(figure);
     }
-    let artifact = paper_figures_artifact(&figures, scale, args.seed, threads);
+    let artifact = paper_figures_artifact(&figures, scale, DEFAULT_SEED, threads);
+    if !gate(PAPER_FIGURES_FILE, "is well formed", &artifact.validate()) {
+        return Err(refuse(PAPER_FIGURES_FILE));
+    }
     write_file(&out, PAPER_FIGURES_FILE, &artifact.to_json())?;
-    let smoke = smoke_sweep_artifact(args.seed, threads);
-    write_file(&out, SWEEP_FILE, &smoke.to_json())?;
+    for (name, text) in results_files(&figures, scale) {
+        write_file(&results, &name, &text)?;
+    }
 
-    let refuse = |name: &str| format!("{name} breaks its invariants; not written");
     for soak in Soak::ALL {
-        let art = run_soak(soak, args.seed);
+        let art = run_soak(soak, DEFAULT_SEED);
         if !gate(
             soak.golden(),
             "keeps its promises",
@@ -248,19 +211,19 @@ fn run(args: &Args) -> Result<(), String> {
         }
         write_file(&out, soak.golden(), &art.to_json())?;
     }
-    let tenants = run_tenants(&tenants_smoke_config(args.seed));
+    let tenants = run_tenants(&tenants_smoke_config(DEFAULT_SEED));
     if !gate(TENANTS_FILE, "isolation holds", &tenants.validate()) {
         return Err(refuse(TENANTS_FILE));
     }
     write_file(&out, TENANTS_FILE, &tenants.to_json())?;
     print_tenants_summary(&tenants);
-    let campaign = run_campaign(&campaign_smoke_config(args.seed));
+    let campaign = run_campaign(&campaign_smoke_config(DEFAULT_SEED));
     if !gate(CAMPAIGN_FILE, "invariants hold", &campaign.validate()) {
         return Err(refuse(CAMPAIGN_FILE));
     }
     write_file(&out, CAMPAIGN_FILE, &campaign.to_json())?;
     print_campaign_summary(&campaign);
-    let throughput = run_throughput(&throughput_smoke_config(args.seed));
+    let throughput = run_throughput(&throughput_smoke_config(DEFAULT_SEED));
     if !gate(THROUGHPUT_FILE, "is well formed", &throughput.validate()) {
         return Err(refuse(THROUGHPUT_FILE));
     }
@@ -284,7 +247,8 @@ fn load<A: Artifact>(path: &Path) -> Result<A, String> {
 /// checked and reported before any failure is returned, so one divergence
 /// never hides another.
 fn check(args: &Args) -> Result<(), String> {
-    let threads = resolve_threads(args.threads)?;
+    let threads = available_threads();
+    let scale = Scale::committed();
     let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
     let within = format!("reproduces within ±{:.0}%", 100.0 * TOLERANCE);
     let mut failed = Vec::new();
@@ -294,14 +258,34 @@ fn check(args: &Args) -> Result<(), String> {
         }
     };
 
-    let sweep = load::<BenchArtifact>(&dir.join(SWEEP_FILE)).map(|golden| {
-        let fresh = smoke_sweep_artifact(golden.seed, threads);
-        compare(&golden, &fresh, TOLERANCE)
+    let figures = paper_figures(scale, DEFAULT_SEED, threads);
+    let paper = load::<BenchArtifact>(&dir.join(PAPER_FIGURES_FILE)).map(|golden| {
+        let fresh = paper_figures_artifact(&figures, scale, DEFAULT_SEED, threads);
+        let mut problems = compare(&golden, &fresh, TOLERANCE);
+        problems.extend(fresh.validate());
+        problems
     });
-    verdict(SWEEP_FILE, &within, sweep);
+    verdict(PAPER_FIGURES_FILE, &within, paper);
 
-    let paper = load::<BenchArtifact>(&dir.join(PAPER_FIGURES_FILE)).map(|paper| paper.validate());
-    verdict(PAPER_FIGURES_FILE, "is structurally sound", paper);
+    let files = results_files(&figures, scale);
+    let results: Vec<String> = files
+        .iter()
+        .flat_map(|(name, fresh)| {
+            let path = dir.join(RESULTS_DIR).join(name);
+            match std::fs::read_to_string(&path) {
+                Ok(golden) => diff_results_file(name, &golden, fresh),
+                Err(e) => vec![format!("{name}: cannot read {}: {e}", path.display())],
+            }
+        })
+        .collect();
+    verdict(
+        RESULTS_DIR,
+        &format!(
+            "{} files reproduce: tables and traces byte for byte, sweeps within ±1%",
+            files.len()
+        ),
+        Ok(results),
+    );
 
     for soak in Soak::ALL {
         let problems = load::<BenchArtifact>(&dir.join(soak.golden())).map(|golden| {
@@ -474,7 +458,7 @@ fn repro(args: &Args) -> Result<(), String> {
         .unwrap_or_else(|| repo_root().join(REPRO_FILE));
 
     if args.write {
-        let (kind, plan, avail) = known_violating_campaign(args.seed);
+        let (kind, plan, avail) = known_violating_campaign(DEFAULT_SEED);
         println!(
             "repro: shrinking the known-violating campaign (policy {}, {} ms, \
              dimensions [{}])...",

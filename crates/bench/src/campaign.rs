@@ -119,6 +119,13 @@ const FLOOD_BASE_GAP_MS: f64 = 0.5;
 /// The shrinker never halves the horizon below this.
 const MIN_REPRO_HORIZON_MS: f64 = 100.0;
 
+/// The longest horizon a repro plan may carry, ms. Replay time grows with
+/// the horizon: a 4,000 ms plan (what [`known_violating_campaign`] shrinks
+/// from) replays in milliseconds, a 60,000 ms one in about a second and a
+/// one-hour one for minutes, so [`ReproArtifact::from_json`] rejects a
+/// longer horizon rather than hang on it.
+pub const MAX_REPRO_HORIZON_MS: f64 = 10_000.0;
+
 /// Rate-halving budget per dimension in the shrinker's attenuate phase.
 const MAX_RATE_HALVINGS: u32 = 4;
 
@@ -312,12 +319,22 @@ impl ChaosPlan {
         })))
     }
 
-    /// Reads a plan back (bit-pattern members only).
+    /// Reads a plan back (bit-pattern members only). The horizon must be
+    /// positive and at most [`MAX_REPRO_HORIZON_MS`], and every rate in
+    /// [0, 1]: a probability, or for the flood a fraction of the reference
+    /// intensity the campaign starts from.
     fn from_tree(tree: &Json) -> Result<ChaosPlan, ArtifactError> {
+        let horizon_ms = tree.get("horizon_bits")?.as_bits()?;
+        // Written so that NaN fails too.
+        if !(horizon_ms > 0.0 && horizon_ms <= MAX_REPRO_HORIZON_MS) {
+            return Err(ArtifactError(format!(
+                "plan horizon {horizon_ms} ms is outside (0, {MAX_REPRO_HORIZON_MS}] ms"
+            )));
+        }
         let off = Dim::new(0.0, Window::full());
         let mut plan = ChaosPlan {
             seed: tree.get("seed")?.as_u64()?,
-            horizon_ms: tree.get("horizon_bits")?.as_bits()?,
+            horizon_ms,
             faults: off,
             fault_factor: tree.get("faults")?.get("factor_bits")?.as_bits()?,
             regulator: off,
@@ -334,6 +351,12 @@ impl ChaosPlan {
                 // replayable.
                 Err(_) if name == "clock" => {}
                 Err(e) => return Err(e),
+            }
+            if !(0.0..=1.0).contains(&dim.rate) {
+                return Err(ArtifactError(format!(
+                    "{name} rate {} is outside [0, 1]",
+                    dim.rate
+                )));
             }
         }
         Ok(plan)
@@ -505,15 +528,16 @@ pub(crate) fn churn_schedule(
 
 /// Maps a time window onto an [`OverrunBody`] invocation window for a
 /// task of the given period: the invocations whose nominal release falls
-/// inside the window (invocation k releases near `(k-1) * period`).
+/// inside the window (invocation k releases near `(k-1) * period`). A
+/// bound past the last invocation number saturates.
 fn invocation_window(window: &Window, period_ms: f64) -> (u64, u64) {
     let from = if window.start_ms <= 0.0 {
         1
     } else {
-        (window.start_ms / period_ms).floor() as u64 + 1
+        ((window.start_ms / period_ms).floor() as u64).saturating_add(1)
     };
     let until = if window.end_ms.is_finite() {
-        (window.end_ms / period_ms).ceil() as u64 + 1
+        ((window.end_ms / period_ms).ceil() as u64).saturating_add(1)
     } else {
         u64::MAX
     };

@@ -1,8 +1,8 @@
 //! Terminal line charts for sweep results.
 //!
 //! Renders the paper-style "normalized energy vs utilization" curves as
-//! ASCII so `experiments` output can be eyeballed against the published
-//! figures without a plotting stack. One character column per grid point
+//! ASCII so the Figures 6–8 panels `figures run` prints can be eyeballed
+//! against the published figures without a plotting stack. One character column per grid point
 //! group, one letter per policy, `*` where the bound runs.
 
 use std::fmt::Write as _;

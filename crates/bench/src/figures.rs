@@ -1,6 +1,9 @@
 //! One driver per table/figure of the paper, plus the ablations called out
-//! in DESIGN.md.
+//! in DESIGN.md; the text of every `results/` file they produce
+//! ([`results_files`]); and the value diff the gate holds those files to
+//! ([`diff_results_file`]).
 
+use std::fmt::Write as _;
 use std::num::NonZeroUsize;
 
 use rtdvs_core::analysis::RmTest;
@@ -13,10 +16,10 @@ use rtdvs_sim::{simulate, ExecModel, SimConfig, SwitchOverhead};
 
 use crate::artifact::{BenchArtifact, BenchGrid};
 use crate::runner::{run_sweep_threads, SweepRun};
-use crate::sweep::{run_sweep, Sweep, SweepConfig};
+use crate::sweep::{available_threads, run_sweep, Sweep, SweepConfig, DEFAULT_SEED};
 
 /// Scale knobs shared by all figure drivers, so tests can run cheap
-/// versions of the full experiments.
+/// versions of the committed experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// Task sets averaged per grid point (paper: "hundreds").
@@ -28,23 +31,17 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// Full-fidelity scale for the `experiments` binary.
+    /// The one scale of every committed paper number
+    /// (`BENCH_paper_figures.json` and `results/`): 20 task sets per
+    /// point, 2 s horizons, a 20-point utilization grid. The paper
+    /// averages "hundreds" of sets; at 100 the gate that re-derives every
+    /// number would not fit CI's 60 s.
     #[must_use]
-    pub fn full() -> Scale {
+    pub fn committed() -> Scale {
         Scale {
-            sets_per_point: 100,
+            sets_per_point: 20,
             duration: Time::from_secs(2.0),
             grid: 20,
-        }
-    }
-
-    /// A cheap scale for tests.
-    #[must_use]
-    pub fn quick() -> Scale {
-        Scale {
-            sets_per_point: 8,
-            duration: Time::from_ms(400.0),
-            grid: 10,
         }
     }
 
@@ -132,52 +129,14 @@ pub fn paper_figures_artifact(
     }
 }
 
-/// The reduced grid behind `BENCH_sweep.json` and the CI bench-smoke
-/// stage: 2 utilizations × 6 policies × 2 task sets on the paper's
-/// standard 8-task workload. Small enough to re-run on every push, wide
-/// enough that an energy-model or policy regression moves some point by
-/// more than the comparator's tolerance.
-#[must_use]
-pub fn smoke_sweep_config(seed: u64) -> SweepConfig {
-    let mut cfg = SweepConfig::paper_default(8);
-    cfg.utilizations = vec![0.5, 0.9];
-    cfg.sets_per_point = 2;
-    cfg.duration = Time::from_ms(600.0);
-    cfg.seed = seed;
-    cfg
-}
-
-/// Runs the smoke grid and packs it into the `BENCH_sweep.json` artifact.
-#[must_use]
-pub fn smoke_sweep_artifact(seed: u64, threads: NonZeroUsize) -> BenchArtifact {
-    let cfg = smoke_sweep_config(seed);
-    let run = run_sweep_threads(&cfg, threads);
-    BenchArtifact {
-        seed,
-        threads: threads.get(),
-        grid: BenchGrid {
-            label: "sweep-smoke".to_owned(),
-            n_tasks: vec![cfg.n_tasks],
-            utilizations: cfg.utilizations.clone(),
-            sets_per_point: cfg.sets_per_point,
-            duration_ms: cfg.duration.as_ms(),
-            policies: cfg.policies.iter().map(|k| k.name().to_owned()).collect(),
-        },
-        series: BenchArtifact::panel_series(&run.sweep, cfg.n_tasks),
-        wall_ms: run.stats.wall_ms,
-    }
-}
-
 /// Fig. 9: absolute energy vs utilization for 5, 10, and 15 tasks
-/// (worst-case execution, perfect halt, machine 0).
+/// (worst-case execution, perfect halt, machine 0): the
+/// [`paper_figures`] panels at the default seed.
 #[must_use]
 pub fn fig9(scale: Scale) -> Vec<(usize, Sweep)> {
-    [5, 10, 15]
+    paper_figures(scale, DEFAULT_SEED, available_threads())
         .into_iter()
-        .map(|n| {
-            let cfg = scale.apply(SweepConfig::paper_default(n));
-            (n, run_sweep(&cfg))
-        })
+        .map(|f| (f.n_tasks, f.run.sweep))
         .collect()
 }
 
@@ -271,12 +230,16 @@ pub fn fig17(scale: Scale) -> Sweep {
 /// Returns `(utilization, watts-per-policy)` rows plus the policy names.
 #[must_use]
 pub fn fig16(scale: Scale) -> (Vec<&'static str>, Vec<(f64, Vec<f64>)>) {
+    fig16_watts(&fig17(scale), scale.duration)
+}
+
+/// Fig. 16's watts from a Fig. 17 sweep over `duration`.
+fn fig16_watts(fig17: &Sweep, duration: Time) -> (Vec<&'static str>, Vec<(f64, Vec<f64>)>) {
     let machine = PowerNowCpu::k6_2_plus_550()
         .machine()
         .expect("prototype machine is valid");
     let model = SystemPowerModel::hp_n3350();
-    let sweep = fig17(scale);
-    let rows = sweep
+    let rows = fig17
         .rows
         .iter()
         .map(|row| {
@@ -284,14 +247,14 @@ pub fn fig16(scale: Scale) -> (Vec<&'static str>, Vec<(f64, Vec<f64>)>) {
                 .energy
                 .iter()
                 .map(|e| {
-                    let sim_power = e / scale.duration.as_ms();
+                    let sim_power = e / duration.as_ms();
                     model.total_watts(&machine, sim_power, false, false)
                 })
                 .collect();
             (row.utilization, watts)
         })
         .collect();
-    (sweep.policy_names.clone(), rows)
+    (fig17.policy_names.clone(), rows)
 }
 
 /// Table 1: the subsystem power decomposition of the prototype laptop.
@@ -506,6 +469,177 @@ pub fn extension_tradeoff(scale: Scale) -> Vec<TradeoffRow> {
         .collect()
 }
 
+/// Every `results/` file but the minimized repro, as `(file name, text)`
+/// in the paper's order: Tables 1 and 4, the worked-example traces,
+/// Figs. 9–13, 16 and 17, the two ablations and the extension study.
+/// Fig. 9 is `figures`, the run behind `BENCH_paper_figures.json`; every
+/// other sweep runs here at `scale`.
+#[must_use]
+pub fn results_files(figures: &[PaperFigure], scale: Scale) -> Vec<(String, String)> {
+    let mut files = Vec::new();
+    let mut csv = String::from("screen,disk,cpu,watts\n");
+    for (screen, disk, cpu, watts) in table1() {
+        let _ = writeln!(csv, "{screen},{disk},{cpu},{watts:.1}");
+    }
+    files.push(("table1.csv".to_owned(), csv));
+    let mut csv = String::from("policy,normalized_energy,paper\n");
+    let paper = rtdvs_core::example::table4_expected();
+    for ((name, got), (_, want)) in table4().into_iter().zip(paper) {
+        let _ = writeln!(csv, "{name},{got:.4},{want}");
+    }
+    files.push(("table4.csv".to_owned(), csv));
+    for (label, _, chart) in example_traces() {
+        files.push((format!("{label}.txt"), chart));
+    }
+    for f in figures {
+        files.push((format!("fig9_{}tasks.csv", f.n_tasks), f.run.sweep.to_csv()));
+    }
+    for (idle, sweep) in fig10(scale) {
+        files.push((format!("fig10_idle{idle}.csv"), sweep.to_normalized_csv()));
+    }
+    for (i, (_, sweep)) in fig11(scale).into_iter().enumerate() {
+        files.push((format!("fig11_machine{i}.csv"), sweep.to_normalized_csv()));
+    }
+    for (c, sweep) in fig12(scale) {
+        files.push((format!("fig12_c{c}.csv"), sweep.to_normalized_csv()));
+    }
+    files.push((
+        "fig13_uniform.csv".to_owned(),
+        fig13(scale).to_normalized_csv(),
+    ));
+    let power = fig17(scale);
+    let (names, rows) = fig16_watts(&power, scale.duration);
+    let mut csv = format!("utilization,{}\n", names.join(","));
+    for (u, watts) in rows {
+        let _ = write!(csv, "{u:.3}");
+        for w in watts {
+            let _ = write!(csv, ",{w:.3}");
+        }
+        csv.push('\n');
+    }
+    files.push(("fig16_watts.csv".to_owned(), csv));
+    files.push(("fig17_power.csv".to_owned(), power.to_csv()));
+    let mut csv = String::from("utilization,staticRM_exact,staticRM_LL,ccRM_exact,ccRM_LL\n");
+    for (u, [se, sl, ce, cl]) in ablation_rm_test(scale) {
+        let _ = writeln!(csv, "{u:.3},{se:.4},{sl:.4},{ce:.4},{cl:.4}");
+    }
+    files.push(("ablation_rm_test.csv".to_owned(), csv));
+    let mut csv = String::from("overhead,normalized_energy,misses\n");
+    for (label, energy, misses) in ablation_switch_overhead(scale) {
+        let _ = writeln!(csv, "{label},{energy:.4},{misses}");
+    }
+    files.push(("ablation_switch_overhead.csv".to_owned(), csv));
+    let mut csv = String::from("policy,normalized_energy,misses_per_1000\n");
+    for row in extension_tradeoff(scale) {
+        let _ = writeln!(csv, "{},{:.4},{:.4}", row.label, row.energy, row.miss_rate);
+    }
+    files.push(("extension_tradeoff.csv".to_owned(), csv));
+    files
+}
+
+/// Relative tolerance of every sample-mean golden the gate re-derives: a
+/// sweep or soak energy, or a decimal cell of a `results/` CSV.
+pub const TOLERANCE: f64 = 0.01;
+
+/// Compares a committed `results/` file with its fresh text and names
+/// every divergence by file, line and column. The tables and traces are
+/// exact functions of the worked example, so they must match byte for
+/// byte. In the other CSVs a decimal cell may move by
+/// [`TOLERANCE`] relative to the golden, and integer and text
+/// cells must match exactly. A NaN or infinite cell on either side always
+/// diverges.
+#[must_use]
+pub fn diff_results_file<'a>(name: &str, golden: &'a str, fresh: &'a str) -> Vec<String> {
+    let csv = name.ends_with(".csv");
+    let exact = !csv || name == "table1.csv" || name == "table4.csv";
+    let lines = |text: &'a str| text.strip_suffix('\n').unwrap_or(text).split('\n');
+    let golden_lines: Vec<&str> = lines(golden).collect();
+    let fresh_lines: Vec<&str> = lines(fresh).collect();
+    let header: Vec<&str> = golden_lines
+        .first()
+        .map_or(Vec::new(), |h| h.split(',').collect());
+    let key = match header.first() {
+        Some(&"utilization") => "U",
+        Some(first) => first,
+        None => "",
+    };
+    let mut problems = Vec::new();
+    if golden.ends_with('\n') != fresh.ends_with('\n') {
+        let last = golden_lines.len();
+        problems.push(format!("{name}: line {last}: the final newline differs"));
+    }
+    for i in 0..golden_lines.len().max(fresh_lines.len()) {
+        let line = i + 1;
+        let (g, f) = (golden_lines.get(i).copied(), fresh_lines.get(i).copied());
+        let row = match g.and_then(|g| g.split(',').next()) {
+            Some(first) if csv && i > 0 && !first.is_empty() => {
+                format!("line {line} ({key}={first})")
+            }
+            _ => format!("line {line}"),
+        };
+        let (g, f) = match (g, f) {
+            (Some(g), Some(f)) if !g.is_empty() && !f.is_empty() => (g, f),
+            (Some(g), Some(f)) if g == f => continue,
+            (Some(g), _) if !g.is_empty() || f.is_none() => {
+                problems.push(format!("{name}: {row}: missing"));
+                continue;
+            }
+            (_, f) => {
+                problems.push(format!("{name}: {row}: extra {:?}", f.unwrap_or_default()));
+                continue;
+            }
+        };
+        if !csv {
+            if g != f {
+                let column = g.chars().zip(f.chars()).take_while(|(a, b)| a == b).count() + 1;
+                problems.push(format!(
+                    "{name}: {row}, column {column}: {f:?} vs golden {g:?}"
+                ));
+            }
+            continue;
+        }
+        let (g_cells, f_cells): (Vec<&str>, Vec<&str>) =
+            (g.split(',').collect(), f.split(',').collect());
+        if g_cells.len() != f_cells.len() {
+            problems.push(format!(
+                "{name}: {row}: {} columns vs golden {}",
+                f_cells.len(),
+                g_cells.len()
+            ));
+            continue;
+        }
+        for (c, (g, f)) in g_cells.iter().zip(&f_cells).enumerate() {
+            if let Some(why) = diff_cell(g, f, exact) {
+                let column = header.get(c).copied().unwrap_or("?");
+                problems.push(format!("{name}: {row}, column {column}: {why}"));
+            }
+        }
+    }
+    problems
+}
+
+/// One CSV cell against its golden: `None` if it reproduces.
+fn diff_cell(golden: &str, fresh: &str, exact: bool) -> Option<String> {
+    let (g, f) = (golden.parse::<f64>().ok(), fresh.parse::<f64>().ok());
+    if g.is_some_and(|v| !v.is_finite()) || f.is_some_and(|v| !v.is_finite()) {
+        return Some(format!("{fresh} vs golden {golden}: not a finite number"));
+    }
+    let integer = !golden.is_empty() && golden.bytes().all(|b| b.is_ascii_digit());
+    match (g, f) {
+        (Some(g), Some(f)) if !exact && !integer => {
+            let rel = (f - g) / g.abs().max(1e-12);
+            (rel.abs() > TOLERANCE).then(|| {
+                format!(
+                    "{fresh} vs golden {golden} ({:+.2}% > ±{:.0}%)",
+                    100.0 * rel,
+                    100.0 * TOLERANCE
+                )
+            })
+        }
+        _ => (golden != fresh).then(|| format!("{fresh} vs golden {golden}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,6 +698,61 @@ mod tests {
         assert!(by("stochEDF(0.50)").energy <= by("ccEDF").energy + 1e-9);
         // Lower confidence cannot miss less (ties allowed on small runs).
         assert!(by("stochEDF(0.50)").miss_rate >= by("stochEDF(0.99)").miss_rate);
+    }
+
+    const SWEEP_CSV: &str = "utilization,EDF,ccEDF,bound\n\
+                             0.500,1.000000,0.574000,0.374000\n\
+                             1.000,1.000000,1.000000,0.990000\n";
+
+    #[test]
+    fn results_diff_holds_sweep_cells_to_one_percent() {
+        let name = "fig10_idle1.csv";
+        assert!(diff_results_file(name, SWEEP_CSV, SWEEP_CSV).is_empty());
+        let half = SWEEP_CSV.replace("0.574000", "0.576870");
+        assert!(diff_results_file(name, SWEEP_CSV, &half).is_empty());
+        let two = SWEEP_CSV.replace("0.574000", "0.585480");
+        let problems = diff_results_file(name, SWEEP_CSV, &two);
+        assert_eq!(
+            problems,
+            [
+                "fig10_idle1.csv: line 2 (U=0.500), column ccEDF: 0.585480 vs golden 0.574000 \
+              (+2.00% > ±1%)"
+            ]
+        );
+        let nan = SWEEP_CSV.replace("0.374000", "NaN");
+        let problems = diff_results_file(name, &nan, &nan);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("column bound: NaN"), "{problems:?}");
+    }
+
+    #[test]
+    fn results_diff_names_exact_cells_lines_and_columns() {
+        let table = "policy,normalized_energy,paper\nEDF,1.0000,1\nccEDF,0.5200,0.52\n";
+        let problems = diff_results_file("table4.csv", table, &table.replace("0.5200", "0.5201"));
+        assert_eq!(
+            problems,
+            ["table4.csv: line 3 (policy=ccEDF), column normalized_energy: 0.5201 vs golden 0.5200"]
+        );
+        let misses = "overhead,normalized_energy,misses\nnone,0.4000,0\nk6,0.4100,2494\n";
+        let problems = diff_results_file(
+            "ablation_switch_overhead.csv",
+            misses,
+            &misses.replace("2494", "2495"),
+        );
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("line 3 (overhead=k6), column misses"));
+        let trace = "t  0 ##__\nT1 |#\n";
+        let problems = diff_results_file("fig7-la-edf.txt", trace, &trace.replace("|#", "|_"));
+        assert_eq!(
+            problems,
+            ["fig7-la-edf.txt: line 2, column 5: \"T1 |_\" vs golden \"T1 |#\""]
+        );
+        let short = SWEEP_CSV.replacen("1.000,1.000000,1.000000,0.990000\n", "", 1);
+        let problems = diff_results_file("fig9_5tasks.csv", SWEEP_CSV, &short);
+        assert_eq!(problems, ["fig9_5tasks.csv: line 3 (U=1.000): missing"]);
+        let wide = SWEEP_CSV.replace("bound\n", "bound,x\n");
+        let problems = diff_results_file("fig9_5tasks.csv", SWEEP_CSV, &wide);
+        assert_eq!(problems, ["fig9_5tasks.csv: line 1: 5 columns vs golden 4"]);
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! # rtdvs-bench
 //!
 //! Experiment harness regenerating every table and figure of the RT-DVS
-//! paper's evaluation (§3.2 and §4.3). The `experiments` binary drives the
-//! functions here; integration tests reuse them with smaller sample counts
-//! to assert the paper's qualitative results (orderings, crossovers,
-//! bounds).
+//! paper's evaluation (§3.2 and §4.3), and the one writer and gate of the
+//! repository's committed artifacts. The `figures` binary writes every
+//! paper number at one committed scale ([`Scale::committed`]) with
+//! `figures run`, and `figures check` re-derives each of them by value
+//! ([`compare`] for `BENCH_paper_figures.json`, [`diff_results_file`] for
+//! `results/`). Integration tests reuse the drivers with smaller sample
+//! counts to assert the paper's qualitative results (orderings,
+//! crossovers, bounds).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,11 +6,15 @@
 //! work actually executed.
 
 use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 
 use rtdvs_core::machine::Machine;
 use rtdvs_core::policy::PolicyKind;
 use rtdvs_core::time::Time;
 use rtdvs_sim::ExecModel;
+
+/// The experiment seed of every committed artifact (`0x5eed`).
+pub const DEFAULT_SEED: u64 = 0x5eed;
 
 /// Configuration for one sweep (one panel of a figure).
 #[derive(Debug, Clone)]
@@ -50,7 +54,7 @@ impl SweepConfig {
             utilizations: (1..=20).map(|i| i as f64 * 0.05).collect(),
             sets_per_point: 50,
             duration: Time::from_secs(2.0),
-            seed: 0x5eed,
+            seed: DEFAULT_SEED,
         }
     }
 }
@@ -168,19 +172,26 @@ impl Sweep {
     }
 }
 
-/// Runs a sweep serially: for each utilization, generate `sets_per_point`
-/// task sets and run every policy on each, averaging absolute energies;
-/// the bound is computed per set from the work plain EDF actually
-/// executed.
+/// Runs a sweep on every available core: for each utilization, generate
+/// `sets_per_point` task sets and run every policy on each, averaging
+/// absolute energies; the bound is computed per set from the work plain
+/// EDF actually executed.
 ///
-/// This is the one-worker case of [`crate::runner::run_sweep_threads`] —
-/// both paths evaluate the same cells with the same
-/// [`rtdvs_taskgen::SplitMix64::split`]-derived streams and merge them in
-/// the same order, so the results are bit-identical at any thread count.
+/// This is [`crate::runner::run_sweep_threads`] at [`available_threads`].
+/// The runner evaluates every cell with its own
+/// [`rtdvs_taskgen::SplitMix64::split`]-derived stream and merges the
+/// cells in a fixed order, so the result is bit-identical at any thread
+/// count.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> Sweep {
-    let one = std::num::NonZeroUsize::new(1).expect("1 is non-zero");
-    crate::runner::run_sweep_threads(cfg, one).sweep
+    crate::runner::run_sweep_threads(cfg, available_threads()).sweep
+}
+
+/// The machine's parallelism, or one worker when it cannot be queried.
+/// The thread count is pure mechanism: no result depends on it.
+#[must_use]
+pub fn available_threads() -> NonZeroUsize {
+    std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
 }
 
 #[cfg(test)]

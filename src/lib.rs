@@ -17,9 +17,10 @@
 //! * [`kernel`] — the virtual-time RTOS layer with pluggable policy
 //!   modules, admission control, and dynamic task arrival.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the
-//! `experiments` binary (in `crates/bench`) to regenerate every table and
-//! figure of the paper.
+//! See `examples/quickstart.rs` for a five-minute tour. The `figures`
+//! binary (in `crates/bench`) regenerates every table and figure of the
+//! paper with `figures run`, and `figures check` re-derives each of them
+//! by value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,12 +7,17 @@
 //! leaves every *other* dimension's drawn sequence byte-identical, so a
 //! minimized repro that drops a dimension still replays the survivors
 //! exactly. The second test pins the shrinker's headline guarantee on
-//! the committed known-violating plan.
+//! the committed known-violating plan. The rest pin that a hostile
+//! repro horizon is a typed error, not a replay that never ends.
 
+use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
 use rtdvs_bench::{
     campaign_smoke_config, known_violating_campaign, materialize, replay_repro, shrink_plan,
-    Artifact, ChaosPlan, ReproArtifact,
+    Artifact, ArtifactError, ChaosPlan, ReproArtifact,
 };
+
+/// The committed minimized repro.
+const REPRO: &str = include_str!("../results/repro_availability_floor.json");
 
 /// Sets one dimension's rate to zero, by canonical index.
 fn toggle_off(plan: &ChaosPlan, dim: usize) -> ChaosPlan {
@@ -143,4 +148,54 @@ fn known_violating_plan_minimizes_to_a_replayable_repro() {
     let parsed = ReproArtifact::from_json(&repro.to_json()).expect("repro JSON round-trips");
     assert_eq!(parsed, repro, "hex-bit serialization must be lossless");
     replay_repro(&parsed).expect("parsed repro replays bit-identically");
+}
+
+/// The committed repro with its plan horizon replaced by `bits`.
+fn repro_with_horizon(bits: u64) -> Result<ReproArtifact, ArtifactError> {
+    let committed = format!("{:016x}", 125.0f64.to_bits());
+    let field = format!("\"horizon_bits\": \"{committed}\"");
+    assert!(REPRO.contains(&field), "the committed repro runs 125 ms");
+    let text = REPRO.replacen(&field, &format!("\"horizon_bits\": \"{bits:016x}\""), 1);
+    ReproArtifact::from_json(&text)
+}
+
+fn assert_horizon_rejected(horizon_ms: f64) {
+    let err = repro_with_horizon(horizon_ms.to_bits()).expect_err("hostile horizon accepted");
+    assert!(err.0.contains("plan horizon"), "{err}");
+}
+
+/// An infinite horizon is rejected: its replay would never end.
+#[test]
+fn infinite_repro_horizon_is_rejected() {
+    assert_horizon_rejected(f64::INFINITY);
+}
+
+/// A NaN horizon is rejected: its replay would never end.
+#[test]
+fn nan_repro_horizon_is_rejected() {
+    assert_horizon_rejected(f64::NAN);
+}
+
+/// A finite but absurd horizon (10²⁰ ms) is rejected: its replay would
+/// never end.
+#[test]
+fn huge_repro_horizon_is_rejected() {
+    assert_horizon_rejected(1e20);
+}
+
+/// A one-hour horizon is rejected (its replay would take minutes), and so
+/// are zero and negative ones; the cap admits every plan the shrinker
+/// starts from.
+#[test]
+fn hour_long_repro_horizon_is_rejected() {
+    assert_horizon_rejected(3_600_000.0);
+    assert_horizon_rejected(0.0);
+    assert_horizon_rejected(-125.0);
+    let (_, plan, _) = known_violating_campaign(0x5eed);
+    assert!(plan.horizon_ms <= MAX_REPRO_HORIZON_MS);
+    let at_cap = repro_with_horizon(MAX_REPRO_HORIZON_MS.to_bits()).expect("cap is inclusive");
+    assert_eq!(
+        at_cap.plan.horizon_ms.to_bits(),
+        MAX_REPRO_HORIZON_MS.to_bits()
+    );
 }

@@ -1,0 +1,190 @@
+//! Seeded fuzz of the two readers `figures check` trusts with committed
+//! text: the `rtdvs-repro/v1` reader with its replay, and the `results/`
+//! value diff.
+//!
+//! Each mutant is one or two SplitMix64 edits of a committed file:
+//! truncation, a bit flip, a token swap, a duplicated or deleted line, or
+//! (twice as likely) a number or `*_bits` value replaced by a hostile one.
+//! The contract is never to panic: a repro is rejected with a typed error
+//! or replays to a verdict within the horizon cap, and a mutated results
+//! file is either reproduced or named line by line.
+
+use std::path::Path;
+
+use rtdvs::taskgen::SplitMix64;
+use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
+use rtdvs_bench::figures::diff_results_file;
+use rtdvs_bench::{replay_repro, Artifact, ReproArtifact};
+
+/// The committed minimized repro.
+const REPRO: &str = include_str!("../results/repro_availability_floor.json");
+
+/// Replacement values: NaN, ±∞, −0, `u64::MAX` and huge numbers, as
+/// decimal text and as IEEE-754 bit patterns.
+const HOSTILE: [&str; 16] = [
+    "NaN",
+    "inf",
+    "-inf",
+    "-0",
+    "1e999",
+    "1e300",
+    "18446744073709551615",
+    "",
+    "7ff8000000000000",
+    "7ff0000000000000",
+    "fff0000000000000",
+    "8000000000000000",
+    "ffffffffffffffff",
+    "7fefffffffffffff",
+    "4415af1d78b58c40",
+    "0000000000000001",
+];
+
+fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+    (rng.next_u64() % n.max(1) as u64) as usize
+}
+
+/// One mutation of `text`, whose tokens are separated by `sep`.
+fn mutate(text: &str, sep: char, rng: &mut SplitMix64) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    if lines.is_empty() {
+        return text.to_owned();
+    }
+    let at = pick(rng, lines.len());
+    match rng.next_u64() % 8 {
+        0 => {
+            let mut cut = pick(rng, text.len());
+            while !text.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            return text[..cut].to_owned();
+        }
+        1 => {
+            let mut bytes = lines[at].clone().into_bytes();
+            if !bytes.is_empty() {
+                let i = pick(rng, bytes.len());
+                bytes[i] ^= 1 << (rng.next_u64() % 8);
+            }
+            lines[at] = String::from_utf8_lossy(&bytes).into_owned();
+        }
+        2 => {
+            let mut toks: Vec<&str> = lines[at].split(sep).collect();
+            let (a, b) = (pick(rng, toks.len()), pick(rng, toks.len()));
+            toks.swap(a, b);
+            lines[at] = toks.join(&sep.to_string());
+        }
+        3 => {
+            let dup = lines[at].clone();
+            lines.insert(at, dup);
+        }
+        4 => {
+            lines.remove(at);
+        }
+        _ => {
+            // A token holding a digit, with its quotes and trailing
+            // punctuation kept.
+            let mut toks: Vec<String> = lines[at].split(sep).map(str::to_owned).collect();
+            let numeric: Vec<usize> = (0..toks.len())
+                .filter(|&i| toks[i].bytes().any(|b| b.is_ascii_digit()))
+                .collect();
+            if !numeric.is_empty() {
+                let tok = &mut toks[numeric[pick(rng, numeric.len())]];
+                let core = tok.trim_end_matches([',', '}', ']']).trim_matches('"');
+                let value = HOSTILE[pick(rng, HOSTILE.len())];
+                *tok = tok.replacen(core, value, 1);
+                lines[at] = toks.join(&sep.to_string());
+            }
+        }
+    }
+    let mut out = lines.join("\n");
+    out.push('\n');
+    out
+}
+
+/// One or two mutations.
+fn mutant(text: &str, sep: char, rng: &mut SplitMix64) -> String {
+    let once = mutate(text, sep, rng);
+    if rng.next_u64() & 1 == 0 {
+        once
+    } else {
+        mutate(&once, sep, rng)
+    }
+}
+
+/// `ReproArtifact::from_json` then `replay_repro` never panics, and every
+/// accepted plan is within the horizon cap, so its replay ends.
+#[test]
+fn repro_mutants_never_panic_or_hang() {
+    const MUTANTS: usize = 4000;
+    let mut rng = SplitMix64::seed_from_u64(0x4E9_F022);
+    let (mut accepted, mut replayed) = (0, 0);
+    for i in 0..MUTANTS {
+        let text = mutant(REPRO, ' ', &mut rng);
+        let outcome = std::panic::catch_unwind(|| {
+            let repro = ReproArtifact::from_json(&text).ok()?;
+            let horizon = repro.plan.horizon_ms;
+            assert!(horizon > 0.0 && horizon <= MAX_REPRO_HORIZON_MS);
+            Some(replay_repro(&repro).is_ok())
+        });
+        match outcome {
+            Ok(Some(ok)) => {
+                accepted += 1;
+                replayed += usize::from(ok);
+            }
+            Ok(None) => {}
+            Err(_) => panic!("repro mutant {i} panicked:\n{text}"),
+        }
+    }
+    println!(
+        "{MUTANTS} repro mutants: {accepted} accepted, {replayed} replayed to the pinned violation"
+    );
+    assert!(accepted > 0 && accepted < MUTANTS);
+}
+
+/// Every committed results CSV or trace, mutated and compared with its
+/// fresh text (which `figures check` pins to the committed bytes), yields
+/// differences that each name the file and a line, and never panics.
+/// Tables and traces must name every mutant that changed a byte, and a
+/// NaN or infinite cell is always named.
+#[test]
+fn results_mutants_are_named_never_panic() {
+    const MUTANTS_PER_FILE: usize = 200;
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .expect("results/ is committed")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "csv" || e == "txt"))
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("a file")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read_to_string(&p).expect("readable file"))
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 25, "every table, trace and sweep");
+    let mut rng = SplitMix64::seed_from_u64(0x2E5_0175);
+    let (mut mutants, mut named) = (0, 0);
+    for (name, fresh) in &files {
+        let csv = name.ends_with(".csv");
+        let exact = !csv || name.starts_with("table");
+        for _ in 0..MUTANTS_PER_FILE {
+            let golden = mutant(fresh, if csv { ',' } else { ' ' }, &mut rng);
+            let problems = std::panic::catch_unwind(|| diff_results_file(name, &golden, fresh))
+                .unwrap_or_else(|_| panic!("{name} mutant panicked:\n{golden}"));
+            for p in &problems {
+                assert!(p.starts_with(&format!("{name}: line ")), "{p}");
+            }
+            if golden == *fresh {
+                assert!(problems.is_empty(), "{problems:?}");
+            } else if exact || golden.contains("NaN") || golden.contains("inf") {
+                assert!(!problems.is_empty(), "{name} mutant passed:\n{golden}");
+            }
+            mutants += 1;
+            named += usize::from(!problems.is_empty());
+        }
+    }
+    println!("{mutants} results mutants, {named} named");
+}

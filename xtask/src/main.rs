@@ -14,13 +14,16 @@
 //!   artifact.
 //! * `cargo run -p xtask -- bench-check` — the golden gate: delegates to
 //!   `figures check` (crates/bench), the single check of every committed
-//!   artifact. It re-runs the reduced sweep grid and the four
-//!   single-fault soaks (`BENCH_sweep.json`, `BENCH_faults.json`,
-//!   `BENCH_modes.json`, `BENCH_regulator.json`, `BENCH_clock.json`)
-//!   within ±1% energy, structurally validates
-//!   `BENCH_paper_figures.json`, re-runs the tenant soak and the chaos
-//!   campaign byte-for-byte against `BENCH_tenants.json` and
-//!   `BENCH_campaign.json`, re-measures the engine-vs-baseline soak
+//!   artifact. It re-derives every paper number by value: Figures 6–8
+//!   against `BENCH_paper_figures.json` (±1% energy, misses exact) and
+//!   every table, trace and sweep in `results/` (tables and traces byte
+//!   for byte, decimal cells within ±1%, counts and labels exact, each
+//!   divergence named by file, row and column). It re-runs the four
+//!   single-fault soaks (`BENCH_faults.json`, `BENCH_modes.json`,
+//!   `BENCH_regulator.json`, `BENCH_clock.json`) within ±1% energy,
+//!   re-runs the tenant soak and the chaos campaign byte-for-byte
+//!   against `BENCH_tenants.json` and `BENCH_campaign.json`, re-measures
+//!   the engine-vs-baseline soak
 //!   against `BENCH_throughput.json` (event counts exact, ≥5x events/s
 //!   ratio floor on the engine-dominated policies, a ratio against an
 //!   in-process reference run and never wall-clock), holds each to its
