@@ -80,7 +80,7 @@ mod tests {
     use rtdvs_sim::FaultEvent;
 
     fn base_report() -> SimReport {
-        use rtdvs_sim::{ContainmentStats, EnergyMeter};
+        use rtdvs_sim::{ContainmentStats, EnergyMeter, EngineOps};
         SimReport {
             policy: "EDF",
             duration: Time::from_ms(100.0),
@@ -94,6 +94,7 @@ mod tests {
             clamp_events: 0,
             faults: vec![],
             containment: ContainmentStats::default(),
+            ops: EngineOps::default(),
         }
     }
 

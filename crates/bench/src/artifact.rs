@@ -126,8 +126,8 @@ pub trait Artifact: Sized {
     }
 
     /// Every path at which `fresh`'s canonical tree differs from this
-    /// golden's, as `path: fresh vs golden` (e.g. `soak[0].events: 237184
-    /// vs golden 237183`). Empty exactly when the canonical documents are
+    /// golden's, as `path: fresh vs golden` (e.g. `panels[3].rows[0].events:
+    /// 237184 vs golden 237183`). Empty exactly when the canonical documents are
     /// byte-identical.
     #[must_use]
     fn diff(&self, fresh: &Self) -> Vec<String> {
@@ -986,8 +986,8 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ArtifactError> 
 mod tests {
     use super::*;
     use crate::campaign::{CampaignArtifact, ReproArtifact};
+    use crate::ops::OpsArtifact;
     use crate::tenants::TenantsArtifact;
-    use crate::throughput::ThroughputArtifact;
 
     fn sample() -> BenchArtifact {
         BenchArtifact {
@@ -1226,7 +1226,7 @@ mod tests {
             SOAK_MODES,
             SOAK_REGULATOR,
             SOAK_CLOCK,
-            THROUGHPUT,
+            OPS,
             TENANTS,
             CAMPAIGN,
             REPRO,
@@ -1250,7 +1250,7 @@ mod tests {
     const SOAK_MODES: &str = include_str!("../../../BENCH_modes.json");
     const SOAK_REGULATOR: &str = include_str!("../../../BENCH_regulator.json");
     const SOAK_CLOCK: &str = include_str!("../../../BENCH_clock.json");
-    const THROUGHPUT: &str = include_str!("../../../BENCH_throughput.json");
+    const OPS: &str = include_str!("../../../BENCH_ops.json");
     const TENANTS: &str = include_str!("../../../BENCH_tenants.json");
     const CAMPAIGN: &str = include_str!("../../../BENCH_campaign.json");
     const REPRO: &str = include_str!("../../../results/repro_availability_floor.json");
@@ -1337,13 +1337,13 @@ mod tests {
             "series[1].points[0].deadline_miss",
         );
 
-        let throughput = ThroughputArtifact::from_json(THROUGHPUT).expect("golden");
-        assert_eq!(throughput.validate(), Vec::<String>::new());
+        let ops = OpsArtifact::from_json(OPS).expect("golden");
+        assert_eq!(ops.validate(), Vec::<String>::new());
         codec_contract(
-            &throughput,
-            Some(|a| &mut a.soak[0].policy),
-            |a| a.soak[0].events += 1,
-            "soak[0].events",
+            &ops,
+            Some(|a| &mut a.panels[0].rows[0].policy),
+            |a| a.panels[3].rows[5].ops.timer_ops += 1,
+            "panels[3].rows[5].timer_ops",
         );
 
         let tenants = TenantsArtifact::from_json(TENANTS).expect("golden");

@@ -11,11 +11,9 @@
 //!     same run as Figures 6–8). It also writes the four single-fault
 //!     soaks (BENCH_faults.json, BENCH_modes.json, BENCH_regulator.json,
 //!     BENCH_clock.json), the tenant soak (BENCH_tenants.json), the chaos
-//!     campaign (BENCH_campaign.json) and the engine-vs-baseline
-//!     throughput soak (BENCH_throughput.json, its events/s measured on
-//!     this machine as provenance). A run that breaks its own invariants
-//!     is not written; the throughput floors are the gate's, not the
-//!     writer's.
+//!     campaign (BENCH_campaign.json) and the engine's operation ledger
+//!     (BENCH_ops.json). A run that breaks its own invariants is not
+//!     written.
 //!
 //! figures check [--golden-dir DIR]
 //!     The one gate for every committed artifact, read from DIR (default:
@@ -26,16 +24,15 @@
 //!     divergence named by file, line and column. It re-runs the four
 //!     soaks within ±1%, re-runs the tenant soak and the campaign and
 //!     diffs their canonical trees exactly (naming every member that
-//!     differs), re-measures the throughput soak, diffs its
-//!     machine-independent payload against BENCH_throughput.json and
-//!     enforces its events/s ratio floors (≥5x baseline on the
-//!     engine-dominated soak policies, a ratio against an in-process
-//!     reference run, never wall-clock), enforces every artifact's own
-//!     invariants, and replays results/repro_availability_floor.json to
-//!     its bit-identical violation. Every JSON file it reads must also be
-//!     a fixed point of parse→write, so hand edits and layout drift fail.
-//!     Checks every artifact, then exits non-zero if any diverged — this
-//!     is what `xtask bench-check` and the CI bench-smoke job run.
+//!     differs), re-counts the operation ledger and diffs it exactly
+//!     against BENCH_ops.json, enforces every artifact's own invariants
+//!     on the fresh run (the ledger's: ops/event flat from 8 to 128
+//!     tasks), and replays results/repro_availability_floor.json to its
+//!     bit-identical violation. Nothing it gates is timed. Every JSON
+//!     file it reads must also be a fixed point of parse→write, so hand
+//!     edits and layout drift fail. Checks every artifact, then exits
+//!     non-zero if any diverged — this is what `xtask bench-check` and
+//!     the CI bench-smoke job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
@@ -61,18 +58,16 @@ use rtdvs_bench::figures::{
     diff_results_file, paper_figures, paper_figures_artifact, results_files, PaperFigure, Scale,
     TOLERANCE,
 };
+use rtdvs_bench::ops::{run_ops, OpsArtifact};
 use rtdvs_bench::render_normalized_chart;
 use rtdvs_bench::soak::{run_soak, soak_violations, Soak};
 use rtdvs_bench::sweep::{available_threads, DEFAULT_SEED};
 use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
-use rtdvs_bench::throughput::{
-    floor_violations, run_throughput, throughput_smoke_config, ThroughputArtifact,
-};
 
 /// File names of the committed golden artifacts at the repository root
 /// (the soaks' come from [`Soak::golden`]).
 const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
-const THROUGHPUT_FILE: &str = "BENCH_throughput.json";
+const OPS_FILE: &str = "BENCH_ops.json";
 const TENANTS_FILE: &str = "BENCH_tenants.json";
 const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
 
@@ -223,12 +218,12 @@ fn run(args: &Args) -> Result<(), String> {
     }
     write_file(&out, CAMPAIGN_FILE, &campaign.to_json())?;
     print_campaign_summary(&campaign);
-    let throughput = run_throughput(&throughput_smoke_config(DEFAULT_SEED));
-    if !gate(THROUGHPUT_FILE, "is well formed", &throughput.validate()) {
-        return Err(refuse(THROUGHPUT_FILE));
+    let ops = run_ops(DEFAULT_SEED);
+    if !gate(OPS_FILE, "ops/event stays flat", &ops.validate()) {
+        return Err(refuse(OPS_FILE));
     }
-    write_file(&out, THROUGHPUT_FILE, &throughput.to_json())?;
-    print_throughput_summary(&throughput);
+    write_file(&out, OPS_FILE, &ops.to_json())?;
+    print_ops_summary(&ops);
     Ok(())
 }
 
@@ -315,23 +310,17 @@ fn check(args: &Args) -> Result<(), String> {
     });
     verdict(CAMPAIGN_FILE, "reproduces byte-for-byte", campaign);
 
-    // The events/s ratios are this machine's; only the event counts,
-    // panel shapes and floors are pinned.
-    let throughput = load::<ThroughputArtifact>(&dir.join(THROUGHPUT_FILE)).map(|golden| {
-        let mut cfg = throughput_smoke_config(golden.seed);
-        cfg.floor_ratio = golden.floor_ratio;
-        cfg.table2_floor_ratio = golden.table2_floor_ratio;
-        let fresh = run_throughput(&cfg);
-        print_throughput_summary(&fresh);
+    let ops = load::<OpsArtifact>(&dir.join(OPS_FILE)).map(|golden| {
+        let fresh = run_ops(golden.seed);
+        print_ops_summary(&fresh);
         let mut problems = golden.diff(&fresh);
-        problems.extend(floor_violations(&fresh));
         problems.extend(fresh.validate());
         problems
     });
     verdict(
-        THROUGHPUT_FILE,
-        "reproduces its event counts and clears its floors",
-        throughput,
+        OPS_FILE,
+        "reproduces byte-for-byte; ops/event stays flat",
+        ops,
     );
 
     let repro = load::<ReproArtifact>(&dir.join(REPRO_FILE))
@@ -419,35 +408,15 @@ fn print_campaign_summary(art: &CampaignArtifact) {
     }
 }
 
-fn print_throughput_summary(art: &ThroughputArtifact) {
-    let floored: Vec<&rtdvs_bench::PolicyThroughput> =
-        art.soak.iter().filter(|p| p.floored).collect();
-    let worst = floored
-        .iter()
-        .map(|p| p.ratio)
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "throughput: {}-task soak sustains {:.1}-{:.1}x baseline events/s on {} floored \
-         policies (floor {}x), {} ms",
-        art.soak_tasks,
-        worst,
-        floored.iter().map(|p| p.ratio).fold(0.0, f64::max),
-        floored.len(),
-        art.floor_ratio,
-        art.wall_ms
-    );
-    for (panel, rows) in [("soak", &art.soak), ("table2", &art.table2)] {
-        for p in rows {
-            println!(
-                "  {panel:>6} {:>9} {:>10} events {:>12.0} vs {:>12.0} events/s  {:>6.2}x{}",
-                p.policy,
-                p.events,
-                p.engine_eps,
-                p.baseline_eps,
-                p.ratio,
-                if p.floored { "  [floored]" } else { "" }
-            );
-        }
+fn print_ops_summary(art: &OpsArtifact) {
+    println!("ops: engine operations per event");
+    for p in &art.panels {
+        let cells: Vec<String> = p
+            .rows
+            .iter()
+            .map(|r| format!("{} {:.2}", r.policy, r.per_event()))
+            .collect();
+        println!("  {:>9} n={:<3} {}", p.set, p.n_tasks, cells.join("  "));
     }
 }
 

@@ -105,23 +105,15 @@ fn parse_options() -> Result<Options, String> {
             "--machine" => opts.machine = machine_by_name(&value("--machine")?)?,
             "--policy" => opts.policy = parse_policy_name(&value("--policy")?)?,
             "--duration-ms" => {
-                let ms: f64 = value("--duration-ms")?
-                    .parse()
-                    .map_err(|_| "bad duration".to_owned())?;
+                let ms = number(&flag, &value("--duration-ms")?, |x| x > 0.0)?;
                 opts.duration = Time::from_ms(ms);
             }
             "--exec" => opts.exec = exec_by_name(&value("--exec")?)?,
             "--idle-level" => {
-                opts.idle_level = value("--idle-level")?
-                    .parse()
-                    .map_err(|_| "bad idle level".to_owned())?;
+                opts.idle_level = number(&flag, &value("--idle-level")?, |x| x >= 0.0)?;
             }
             "--sporadic" => {
-                opts.sporadic = Some(
-                    value("--sporadic")?
-                        .parse()
-                        .map_err(|_| "bad sporadic fraction".to_owned())?,
-                );
+                opts.sporadic = Some(number(&flag, &value("--sporadic")?, |x| x >= 0.0)?);
             }
             "--seed" => {
                 opts.seed = value("--seed")?
@@ -134,6 +126,15 @@ fn parse_options() -> Result<Options, String> {
         }
     }
     Ok(opts)
+}
+
+/// Parses `flag`'s value, which must be a finite number that passes `ok`
+/// (positive for a duration, non-negative for a ratio).
+fn number(flag: &str, text: &str, ok: fn(f64) -> bool) -> Result<f64, String> {
+    text.parse()
+        .ok()
+        .filter(|&x: &f64| x.is_finite() && ok(x))
+        .ok_or_else(|| format!("bad {flag} value {text:?}\n{}", usage()))
 }
 
 fn usage() -> String {

@@ -17,12 +17,12 @@ pub mod artifact;
 pub mod campaign;
 pub mod chart;
 pub mod figures;
+pub mod ops;
 pub mod runner;
 pub mod soak;
 pub mod sweep;
 pub mod taskfile;
 pub mod tenants;
-pub mod throughput;
 
 pub use artifact::{
     check_layout, compare, Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint,
@@ -35,13 +35,10 @@ pub use campaign::{
 };
 pub use chart::render_normalized_chart;
 pub use figures::*;
+pub use ops::{run_ops, OpsArtifact, OpsPanel, OpsRow};
 pub use runner::{run_sweep_threads, RunnerStats, SweepRun};
 pub use soak::{run_soak, soak_violations, Soak};
 pub use sweep::{run_sweep, Sweep, SweepConfig, SweepRow};
 pub use tenants::{
     run_tenants, tenants_smoke_config, TenantOutcome, TenantSpec, TenantsArtifact, TenantsConfig,
-};
-pub use throughput::{
-    floor_violations, run_throughput, throughput_smoke_config, PolicyThroughput,
-    ThroughputArtifact, ThroughputConfig,
 };

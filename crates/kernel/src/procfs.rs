@@ -38,6 +38,8 @@
 //!
 //! `<fraction>` gives the registered task's actual per-invocation demand
 //! as a fraction of its bound (the text protocol cannot carry closures).
+//! Every numeric argument must be a finite number, and `<fraction>` must
+//! lie in [0, 1]; anything else is an `err: bad <field>` reply.
 
 use rtdvs_core::analysis::RmTest;
 use rtdvs_core::policy::PolicyKind;
@@ -110,15 +112,24 @@ fn parse_handle(token: &str) -> Result<TaskHandle, String> {
         .ok_or_else(|| format!("bad handle {token:?}"))
 }
 
+/// Parses the numeric argument `field`, which must pass `ok`.
+fn number(token: &str, field: &str, ok: fn(f64) -> bool) -> Result<f64, String> {
+    token
+        .parse()
+        .ok()
+        .filter(|&x| ok(x))
+        .ok_or_else(|| format!("bad {field}"))
+}
+
 fn try_execute(kernel: &mut RtKernel, line: &str) -> Result<String, String> {
     let mut parts = line.split_whitespace();
     let cmd = parts.next().ok_or("empty command")?;
     let rest: Vec<&str> = parts.collect();
     match (cmd, rest.as_slice()) {
         ("register", [period, wcet, fraction]) => {
-            let period: f64 = period.parse().map_err(|_| "bad period")?;
-            let wcet: f64 = wcet.parse().map_err(|_| "bad wcet")?;
-            let fraction: f64 = fraction.parse().map_err(|_| "bad fraction")?;
+            let period = number(period, "period", f64::is_finite)?;
+            let wcet = number(wcet, "wcet", f64::is_finite)?;
+            let fraction = number(fraction, "fraction", |f| (0.0..=1.0).contains(&f))?;
             let handle = kernel
                 .spawn(
                     Time::from_ms(period),
@@ -140,7 +151,7 @@ fn try_execute(kernel: &mut RtKernel, line: &str) -> Result<String, String> {
             Ok(format!("ok {}", kernel.policy_name()))
         }
         ("run", [ms]) => {
-            let ms: f64 = ms.parse().map_err(|_| "bad duration")?;
+            let ms = number(ms, "duration", f64::is_finite)?;
             if ms <= 0.0 {
                 return Err("duration must be positive".to_owned());
             }
@@ -256,7 +267,7 @@ fn try_execute(kernel: &mut RtKernel, line: &str) -> Result<String, String> {
         }
         ("supervisor", []) => Ok(kernel.supervisor_status()),
         ("supervise", [heartbeat]) => {
-            let ms: f64 = heartbeat.parse().map_err(|_| "bad heartbeat")?;
+            let ms = number(heartbeat, "heartbeat", f64::is_finite)?;
             if ms <= 0.0 {
                 return Err("heartbeat must be positive".to_owned());
             }
@@ -324,6 +335,30 @@ mod tests {
         assert!(execute(&mut k, "run -5").starts_with("err:"));
         assert!(execute(&mut k, "policy nonsense").starts_with("err:"));
         assert!(execute(&mut k, "policy stoch-edf=2.0").starts_with("err:"));
+    }
+
+    /// Every numeric argument, non-finite: a typed error, and the kernel
+    /// still runs afterwards.
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        let mut k = kernel();
+        execute(&mut k, "register 10 3 0.9");
+        for bad in ["nan", "inf", "-inf"] {
+            for (line, field) in [
+                (format!("register {bad} 1 0.5"), "period"),
+                (format!("register 10 {bad} 0.5"), "wcet"),
+                (format!("register 10 1 {bad}"), "fraction"),
+                (format!("run {bad}"), "duration"),
+                (format!("supervise {bad}"), "heartbeat"),
+            ] {
+                let reply = execute(&mut k, &line);
+                assert_eq!(reply, format!("err: bad {field}"), "{line}");
+                assert!(execute(&mut k, "run 10").starts_with("ok t="), "{line}");
+            }
+        }
+        for line in ["register 10 1 -0.1", "register 10 1 1.5"] {
+            assert_eq!(execute(&mut k, line), "err: bad fraction");
+        }
     }
 
     #[test]

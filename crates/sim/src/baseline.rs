@@ -4,16 +4,13 @@
 //! the O(1) hot-path rewrite (priority-bitmap ready queue + hierarchical
 //! timing wheel): linear scans over all tasks at every scheduling point
 //! and fresh `Vec` allocations for the ready queue, the due-event sets,
-//! and every policy notification. It exists for two reasons:
-//!
-//! 1. **Trace pinning.** `tests/equivalence.rs` runs both engines on the
-//!    Table 2 set and on generated, sporadic, overloaded and faulty
-//!    workloads and requires byte-identical reports and traces, proving
-//!    the rewrite is observationally pure speed.
-//! 2. **Floor calibration.** The events/s floor that `figures check`
-//!    holds `BENCH_throughput.json` to is a *ratio* against this engine
-//!    measured back-to-back on the same host, so the gate does not flake
-//!    with CI runner speed.
+//! and every policy notification. It is the reference implementation
+//! `tests/equivalence.rs` compares the engine against: both run the
+//! Table 2 set and generated, sporadic, overloaded and faulty workloads,
+//! and every report member but the operation counts, and every trace,
+//! must be byte-identical. That proves the rewrite is observationally
+//! pure speed. It reports no operation counts ([`EngineOps::default`]):
+//! those count the engine's own data structures, which this copy lacks.
 //!
 //! Do not "fix" or optimize this module; its value is that it does not
 //! change.
@@ -28,7 +25,7 @@ use rtdvs_taskgen::SplitMix64;
 use crate::config::{MissPolicy, SimConfig};
 use crate::energy::EnergyMeter;
 use crate::fault::{fires, ContainmentStats, FaultEvent, FaultStreams};
-use crate::report::{DeadlineMiss, SimReport, TaskStats};
+use crate::report::{DeadlineMiss, EngineOps, SimReport, TaskStats};
 use crate::trace::{Activity, Trace, TraceEvent};
 
 /// Runs `kind` under the frozen pre-refactor engine.
@@ -699,6 +696,7 @@ impl<'a> BaselineEngine<'a> {
             clamp_events: self.clamp_events,
             faults: self.fault_log,
             containment: self.containment,
+            ops: EngineOps::default(),
         }
     }
 }

@@ -26,6 +26,12 @@
 //! the retired linear scans — `crate::baseline` keeps that engine frozen
 //! and the differential suite (`tests/equivalence.rs`) plus the
 //! debug/audit [`Engine::sanitize`] cross-checks hold the two equal.
+//!
+//! The loop also counts its work in [`SimReport::ops`]: one exact bump per
+//! callback, view write, wheel or queue operation and meter charge, at the
+//! site that does it. `figures check` pins the counts (`BENCH_ops.json`)
+//! and holds ops/event flat from 8 to 128 tasks, which gates the O(1)
+//! per-event claim above.
 
 use rtdvs_core::machine::{Machine, PointIdx};
 use rtdvs_core::policy::{DvsPolicy, PolicyKind};
@@ -40,7 +46,7 @@ use crate::wheel::TimingWheel;
 use crate::config::{MissPolicy, SimConfig};
 use crate::energy::EnergyMeter;
 use crate::fault::{fires, ContainmentStats, FaultEvent, FaultStreams};
-use crate::report::{DeadlineMiss, SimReport, TaskStats};
+use crate::report::{DeadlineMiss, EngineOps, SimReport, TaskStats};
 use crate::trace::{Activity, Trace, TraceEvent};
 
 /// Runs `kind` on `tasks`/`machine` under `cfg`.
@@ -127,6 +133,9 @@ struct Engine<'a> {
     due_buf: Vec<u64>,
     /// Reused task-view buffer for policy notifications.
     views_buf: Vec<TaskView>,
+    /// Operation counts; the wheel's cascade re-placements join
+    /// `timer_ops` when the run ends.
+    ops: EngineOps,
 }
 
 /// Timer id of task `i`'s release event.
@@ -170,9 +179,11 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let n = tasks.len();
+        let mut ops = EngineOps::default();
         let mut wheel = TimingWheel::new(2 * n);
         for (i, t) in tasks.tasks().iter().enumerate() {
             wheel.schedule(rel_timer(i), t.offset());
+            ops.timer_ops += 1;
         }
         let mut rq = ReadyQueue::new();
         let span = tasks
@@ -227,6 +238,7 @@ impl<'a> Engine<'a> {
             comp_cand: vec![0; n.div_ceil(64).max(1)],
             due_buf: Vec::with_capacity(timer_words),
             views_buf,
+            ops,
         }
     }
 
@@ -234,6 +246,7 @@ impl<'a> Engine<'a> {
     /// The buffer is kept in sync at every task mutation, so building a
     /// [`SystemView`] is O(1) instead of an O(n) rebuild per notification.
     fn sync_view(&mut self, i: usize) {
+        self.ops.view_writes += 1;
         let Some(s) = self.rt.get(i) else {
             return;
         };
@@ -251,6 +264,7 @@ impl<'a> Engine<'a> {
 
     /// Calls a policy callback with the always-current system view.
     fn notify(&mut self, id: TaskId, is_release: bool) {
+        self.ops.policy_calls += 1;
         let sys = SystemView {
             now: self.now,
             tasks: self.tasks,
@@ -291,6 +305,8 @@ impl<'a> Engine<'a> {
         self.sync_view(i);
         self.wheel.cancel(dl_timer(i));
         self.rq.remove(TaskId(i));
+        self.ops.timer_ops += 1;
+        self.ops.queue_ops += 1;
         let Some(rt) = self.rt.get_mut(i) else {
             return;
         };
@@ -375,6 +391,8 @@ impl<'a> Engine<'a> {
                 rt.state = InvState::Completed;
                 self.wheel.cancel(dl_timer(i));
                 self.rq.remove(TaskId(i));
+                self.ops.timer_ops += 1;
+                self.ops.queue_ops += 1;
             }
             MissPolicy::SkipRelease => {
                 // Let the old invocation overrun into the next period; its
@@ -386,6 +404,8 @@ impl<'a> Engine<'a> {
                 self.wheel.schedule(rel_timer(i), next_release);
                 let now_tick = self.wheel.now_tick();
                 self.rq.insert(TaskId(i), deadline, now_tick);
+                self.ops.timer_ops += 2;
+                self.ops.queue_ops += 1;
             }
         }
         self.sync_view(i);
@@ -439,9 +459,11 @@ impl<'a> Engine<'a> {
         self.sync_view(i);
         self.wheel.schedule(rel_timer(i), next_release);
         self.wheel.schedule(dl_timer(i), deadline);
+        self.ops.timer_ops += 2;
         if self.remaining(i).is_positive() {
             let now_tick = self.wheel.now_tick();
             self.rq.insert(TaskId(i), deadline, now_tick);
+            self.ops.queue_ops += 1;
         } else {
             // A zero-work invocation completes at its own release instant.
             self.mark_completion_candidate(i);
@@ -748,6 +770,7 @@ impl<'a> Engine<'a> {
                         views: &self.views_buf,
                     };
                     self.policy.on_review(&sys);
+                    self.ops.policy_calls = self.ops.policy_calls.saturating_add(1);
                     if let Some(tr) = &mut self.trace {
                         tr.record_event(TraceEvent::Review { time: self.now });
                     }
@@ -777,6 +800,7 @@ impl<'a> Engine<'a> {
             } else {
                 self.rq.pick(kind, self.wheel.now_tick())
             };
+            self.ops.queue_ops = self.ops.queue_ops.saturating_add(1);
             let desired = if running.is_some() {
                 if containing {
                     self.machine.highest()
@@ -828,6 +852,7 @@ impl<'a> Engine<'a> {
             if stall_end > self.now {
                 let d = stall_end - self.now;
                 self.meter.charge_stall(d);
+                self.ops.meter_intervals = self.ops.meter_intervals.saturating_add(1);
                 if let Some(tr) = &mut self.trace {
                     tr.push(self.now, stall_end, point, Activity::Stall);
                 }
@@ -837,6 +862,7 @@ impl<'a> Engine<'a> {
                 match running {
                     Some(id) => {
                         self.meter.charge_busy(self.machine, point, d);
+                        self.ops.meter_intervals = self.ops.meter_intervals.saturating_add(1);
                         let work = d.work_at(op.freq);
                         if let Some(s) = self.rt.get_mut(id.0) {
                             s.executed += work;
@@ -861,6 +887,7 @@ impl<'a> Engine<'a> {
                     }
                     None => {
                         self.meter.charge_idle(self.machine, point, d);
+                        self.ops.meter_intervals = self.ops.meter_intervals.saturating_add(1);
                         if let Some(tr) = &mut self.trace {
                             tr.push(stall_end, t_next, point, Activity::Idle);
                         }
@@ -880,6 +907,7 @@ impl<'a> Engine<'a> {
             self.process_due_events(true);
         }
 
+        self.ops.timer_ops = self.ops.timer_ops.saturating_add(self.wheel.replacements());
         SimReport {
             policy: self.policy.name(),
             duration: self.cfg.duration,
@@ -893,6 +921,7 @@ impl<'a> Engine<'a> {
             clamp_events: self.clamp_events,
             faults: self.fault_log,
             containment: self.containment,
+            ops: self.ops,
         }
     }
 }

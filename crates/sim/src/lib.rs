@@ -49,5 +49,5 @@ pub use engine::{simulate, simulate_with};
 pub use exec_model::ExecModel;
 pub use fault::{ContainmentStats, FaultEvent, FaultPlan};
 pub use reference::{simulate_reference, RefReport};
-pub use report::{DeadlineMiss, SimReport, TaskStats};
+pub use report::{DeadlineMiss, EngineOps, SimReport, TaskStats};
 pub use trace::{Activity, Segment, Trace};

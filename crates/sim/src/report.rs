@@ -62,6 +62,38 @@ impl TaskStats {
     }
 }
 
+/// Exact counts of the engine's work over one run, one per operation it
+/// performs at a fixed call site. Nothing here is timed: the counts are a
+/// pure function of the inputs, so `figures check` pins them exactly and
+/// bounds their growth per event with the task count. Work done outside
+/// these entry points (a query that scans every task, say) is not counted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EngineOps {
+    /// Policy release, completion and review callbacks.
+    pub policy_calls: u64,
+    /// Writes of one task's entry in the policy view buffer.
+    pub view_writes: u64,
+    /// Timing-wheel schedules and cancels, plus the re-placements of
+    /// timers its cascades make.
+    pub timer_ops: u64,
+    /// Ready-queue inserts, removes and picks.
+    pub queue_ops: u64,
+    /// Busy, idle and stall intervals charged to the energy meter.
+    pub meter_intervals: u64,
+}
+
+impl EngineOps {
+    /// The sum of all five counts.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.policy_calls
+            + self.view_writes
+            + self.timer_ops
+            + self.queue_ops
+            + self.meter_intervals
+    }
+}
+
 /// The outcome of one simulation run.
 #[derive(Debug, Clone)]
 pub struct SimReport {
@@ -95,6 +127,8 @@ pub struct SimReport {
     pub faults: Vec<FaultEvent>,
     /// Overrun-containment accounting (all zero without faults).
     pub containment: ContainmentStats,
+    /// The engine's operation counts.
+    pub ops: EngineOps,
 }
 
 impl SimReport {
@@ -172,6 +206,7 @@ mod tests {
             clamp_events: 0,
             faults: vec![],
             containment: ContainmentStats::default(),
+            ops: EngineOps::default(),
         }
     }
 

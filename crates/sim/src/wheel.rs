@@ -68,6 +68,8 @@ pub struct TimingWheel {
     occ: [u64; LEVELS],
     /// Timers expiring beyond the wheel horizon.
     far: Vec<u64>,
+    /// Timers re-placed by cascades since construction.
+    replacements: u64,
 }
 
 impl TimingWheel {
@@ -87,6 +89,7 @@ impl TimingWheel {
             slot_bits: vec![0; LEVELS * SLOTS * words],
             occ: [0; LEVELS],
             far: vec![0; words],
+            replacements: 0,
         }
     }
 
@@ -94,6 +97,13 @@ impl TimingWheel {
     #[must_use]
     pub fn now_tick(&self) -> u64 {
         self.now_tick
+    }
+
+    /// How many timers cascades have re-placed at a lower level (or out
+    /// of the far set) since the wheel was created.
+    #[must_use]
+    pub fn replacements(&self) -> u64 {
+        self.replacements
     }
 
     /// `true` if timer `k` is pending.
@@ -240,6 +250,7 @@ impl TimingWheel {
                 self.set_slot_bit(level, slot, k, false);
                 let etick = self.tick.get(k).copied().unwrap_or(0).max(self.now_tick);
                 self.place(k, etick);
+                self.replacements += 1;
             }
         }
     }
@@ -257,6 +268,7 @@ impl TimingWheel {
                 word &= word - 1;
                 let etick = self.tick.get(k).copied().unwrap_or(0).max(self.now_tick);
                 self.place(k, etick);
+                self.replacements += 1;
             }
         }
     }
