@@ -11,9 +11,9 @@
 //!     same run as Figures 6–8). It also writes the four single-fault
 //!     soaks (BENCH_faults.json, BENCH_modes.json, BENCH_regulator.json,
 //!     BENCH_clock.json), the tenant soak (BENCH_tenants.json), the chaos
-//!     campaign (BENCH_campaign.json) and the engine's operation ledger
-//!     (BENCH_ops.json). A run that breaks its own invariants is not
-//!     written.
+//!     campaign (BENCH_campaign.json) and both executors' operation
+//!     ledger (BENCH_ops.json). A run that breaks its own invariants is
+//!     not written.
 //!
 //! figures check [--golden-dir DIR]
 //!     The one gate for every committed artifact, read from DIR (default:
@@ -27,7 +27,7 @@
 //!     differs), re-counts the operation ledger and diffs it exactly
 //!     against BENCH_ops.json, enforces every artifact's own invariants
 //!     on the fresh run (the ledger's: ops/event flat from 8 to 128
-//!     tasks), and replays results/repro_availability_floor.json to its
+//!     tasks, in the engine and in the kernel), and replays results/repro_availability_floor.json to its
 //!     bit-identical violation. Nothing it gates is timed. Every JSON
 //!     file it reads must also be a fixed point of parse→write, so hand
 //!     edits and layout drift fail. Checks every artifact, then exits
@@ -409,7 +409,7 @@ fn print_campaign_summary(art: &CampaignArtifact) {
 }
 
 fn print_ops_summary(art: &OpsArtifact) {
-    println!("ops: engine operations per event");
+    println!("ops: operations per event");
     for p in &art.panels {
         let cells: Vec<String> = p
             .rows

@@ -1,28 +1,34 @@
-//! The operation ledger: the engine's exact work per event, pinned.
+//! The operation ledger: both executors' exact work per event, pinned.
 //!
 //! The paper's simulator (§3.1) does work only at releases and
-//! completions, so its cost is a per-event quantity. The ledger runs the
-//! six paper policies on the Table 2 set for [`TABLE2_MS`] and on
-//! generated sets of [`SIZES`] tasks (U = [`UTIL`], uniform execution)
-//! for [`GENERATED_MS`], and records each run's events and
-//! [`EngineOps`] counts in `BENCH_ops.json` (schema `rtdvs-ops/v1`).
-//! Nothing in it is measured, so it has no provenance: `figures check`
-//! diffs every byte, and [`OpsArtifact::validate`] holds the engine to
-//! O(1) work per event on the fresh run. Total ops/event at the largest
-//! size must stay within [`MAX_GROWTH`] times its value at the smallest,
-//! for every policy, so regenerating the golden cannot hide an O(n)
+//! completions, and its prototype (§4.2) calls the policy module at the
+//! same points, so each executor's cost is a per-event quantity. The
+//! ledger runs the six paper policies in the sim engine on the Table 2
+//! set for [`TABLE2_MS`] and on generated sets of [`SIZES`] tasks
+//! (U = [`UTIL`], uniform execution) for [`GENERATED_MS`], then runs the
+//! same generated sets in an [`RtKernel`] with [`UniformBody`] bodies
+//! (the `kernel` panels). It records each run's events and [`EngineOps`]
+//! counts in `BENCH_ops.json` (schema `rtdvs-ops/v1`). Nothing in it is
+//! measured, so it has no provenance: `figures check` diffs every byte,
+//! and [`OpsArtifact::validate`] holds both executors to O(1) work per
+//! event on the fresh run. Total ops/event at the largest size must stay
+//! within [`MAX_GROWTH`] times its value at the smallest, for every
+//! policy and executor, so regenerating the golden cannot hide an O(n)
 //! regression.
 //!
-//! The ledger sees only work done through the counted entry points (see
-//! [`EngineOps`]). An O(n) loop that bypasses them, such as a view
-//! rebuilt into a fresh `Vec` or a linear scan for the next event, is
-//! invisible here, as is a constant-factor slowdown; the end-to-end
-//! benchmark (`examples/benchmark`, `events_per_s`) catches both.
+//! The engine counts only work done through its counted entry points (see
+//! [`EngineOps`]). The kernel also counts every entry an O(n) pass visits,
+//! under the structure the pass stands in for (see [`RtKernel::ops`]).
+//! Either way an uncounted O(n) loop, such as a view rebuilt into a fresh
+//! `Vec`, is invisible here, as is a constant-factor slowdown; the
+//! end-to-end benchmark (`examples/benchmark`, `events_per_s`) catches
+//! both.
 
 use rtdvs_core::example::table2_task_set;
-use rtdvs_core::{Machine, PolicyKind, Time};
+use rtdvs_core::{Machine, PolicyKind, TaskSet, Time};
+use rtdvs_kernel::{RtKernel, UniformBody};
 use rtdvs_sim::{simulate, EngineOps, ExecModel, SimConfig};
-use rtdvs_taskgen::{generate, TaskGenSpec};
+use rtdvs_taskgen::{generate, SplitMix64, TaskGenSpec};
 
 use crate::artifact::{Artifact, ArtifactError, Json};
 
@@ -35,17 +41,21 @@ pub const UTIL: f64 = 0.8;
 /// Horizon of the generated-set runs, milliseconds.
 pub const GENERATED_MS: u64 = 8_000;
 /// How much total ops/event may grow from the smallest generated set to
-/// the largest (16× the tasks) before the engine counts as O(n).
+/// the largest (16× the tasks) before an executor counts as O(n).
 pub const MAX_GROWTH: f64 = 1.25;
+/// The panel sets run at every [`SIZES`] entry: the engine's, then the
+/// kernel's.
+const GENERATED_SETS: [&str; 2] = ["generated", "kernel"];
 
 /// One policy's run on one task set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpsRow {
     /// Policy display name.
     pub policy: String,
-    /// Scheduler decision intervals ([`rtdvs_sim::SimReport::events`]).
+    /// Scheduler decision intervals ([`rtdvs_sim::SimReport::events`],
+    /// [`RtKernel::events`]).
     pub events: u64,
-    /// The engine's operation counts.
+    /// The executor's operation counts.
     pub ops: EngineOps,
 }
 
@@ -60,7 +70,8 @@ impl OpsRow {
 /// Every paper policy's run on one task set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OpsPanel {
-    /// `"table2"` or `"generated"`.
+    /// `"table2"` or `"generated"` (engine runs), or `"kernel"` (the
+    /// generated sets in an [`RtKernel`]).
     pub set: String,
     /// Tasks in the set.
     pub n_tasks: usize,
@@ -75,7 +86,8 @@ pub struct OpsPanel {
 pub struct OpsArtifact {
     /// Seed of the generated sets and of every run's execution draws.
     pub seed: u64,
-    /// The Table 2 panel, then one per [`SIZES`] entry.
+    /// The Table 2 panel, then one engine panel and then one kernel panel
+    /// per [`SIZES`] entry.
     pub panels: Vec<OpsPanel>,
 }
 
@@ -137,17 +149,21 @@ impl Artifact for OpsArtifact {
 }
 
 impl OpsArtifact {
-    /// The ledger's invariants: the Table 2 panel, then one panel per
-    /// [`SIZES`] entry, each with the six paper policies and nonzero
-    /// events, and total ops/event at the largest size within
-    /// [`MAX_GROWTH`] times the smallest for every policy. Returns one
-    /// message per violation.
+    /// The ledger's invariants: the Table 2 panel, then one engine and one
+    /// kernel panel per [`SIZES`] entry, each with the six paper policies
+    /// and nonzero events, and total ops/event at the largest size within
+    /// [`MAX_GROWTH`] times the smallest for every policy and executor.
+    /// Returns one message per violation.
     #[must_use]
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let shape: Vec<(&str, usize)> = self.panels.iter().map(|p| (&*p.set, p.n_tasks)).collect();
         let want: Vec<(&str, usize)> = std::iter::once(("table2", table2_task_set().len()))
-            .chain(SIZES.map(|n| ("generated", n)))
+            .chain(
+                GENERATED_SETS
+                    .iter()
+                    .flat_map(|&set| SIZES.map(|n| (set, n))),
+            )
             .collect();
         if shape != want {
             problems.push(format!("panels {shape:?}, expected {want:?}"));
@@ -163,28 +179,37 @@ impl OpsArtifact {
             }
         }
         let (small, large) = (SIZES[0], SIZES[SIZES.len() - 1]);
-        let rows = |n: usize| {
-            let panel = self.panels.iter().find(|p| p.n_tasks == n);
-            panel.map_or(&[][..], |p| &p.rows)
-        };
-        for (a, b) in rows(small).iter().zip(rows(large)) {
-            let growth = b.per_event() / a.per_event();
-            if growth > MAX_GROWTH {
-                problems.push(format!(
-                    "n={large}/{}: {:.2} ops/event is {growth:.2}x its n={small} value {:.2}, \
-                     above the {MAX_GROWTH}x limit: engine work per event grows with n",
-                    b.policy,
-                    b.per_event(),
-                    a.per_event()
-                ));
+        for set in GENERATED_SETS {
+            // Engine rows keep the names they had before the kernel rows.
+            let (executor, prefix) = if set == "kernel" {
+                ("kernel", "kernel ")
+            } else {
+                ("engine", "")
+            };
+            let rows = |n: usize| {
+                let panel = self.panels.iter().find(|p| p.set == set && p.n_tasks == n);
+                panel.map_or(&[][..], |p| &p.rows)
+            };
+            for (a, b) in rows(small).iter().zip(rows(large)) {
+                let growth = b.per_event() / a.per_event();
+                if growth > MAX_GROWTH {
+                    problems.push(format!(
+                        "{prefix}n={large}/{}: {:.2} ops/event is {growth:.2}x its n={small} value \
+                         {:.2}, above the {MAX_GROWTH}x limit: {executor} work per event grows \
+                         with n",
+                        b.policy,
+                        b.per_event(),
+                        a.per_event()
+                    ));
+                }
             }
         }
         problems
     }
 }
 
-/// Runs the ledger: 24 simulations, about half a second on one core of a
-/// release build.
+/// Runs the ledger: 24 simulations and 18 kernel runs, about two seconds
+/// on one core of a release build.
 ///
 /// # Panics
 ///
@@ -201,6 +226,18 @@ fn ledger(seed: u64, generated_ms: u64) -> OpsArtifact {
         let tasks = generate(&spec, seed).expect("task-set generation is total");
         ("generated", tasks, generated_ms)
     });
+    let kernel_panels: Vec<OpsPanel> = generated
+        .iter()
+        .map(|(_, tasks, duration_ms)| OpsPanel {
+            set: "kernel".to_owned(),
+            n_tasks: tasks.len(),
+            duration_ms: *duration_ms,
+            rows: PolicyKind::paper_six()
+                .into_iter()
+                .map(|kind| kernel_row(tasks, kind, seed, *duration_ms))
+                .collect(),
+        })
+        .collect();
     let panels = std::iter::once(("table2", table2_task_set(), TABLE2_MS))
         .chain(generated)
         .map(|(set, tasks, duration_ms)| {
@@ -222,8 +259,31 @@ fn ledger(seed: u64, generated_ms: u64) -> OpsArtifact {
                 rows: rows.collect(),
             }
         })
+        .chain(kernel_panels)
         .collect();
     OpsArtifact { seed, panels }
+}
+
+/// One kernel run: every task spawned under plain EDF (admission would
+/// refuse some sets under RM), then `kind` loaded, then `duration_ms` of
+/// uptime. Task `i`'s body draws uniformly from its own stream split off
+/// `seed`.
+fn kernel_row(tasks: &TaskSet, kind: PolicyKind, seed: u64, duration_ms: u64) -> OpsRow {
+    let root = SplitMix64::seed_from_u64(seed);
+    let mut kernel = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+    for (i, t) in tasks.tasks().iter().enumerate() {
+        let body = UniformBody::new(root.split(i as u64).next_u64());
+        kernel
+            .spawn(t.period(), t.wcet(), Box::new(body))
+            .expect("a set at UTIL passes EDF admission");
+    }
+    kernel.load_policy(kind);
+    kernel.run_until(Time::from_ms(duration_ms as f64));
+    OpsRow {
+        policy: kind.name().to_owned(),
+        events: kernel.events(),
+        ops: kernel.ops(),
+    }
 }
 
 #[cfg(test)]
@@ -265,6 +325,15 @@ mod tests {
         let problems = art.validate();
         assert_eq!(problems.len(), 1, "{problems:?}");
         assert!(problems[0].starts_with("n=128/ccRM: "), "{problems:?}");
+        art.panels[3].rows[4].ops.view_writes /= 16;
+        art.panels[6].rows[0].ops.queue_ops *= 16;
+        let problems = art.validate();
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].starts_with("kernel n=128/EDF: ")
+                && problems[0].ends_with("kernel work per event grows with n"),
+            "{problems:?}"
+        );
 
         art.panels.pop();
         art.panels[1].rows.pop();

@@ -252,32 +252,6 @@ impl ReadyQueue {
         }
     }
 
-    /// Removes every member (cost proportional to the members present).
-    pub fn clear(&mut self) {
-        let mut ids: [u64; 4] = [0; 4];
-        // Snapshot small id sets on the stack; larger sets fall back to a
-        // word-by-word sweep.
-        if self.words <= ids.len() {
-            for (i, w) in self.in_q.iter().enumerate() {
-                if let Some(s) = ids.get_mut(i) {
-                    *s = *w;
-                }
-            }
-            for (w, &word) in ids.iter().enumerate().take(self.words) {
-                let mut bits = word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    self.remove(TaskId(w * WORD_BITS + b));
-                    bits &= bits - 1;
-                }
-            }
-        } else {
-            for id in 0..self.n {
-                self.remove(TaskId(id));
-            }
-        }
-    }
-
     /// Picks the highest-priority ready task under `kind` at the instant
     /// whose tick is `now_tick`. Identical to
     /// [`SchedulerKind::pick_next`] over the same ready set.
@@ -522,7 +496,7 @@ mod tests {
             assert_eq!(q.pick(SchedulerKind::Edf, nt), Some(TaskId(1)));
             q.remove(TaskId(1));
             assert_eq!(q.pick(SchedulerKind::Edf, nt), Some(TaskId(0)));
-            q.clear();
+            q.remove(TaskId(0));
             assert!(q.is_empty());
         }
     }
@@ -603,7 +577,9 @@ mod tests {
             assert_eq!(q.pick(SchedulerKind::Rm, 0), Some(TaskId(i)));
             q.remove(TaskId(i));
         }
-        q.clear();
+        for i in 50..n {
+            q.remove(TaskId(i));
+        }
         assert!(q.is_empty());
     }
 

@@ -28,7 +28,8 @@ use rtdvs_core::task::{Task, TaskError, TaskId, TaskSet};
 use rtdvs_core::time::{Time, Work, EPS};
 use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_platform::{Regulator, TransitionOutcome};
-use rtdvs_sim::{Activity, EnergyMeter, SwitchOverhead, Trace};
+use rtdvs_sim::wheel::TimingWheel;
+use rtdvs_sim::{Activity, EnergyMeter, EngineOps, SwitchOverhead, Trace};
 
 use crate::body::TaskBody;
 
@@ -339,6 +340,46 @@ impl Entry {
     }
 }
 
+/// The run loop's incremental state: what the loop would otherwise
+/// recompute from `entries` on every iteration, kept in step at the sites
+/// where an entry changes, so the steady state costs O(1) per event and
+/// allocates nothing. Derived state: [`RtKernel::rebuild_and_reinit`]
+/// rebuilds it from `entries`, and it is never serialized, so the
+/// operation counts restart at zero on restore.
+#[derive(Default)]
+pub(crate) struct SchedState {
+    /// The views and the release timers predate the last rebuild. The
+    /// next policy callback or release pass rebuilds both, so n spawns in
+    /// a row cost O(n) there, not O(n²); writes in between land in
+    /// storage that rebuild overwrites.
+    pub(crate) stale: bool,
+    /// One policy view per entry, rewritten wherever the entry changes
+    /// (the engine's `sync_view` mirror).
+    pub(crate) views: Vec<TaskView>,
+    /// The views were last rewritten under a drift estimate, so their
+    /// deadlines were tightened for that instant: the next callback
+    /// rewrites them all, even if the estimate has since gone.
+    pub(crate) views_tightened: bool,
+    /// One release timer per non-deferred entry, keyed by entry index.
+    pub(crate) wheel: TimingWheel,
+    /// Due-timer bitmap reused by the release pass.
+    pub(crate) due: Vec<u64>,
+    /// Entries that may have run out of work: the running task after its
+    /// interval is charged, and zero-work releases.
+    pub(crate) candidates: Vec<usize>,
+    /// Entries with an invocation in flight.
+    pub(crate) active: usize,
+    /// Entries whose first release waits for quiescence.
+    pub(crate) deferred: usize,
+    /// Whether the governor has any entry's period stretched.
+    pub(crate) stretched: bool,
+    /// Work counted the engine's way (wheel re-placements are read from
+    /// the wheel when reported).
+    pub(crate) ops: EngineOps,
+    /// Iterations of the run loop: the kernel's decision intervals.
+    pub(crate) events: u64,
+}
+
 /// A task evicted in degraded mode, waiting to be re-admitted through the
 /// ordinary admission test with its bound renegotiated to what it actually
 /// used.
@@ -440,11 +481,13 @@ pub struct RtKernel {
     /// The watchdog supervisor, when armed. Like the regulator, never
     /// serialized: it owns the snapshot it would restore from.
     pub(crate) supervisor: Option<crate::supervisor::Supervisor>,
-    /// Priority-bitmap ready queue reused across scheduler iterations
-    /// (rebuilt from `entries` each pick; O(1) highest-priority lookup,
-    /// no per-iteration allocation). Derived state: reconfigured by
+    /// Priority-bitmap ready queue of the entries that are active with
+    /// work left: inserted at release, removed when the work runs out.
+    /// Derived state: reconfigured and refilled by
     /// [`RtKernel::rebuild_and_reinit`], never serialized.
     pub(crate) rq: ReadyQueue,
+    /// The rest of the run loop's incremental state.
+    pub(crate) sched: SchedState,
     /// Multi-tenant servers spawned on this kernel, keyed by the periodic
     /// task that drives each one. Kept here so procfs can read tenant
     /// state back and checkpoints can restore the pairing.
@@ -497,6 +540,7 @@ impl RtKernel {
             forced_transitions: 0,
             supervisor: None,
             rq: ReadyQueue::new(),
+            sched: SchedState::default(),
             tenant_servers: Vec::new(),
             timebase: crate::timebase::TimeBase::default(),
         };
@@ -697,6 +741,29 @@ impl RtKernel {
         self.switches
     }
 
+    /// The run loop's operation counts, counted like the sim engine's
+    /// [`rtdvs_sim::SimReport::ops`]: policy callbacks, view writes, timer
+    /// and ready-queue operations, and meter intervals. Every entry an
+    /// O(n) pass visits counts once, under the structure the pass stands
+    /// in for, so such a pass shows in the counts. Not serialized: the
+    /// counts restart at zero on restore.
+    #[must_use]
+    pub fn ops(&self) -> EngineOps {
+        let mut ops = self.sched.ops;
+        ops.timer_ops = ops
+            .timer_ops
+            .saturating_add(self.sched.wheel.replacements());
+        ops
+    }
+
+    /// Decision intervals the run loop has processed (its iterations), the
+    /// kernel's analogue of [`rtdvs_sim::SimReport::events`]. Restarts at
+    /// zero on restore, like [`RtKernel::ops`].
+    #[must_use]
+    pub fn events(&self) -> u64 {
+        self.sched.events
+    }
+
     /// The execution trace, if recording was enabled.
     #[must_use]
     pub fn trace(&self) -> Option<&Trace> {
@@ -743,7 +810,7 @@ impl RtKernel {
     pub fn governor(&self) -> GovernorState {
         if !self.shed.is_empty() {
             GovernorState::Shedding
-        } else if self.entries.iter().any(Entry::stretched) {
+        } else if self.sched.stretched {
             GovernorState::Stretched
         } else {
             GovernorState::Nominal
@@ -829,8 +896,7 @@ impl RtKernel {
                 utilization: candidate.total_utilization(),
             });
         }
-        let deferred =
-            self.defer_new_tasks && self.entries.iter().any(|e| e.state == InvState::Active);
+        let deferred = self.defer_new_tasks && self.sched.active > 0;
         let handle = TaskHandle(self.next_handle);
         self.next_handle += 1;
         self.insert_entry(Entry {
@@ -949,10 +1015,13 @@ impl RtKernel {
         self.rebuild_and_reinit();
     }
 
-    /// Rebuilds the positional task set and conservatively re-seeds the
-    /// policy: init with the new set, then a synthetic release callback for
-    /// every in-flight invocation so stateful policies (ccRM) rebuild their
-    /// pacing allotments from the real remaining work.
+    /// Rebuilds the positional task set, resyncs the run loop's
+    /// incremental state, and conservatively re-seeds the policy: init
+    /// with the new set, then a synthetic release callback for every
+    /// in-flight invocation so stateful policies (ccRM) rebuild their
+    /// pacing allotments from the real remaining work. This is the loop's
+    /// one O(n) resync; it runs at spawn, remove, policy load, shed,
+    /// readmit, stretch, relax, mode change, ladder step and restore.
     pub(crate) fn rebuild_and_reinit(&mut self) {
         self.cached_set = if self.entries.is_empty() {
             None
@@ -980,16 +1049,21 @@ impl RtKernel {
             }
             None => self.rq.configure(0, Time::ZERO, &[]),
         }
+        self.resync();
+        // The synthetic release callbacks below read the views.
+        if self.sched.active > 0 {
+            self.refresh_views();
+        }
         if let Some(set) = &self.cached_set {
             self.policy.init(set, &self.machine);
-            let views = self.views();
             for i in 0..self.entries.len() {
                 if self.entries[i].state == InvState::Active {
+                    self.sched.ops.policy_calls += 1;
                     let sys = SystemView {
                         now: self.now,
                         tasks: set,
                         machine: &self.machine,
-                        views: &views,
+                        views: &self.sched.views,
                     };
                     self.policy.on_release(TaskId(i), &sys);
                 }
@@ -997,41 +1071,132 @@ impl RtKernel {
         }
     }
 
-    fn views(&self) -> Vec<TaskView> {
-        self.entries
-            .iter()
-            .map(|e| {
-                if e.deferred {
-                    TaskView {
-                        invocation: 0,
-                        state: InvState::Inactive,
-                        executed: Work::ZERO,
-                        deadline: Time::from_ms(FAR_FUTURE_MS),
-                        next_release: Time::from_ms(FAR_FUTURE_MS),
-                    }
-                } else {
-                    TaskView {
-                        invocation: e.invocation,
-                        state: e.state,
-                        executed: e.executed,
-                        // Policies see deadlines tightened by the drift
-                        // estimate; miss detection keeps the raw one.
-                        deadline: self.clock_tightened_deadline(e.deadline),
-                        next_release: e.next_release,
-                    }
-                }
-            })
-            .collect()
+    /// Rebuilds the ready queue's members, the completion candidates and
+    /// the counts from `entries`, reusing every buffer, and marks the
+    /// views and the release timers stale.
+    fn resync(&mut self) {
+        let n = self.entries.len();
+        let now_tick = self.now_tick_index();
+        self.sched.candidates.clear();
+        self.sched.active = 0;
+        self.sched.deferred = 0;
+        self.sched.stretched = false;
+        for i in 0..n {
+            let e = &self.entries[i];
+            let active = e.state == InvState::Active;
+            self.sched.ops.queue_ops += 1;
+            if active && self.remaining(i).is_positive() {
+                self.rq.insert(TaskId(i), e.deadline, now_tick);
+            } else if active {
+                self.sched.candidates.push(i);
+            }
+            self.sched.active += usize::from(active);
+            self.sched.deferred += usize::from(e.deferred);
+            self.sched.stretched |= e.stretched();
+        }
+        self.sched.stale = true;
+    }
+
+    /// Rewrites the views and re-arms the release timers if a rebuild
+    /// left them stale.
+    pub(crate) fn freshen(&mut self) {
+        if std::mem::take(&mut self.sched.stale) {
+            self.write_views();
+            self.rearm_release_timers();
+        }
+    }
+
+    /// Re-arms the wheel at the current instant with one release timer per
+    /// non-deferred entry.
+    pub(crate) fn rearm_release_timers(&mut self) {
+        self.sched.wheel.reset(self.entries.len(), self.now);
+        for (i, e) in self.entries.iter().enumerate() {
+            self.sched.ops.timer_ops += 1;
+            if !e.deferred {
+                self.sched.wheel.schedule(i, e.next_release);
+            }
+        }
+    }
+
+    /// Sets entry `idx`'s release timer to its next release.
+    fn schedule_release(&mut self, idx: usize) {
+        self.sched
+            .wheel
+            .schedule(idx, self.entries[idx].next_release);
+        self.sched.ops.timer_ops += 1;
+    }
+
+    /// Entry `idx` as the policy sees it: deferred entries read as
+    /// far-future, and deadlines are tightened by the drift estimate.
+    fn view_of(&self, idx: usize) -> TaskView {
+        let e = &self.entries[idx];
+        if e.deferred {
+            TaskView {
+                invocation: 0,
+                state: InvState::Inactive,
+                executed: Work::ZERO,
+                deadline: Time::from_ms(FAR_FUTURE_MS),
+                next_release: Time::from_ms(FAR_FUTURE_MS),
+            }
+        } else {
+            TaskView {
+                invocation: e.invocation,
+                state: e.state,
+                executed: e.executed,
+                // Policies see deadlines tightened by the drift
+                // estimate; miss detection keeps the raw one.
+                deadline: self.clock_tightened_deadline(e.deadline),
+                next_release: e.next_release,
+            }
+        }
+    }
+
+    /// Rewrites entry `idx`'s policy view after the entry changed.
+    fn sync_view(&mut self, idx: usize) {
+        self.sched.ops.view_writes += 1;
+        let view = self.view_of(idx);
+        if let Some(slot) = self.sched.views.get_mut(idx) {
+            *slot = view;
+        }
+    }
+
+    /// Rewrites all n views at the current instant.
+    fn write_views(&mut self) {
+        let n = self.entries.len();
+        self.sched.views.clear();
+        for i in 0..n {
+            let view = self.view_of(i);
+            self.sched.views.push(view);
+        }
+        self.sched.ops.view_writes += n as u64;
+        self.sched.views_tightened = self.clock_tightens_deadlines();
+    }
+
+    /// Brings the views up to date before a policy callback. Under a drift
+    /// estimate a tightened deadline depends on `now`, so all n are
+    /// rewritten before every callback, and once more after the estimate
+    /// goes: the per-callback O(n) cost is paid only by kernels with a
+    /// clock fault plan.
+    fn refresh_views(&mut self) {
+        if self.sched.stale {
+            self.freshen();
+        } else if self.sched.views_tightened || self.clock_tightens_deadlines() {
+            self.write_views();
+        }
     }
 
     fn notify(&mut self, idx: usize, is_release: bool) {
+        if self.cached_set.is_none() {
+            return;
+        }
+        self.refresh_views();
+        self.sched.ops.policy_calls += 1;
         let Some(set) = &self.cached_set else { return };
-        let views = self.views();
         let sys = SystemView {
             now: self.now,
             tasks: set,
             machine: &self.machine,
-            views: &views,
+            views: &self.sched.views,
         };
         if is_release {
             self.policy.on_release(TaskId(idx), &sys);
@@ -1064,6 +1229,10 @@ impl RtKernel {
             };
             self.log.push((self.now, ev));
         }
+        self.sched.active = self.sched.active.saturating_sub(1);
+        self.rq.remove(TaskId(idx));
+        self.sched.ops.queue_ops += 1;
+        self.sync_view(idx);
         let ev = KernelEvent::Completed {
             handle: self.entries[idx].handle,
             invocation: self.entries[idx].invocation,
@@ -1075,7 +1244,8 @@ impl RtKernel {
     pub(crate) fn release(&mut self, idx: usize) {
         let period = self.entries[idx].spec.period();
         let scheduled = self.entries[idx].next_release;
-        if self.entries[idx].state == InvState::Active {
+        let was_active = self.entries[idx].state == InvState::Active;
+        if was_active {
             let ev = KernelEvent::DeadlineMiss {
                 handle: self.entries[idx].handle,
                 invocation: self.entries[idx].invocation,
@@ -1100,6 +1270,22 @@ impl RtKernel {
         e.overrun_logged = false;
         let inv = e.invocation;
         e.actual = e.body.run(inv, &e.user_spec).max(Work::ZERO);
+        let deadline = e.deadline;
+        if !was_active {
+            self.sched.active += 1;
+        }
+        self.schedule_release(idx);
+        // A re-release after a miss repositions the entry; a zero-work
+        // release is one of the two ways an invocation runs out of work.
+        self.sched.ops.queue_ops += 1;
+        if self.remaining(idx).is_positive() {
+            let now_tick = self.now_tick_index();
+            self.rq.insert(TaskId(idx), deadline, now_tick);
+        } else {
+            self.rq.remove(TaskId(idx));
+            self.sched.candidates.push(idx);
+        }
+        self.sync_view(idx);
         self.note_release_latency(idx, inv, scheduled);
         let ev = KernelEvent::Released {
             handle: self.entries[idx].handle,
@@ -1118,6 +1304,8 @@ impl RtKernel {
     /// evicted and stashed for periodic re-admission attempts. Returns
     /// whether anything changed.
     fn shed_pending(&mut self) -> bool {
+        // A degraded-mode scan: it stays O(n) and is counted as such.
+        self.sched.ops.queue_ops += self.entries.len() as u64;
         if !self.entries.iter().any(|e| e.pending_shed) {
             return false;
         }
@@ -1265,10 +1453,11 @@ impl RtKernel {
     fn relax_stretch(&mut self) -> bool {
         /// Utilization ceiling for relaxing back to nominal.
         const RELAX_HEADROOM: f64 = 0.95;
-        if !self.entries.iter().any(Entry::stretched)
-            || !self.shed.is_empty()
-            || self.entries.iter().any(|e| e.pending_shed)
-        {
+        if !self.sched.stretched || !self.shed.is_empty() {
+            return false;
+        }
+        self.sched.ops.queue_ops += self.entries.len() as u64;
+        if self.entries.iter().any(|e| e.pending_shed) {
             return false;
         }
         let stall = self.stall_budget();
@@ -1314,6 +1503,7 @@ impl RtKernel {
         let mut any = false;
         let mut i = 0;
         while i < self.shed.len() {
+            self.sched.ops.timer_ops += 1;
             if !self.shed[i].next_attempt.at_or_before(self.now) {
                 i += 1;
                 continue;
@@ -1336,8 +1526,7 @@ impl RtKernel {
                 continue;
             };
             let t = self.shed.remove(i);
-            let deferred =
-                self.defer_new_tasks && self.entries.iter().any(|e| e.state == InvState::Active);
+            let deferred = self.defer_new_tasks && self.sched.active > 0;
             self.insert_entry(Entry {
                 handle: t.handle,
                 spec,
@@ -1379,16 +1568,11 @@ impl RtKernel {
                 progressed |= self.shed_pending();
                 progressed |= self.try_readmit();
             }
-            for i in 0..self.entries.len() {
-                if self.entries[i].state == InvState::Active && !self.remaining(i).is_positive() {
-                    self.complete(i);
-                    progressed = true;
-                }
-            }
+            progressed |= self.complete_candidates();
             // A quiescent instant — no invocation in flight — is the safe
             // point for every whole-set change: staged mode changes commit,
             // the governor relaxes, and deferred first releases fire.
-            let quiescent = !self.entries.iter().any(|e| e.state == InvState::Active);
+            let quiescent = self.sched.active == 0;
             if quiescent {
                 if self.pending_change.is_some() {
                     progressed |= crate::modechange::commit_staged(self);
@@ -1404,14 +1588,8 @@ impl RtKernel {
             // Deferred tasks release once nothing is in flight (§4.3: "the
             // effects of past DVS decisions, based on the old task set,
             // will have expired").
-            if quiescent && self.entries.iter().any(|e| e.deferred) {
-                for e in &mut self.entries {
-                    if e.deferred {
-                        e.deferred = false;
-                        e.next_release = self.now;
-                        e.deadline = self.now + e.spec.period();
-                    }
-                }
+            if quiescent && self.sched.deferred > 0 {
+                self.undefer_all();
                 progressed = true;
             }
             progressed |= self.process_due_releases();
@@ -1419,6 +1597,52 @@ impl RtKernel {
                 break;
             }
         }
+    }
+
+    /// Completes every candidate whose invocation has run out of work, in
+    /// ascending entry order: the order a scan of every entry finds them
+    /// in. Returns whether anything completed.
+    fn complete_candidates(&mut self) -> bool {
+        if self.sched.candidates.is_empty() {
+            return false;
+        }
+        let mut candidates = std::mem::take(&mut self.sched.candidates);
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut any = false;
+        for &i in &candidates {
+            let out_of_work = self
+                .entries
+                .get(i)
+                .is_some_and(|e| e.state == InvState::Active)
+                && !self.remaining(i).is_positive();
+            if out_of_work {
+                self.complete(i);
+                any = true;
+            }
+        }
+        // `complete` marks no candidate, so the emptied buffer goes back
+        // with its capacity.
+        candidates.clear();
+        self.sched.candidates = candidates;
+        any
+    }
+
+    /// Releases every deferred entry at the current (quiescent) instant.
+    fn undefer_all(&mut self) {
+        let now = self.now;
+        for i in 0..self.entries.len() {
+            self.sched.ops.timer_ops += 1;
+            let e = &mut self.entries[i];
+            if e.deferred {
+                e.deferred = false;
+                e.next_release = now;
+                e.deadline = now + e.spec.period();
+                self.schedule_release(i);
+                self.sync_view(i);
+            }
+        }
+        self.sched.deferred = 0;
     }
 
     /// Books the switch + stall for landing on `point`, exactly like the
@@ -1497,6 +1721,11 @@ impl RtKernel {
             cap.min(self.machine.highest())
         });
         let slack = self.retry_slack();
+        self.sched.ops.queue_ops = self
+            .sched
+            .ops
+            .queue_ops
+            .saturating_add(self.entries.len() as u64);
         let mut extra_stall = Time::ZERO;
         let mut landed: Option<PointIdx> = None;
         'targets: for target in desired..=top {
@@ -1680,40 +1909,43 @@ impl RtKernel {
     /// Advances the kernel's virtual clock to `t`, running tasks and
     /// charging energy along the way. Returns immediately if `t` is not in
     /// the future.
+    ///
+    /// Each iteration is one decision interval and costs O(1) in the
+    /// number of tasks: the ready queue, the release timers, the policy
+    /// views, the completion candidates and the counts are all kept in
+    /// step where entries change (see [`SchedState`]).
     pub fn run_until(&mut self, t: Time) {
         while self.now.definitely_before(t) {
+            self.sched.events += 1;
             self.process_due_events();
 
             // Grant any due policy review (see `DvsPolicy::review_at`).
             if let Some(review) = self.policy.review_at() {
-                if review.at_or_before(self.now) {
+                if review.at_or_before(self.now) && self.cached_set.is_some() {
+                    self.refresh_views();
+                    self.sched.ops.policy_calls += 1;
                     if let Some(set) = &self.cached_set {
-                        let views = self.views();
                         let sys = SystemView {
                             now: self.now,
                             tasks: set,
                             machine: &self.machine,
-                            views: &views,
+                            views: &self.sched.views,
                         };
                         self.policy.on_review(&sys);
                     }
                 }
             }
 
-            // Rebuild the bitmap queue from the authoritative entries and
-            // pick in O(1). Rebuilding is still a linear sweep, but it
-            // allocates nothing (the queue's storage is reused) and the
-            // pick itself no longer scans: same schedule, cheaper loop.
             let now_tick = self.now_tick_index();
-            self.rq.clear();
-            for (i, e) in self.entries.iter().enumerate() {
-                if e.state == InvState::Active && self.remaining(i).is_positive() {
-                    self.rq.insert(TaskId(i), e.deadline, now_tick);
-                }
+            if self.timebase.release_gate().is_some() {
+                self.requeue_overdue(now_tick);
             }
-            let running = match &self.cached_set {
-                Some(_) => self.rq.pick(self.policy.scheduler(), now_tick),
-                None => None,
+            self.sanitize(now_tick);
+            let running = if self.cached_set.is_some() {
+                self.sched.ops.queue_ops += 1;
+                self.rq.pick(self.policy.scheduler(), now_tick)
+            } else {
+                None
             };
             let desired = if running.is_some() {
                 self.policy.current_point()
@@ -1735,15 +1967,11 @@ impl RtKernel {
             let op = self.machine.point(landed);
 
             let mut t_next = t;
-            // A release held back by the tick gate must not pin time: the
-            // next timer tick (below) drives progress toward gap close.
-            let gate = self.timebase.release_gate();
-            for e in &self.entries {
-                if !e.deferred && gate.is_none_or(|cov| e.next_release.at_or_before(cov)) {
-                    t_next = t_next.min(e.next_release.max(self.now));
-                }
+            if let Some(release) = self.next_release_event() {
+                t_next = t_next.min(release);
             }
             for shed in &self.shed {
+                self.sched.ops.timer_ops += 1;
                 t_next = t_next.min(shed.next_attempt.max(self.now));
             }
             if let Some(tick) = self.timebase.next_tick_at() {
@@ -1763,16 +1991,24 @@ impl RtKernel {
             let stall_end = self.stall_until.min(t_next).max(self.now);
             if stall_end > self.now {
                 self.meter.charge_stall(stall_end - self.now);
+                self.sched.ops.meter_intervals += 1;
                 if let Some(tr) = &mut self.trace {
                     tr.push(self.now, stall_end, landed, Activity::Stall);
                 }
             }
             if t_next > stall_end {
                 let d = t_next - stall_end;
+                self.sched.ops.meter_intervals += 1;
                 match running {
                     Some(id) => {
                         self.meter.charge_busy(&self.machine, landed, d);
                         self.entries[id.0].executed += d.work_at(op.freq);
+                        self.sync_view(id.0);
+                        if !self.remaining(id.0).is_positive() {
+                            self.rq.remove(id);
+                            self.sched.ops.queue_ops += 1;
+                            self.sched.candidates.push(id.0);
+                        }
                         if let Some(tr) = &mut self.trace {
                             tr.push(stall_end, t_next, landed, Activity::Run(id));
                         }
@@ -1789,6 +2025,96 @@ impl RtKernel {
         }
         self.process_due_events();
     }
+
+    /// While a tick gap holds releases back, an invocation can stay active
+    /// past its deadline, which leaves it behind the EDF queue's cursor.
+    /// Re-inserting such entries clamps them into the cursor's bucket, as
+    /// the pick requires. Runs only while a gap is open.
+    fn requeue_overdue(&mut self, now_tick: u64) {
+        for i in 0..self.entries.len() {
+            self.sched.ops.queue_ops += 1;
+            let deadline = self.entries[i].deadline;
+            if deadline < self.now && self.rq.contains(TaskId(i)) {
+                self.rq.insert(TaskId(i), deadline, now_tick);
+            }
+        }
+    }
+
+    /// Debug-build cross-check of the incremental run-loop state against
+    /// a full scan of `entries`, once per loop iteration just before the
+    /// pick (the kernel's counterpart of the engine's sanitizer), the pick
+    /// included. Compiled out of release builds.
+    #[cfg(debug_assertions)]
+    fn sanitize(&self, now_tick: u64) {
+        // Stale views and timers are rebuilt before their next use.
+        // Tightened deadlines hold only for the instant they were written
+        // at: under a drift estimate the next callback rewrites them all.
+        let timers = !self.sched.stale;
+        let views = timers && !self.sched.views_tightened && !self.clock_tightens_deadlines();
+        if timers {
+            assert_eq!(
+                self.sched.views.len(),
+                self.entries.len(),
+                "view mirror length"
+            );
+        }
+        let (mut active, mut deferred, mut stretched) = (0, 0, false);
+        for (i, e) in self.entries.iter().enumerate() {
+            let is_active = e.state == InvState::Active;
+            let has_work = self.remaining(i).is_positive();
+            active += usize::from(is_active);
+            deferred += usize::from(e.deferred);
+            stretched |= e.stretched();
+            assert_eq!(
+                self.rq.contains(TaskId(i)),
+                is_active && has_work,
+                "{}: ready-queue membership disagrees with its state",
+                e.handle
+            );
+            if is_active && !has_work {
+                assert!(
+                    self.sched.candidates.contains(&i),
+                    "{}: out of work but not a completion candidate",
+                    e.handle
+                );
+            }
+            if timers {
+                assert_eq!(
+                    self.sched.wheel.scheduled_at(i),
+                    (!e.deferred).then_some(e.next_release),
+                    "{}: release timer disagrees with the entry",
+                    e.handle
+                );
+            }
+            if views {
+                let want = self.view_of(i);
+                assert_eq!(
+                    self.sched.views[i], want,
+                    "{}: policy view out of sync",
+                    e.handle
+                );
+            }
+        }
+        assert_eq!(self.sched.active, active, "active count");
+        assert_eq!(self.sched.deferred, deferred, "deferred count");
+        assert_eq!(self.sched.stretched, stretched, "stretched flag");
+        if let Some(set) = &self.cached_set {
+            let ready: Vec<(TaskId, Time)> = (0..self.entries.len())
+                .filter(|&i| self.rq.contains(TaskId(i)))
+                .map(|i| (TaskId(i), self.entries[i].deadline))
+                .collect();
+            let kind = self.policy.scheduler();
+            assert_eq!(
+                self.rq.pick(kind, now_tick),
+                kind.pick_next(set, &ready),
+                "ready-queue pick disagrees with a scan of its members"
+            );
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[inline]
+    fn sanitize(&self, _now_tick: u64) {}
 
     /// Advances the virtual clock by `d`.
     pub fn run_for(&mut self, d: Time) {

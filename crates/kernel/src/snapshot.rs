@@ -1217,6 +1217,7 @@ fn restore_from_text(
         forced_transitions,
         supervisor: None,
         rq: rtdvs_core::readyq::ReadyQueue::new(),
+        sched: crate::kernel::SchedState::default(),
         tenant_servers: Vec::new(),
         // Observed state restores; the driver, like the regulator, is
         // live hardware the caller re-attaches.

@@ -353,14 +353,16 @@ impl TenantServer {
             .map_or(0, |l| l.queue.len())
     }
 
-    /// Takes (drains) `tenant`'s completed jobs, in completion order.
+    /// Takes (drains) `tenant`'s completed jobs, in completion order. The
+    /// result is allocated at its exact size; the lane keeps its buffer,
+    /// so serving refills it without regrowing.
     #[must_use]
     pub fn take_completed(&self, tenant: TenantId) -> Vec<CompletedJob> {
         let mut s = lock_recovering(&self.shared);
         s.lanes
             .iter_mut()
             .find(|l| l.id == tenant)
-            .map_or_else(Vec::new, |l| std::mem::take(&mut l.completed))
+            .map_or_else(Vec::new, |l| l.completed.drain(..).collect())
     }
 
     /// Total work served across all tenants.

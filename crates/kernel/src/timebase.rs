@@ -30,7 +30,7 @@
 use rtdvs_core::machine::PointIdx;
 use rtdvs_core::readyq::tick_of;
 use rtdvs_core::time::{Time, Work, EPS};
-use rtdvs_sim::wheel::TimingWheel;
+use rtdvs_sim::wheel::{TimingWheel, SLOTS};
 use rtdvs_sim::{ClockOracle, ClockPlan, TickOutcome};
 
 use crate::kernel::{KernelEvent, RtKernel};
@@ -291,13 +291,28 @@ impl RtKernel {
     }
 
     /// Fires every non-deferred release that is due, honoring the tick
-    /// gate and the catch-up cascade. Without a driver this is exactly
-    /// the old index-order release loop. Returns whether anything fired.
+    /// gate and the catch-up cascade, in ascending entry order. Returns
+    /// whether anything fired.
+    ///
+    /// The steady state takes the due releases from the kernel's wheel of
+    /// release timers. While a tick gap is open, kernel time runs past
+    /// releases the gate holds back, so the wheel is left where it was
+    /// (it must never advance past a pending timer) and an exact scan
+    /// fires what the gate lets through; the catch-up cascade drains the
+    /// backlog once the gap closes, and a pass that finds a timer behind
+    /// the clock re-arms the wheel, O(n), instead of advancing it.
     pub(crate) fn process_due_releases(&mut self) -> bool {
-        if self.timebase.driver.is_none() {
+        self.freshen();
+        if self.timebase.driver.is_some() && self.timebase.pending_catch_up {
+            return self.catch_up_releases();
+        }
+        if let Some(gate) = self.timebase.release_gate() {
             let mut any = false;
             for i in 0..self.entries.len() {
-                if !self.entries[i].deferred && self.entries[i].next_release.at_or_before(self.now)
+                self.sched.ops.timer_ops += 1;
+                if !self.entries[i].deferred
+                    && self.entries[i].next_release.at_or_before(gate)
+                    && self.entries[i].next_release.at_or_before(self.now)
                 {
                     self.release(i);
                     any = true;
@@ -305,21 +320,52 @@ impl RtKernel {
             }
             return any;
         }
-        if self.timebase.pending_catch_up {
-            return self.catch_up_releases();
+        let now = self.now;
+        // Nothing due: one comparison against the wheel's cached minimum.
+        // The wheel advances only when something is due, which never
+        // passes a pending timer.
+        let Some(first) = self.sched.wheel.peek_min() else {
+            return false;
+        };
+        if !first.at_or_before(now) {
+            return false;
         }
-        let gate = self.timebase.release_gate().unwrap_or(self.now);
+        // A timer behind the clock (left by a gap, or by a restored
+        // backlog) forbids advancing: re-arm at `now` instead, which puts
+        // it in the current slot.
+        if tick_of(first) < tick_of(now) {
+            self.rearm_release_timers();
+        } else {
+            self.sched.wheel.advance(now);
+        }
+        let mut due = std::mem::take(&mut self.sched.due);
+        self.sched.wheel.collect_due(now, &mut due);
         let mut any = false;
-        for i in 0..self.entries.len() {
-            if !self.entries[i].deferred
-                && self.entries[i].next_release.at_or_before(gate)
-                && self.entries[i].next_release.at_or_before(self.now)
-            {
-                self.release(i);
+        for (w, &word) in due.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                self.release(w * SLOTS + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
                 any = true;
             }
         }
+        self.sched.due = due;
         any
+    }
+
+    /// The earliest release the run loop must stop for: the wheel's
+    /// minimum, unless an open tick gap holds it back (a held-back release
+    /// must not pin time; the next timer tick drives progress toward gap
+    /// close). `at_or_before` is monotone, so when the minimum is held
+    /// back every later release is too.
+    pub(crate) fn next_release_event(&mut self) -> Option<Time> {
+        self.freshen();
+        let (now, gate) = (self.now, self.timebase.release_gate());
+        self.sched
+            .wheel
+            .peek_min()
+            .filter(|at| gate.is_none_or(|cov| at.at_or_before(cov)))
+            .map(|at| at.max(now))
     }
 
     /// Drains the post-gap release backlog in `(scheduled release, task)`
@@ -327,6 +373,7 @@ impl RtKernel {
     /// uninterrupted timer would have fired them in.
     fn catch_up_releases(&mut self) -> bool {
         self.timebase.pending_catch_up = false;
+        self.sched.ops.timer_ops += self.entries.len() as u64;
         let due: Vec<usize> = (0..self.entries.len())
             .filter(|&i| {
                 !self.entries[i].deferred && self.entries[i].next_release.at_or_before(self.now)
@@ -386,13 +433,17 @@ impl RtKernel {
         desired.max(top)
     }
 
+    /// Whether policy views see drift-tightened deadlines: a driver is
+    /// attached and has observed a timing error.
+    pub(crate) fn clock_tightens_deadlines(&self) -> bool {
+        self.timebase.driver.is_some() && self.timebase.ewma_err_ms.to_bits() != 0.0_f64.to_bits()
+    }
+
     /// A deadline as the policy should see it: tightened by the estimated
     /// drift over its span, clamped to never cross `now`. With no driver
     /// or no observed error the deadline passes through untouched.
     pub(crate) fn clock_tightened_deadline(&self, deadline: Time) -> Time {
-        if self.timebase.driver.is_none()
-            || self.timebase.ewma_err_ms.to_bits() == 0.0_f64.to_bits()
-        {
+        if !self.clock_tightens_deadlines() {
             return deadline;
         }
         let span = (deadline - self.now).max(Time::ZERO);
@@ -502,6 +553,26 @@ mod tests {
             assert!(last.at_or_before(t), "kernel time moved backward");
             last = last.max(t);
         }
+    }
+
+    /// A release held back by an open tick gap can leave a missed
+    /// invocation active past its deadline, behind the EDF queue's
+    /// cursor. It must still be picked first: the debug sanitizer checks
+    /// every pick against a scan of the queue's members.
+    #[test]
+    fn held_releases_keep_overdue_invocations_first() {
+        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf)
+            .with_clock_plan(ClockPlan::new(1).with_tick_loss(1.0));
+        // Declared 1 ms per 4 ms, but every invocation demands 6 ms.
+        let overrun = |_inv: u64, _spec: &rtdvs_core::task::Task| Work::from_ms(6.0);
+        k.spawn(Time::from_ms(4.0), Work::from_ms(1.0), Box::new(overrun))
+            .expect("admitted on its declared bound");
+        k.spawn(Time::from_ms(5.0), Work::from_ms(1.0), Box::new(WcetBody))
+            .expect("admitted");
+        k.run_for(Time::from_ms(200.0));
+        let count = |f: fn(&KernelEvent) -> bool| k.log().iter().filter(|(_, e)| f(e)).count();
+        assert!(count(|e| matches!(e, KernelEvent::DeadlineMiss { .. })) > 10);
+        assert!(count(|e| matches!(e, KernelEvent::ReleaseLate { .. })) > 10);
     }
 
     #[test]

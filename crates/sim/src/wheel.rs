@@ -93,6 +93,38 @@ impl TimingWheel {
         }
     }
 
+    /// Cancels every timer and resizes the wheel for `m` timers, restarting
+    /// at the tick of `now`. Reuses the existing allocations: while the
+    /// bitmap width is unchanged only the slots that held timers are
+    /// cleared, so re-arming a small wheel costs O(m), not the
+    /// `LEVELS × SLOTS` words [`TimingWheel::new`] zero-fills. The
+    /// re-placement count keeps running.
+    pub fn reset(&mut self, m: usize, now: Time) {
+        let words = m.div_ceil(SLOTS).max(1);
+        if words == self.words {
+            for k in 0..self.m {
+                self.cancel(k);
+            }
+        } else {
+            self.words = words;
+            self.slot_bits.clear();
+            self.slot_bits.resize(LEVELS * SLOTS * words, 0);
+            self.occ = [0; LEVELS];
+            self.far.clear();
+            self.far.resize(words, 0);
+        }
+        self.m = m;
+        self.expiry.clear();
+        self.expiry.resize(m, Time::ZERO);
+        self.tick.clear();
+        self.tick.resize(m, 0);
+        self.placed.clear();
+        self.placed.resize(m, NOT_PLACED);
+        self.now_tick = tick_of(now);
+        self.min_cache = None;
+        self.min_valid = true;
+    }
+
     /// The wheel's current tick.
     #[must_use]
     pub fn now_tick(&self) -> u64 {
@@ -633,6 +665,30 @@ mod tests {
             }
         }
         assert_eq!(fired.map(Time::as_ms), Some(far.as_ms()));
+    }
+
+    /// A reset wheel behaves like a fresh one at the reset instant,
+    /// whether the bitmap width stays or changes.
+    #[test]
+    fn reset_rearms_like_a_fresh_wheel() {
+        for (before, after) in [(3, 5), (3, 100), (100, 3)] {
+            let mut wheel = TimingWheel::new(before);
+            for k in 0..before {
+                wheel.schedule(k, ms(2.0 + k as f64));
+            }
+            wheel.advance(ms(1.5));
+            wheel.reset(after, ms(40.0));
+            assert_eq!(wheel.peek_min(), None, "{before} -> {after}");
+            assert!((0..after).all(|k| !wheel.is_scheduled(k)));
+            wheel.schedule(after - 1, ms(40.5));
+            wheel.schedule(0, ms(41.0));
+            assert_eq!(wheel.peek_min().map(Time::as_ms), Some(40.5));
+            wheel.advance(ms(40.5));
+            let mut due = Vec::new();
+            wheel.collect_due(ms(40.5), &mut due);
+            let k = after - 1;
+            assert_eq!(due[k / SLOTS], 1u64 << (k % SLOTS), "{before} -> {after}");
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ pub struct OpenLoopGen {
     gaps: SplitMix64,
     works: SplitMix64,
     clock_ms: f64,
+    /// The next request, already generated: [`OpenLoopGen::drain_until`]
+    /// draws the first request past its horizon and keeps it here.
+    peeked: Option<Request>,
 }
 
 impl OpenLoopGen {
@@ -144,6 +147,7 @@ impl OpenLoopGen {
             gaps: root.split(0x0A_0001),
             works: root.split(0x0A_0002),
             clock_ms: 0.0,
+            peeked: None,
         })
     }
 
@@ -166,6 +170,13 @@ impl OpenLoopGen {
     /// Generates the next request. The stream is unbounded; callers stop
     /// at their horizon.
     pub fn next_request(&mut self) -> Request {
+        match self.peeked.take() {
+            Some(r) => r,
+            None => self.generate(),
+        }
+    }
+
+    fn generate(&mut self) -> Request {
         // Bounded Pareto(α = 2) gap: xm / sqrt(1 − U) with xm = mean / 2
         // (so the uncapped mean is the nominal one), capped at cap × mean.
         let u = self.gaps.next_f64();
@@ -184,15 +195,21 @@ impl OpenLoopGen {
     }
 
     /// Every request arriving strictly before `until_ms`, appended to
-    /// `out` (the batched-release path: one call per simulator tick).
+    /// `out` (the batched-release path: one call per simulator tick). The
+    /// first request at or past the horizon stays in the generator and is
+    /// the next one handed out. A non-finite `until_ms` (NaN or ±∞) drains
+    /// nothing and leaves the stream where it was; draining up to +∞ would
+    /// never return.
     pub fn drain_until(&mut self, until_ms: f64, out: &mut Vec<Request>) {
+        if !until_ms.is_finite() {
+            return;
+        }
         loop {
-            let mut probe = self.clone();
-            let r = probe.next_request();
+            let r = self.next_request();
             if r.at_ms >= until_ms {
+                self.peeked = Some(r);
                 return;
             }
-            *self = probe;
             out.push(r);
         }
     }
@@ -369,5 +386,29 @@ mod tests {
             t += 10.0;
         }
         assert_eq!(direct, via_batches);
+    }
+
+    #[test]
+    fn non_finite_horizons_drain_nothing() {
+        let fresh = OpenLoopGen::new(spec(), 99, 5).unwrap().next_request();
+        let mut g = OpenLoopGen::new(spec(), 99, 5).unwrap();
+        let mut out = Vec::new();
+        for horizon in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            g.drain_until(horizon, &mut out);
+            assert!(out.is_empty(), "{horizon}: drained {}", out.len());
+        }
+        assert_eq!(g.next_request(), fresh);
+    }
+
+    #[test]
+    fn a_peek_through_a_clone_sees_the_next_drained_request() {
+        let mut g = OpenLoopGen::new(spec(), 3, 1).unwrap();
+        let mut out = Vec::new();
+        g.drain_until(100.0, &mut out);
+        let peeked = g.clone().next_request();
+        assert!(peeked.at_ms >= 100.0);
+        out.clear();
+        g.drain_until(peeked.at_ms + 1.0, &mut out);
+        assert_eq!(out.first(), Some(&peeked));
     }
 }

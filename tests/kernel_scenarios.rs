@@ -4,7 +4,9 @@
 use rtdvs::core::analysis::RmTest;
 use rtdvs::core::example::table2_task_set;
 use rtdvs::kernel::{ColdStartBody, FractionBody, KernelEvent, RtKernel, UniformBody, WcetBody};
-use rtdvs::{simulate, ExecModel, Machine, PolicyKind, SimConfig, Time, Work};
+use rtdvs::sim::SwitchOverhead;
+use rtdvs::taskgen::{generate, TaskGenSpec};
+use rtdvs::{simulate, ExecModel, Machine, PolicyKind, SimConfig, TaskSet, Time, Work};
 
 fn ms(v: f64) -> Time {
     Time::from_ms(v)
@@ -136,6 +138,114 @@ fn kernel_matches_simulator_for_all_policies() {
         );
         assert_eq!(kernel.misses().count(), sim.misses.len(), "{}", kind.name());
     }
+}
+
+/// One cell of the executor differential: a generated set, a policy, an
+/// execution fraction and the switch-overhead model.
+struct DiffCase {
+    n: usize,
+    util: f64,
+    fraction: f64,
+    kind: PolicyKind,
+    overhead: Option<SwitchOverhead>,
+}
+
+/// The differential grid: n from 1 to 128 (powers of two and the sizes
+/// halfway between them, so bitmaps with partly filled words are covered),
+/// U from 0.3 to 0.9, c in {1, 0.8, 0.5}, the six paper policies, without
+/// and with the K6 prototype's switch overheads. 3,528 cells before
+/// admission.
+fn differential_grid() -> Vec<DiffCase> {
+    let mut cases = Vec::new();
+    for n in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128] {
+        for u10 in 3..=9 {
+            for fraction in [1.0, 0.8, 0.5] {
+                for kind in PolicyKind::paper_six() {
+                    for overhead in [None, Some(SwitchOverhead::k6_prototype())] {
+                        cases.push(DiffCase {
+                            n,
+                            util: f64::from(u10) / 10.0,
+                            fraction,
+                            kind,
+                            overhead,
+                        });
+                    }
+                }
+            }
+        }
+    }
+    cases
+}
+
+/// Runs one cell in both executors for `horizon`: the kernel with
+/// `FractionBody(c)` bodies against the engine with
+/// `ExecModel::ConstantFraction(c)`. Returns `false` when the kernel's
+/// admission refuses the set (the engine admits anything, so such cells
+/// are not comparable); panics, naming the cell, when the two disagree.
+fn executors_agree(case: &DiffCase, horizon: Time) -> bool {
+    let spec = TaskGenSpec::new(case.n, case.util).expect("valid generator spec");
+    let seed = 0xD1FF ^ ((case.n as u64) << 8) ^ (case.util * 10.0) as u64;
+    let tasks: TaskSet = generate(&spec, seed).expect("generation is total");
+    let machine = Machine::machine0();
+    let mut kernel = RtKernel::new(machine.clone(), case.kind);
+    let mut cfg = SimConfig::new(horizon).with_exec(ExecModel::ConstantFraction(case.fraction));
+    if let Some(ov) = case.overhead {
+        kernel = kernel.with_switch_overhead(ov);
+        cfg = cfg.with_switch_overhead(ov);
+    }
+    for t in tasks.tasks() {
+        let body = Box::new(FractionBody(case.fraction));
+        if kernel.spawn(t.period(), t.wcet(), body).is_err() {
+            return false;
+        }
+    }
+    kernel.run_until(horizon);
+    let sim = simulate(&tasks, &machine, case.kind, &cfg);
+    let cell = format!(
+        "n={} U={} c={} {} overhead={}",
+        case.n,
+        case.util,
+        case.fraction,
+        case.kind.name(),
+        case.overhead.is_some()
+    );
+    assert_eq!(
+        kernel.energy().to_bits(),
+        sim.energy().to_bits(),
+        "{cell}: kernel energy {} vs engine {}",
+        kernel.energy(),
+        sim.energy()
+    );
+    assert_eq!(kernel.misses().count(), sim.misses.len(), "{cell}: misses");
+    true
+}
+
+/// The executor differential on generated inputs: energies bit-identical
+/// and miss counts equal, on every 29th cell of the grid for 250 ms (a
+/// debug build also runs both executors' sanitizers throughout).
+/// `full_executor_differential` runs every cell.
+#[test]
+fn kernel_matches_simulator_on_generated_sets() {
+    let grid = differential_grid();
+    let admitted = grid
+        .iter()
+        .step_by(29)
+        .filter(|case| executors_agree(case, ms(250.0)))
+        .count();
+    assert!(admitted >= 100, "only {admitted} admitted cells");
+}
+
+/// The whole differential grid at 2 s per cell. Slow in a debug build;
+/// run it with `cargo test --release --test kernel_scenarios -- --ignored`.
+#[test]
+#[ignore = "the full grid; run in release with --ignored"]
+fn full_executor_differential() {
+    let grid = differential_grid();
+    let admitted = grid
+        .iter()
+        .filter(|case| executors_agree(case, ms(2_000.0)))
+        .count();
+    println!("{admitted} of {} cells admitted; all agree", grid.len());
 }
 
 /// Removing a task mid-run frees its utilization for a bigger replacement.
