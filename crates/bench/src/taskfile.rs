@@ -100,23 +100,6 @@ pub fn parse_task_set(text: &str) -> Result<TaskSet, TaskFileError> {
     TaskSet::new(tasks).map_err(|_| TaskFileError::Empty)
 }
 
-/// Serializes a task set back into the text format.
-#[must_use]
-pub fn format_task_set(tasks: &TaskSet) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("# period_ms wcet_ms offset_ms\n");
-    for task in tasks.tasks() {
-        let _ = writeln!(
-            out,
-            "{:.6} {:.6} {:.6}",
-            task.period().as_ms(),
-            task.wcet().as_ms(),
-            task.offset().as_ms()
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,13 +142,5 @@ mod tests {
             parse_task_set("# nothing\n").unwrap_err(),
             TaskFileError::Empty
         );
-    }
-
-    #[test]
-    fn round_trips() {
-        let set = parse_task_set("8 3\n10 3\n14 1\n").unwrap();
-        let text = format_task_set(&set);
-        let again = parse_task_set(&text).unwrap();
-        assert_eq!(set, again);
     }
 }

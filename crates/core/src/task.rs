@@ -288,15 +288,6 @@ impl TaskSet {
         self.tasks.iter().map(Task::utilization).sum()
     }
 
-    /// The maximum release offset (zero for the paper's synchronous model).
-    #[must_use]
-    pub fn max_offset(&self) -> Time {
-        self.tasks
-            .iter()
-            .map(Task::offset)
-            .fold(Time::ZERO, Time::max)
-    }
-
     /// Returns a copy of this set with every WCET increased by `extra` —
     /// the bulk version of [`Task::with_inflated_wcet`], used to charge
     /// voltage-switch stalls to the task bounds before admission.

@@ -22,7 +22,7 @@ pub struct TenantId(u64);
 impl TenantId {
     /// Creates a tenant id from its raw number.
     #[must_use]
-    pub fn from_raw(id: u64) -> TenantId {
+    pub const fn from_raw(id: u64) -> TenantId {
         TenantId(id)
     }
 

@@ -54,8 +54,8 @@ pub enum BodyState {
         /// The wrapped body's state.
         inner: Box<BodyState>,
     },
-    /// A polling-server body, with the server's full queue state.
-    Server(crate::server::ServerSnapshot),
+    /// A [`crate::tenants::TenantServer`] body, with every lane's state.
+    Server(crate::tenants::ServerSnapshot),
     /// [`OverrunBody`] with both PRNG words and its injection knobs.
     Overrun {
         /// Demand-stream [`SplitMix64`] state.

@@ -25,6 +25,7 @@ use rtdvs_core::policy::{DvsPolicy, PolicyKind};
 use rtdvs_core::readyq::ReadyQueue;
 use rtdvs_core::sched::SchedulerKind;
 use rtdvs_core::task::{Task, TaskError, TaskId, TaskSet};
+use rtdvs_core::tenant::TenantQuota;
 use rtdvs_core::time::{Time, Work, EPS};
 use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_platform::{Regulator, TransitionOutcome};
@@ -621,26 +622,10 @@ impl RtKernel {
         self
     }
 
-    /// Attaches a hardware regulator model behind the transition driver.
-    /// An ideal regulator never draws randomness and runs byte-identically
-    /// to no regulator at all; a faulty one exercises the bounded-retry /
-    /// safe-fallback driver ([`RtKernel::transition_stats`]).
-    #[must_use]
-    pub fn with_regulator(mut self, regulator: Box<dyn Regulator + Send>) -> RtKernel {
-        self.regulator = Some(regulator);
-        self
-    }
-
     /// Attaches or replaces the regulator at run time (the supervisor uses
     /// this to carry the live hardware across a restore).
     pub fn attach_regulator(&mut self, regulator: Box<dyn Regulator + Send>) {
         self.regulator = Some(regulator);
-    }
-
-    /// The attached regulator's name, if any.
-    #[must_use]
-    pub fn regulator_name(&self) -> Option<&'static str> {
-        self.regulator.as_deref().map(Regulator::name)
     }
 
     /// Sets or lifts the brownout/thermal cap: operating points above
@@ -924,21 +909,23 @@ impl RtKernel {
 
     /// Admits a polling server for aperiodic jobs (§2.2, footnote 1): a
     /// periodic task with period `period` and budget `budget` that serves
-    /// the returned queue FIFO. Submit jobs with
-    /// [`crate::server::AperiodicServer::submit`].
+    /// its queue FIFO. It is a [`crate::tenants::TenantServer`] with one
+    /// lane, [`crate::tenants::POLLING_LANE`], whose quota is the whole
+    /// budget and whose backlog is unbounded, and it is listed in
+    /// [`RtKernel::tenant_servers`]. Submit jobs with
+    /// [`crate::tenants::AperiodicServer::submit`].
     ///
     /// # Errors
     ///
-    /// Same as [`RtKernel::spawn`] — the server's full budget must pass
-    /// admission.
+    /// Same as [`RtKernel::spawn_tenant_server`].
     pub fn spawn_polling_server(
         &mut self,
         period: Time,
         budget: Work,
-    ) -> Result<(TaskHandle, crate::server::AperiodicServer), KernelError> {
-        let server = crate::server::AperiodicServer::new();
-        let handle = self.spawn(period, budget, server.body())?;
-        Ok((handle, server))
+    ) -> Result<(TaskHandle, crate::tenants::AperiodicServer), KernelError> {
+        let lane = TenantQuota::new(crate::tenants::POLLING_LANE, budget, usize::MAX);
+        let (handle, server) = self.spawn_tenant_server(period, budget, &[lane])?;
+        Ok((handle, crate::tenants::AperiodicServer::new(server)))
     }
 
     /// Admits a multi-tenant polling server: one periodic task with period
@@ -955,16 +942,10 @@ impl RtKernel {
         &mut self,
         period: Time,
         budget: Work,
-        quotas: &[rtdvs_core::tenant::TenantQuota],
+        quotas: &[TenantQuota],
     ) -> Result<(TaskHandle, crate::tenants::TenantServer), KernelError> {
-        let total = quotas.iter().fold(Work::ZERO, |acc, q| acc + q.quota);
-        if total.as_ms() > budget.as_ms() + EPS {
-            return Err(KernelError::BadTenantConfig(
-                crate::tenants::TenantConfigError::QuotaExceedsBudget { total, budget },
-            ));
-        }
-        let server =
-            crate::tenants::TenantServer::new(quotas).map_err(KernelError::BadTenantConfig)?;
+        let server = crate::tenants::TenantServer::new(quotas, budget)
+            .map_err(KernelError::BadTenantConfig)?;
         let handle = self.spawn(period, budget, server.body())?;
         self.tenant_servers.push((handle, server.clone()));
         Ok((handle, server))

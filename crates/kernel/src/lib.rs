@@ -35,7 +35,6 @@ pub mod body;
 pub mod kernel;
 pub mod modechange;
 pub mod procfs;
-pub mod server;
 pub mod snapshot;
 pub mod supervisor;
 pub mod tenants;
@@ -48,10 +47,12 @@ pub use body::{
 pub use kernel::{GovernorState, KernelError, KernelEvent, RtKernel, TaskHandle};
 pub use modechange::{ModeChange, ModeChangeReceipt};
 pub use procfs::{execute, execute_script};
-pub use server::{AperiodicServer, CompletedJob, JobId};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorState};
-pub use tenants::{SubmitOutcome, TenantConfigError, TenantLaneStats, TenantServer};
+pub use tenants::{
+    AperiodicServer, CompletedJob, JobId, SubmitOutcome, TenantConfigError, TenantLaneStats,
+    TenantServer,
+};
 pub use timebase::{ClockStats, TimeBase, TICK_MS, WATCHDOG_GAP_TICKS};
 
 #[cfg(test)]

@@ -217,6 +217,12 @@ fn plan(kernel: &RtKernel, ops: &[ModeOp], allow_stretch: bool) -> Result<Plan, 
                 wcet,
             } => {
                 let task = Task::new(*period, *wcet).map_err(KernelError::BadTask)?;
+                // A server's lanes must keep fitting its budget.
+                if let Some((_, server)) = kernel.tenant_servers.iter().find(|(h, _)| h == handle) {
+                    server
+                        .check_budget(*wcet)
+                        .map_err(KernelError::BadTenantConfig)?;
+                }
                 let item = items
                     .iter_mut()
                     .find(|it| matches!(it.source, Source::Existing(h) if h == *handle))
@@ -613,6 +619,25 @@ mod tests {
             k.submit_mode_change(ModeChange::new().retire(handles[0]).retire(handles[0])),
             Err(KernelError::NoSuchTask(handles[0]))
         );
+    }
+
+    /// A server's budget may not shrink below its lanes' quotas: restore
+    /// would refuse the checkpoint of such a server, and its lanes'
+    /// guarantees could not all be met.
+    #[test]
+    fn reparam_keeps_a_servers_quotas_within_its_budget() {
+        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+        let (server, _) = k
+            .spawn_polling_server(ms(10.0), w(2.0))
+            .expect("the server admits alone");
+        let shrink = k.submit_mode_change(ModeChange::new().reparam(server, ms(10.0), w(1.0)));
+        assert!(
+            matches!(shrink, Err(KernelError::BadTenantConfig(_))),
+            "{shrink:?}"
+        );
+        assert_eq!(k.mode_epoch(), 0);
+        let grow = k.submit_mode_change(ModeChange::new().reparam(server, ms(10.0), w(3.0)));
+        assert!(grow.is_ok(), "{grow:?}");
     }
 
     #[test]

@@ -149,13 +149,6 @@ impl RtKernel {
         self.supervisor = Some(sup);
     }
 
-    /// Builder form of [`RtKernel::arm_supervisor`].
-    #[must_use]
-    pub fn with_supervisor(mut self, config: SupervisorConfig) -> Self {
-        self.arm_supervisor(config);
-        self
-    }
-
     /// The supervisor's condition and restore count, or `None` when no
     /// supervisor is armed.
     pub fn supervisor_state(&self) -> Option<(SupervisorState, u64)> {
@@ -306,7 +299,8 @@ mod tests {
 
     #[test]
     fn idle_supervisor_stays_nominal_and_checkpoints() {
-        let mut k = kernel_with_task().with_supervisor(SupervisorConfig::default());
+        let mut k = kernel_with_task();
+        k.arm_supervisor(SupervisorConfig::default());
         k.run_for(Time::from_ms(500.0));
         let (state, restores) = k.supervisor_state().expect("armed");
         assert_eq!(state, SupervisorState::Nominal);

@@ -1,13 +1,26 @@
-//! Multi-tenant aperiodic serving with temporal isolation.
+//! Aperiodic serving (§2.2, footnote 1): one periodic polling server
+//! whose budget is split into per-tenant lanes.
 //!
-//! The single-stream polling server of [`crate::server`] shares one FIFO
-//! queue among every submitter: one flooding client starves all the
-//! others. A [`TenantServer`] is the multi-tenant variant — still one
-//! periodic server task with period `P_s` and budget `C_s` (so admission
-//! and the DVS policies see exactly one task, and every hard-RT guarantee
-//! of §2.2 is untouched), but the budget is subdivided into per-tenant
-//! CPU quotas that are replenished at every server release and enforced at
-//! dispatch:
+//! The paper's task model is strictly periodic, but it notes that
+//! "aperiodic and sporadic tasks can be handled by a periodic or deferred
+//! server, (and) for non-real-time tasks, too, we can provision processor
+//! time using a similar periodic server approach". A [`TenantServer`] is
+//! that server: one periodic task with period `P_s` and budget `C_s` (so
+//! admission and the DVS policies see exactly one task, and every hard-RT
+//! guarantee of §2.2 is untouched) that, at each release, serves queued
+//! jobs FIFO. A release that finds every queue empty forfeits its budget,
+//! and the DVS policies reclaim whatever budget a period does not use.
+//!
+//! The classic polling server is the one-lane case.
+//! [`crate::RtKernel::spawn_polling_server`] gives the lone lane,
+//! [`POLLING_LANE`], the whole budget as its quota and an unbounded
+//! backlog, and returns an [`AperiodicServer`] handle on it. A job of work
+//! `w ≤ C_s` submitted at time `t` then completes within
+//! `ceil(w / C_s) + 1` server periods of `t` under light load, the
+//! standard polling-server response bound.
+//!
+//! With more lanes the budget is subdivided into per-tenant CPU quotas
+//! that are replenished at every server release and enforced at dispatch:
 //!
 //! * **Temporal isolation** — each release first serves every tenant FIFO
 //!   up to its own quota, in tenant-id order. A tenant that stays at or
@@ -31,6 +44,8 @@
 //!   from the work-conserving pass. Quarantine throttles *admission*, not
 //!   *service*: the guaranteed quota keeps draining the backlog, so the
 //!   tenant recovers (and leaves quarantine) instead of starving forever.
+//!   Only a lane that shares its server is reviewed: a lone lane has no
+//!   neighbour to protect, so the polling server never rejects a job.
 //!
 //! All per-tenant budget state lives behind one mutex and is mutated only
 //! here, on the replenishment/dispatch path — enforced by the repo lint
@@ -43,16 +58,69 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use rtdvs_core::task::Task;
 use rtdvs_core::tenant::{TenantId, TenantQuota};
-use rtdvs_core::time::{Time, Work};
+use rtdvs_core::time::{Time, Work, EPS};
 
 use crate::body::{BodyState, TaskBody};
-use crate::server::{CompletedJob, JobId, JobRecord, ServerSnapshot};
 
 /// Backlog-to-quota ratio beyond which a lane counts as flooding.
 pub const QUARANTINE_BACKLOG_FACTOR: f64 = 4.0;
 
 /// Consecutive flooding releases before quarantine engages.
 pub const QUARANTINE_STREAK: u32 = 3;
+
+/// The lone lane of a polling server spawned with
+/// [`crate::RtKernel::spawn_polling_server`].
+pub const POLLING_LANE: TenantId = TenantId::from_raw(0);
+
+/// Identifier of a submitted aperiodic job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct JobId(u64);
+
+impl JobId {
+    /// The raw identifier, for serialization.
+    #[must_use]
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
+    pub(crate) fn from_raw(id: u64) -> JobId {
+        JobId(id)
+    }
+}
+
+/// A finished aperiodic job.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CompletedJob {
+    /// The job.
+    pub id: JobId,
+    /// When it was submitted.
+    pub arrival: Time,
+    /// When the server invocation that finished it completed.
+    pub completed: Time,
+    /// Total work it required.
+    pub work: Work,
+}
+
+impl CompletedJob {
+    /// The job's response time.
+    #[must_use]
+    pub fn response_time(&self) -> Time {
+        self.completed - self.arrival
+    }
+}
+
+/// One queued or finishing job of a [`TenantLaneSnapshot`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct JobRecord {
+    /// Raw [`JobId`].
+    pub id: u64,
+    /// When the job was submitted.
+    pub arrival: Time,
+    /// Total work it requires.
+    pub total: Work,
+    /// Work still unserved.
+    pub remaining: Work,
+}
 
 /// Why a tenant configuration was rejected.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +159,38 @@ impl fmt::Display for TenantConfigError {
 }
 
 impl std::error::Error for TenantConfigError {}
+
+/// The one check every lane set passes, whether a kernel spawns it or a
+/// snapshot restores it: at least one lane, no tenant twice, positive
+/// quotas and backlog bounds, and quotas that fit in the server's
+/// `budget`.
+fn check_lanes(quotas: &[TenantQuota], budget: Work) -> Result<(), TenantConfigError> {
+    if quotas.is_empty() {
+        return Err(TenantConfigError::NoTenants);
+    }
+    let mut ids: Vec<TenantId> = quotas.iter().map(|q| q.tenant).collect();
+    ids.sort_unstable();
+    let duplicate = ids.windows(2).find_map(|pair| match pair {
+        [a, b] if a == b => Some(*a),
+        _ => None,
+    });
+    if let Some(t) = duplicate {
+        return Err(TenantConfigError::DuplicateTenant(t));
+    }
+    for q in quotas {
+        if !q.quota.is_positive() {
+            return Err(TenantConfigError::NonPositiveQuota(q.tenant));
+        }
+        if q.max_backlog == 0 {
+            return Err(TenantConfigError::ZeroBacklog(q.tenant));
+        }
+    }
+    let total = quotas.iter().fold(Work::ZERO, |acc, q| acc + q.quota);
+    if total.as_ms() > budget.as_ms() + EPS {
+        return Err(TenantConfigError::QuotaExceedsBudget { total, budget });
+    }
+    Ok(())
+}
 
 /// The outcome of a tenant request submission.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,9 +240,28 @@ pub struct TenantLaneStats {
     pub quarantined: bool,
 }
 
+/// The full serializable state of a [`TenantServer`], captured by
+/// [`TenantServer::snapshot`]: the counters its lanes share and one
+/// record per lane, so checkpoints restore every backlog and the
+/// replenishment state bit-exactly.
+///
+/// Capture goes through the same poison-recovering lock as every other
+/// entry point, so a checkpoint taken after a worker thread died holding
+/// the lock is still a consistent point-in-time view — never a torn one.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct ServerSnapshot {
+    /// The next [`JobId`] to issue.
+    pub next_id: u64,
+    /// Total work served across all lanes.
+    pub served: Work,
+    /// Releases whose budget was forfeited on empty queues.
+    pub forfeited_releases: u64,
+    /// One entry per lane, in dispatch order.
+    pub tenants: Vec<TenantLaneSnapshot>,
+}
+
 /// Bit-exact serialized state of one tenant lane, embedded in
-/// [`ServerSnapshot::tenants`] so crash-recovery checkpoints restore
-/// per-tenant backlogs and replenishment state exactly.
+/// [`ServerSnapshot::tenants`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TenantLaneSnapshot {
     /// The tenant's raw id.
@@ -212,6 +331,25 @@ impl Lane {
         self.queue.iter().map(|j| j.remaining).sum()
     }
 
+    /// The once-per-release quarantine review.
+    fn review_quarantine(&mut self) {
+        let backlog = self.backlog_work();
+        if self.quarantined {
+            // Exit once the backlog is back within one period's quota.
+            if backlog.as_ms() <= self.quota.as_ms() {
+                self.quarantined = false;
+                self.over_streak = 0;
+            }
+        } else if backlog.as_ms() > QUARANTINE_BACKLOG_FACTOR * self.quota.as_ms() {
+            self.over_streak += 1;
+            if self.over_streak >= QUARANTINE_STREAK {
+                self.quarantined = true;
+            }
+        } else {
+            self.over_streak = 0;
+        }
+    }
+
     fn stats(&self) -> TenantLaneStats {
         TenantLaneStats {
             tenant: self.id,
@@ -235,51 +373,37 @@ struct TenantShared {
     forfeited_releases: u64,
 }
 
-/// Recovers the guard even if a previous holder panicked: the shared state
-/// is only ever mutated through small, total operations, so a poisoned
-/// mutex still holds consistent data.
+/// Locks the shared lanes, recovering from a poisoned mutex.
+///
+/// The lanes are only ever mutated through small, total operations, so
+/// data left behind by a submitter that panicked while holding the lock is
+/// still consistent — and a real-time server must keep serving jobs even
+/// after one worker thread dies. `Mutex` poisoning is advisory; shrugging
+/// it off here is the robustness choice, not a shortcut.
 fn lock_recovering(shared: &Mutex<TenantShared>) -> MutexGuard<'_, TenantShared> {
     shared
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The submitter-facing handle of a multi-tenant aperiodic server. Spawn
-/// one with [`crate::RtKernel::spawn_tenant_server`]; clones share the
-/// same lanes.
+/// The submitter-facing handle of an aperiodic server. Spawn one with
+/// [`crate::RtKernel::spawn_tenant_server`]; clones share the same lanes.
 #[derive(Clone)]
 pub struct TenantServer {
     shared: Arc<Mutex<TenantShared>>,
 }
 
 impl TenantServer {
-    /// Creates a server with one lane per reservation. Lanes are kept in
+    /// Creates a server with one lane per reservation, once
+    /// [`check_lanes`] accepts them for `budget`. Lanes are kept in
     /// tenant-id order, which is also the dispatch order.
-    ///
-    /// # Errors
-    ///
-    /// [`TenantConfigError`] for an empty, duplicated, or degenerate
-    /// configuration.
-    pub fn new(quotas: &[TenantQuota]) -> Result<TenantServer, TenantConfigError> {
-        if quotas.is_empty() {
-            return Err(TenantConfigError::NoTenants);
-        }
-        let mut sorted: Vec<&TenantQuota> = quotas.iter().collect();
-        sorted.sort_by_key(|q| q.tenant);
-        for pair in sorted.windows(2) {
-            if pair[0].tenant == pair[1].tenant {
-                return Err(TenantConfigError::DuplicateTenant(pair[0].tenant));
-            }
-        }
-        for q in &sorted {
-            if !q.quota.is_positive() {
-                return Err(TenantConfigError::NonPositiveQuota(q.tenant));
-            }
-            if q.max_backlog == 0 {
-                return Err(TenantConfigError::ZeroBacklog(q.tenant));
-            }
-        }
-        let lanes = sorted.iter().map(|q| Lane::new(q)).collect();
+    pub(crate) fn new(
+        quotas: &[TenantQuota],
+        budget: Work,
+    ) -> Result<TenantServer, TenantConfigError> {
+        check_lanes(quotas, budget)?;
+        let mut lanes: Vec<Lane> = quotas.iter().map(Lane::new).collect();
+        lanes.sort_by_key(|l| l.id);
         Ok(TenantServer {
             shared: Arc::new(Mutex::new(TenantShared {
                 lanes,
@@ -291,8 +415,7 @@ impl TenantServer {
     }
 
     /// The task body to hand to the kernel (shares these lanes).
-    #[must_use]
-    pub fn body(&self) -> Box<dyn TaskBody> {
+    pub(crate) fn body(&self) -> Box<dyn TaskBody> {
         Box::new(TenantServerBody {
             shared: Arc::clone(&self.shared),
         })
@@ -387,15 +510,11 @@ impl TenantServer {
             .collect()
     }
 
-    /// The server's full serialized state (classic stream fields empty,
-    /// one [`TenantLaneSnapshot`] per lane).
+    /// The server's full serialized state.
     #[must_use]
     pub fn snapshot(&self) -> ServerSnapshot {
         let s = lock_recovering(&self.shared);
         ServerSnapshot {
-            queue: Vec::new(),
-            finishing: Vec::new(),
-            completed: Vec::new(),
             next_id: s.next_id,
             served: s.served,
             forfeited_releases: s.forfeited_releases,
@@ -421,9 +540,12 @@ impl TenantServer {
         }
     }
 
-    /// Revives a server from a captured snapshot (the restore path).
-    #[must_use]
-    pub fn from_snapshot(snap: &ServerSnapshot) -> TenantServer {
+    /// Revives a server of `budget` from a captured snapshot (the restore
+    /// path), once its lanes pass the same [`check_lanes`] a spawn does.
+    pub(crate) fn from_snapshot(
+        snap: &ServerSnapshot,
+        budget: Work,
+    ) -> Result<TenantServer, TenantConfigError> {
         let lanes = snap
             .tenants
             .iter()
@@ -443,14 +565,82 @@ impl TenantServer {
                 completed: t.completed.clone(),
             })
             .collect();
-        TenantServer {
+        let server = TenantServer {
             shared: Arc::new(Mutex::new(TenantShared {
                 lanes,
                 next_id: snap.next_id,
                 served: snap.served,
                 forfeited_releases: snap.forfeited_releases,
             })),
+        };
+        server.check_budget(budget)?;
+        Ok(server)
+    }
+
+    /// Checks the lanes against a server `budget` (a restore, or a mode
+    /// change that reparameterizes the server) with [`check_lanes`].
+    pub(crate) fn check_budget(&self, budget: Work) -> Result<(), TenantConfigError> {
+        let quotas: Vec<TenantQuota> = lock_recovering(&self.shared)
+            .lanes
+            .iter()
+            .map(|l| TenantQuota::new(l.id, l.quota, l.max_backlog))
+            .collect();
+        check_lanes(&quotas, budget)
+    }
+}
+
+/// The submitter's handle on a polling server spawned with
+/// [`crate::RtKernel::spawn_polling_server`]: the server's one lane,
+/// [`POLLING_LANE`], which never sheds and is never quarantined. Clones
+/// share it.
+#[derive(Clone)]
+pub struct AperiodicServer {
+    server: TenantServer,
+}
+
+impl AperiodicServer {
+    pub(crate) fn new(server: TenantServer) -> AperiodicServer {
+        AperiodicServer { server }
+    }
+
+    /// Submits an aperiodic job of `work` at time `now` (use
+    /// `kernel.now()`); returns its id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `work` is not strictly positive.
+    pub fn submit(&self, work: Work, now: Time) -> JobId {
+        match self.server.submit(POLLING_LANE, work, now) {
+            SubmitOutcome::Accepted { id, .. } => id,
+            // The lane exists, has no neighbour to be quarantined for, and
+            // its unbounded backlog sheds nothing.
+            outcome => unreachable!("the polling lane refused a job: {outcome:?}"),
         }
+    }
+
+    /// Jobs queued and not yet fully served.
+    #[must_use]
+    pub fn pending(&self) -> usize {
+        self.server.pending(POLLING_LANE)
+    }
+
+    /// Drains and returns all completed jobs.
+    #[must_use]
+    pub fn take_completed(&self) -> Vec<CompletedJob> {
+        self.server.take_completed(POLLING_LANE)
+    }
+
+    /// Total aperiodic work served so far.
+    #[must_use]
+    pub fn total_served(&self) -> Work {
+        self.server.total_served()
+    }
+
+    /// Releases at which the queue was empty and the budget was forfeited
+    /// (the defining behavior of a *polling* server).
+    #[must_use]
+    pub fn forfeited_releases(&self) -> u64 {
+        self.server.forfeited_releases()
     }
 }
 
@@ -489,23 +679,13 @@ impl TaskBody for TenantServerBody {
         let mut s = lock_recovering(&self.shared);
         let s = &mut *s;
         let budget = spec.wcet();
-        // Replenishment + quarantine review, once per server release.
+        // Replenishment + quarantine review, once per server release. A
+        // lone lane has no neighbour to protect, so it is never reviewed.
+        let shared = s.lanes.len() > 1;
         for lane in &mut s.lanes {
             lane.budget_remaining = lane.quota;
-            let backlog = lane.backlog_work();
-            if lane.quarantined {
-                // Exit once the backlog is back within one period's quota.
-                if backlog.as_ms() <= lane.quota.as_ms() {
-                    lane.quarantined = false;
-                    lane.over_streak = 0;
-                }
-            } else if backlog.as_ms() > QUARANTINE_BACKLOG_FACTOR * lane.quota.as_ms() {
-                lane.over_streak += 1;
-                if lane.over_streak >= QUARANTINE_STREAK {
-                    lane.quarantined = true;
-                }
-            } else {
-                lane.over_streak = 0;
+            if shared {
+                lane.review_quarantine();
             }
         }
         if s.lanes.iter().all(|l| l.queue.is_empty()) {
@@ -598,7 +778,7 @@ mod tests {
     #[test]
     fn config_validation() {
         assert_eq!(
-            TenantServer::new(&[]).err(),
+            TenantServer::new(&[], w(2.0)).err(),
             Some(TenantConfigError::NoTenants)
         );
         let dup = [
@@ -606,25 +786,136 @@ mod tests {
             TenantQuota::new(tid(1), w(1.0), 8),
         ];
         assert_eq!(
-            TenantServer::new(&dup).err(),
+            TenantServer::new(&dup, w(2.0)).err(),
             Some(TenantConfigError::DuplicateTenant(tid(1)))
         );
         let zero = [TenantQuota::new(tid(1), w(0.0), 8)];
         assert_eq!(
-            TenantServer::new(&zero).err(),
+            TenantServer::new(&zero, w(2.0)).err(),
             Some(TenantConfigError::NonPositiveQuota(tid(1)))
         );
         let backlog = [TenantQuota::new(tid(1), w(1.0), 0)];
         assert_eq!(
-            TenantServer::new(&backlog).err(),
+            TenantServer::new(&backlog, w(2.0)).err(),
             Some(TenantConfigError::ZeroBacklog(tid(1)))
         );
-        assert!(TenantServer::new(&quotas2()).is_ok());
+        assert_eq!(
+            TenantServer::new(&quotas2(), w(1.5)).err(),
+            Some(TenantConfigError::QuotaExceedsBudget {
+                total: w(2.0),
+                budget: w(1.5)
+            })
+        );
+        assert!(TenantServer::new(&quotas2(), w(2.0)).is_ok());
+    }
+
+    /// A polling server's lone lane outside a kernel, and its body.
+    fn polling(budget: f64) -> (AperiodicServer, Box<dyn TaskBody>) {
+        let lane = [TenantQuota::new(POLLING_LANE, w(budget), usize::MAX)];
+        let srv = TenantServer::new(&lane, w(budget)).unwrap();
+        let body = srv.body();
+        (AperiodicServer::new(srv), body)
+    }
+
+    #[test]
+    fn polling_lane_serves_fifo_across_periods() {
+        let (server, mut body) = polling(2.0);
+        let sp = spec(10.0, 2.0);
+        assert_eq!(body.run(1, &sp), Work::ZERO);
+        assert_eq!(server.forfeited_releases(), 1);
+        let a = server.submit(w(0.5), t(0.0));
+        let b = server.submit(w(5.0), t(0.1));
+        let c = server.submit(w(1.0), t(0.2));
+        // Budget 2: a finishes and b gets 1.5, then b needs two more
+        // periods (2 + 1.5) and c finishes in b's last one.
+        for (inv, used) in [(2, 2.0), (3, 2.0), (4, 2.0)] {
+            assert_eq!(body.run(inv, &sp).as_ms(), used);
+            body.on_invocation_complete(inv, t(10.0 * inv as f64));
+        }
+        let done = server.take_completed();
+        assert_eq!(done.iter().map(|j| j.id).collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(done[1].completed, t(40.0));
+        assert_eq!(server.pending(), 1);
+        assert_eq!(body.run(5, &sp).as_ms(), 0.5);
+        body.on_invocation_complete(5, t(50.0));
+        assert_eq!(server.take_completed()[0].id, c);
+        assert!(server.total_served().approx_eq(w(6.5)));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive work")]
+    fn polling_lane_rejects_empty_jobs() {
+        let _ = polling(2.0).0.submit(Work::ZERO, t(0.0));
+    }
+
+    /// The quarantine needs a neighbour: a lone lane whose backlog stays
+    /// far past [`QUARANTINE_BACKLOG_FACTOR`] × quota for many releases
+    /// accepts every submission.
+    #[test]
+    fn lone_lane_with_a_deep_backlog_never_rejects() {
+        let lane = [TenantQuota::new(tid(1), w(1.0), 64)];
+        let srv = TenantServer::new(&lane, w(1.0)).unwrap();
+        let mut body = srv.body();
+        let sp = spec(10.0, 1.0);
+        for inv in 1..=4 * u64::from(QUARANTINE_STREAK) {
+            for _ in 0..4 {
+                assert!(matches!(
+                    srv.submit(tid(1), w(1.0), t(10.0 * inv as f64)),
+                    SubmitOutcome::Accepted { .. }
+                ));
+            }
+            let _ = body.run(inv, &sp);
+            body.on_invocation_complete(inv, t(10.0 * inv as f64 + 1.0));
+        }
+        let stats = srv.lane_stats()[0];
+        assert!(stats.backlog > 30, "backlog {}", stats.backlog);
+        assert!(!stats.quarantined);
+        assert_eq!(stats.rejected, 0);
+    }
+
+    /// The documented polling-server response bound, measured end-to-end
+    /// through the kernel with worst-case phasing (submission just after a
+    /// release): a job of work `w ≤ C_s` completes within
+    /// `ceil(w / C_s) + 1` server periods. The bound is also shown tight —
+    /// the worst-phased job needs more than `ceil(w / C_s)` periods — so
+    /// the doc comment cannot be tightened.
+    #[test]
+    fn response_time_meets_the_documented_bound() {
+        use crate::kernel::RtKernel;
+        use rtdvs_core::machine::Machine;
+        use rtdvs_core::policy::PolicyKind;
+
+        for job in [w(1.9), w(2.0), w(5.0)] {
+            let mut kernel = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+            let (_, server) = kernel
+                .spawn_polling_server(t(10.0), w(2.0))
+                .expect("server admits alone");
+            // Worst phasing: the release at t = 0 has already polled (and
+            // forfeited) when the job arrives.
+            kernel.run_until(t(0.5));
+            server.submit(job, kernel.now());
+            kernel.run_until(t(100.0));
+            let done = server.take_completed();
+            assert_eq!(done.len(), 1, "job of {job} never completed");
+            let periods = (job.as_ms() / 2.0).ceil() + 1.0;
+            let bound = t(periods * 10.0);
+            let response = done[0].response_time();
+            assert!(
+                response.as_ms() <= bound.as_ms(),
+                "job of {job}: response {response} exceeds documented bound {bound}"
+            );
+            assert!(
+                response.as_ms() > (periods - 1.0) * 10.0 - 0.5,
+                "job of {job}: response {response} beats ceil(w/C_s) periods — \
+                 the documented bound is tighter than claimed"
+            );
+            assert_eq!(kernel.misses().count(), 0);
+        }
     }
 
     #[test]
     fn unknown_tenant_is_reported() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
         assert_eq!(
             srv.submit(tid(9), w(1.0), t(0.0)),
             SubmitOutcome::UnknownTenant
@@ -635,7 +926,7 @@ mod tests {
 
     #[test]
     fn guaranteed_quota_isolates_a_compliant_tenant_from_a_flood() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
         let mut body = srv.body();
         // Tenant 1 floods far beyond its quota; tenant 2 submits one small
         // request per period.
@@ -662,7 +953,7 @@ mod tests {
 
     #[test]
     fn leftover_budget_is_work_conserving() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
         let mut body = srv.body();
         // Only tenant 1 has work: 2.0 of it, quota 1.0, budget 2.0. The
         // guaranteed pass serves 1.0 and the leftover pass the other 1.0.
@@ -676,7 +967,7 @@ mod tests {
     #[test]
     fn backlog_bound_sheds_oldest_first() {
         let quotas = [TenantQuota::new(tid(1), w(1.0), 2)];
-        let srv = TenantServer::new(&quotas).unwrap();
+        let srv = TenantServer::new(&quotas, w(2.0)).unwrap();
         let first = match srv.submit(tid(1), w(1.0), t(0.0)) {
             SubmitOutcome::Accepted { id, shed_oldest } => {
                 assert_eq!(shed_oldest, None);
@@ -702,7 +993,7 @@ mod tests {
             TenantQuota::new(tid(1), w(1.0), 64),
             TenantQuota::new(tid(2), w(1.0), 64),
         ];
-        let srv = TenantServer::new(&quotas).unwrap();
+        let srv = TenantServer::new(&quotas, w(2.0)).unwrap();
         let mut body = srv.body();
         let sp = spec(10.0, 2.0);
         // Build a deep backlog (> 4 × quota after service).
@@ -752,7 +1043,7 @@ mod tests {
 
     #[test]
     fn empty_queues_forfeit_the_release() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
         let mut body = srv.body();
         assert_eq!(body.run(1, &spec(10.0, 2.0)), Work::ZERO);
         assert_eq!(srv.forfeited_releases(), 1);
@@ -760,7 +1051,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_bit_exactly() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
         let mut body = srv.body();
         for _ in 0..5 {
             let _ = srv.submit(tid(1), w(0.7), t(0.25));
@@ -770,7 +1061,7 @@ mod tests {
         body.on_invocation_complete(1, t(10.0));
         let snap = srv.snapshot();
         assert!(!snap.tenants.is_empty());
-        let revived = TenantServer::from_snapshot(&snap);
+        let revived = TenantServer::from_snapshot(&snap, w(2.0)).unwrap();
         assert_eq!(revived.snapshot(), snap);
         // Both continue identically.
         let mut rbody = revived.body();
@@ -783,15 +1074,23 @@ mod tests {
         assert_eq!(revived.snapshot(), srv.snapshot());
     }
 
+    /// One panicked worker poisons the mutex; the server must shrug it off
+    /// and keep serving, and a checkpoint must capture the same consistent
+    /// state a clean capture would — never a torn or failed snapshot.
     #[test]
     fn survives_a_poisoned_mutex() {
-        let srv = TenantServer::new(&quotas2()).unwrap();
+        let srv = TenantServer::new(&quotas2(), w(2.0)).unwrap();
+        let _ = srv.submit(tid(2), w(1.5), t(0.0));
+        let clean = srv.snapshot();
         let shared = Arc::clone(&srv.shared);
-        let _ = std::thread::spawn(move || {
+        let worker = std::thread::spawn(move || {
             let _guard = shared.lock().unwrap();
             panic!("poison the lock");
-        })
-        .join();
+        });
+        assert!(worker.join().is_err(), "worker must have panicked");
+        assert!(srv.shared.is_poisoned(), "lock must actually be poisoned");
+        assert_eq!(srv.snapshot(), clean, "poisoned capture must not tear");
+        assert_eq!(srv.body().snapshot_state(), Some(BodyState::Server(clean)));
         assert!(matches!(
             srv.submit(tid(1), w(0.5), t(0.0)),
             SubmitOutcome::Accepted { .. }

@@ -531,3 +531,82 @@ fn status_tracks_time_and_frequency() {
     assert!(s.contains("freq=0.750"), "{s}");
     assert!(kernel.current_frequency() == 0.75);
 }
+
+/// The §2.2 polling server pinned end to end: two periodic tasks beside
+/// `spawn_polling_server` for 4 s under each paper policy, 8 seeds each,
+/// with light (20–160 ms gaps) and saturating (1–8 ms gaps) aperiodic
+/// arrivals. A row folds, over its 8 seeds, the energy bits, every
+/// completed job's arrival, completion stamp and work, the served work,
+/// the forfeited releases and the log length into one FNV-1a digest. Job
+/// ids are left out: they are the server's numbering, not its behaviour.
+#[test]
+fn polling_server_is_pinned() {
+    const PINS: [&str; 12] = [
+        "EDF light: jobs 338 forfeits 949 log 19685 digest 3ec68d6bb182d730",
+        "EDF saturating: jobs 2589 forfeits 8 log 19680 digest a9c7091421a26ef3",
+        "StaticRM light: jobs 338 forfeits 949 log 19685 digest 3e7afb1b9c802fc0",
+        "StaticRM saturating: jobs 2589 forfeits 8 log 19680 digest fa8df408d00e1a3a",
+        "StaticEDF light: jobs 338 forfeits 949 log 19685 digest 3e7afb1b9c802fc0",
+        "StaticEDF saturating: jobs 2589 forfeits 8 log 19680 digest fa8df408d00e1a3a",
+        "ccEDF light: jobs 338 forfeits 949 log 19685 digest 0c6cc0a9d80ac652",
+        "ccEDF saturating: jobs 2589 forfeits 8 log 19680 digest d221d012a0c39c6b",
+        "ccRM light: jobs 338 forfeits 949 log 19685 digest 70532878e68880bb",
+        "ccRM saturating: jobs 2589 forfeits 8 log 19680 digest 5c49c58c0a830f46",
+        "laEDF light: jobs 338 forfeits 949 log 19685 digest 1a019fada34388ad",
+        "laEDF saturating: jobs 2589 forfeits 8 log 19680 digest a6fffc565f1fd357",
+    ];
+    let fold = |h: &mut u64, v: u64| {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut rows = Vec::new();
+    for kind in PolicyKind::paper_six() {
+        for (load, gaps) in [("light", (20.0, 160.0)), ("saturating", (1.0, 8.0))] {
+            let (mut jobs, mut forfeits, mut log) = (0usize, 0u64, 0usize);
+            let mut digest = 0xcbf2_9ce4_8422_2325u64;
+            for seed in 0..8u64 {
+                let mut kernel = RtKernel::new(Machine::machine0(), kind);
+                kernel
+                    .spawn(ms(4.615), w(1.0), Box::new(FractionBody(0.7)))
+                    .unwrap();
+                kernel
+                    .spawn(ms(20.0), w(4.6), Box::new(FractionBody(0.6)))
+                    .unwrap();
+                let (_, server) = kernel.spawn_polling_server(ms(25.0), w(5.0)).unwrap();
+                let mut rng = rtdvs::taskgen::SplitMix64::seed_from_u64(seed);
+                let mut t = 0.0f64;
+                while t < 4000.0 {
+                    t += rng.range_f64(gaps.0, gaps.1);
+                    kernel.run_until(ms(t.min(4000.0)));
+                    if t < 4000.0 {
+                        let _ = server.submit(w(rng.range_f64(0.5, 4.5)), kernel.now());
+                    }
+                }
+                fold(&mut digest, kernel.energy().to_bits());
+                for job in server.take_completed() {
+                    jobs += 1;
+                    fold(&mut digest, job.arrival.as_ms().to_bits());
+                    fold(&mut digest, job.completed.as_ms().to_bits());
+                    fold(&mut digest, job.work.as_ms().to_bits());
+                }
+                fold(&mut digest, server.total_served().as_ms().to_bits());
+                fold(&mut digest, server.forfeited_releases());
+                fold(&mut digest, kernel.log().len() as u64);
+                forfeits += server.forfeited_releases();
+                log += kernel.log().len();
+                assert_eq!(
+                    kernel.misses().count(),
+                    0,
+                    "{} {load} seed {seed}",
+                    kernel.policy_name()
+                );
+            }
+            rows.push(format!(
+                "{} {load}: jobs {jobs} forfeits {forfeits} log {log} digest {digest:016x}",
+                kind.name()
+            ));
+        }
+    }
+    assert_eq!(rows, PINS, "fresh rows:\n{}", rows.join("\n"));
+}

@@ -1,19 +1,22 @@
-//! Seeded fuzz of the two readers `figures check` trusts with committed
-//! text: the `rtdvs-repro/v1` reader with its replay, and the `results/`
-//! value diff.
+//! Seeded fuzz of the text readers: the two `figures check` trusts with
+//! committed text (the `rtdvs-repro/v1` reader with its replay, and the
+//! `results/` value diff) and the task-file parser of the CLI tools.
 //!
-//! Each mutant is one or two SplitMix64 edits of a committed file:
-//! truncation, a bit flip, a token swap, a duplicated or deleted line, or
-//! (twice as likely) a number or `*_bits` value replaced by a hostile one.
-//! The contract is never to panic: a repro is rejected with a typed error
-//! or replays to a verdict within the horizon cap, and a mutated results
-//! file is either reproduced or named line by line.
+//! Each mutant is one or two SplitMix64 edits of a text: truncation, a
+//! bit flip, a token swap, a duplicated or deleted line, or (twice as
+//! likely) a number or `*_bits` value replaced by a hostile one. The
+//! contract is never to panic: a repro is rejected with a typed error or
+//! replays to a verdict within the horizon cap, a mutated results file is
+//! either reproduced or named line by line, and a task file parses to
+//! valid tasks or to a `TaskFileError`.
 
 use std::path::Path;
 
+use rtdvs::core::task::Task;
 use rtdvs::taskgen::SplitMix64;
 use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
 use rtdvs_bench::figures::diff_results_file;
+use rtdvs_bench::taskfile::parse_task_set;
 use rtdvs_bench::{replay_repro, Artifact, ReproArtifact};
 
 /// The committed minimized repro.
@@ -187,4 +190,31 @@ fn results_mutants_are_named_never_panic() {
         }
     }
     println!("{mutants} results mutants, {named} named");
+}
+
+/// A small task file: comments, a blank line and release offsets.
+const TASK_FILE: &str = "# Table 2, phased\n8 3\n10 3 2.5 # medium\n\n14 1 7\n";
+
+/// `parse_task_set` never panics on a mutated task file: it returns a
+/// set or a `TaskFileError`, and every task it accepts is one
+/// `Task::with_offset` accepts again.
+#[test]
+fn task_file_mutants_never_panic() {
+    const MUTANTS: usize = 3000;
+    let mut rng = SplitMix64::seed_from_u64(0x7A5_CF11);
+    let mut accepted = 0;
+    for i in 0..MUTANTS {
+        let text = mutant(TASK_FILE, ' ', &mut rng);
+        let parsed = std::panic::catch_unwind(|| parse_task_set(&text))
+            .unwrap_or_else(|_| panic!("task-file mutant {i} panicked:\n{text}"));
+        if let Ok(set) = parsed {
+            accepted += 1;
+            for t in set.tasks() {
+                let again = Task::with_offset(t.period(), t.wcet(), t.offset());
+                assert!(again.is_ok(), "mutant {i} accepted {t:?}:\n{text}");
+            }
+        }
+    }
+    println!("{MUTANTS} task-file mutants, {accepted} accepted");
+    assert!(accepted > 0 && accepted < MUTANTS);
 }

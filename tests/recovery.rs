@@ -159,10 +159,13 @@ fn tenant_server_backlog_survives_a_crash() {
     victim.run_until(ms(130.0));
     drop(victim);
 
-    let (mut restored, classic) = snapshot.restore().expect("snapshot restores");
-    assert!(classic.is_empty(), "no single-stream servers here");
+    let (mut restored, servers) = snapshot.restore().expect("snapshot restores");
     let revived = restored.tenant_servers();
     assert_eq!(revived.len(), 1, "the tenant server survives the crash");
+    assert_eq!(
+        servers[0].0, revived[0].0,
+        "the restore lists the same server"
+    );
     let (_, revived_server) = &revived[0];
     assert_eq!(
         revived_server.lane_stats(),
@@ -269,8 +272,8 @@ fn compound_degraded_state_survives_a_crash() {
     victim.run_until(ms(230.0));
     drop(victim);
 
-    let (mut restored, classic) = reparsed.restore().expect("snapshot restores");
-    assert!(classic.is_empty(), "no single-stream servers here");
+    let (mut restored, servers) = reparsed.restore().expect("snapshot restores");
+    assert_eq!(servers.len(), 1, "the restore lists the tenant server");
     assert_eq!(
         restored.brownout_cap(),
         Some(3),
@@ -449,8 +452,8 @@ fn recovery_shape_checkpoints() -> Vec<String> {
 
 /// Kernels whose checkpoints, between them, carry every snapshot stanza
 /// and body form: switch overheads, a brownout cap, a failing regulator
-/// (ladder and regulator counters), a classic polling server and a
-/// multi-tenant server with queued jobs, cold-start, fraction, uniform
+/// (ladder and regulator counters), a polling server (a one-lane tenant
+/// server) and a multi-tenant server with queued jobs, cold-start, fraction, uniform
 /// and overrun bodies, a shed task, a stochastic-EDF policy token and the
 /// `timebase` stanza.
 fn stanza_kernels() -> Vec<(&'static str, RtKernel)> {
@@ -462,7 +465,7 @@ fn stanza_kernels() -> Vec<(&'static str, RtKernel)> {
 
     let mut rng = SplitMix64::seed_from_u64(0x57A_BA5E);
 
-    // Classic server, cold start, cap and a failing regulator on the K6.
+    // Polling server, cold start, cap and a failing regulator on the K6.
     let cpu = PowerNowCpu::k6_2_plus_550();
     let machine = cpu.machine().expect("prototype machine is valid");
     let mut classic = RtKernel::new(machine, PolicyKind::CcRm(RmTest::SchedulingPoints))
@@ -540,7 +543,9 @@ fn checksum_line(text: &str) -> &str {
 
 /// The bytes of `rtdvs-snapshot/v1` are pinned: these checksum lines were
 /// computed from checkpoints written by the format's first writer, and any
-/// change to what the writer emits changes them.
+/// change to what the writer emits changes them. The `classic` line was
+/// regenerated once, when the polling server became a one-lane tenant
+/// server and its checkpoint a `tserver` stanza.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let recovery: Vec<String> = recovery_shape_checkpoints()
@@ -570,7 +575,7 @@ const RECOVERY_CHECKSUMS: [&str; 6] = [
 
 /// Checksum lines of a checkpoint of each of [`stanza_kernels`].
 const STANZA_CHECKSUMS: [&str; 3] = [
-    "classic checksum 493ff9e5ce335122",
+    "classic checksum f864512fc72cead2",
     "tenant checksum 741c9dcd65f64830",
     "clock checksum b9b9e5633966513f",
 ];
@@ -718,7 +723,6 @@ fn resealed_mutants_never_panic_restore() {
         "\ncap 3",
         "\ntimebase ",
         "\nshed ",
-        " server ",
         " tserver ",
         " coldstart ",
         " fraction ",
