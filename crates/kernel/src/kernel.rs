@@ -454,6 +454,9 @@ pub struct RtKernel {
     pub(crate) pending_change: Option<crate::modechange::StagedChange>,
     /// When the last checkpoint was taken, if ever.
     pub(crate) last_snapshot_at: Option<Time>,
+    /// The log section of the last checkpoint this kernel wrote, which the
+    /// next one extends (see [`crate::snapshot`]). Never serialized.
+    pub(crate) seal: Option<crate::snapshot::Seal>,
     /// The hardware regulator behind the transition driver, when attached.
     /// Hardware state: never serialized — a restore re-attaches the live
     /// regulator rather than rewinding its fault streams.
@@ -529,6 +532,7 @@ impl RtKernel {
             mode_epoch: 0,
             pending_change: None,
             last_snapshot_at: None,
+            seal: None,
             regulator: None,
             brownout_cap: None,
             preferred_policy: kind,

@@ -51,10 +51,8 @@ impl EnergyMeter {
     /// checkpoint/restore counterpart of [`EnergyMeter::new`]. The per-point
     /// vectors must have equal lengths (the machine's point count).
     ///
-    /// # Panics
-    ///
-    /// Panics if `idle_level` is negative or not finite, or if the per-point
-    /// vectors disagree on length.
+    /// Returns `None` if `idle_level` is negative or not finite, or if the
+    /// per-point vectors disagree on length.
     #[must_use]
     pub fn from_parts(
         idle_level: f64,
@@ -64,16 +62,12 @@ impl EnergyMeter {
         idle_time: Vec<Time>,
         work_done: Vec<Work>,
         stall_time: Time,
-    ) -> EnergyMeter {
-        assert!(
-            idle_level.is_finite() && idle_level >= 0.0,
-            "idle level must be a non-negative finite ratio, got {idle_level}"
-        );
-        assert!(
-            busy_time.len() == idle_time.len() && idle_time.len() == work_done.len(),
-            "per-point accounting vectors must have equal lengths"
-        );
-        EnergyMeter {
+    ) -> Option<EnergyMeter> {
+        let valid = idle_level.is_finite()
+            && idle_level >= 0.0
+            && busy_time.len() == idle_time.len()
+            && idle_time.len() == work_done.len();
+        valid.then_some(EnergyMeter {
             idle_level,
             busy_energy,
             idle_energy,
@@ -81,7 +75,7 @@ impl EnergyMeter {
             idle_time,
             work_done,
             stall_time,
-        }
+        })
     }
 
     /// Charges `duration` of execution at `point`, retiring
@@ -269,7 +263,8 @@ mod tests {
             meter.idle_time().to_vec(),
             meter.work_done().to_vec(),
             meter.stall_time(),
-        );
+        )
+        .expect("a live meter's parts are valid");
         assert_eq!(
             copy.total_energy().to_bits(),
             meter.total_energy().to_bits()
@@ -282,9 +277,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "equal lengths")]
     fn from_parts_rejects_mismatched_vectors() {
-        let _ = EnergyMeter::from_parts(
+        let meter = EnergyMeter::from_parts(
             0.0,
             0.0,
             0.0,
@@ -293,5 +287,6 @@ mod tests {
             vec![Work::ZERO; 2],
             Time::ZERO,
         );
+        assert!(meter.is_none());
     }
 }

@@ -1,14 +1,17 @@
-//! Seeded fuzz of the text readers: the two `figures check` trusts with
-//! committed text (the `rtdvs-repro/v1` reader with its replay, and the
-//! `results/` value diff) and the task-file parser of the CLI tools.
+//! Seeded fuzz of the text readers: those `figures check` trusts with
+//! committed text (the `rtdvs-repro/v1` reader with its replay, the
+//! `results/` value diff, and the `BENCH_*.json` artifact readers with
+//! their layout check and golden diff) and the task-file parser of the
+//! CLI tools.
 //!
 //! Each mutant is one or two SplitMix64 edits of a text: truncation, a
 //! bit flip, a token swap, a duplicated or deleted line, or (twice as
 //! likely) a number or `*_bits` value replaced by a hostile one. The
 //! contract is never to panic: a repro is rejected with a typed error or
 //! replays to a verdict within the horizon cap, a mutated results file is
-//! either reproduced or named line by line, and a task file parses to
-//! valid tasks or to a `TaskFileError`.
+//! either reproduced or named line by line, an artifact is rejected or
+//! writes text that reads back, and a task file parses to valid tasks or
+//! to a `TaskFileError`.
 
 use std::path::Path;
 
@@ -17,7 +20,10 @@ use rtdvs::taskgen::SplitMix64;
 use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
 use rtdvs_bench::figures::diff_results_file;
 use rtdvs_bench::taskfile::parse_task_set;
-use rtdvs_bench::{replay_repro, Artifact, ReproArtifact};
+use rtdvs_bench::{
+    check_layout, replay_repro, Artifact, BenchArtifact, CampaignArtifact, Json, OpsArtifact,
+    ReproArtifact, TenantsArtifact,
+};
 
 /// The committed minimized repro.
 const REPRO: &str = include_str!("../results/repro_availability_floor.json");
@@ -217,4 +223,78 @@ fn task_file_mutants_never_panic() {
     }
     println!("{MUTANTS} task-file mutants, {accepted} accepted");
     assert!(accepted > 0 && accepted < MUTANTS);
+}
+
+/// Mutants of each committed `BENCH_*.json`.
+const MUTANTS_PER_ARTIFACT: usize = 400;
+
+/// Feeds [`MUTANTS_PER_ARTIFACT`] mutants of `golden`, an artifact of
+/// schema `A`, to `A::from_json`, to `check_layout` and to the diff
+/// against the golden. None of them may panic, and an accepted mutant's
+/// `to_json` must read back to the same text. Returns how many mutants
+/// were accepted.
+fn artifact_mutants<A>(name: &str, golden: &str, rng: &mut SplitMix64) -> usize
+where
+    A: Artifact + std::panic::RefUnwindSafe,
+{
+    let parsed = A::from_json(golden).expect("the committed artifact reads");
+    let mut accepted = 0;
+    for i in 0..MUTANTS_PER_ARTIFACT {
+        let text = mutant(golden, ' ', rng);
+        let outcome = std::panic::catch_unwind(|| {
+            let _ = check_layout(&text);
+            let art = A::from_json(&text).ok()?;
+            let _ = parsed.diff(&art);
+            Some(art.to_json())
+        });
+        let written = match outcome {
+            Ok(written) => written,
+            Err(_) => panic!("{name} mutant {i} panicked:\n{text}"),
+        };
+        if let Some(written) = written {
+            let again = A::from_json(&written)
+                .unwrap_or_else(|e| panic!("{name} mutant {i} wrote text that fails: {e}"));
+            assert_eq!(
+                again.to_json(),
+                written,
+                "{name} mutant {i}: not a fixed point"
+            );
+            accepted += 1;
+        }
+    }
+    accepted
+}
+
+/// Every committed `BENCH_*.json`, mutated, through the reader its
+/// schema names (see [`artifact_mutants`]).
+#[test]
+fn bench_artifact_mutants_never_panic() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .expect("the repository root is readable")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter_map(|p| {
+            let name = p.file_name()?.to_str()?.to_owned();
+            let bench = name.starts_with("BENCH_") && name.ends_with(".json");
+            bench.then(|| (name, std::fs::read_to_string(&p).expect("readable file")))
+        })
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 8, "every committed BENCH artifact");
+    let mut rng = SplitMix64::seed_from_u64(0xBE7C_4A27);
+    let mut accepted = 0;
+    for (name, golden) in &files {
+        let tree = Json::parse(golden).expect("the committed artifact parses");
+        let schema = tree.get("schema").and_then(Json::as_str).expect("a schema");
+        accepted += match schema {
+            "rtdvs-bench/v1" => artifact_mutants::<BenchArtifact>(name, golden, &mut rng),
+            "rtdvs-ops/v1" => artifact_mutants::<OpsArtifact>(name, golden, &mut rng),
+            "rtdvs-tenants/v1" => artifact_mutants::<TenantsArtifact>(name, golden, &mut rng),
+            "rtdvs-campaign/v1" => artifact_mutants::<CampaignArtifact>(name, golden, &mut rng),
+            other => panic!("{name}: no reader for schema {other:?}"),
+        };
+    }
+    let mutants = files.len() * MUTANTS_PER_ARTIFACT;
+    println!("{mutants} BENCH artifact mutants, {accepted} accepted");
+    assert!(accepted > 0 && accepted < mutants);
 }

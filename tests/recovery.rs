@@ -541,11 +541,12 @@ fn checksum_line(text: &str) -> &str {
     text.lines().last().expect("a snapshot has lines")
 }
 
-/// The bytes of `rtdvs-snapshot/v1` are pinned: these checksum lines were
-/// computed from checkpoints written by the format's first writer, and any
-/// change to what the writer emits changes them. The `classic` line was
-/// regenerated once, when the polling server became a one-lane tenant
-/// server and its checkpoint a `tserver` stanza.
+/// The bytes of `rtdvs-snapshot/v2` are pinned: any change to what the
+/// writer emits changes these checksum lines. They were regenerated once
+/// for v2, when the log moved ahead of the state stanzas and lost its
+/// count line; each v2 text is the v1 text of the same checkpoint with
+/// exactly that edit, resealed. The recovery checkpoints after the first
+/// extend the sealed log of the one before.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let recovery: Vec<String> = recovery_shape_checkpoints()
@@ -565,22 +566,22 @@ fn snapshot_bytes_are_pinned() {
 
 /// Checksum lines of [`recovery_shape_checkpoints`].
 const RECOVERY_CHECKSUMS: [&str; 6] = [
-    "checksum 327ed5e08899ad5a",
-    "checksum f2a7c06e432b5f33",
-    "checksum 01150525509e7800",
-    "checksum 075d021ddf23b996",
-    "checksum d5ad587774903343",
-    "checksum 9d5db1123fd75316",
+    "checksum 8ba57887cdf8d624",
+    "checksum 39cbda32f01d02d3",
+    "checksum 0b42b3b97b5fce73",
+    "checksum 876e418843632688",
+    "checksum 30df99a9d09d3a7d",
+    "checksum c5a78139046b0d8d",
 ];
 
 /// Checksum lines of a checkpoint of each of [`stanza_kernels`].
 const STANZA_CHECKSUMS: [&str; 3] = [
-    "classic checksum f864512fc72cead2",
-    "tenant checksum 741c9dcd65f64830",
-    "clock checksum b9b9e5633966513f",
+    "classic checksum bd2ee723bfc9e755",
+    "tenant checksum 8aeeaa249cc6b43e",
+    "clock checksum 35bc0534524706b2",
 ];
 
-/// FNV-1a 64, the `rtdvs-snapshot/v1` checksum.
+/// FNV-1a 64, the `rtdvs-snapshot/v2` checksum.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)

@@ -23,11 +23,11 @@
 //!   `BENCH_regulator.json`, `BENCH_clock.json`) within ±1% energy,
 //!   re-runs the tenant soak and the chaos campaign byte-for-byte
 //!   against `BENCH_tenants.json` and `BENCH_campaign.json`, re-counts
-//!   the engine's operation ledger byte-for-byte against
-//!   `BENCH_ops.json`, holds each to its invariants (no policy-blamed
-//!   miss, inactive plans bit-exact, tenant isolation, campaign
-//!   availability, ops/event flat from 8 to 128 tasks; nothing is
-//!   timed), and replays the committed repro
+//!   the operation ledger of both executors (the engine and the kernel)
+//!   byte-for-byte against `BENCH_ops.json`, holds each to its
+//!   invariants (no policy-blamed miss, inactive plans bit-exact, tenant
+//!   isolation, campaign availability, ops/event flat from 8 to 128 tasks
+//!   in each executor; nothing is timed), and replays the committed repro
 //!   `results/repro_availability_floor.json` to its bit-identical
 //!   violation. `figures run` regenerates all of them but the repro.
 //! * `cargo run -p xtask -- repro [FILE]` — replays a minimized chaos
