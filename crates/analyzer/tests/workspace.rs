@@ -23,10 +23,10 @@ fn workspace_analysis_matches_the_checked_in_baseline() {
         a.unused_allows
     );
     assert_eq!(
-        a.report.deny_panic_roots, 9,
+        a.report.deny_panic_roots, 10,
         "expected exactly the sim scheduling loop, the kernel transition driver, the \
-         repro reader, the results diff, snapshot loading and restore, the checkpoint \
-         writer, and the task-file parser"
+         repro reader, the results diff, snapshot loading, the restore reader, the sealing \
+         restore, the checkpoint writer, and the task-file parser"
     );
     // The zero-panic budget holds: no tier-1 findings (they all carry the
     // `zero-panic-budget` wording), only baselined surface reports.

@@ -454,9 +454,10 @@ pub struct RtKernel {
     pub(crate) pending_change: Option<crate::modechange::StagedChange>,
     /// When the last checkpoint was taken, if ever.
     pub(crate) last_snapshot_at: Option<Time>,
-    /// The log section of the last checkpoint this kernel wrote, which the
-    /// next one extends (see [`crate::snapshot`]). Never serialized.
-    pub(crate) seal: Option<crate::snapshot::Seal>,
+    /// The kernel's last checkpoint, or the snapshot it was revived from:
+    /// the next checkpoint extends its log section (see
+    /// [`crate::snapshot`]). Never serialized.
+    pub(crate) seal: Option<crate::snapshot::Snapshot>,
     /// The hardware regulator behind the transition driver, when attached.
     /// Hardware state: never serialized — a restore re-attaches the live
     /// regulator rather than rewinding its fault streams.

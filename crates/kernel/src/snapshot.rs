@@ -18,24 +18,34 @@
 //!
 //! The writer seals as it writes: one pass appends each line to a buffer
 //! pre-sized from the log length and folds the line into the running
-//! checksum. The kernel then keeps a seal of the checkpoint: a shared handle
-//! on its text, how many `ev` lines it holds, the byte offset where they
-//! end and the checksum state at that offset. The next checkpoint copies
-//! that prefix, writes and hashes only the entries logged since, and then
-//! the state stanzas, so a checkpoint costs what was logged since the last
-//! one, not the whole uptime. The seal retains no extra text for a caller
-//! that keeps its last snapshot (the supervisor's restore point is one);
-//! otherwise it keeps the last text alive. A kernel revived by
-//! [`Snapshot::restore`] (or by the supervisor) starts unsealed, so every
-//! sealed byte is one this process's writer produced.
+//! checksum. Every [`Snapshot`] carries its log mark: how many `ev` lines
+//! its text holds, the byte offset where they end and the checksum state
+//! at that offset. The writer records the mark as it passes it, and
+//! [`Snapshot::from_text`] in the hashing pass it makes anyway. The kernel
+//! keeps its last checkpoint as its seal; the next checkpoint copies the
+//! text up to the mark, writes and hashes only the entries logged since,
+//! and then the state stanzas, so a checkpoint costs what was logged since
+//! the last one, not the whole uptime. A kernel revived by
+//! [`Snapshot::restore`] (or by the supervisor) is sealed with the snapshot
+//! it came from, so its first checkpoint is no dearer than any other.
+//!
+//! That is sound because the reader accepts exactly what the writer emits
+//! and nothing else: tokens are separated by one space, every line ends in
+//! a lone `\n` (the version line included), floats are exactly 16
+//! lower-case hex digits, decimals are canonical (no sign, no leading zero)
+//! and flags are `0` or `1`. Every field of an `ev` record round-trips
+//! bit for bit, so an accepted `ev` run is byte for byte what the writer
+//! emits for the log it decodes, and extending it equals a full write.
 //!
 //! The checksum catches a torn or accidentally altered text at load; it
 //! does not authenticate. Anyone can edit a snapshot and reseal it, so
 //! restore checks every field it decodes — a non-finite time, an
-//! out-of-range policy or meter parameter, an impossible count — and
-//! answers [`SnapshotError::Corrupt`] instead of panicking. Restore relies
-//! on the checks done when the [`Snapshot`] was constructed (see the type)
-//! and does not repeat them.
+//! out-of-range policy or meter parameter, an impossible count — holds
+//! the log to the lifecycle rules of the audit's clock-monotonicity and
+//! log-consistency checks, and the state stanzas to the log they follow,
+//! answering [`SnapshotError::Corrupt`] instead of panicking. Restore
+//! relies on the checks done when the [`Snapshot`] was constructed (see
+//! the type) and does not repeat them.
 //!
 //! What is *not* serialized is the policy module's internal state (a
 //! `dyn DvsPolicy` is opaque). Restore rebuilds the policy from its
@@ -50,6 +60,7 @@
 //! mode-change transaction in flight (the transaction owns un-run bodies;
 //! checkpoint either before submission or after the safe point).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -72,6 +83,12 @@ use crate::tenants::{
 
 /// The format tag on a snapshot's first line.
 pub const SNAPSHOT_VERSION: &str = "rtdvs-snapshot/v2";
+
+/// The version line's length, with its `\n`.
+const VERSION_LINE_BYTES: usize = SNAPSHOT_VERSION.len() + 1;
+
+/// The checksum line: the tag, 16 hex digits and the `\n`.
+const CHECKSUM_LINE_BYTES: usize = "checksum ".len() + 16 + 1;
 
 /// Why a checkpoint could not be taken or a snapshot could not be loaded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,19 +131,32 @@ impl fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// Where a snapshot's `ev` run ends: how many `ev` lines the text holds,
+/// the byte offset past the last one and the FNV-1a state at that offset.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LogMark {
+    events: usize,
+    end: usize,
+    hash: u64,
+}
+
 /// A validated, self-checksummed kernel checkpoint.
 ///
 /// The text is private and never changes, and only two constructors make
 /// one: [`Snapshot::from_text`], which checks the version line and the
 /// checksum, and [`RtKernel::checkpoint`], which writes and seals the text
 /// itself. Every `Snapshot` therefore holds a text that passed those
-/// checks, and [`Snapshot::restore`] does not repeat them.
+/// checks, and [`Snapshot::restore`] does not repeat them. Both record the
+/// text's log mark (see [`crate::snapshot`]), which the next checkpoint of
+/// a kernel sealed with this snapshot extends.
 ///
-/// The text is shared, not copied: a clone, and the seal the kernel keeps
-/// of its last checkpoint, hold the same allocation.
+/// The text is shared, not copied: a clone, and the seal a kernel keeps
+/// of its last checkpoint or of the snapshot it was revived from, hold
+/// the same allocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     text: Arc<String>,
+    log: LogMark,
 }
 
 impl Snapshot {
@@ -143,29 +173,50 @@ impl Snapshot {
     ///
     /// [`SnapshotError::UnsupportedVersion`] for a foreign format,
     /// [`SnapshotError::ChecksumMismatch`] for torn or altered text, and
-    /// [`SnapshotError::Corrupt`] for structural damage.
+    /// [`SnapshotError::Corrupt`] for structural damage, a version or
+    /// checksum line not in the writer's spelling included.
     pub fn from_text(text: &str) -> Result<Snapshot, SnapshotError> {
-        let Some(first) = text.lines().next() else {
-            return Err(SnapshotError::Corrupt("empty text".into()));
-        };
-        if first != SNAPSHOT_VERSION {
-            return Err(SnapshotError::UnsupportedVersion(first.to_string()));
+        if text
+            .strip_prefix(SNAPSHOT_VERSION)
+            .is_none_or(|r| !r.starts_with('\n'))
+        {
+            return Err(version_error(text));
         }
-        let Some(idx) = text.rfind("\nchecksum ") else {
-            return Err(SnapshotError::Corrupt("missing checksum line".into()));
-        };
-        let (Some(body), Some(tail)) = (text.get(..=idx), text.get(idx + 1..)) else {
+        let split = text.len().saturating_sub(CHECKSUM_LINE_BYTES);
+        let (Some(body), Some(tail)) = (text.get(..split), text.get(split..)) else {
             return Err(SnapshotError::Corrupt("missing checksum line".into()));
         };
         let claimed = tail
-            .trim_end()
             .strip_prefix("checksum ")
-            .ok_or_else(|| SnapshotError::Corrupt("malformed checksum line".into()))?;
-        if claimed != format!("{:016x}", fnv1a64(FNV_OFFSET, body.as_bytes())) {
+            .and_then(|t| t.strip_suffix('\n'))
+            .and_then(|digits| hex16(digits.as_bytes()));
+        let (Some(claimed), true) = (claimed, body.ends_with('\n')) else {
+            return Err(SnapshotError::Corrupt("malformed checksum line".into()));
+        };
+        // Hash the `ev` run line by line to find its end; the rest of the
+        // body in one go.
+        let bytes = body.as_bytes();
+        let head = bytes.get(..VERSION_LINE_BYTES).unwrap_or_default();
+        let mut log = LogMark {
+            events: 0,
+            end: head.len(),
+            hash: fnv1a64(FNV_OFFSET, head),
+        };
+        while let Some(line) = bytes.get(log.end..).filter(|l| l.starts_with(b"ev ")) {
+            let (hash, len) = fnv1a64_line(log.hash, line);
+            log = LogMark {
+                events: log.events.saturating_add(1),
+                end: log.end.saturating_add(len),
+                hash,
+            };
+        }
+        let rest = bytes.get(log.end..).unwrap_or_default();
+        if fnv1a64(log.hash, rest) != claimed {
             return Err(SnapshotError::ChecksumMismatch);
         }
         Ok(Snapshot {
             text: Arc::new(text.to_owned()),
+            log,
         })
     }
 
@@ -175,25 +226,37 @@ impl Snapshot {
     /// are gone with the crashed process). A polling server comes back as
     /// its one-lane server: submit to [`crate::tenants::POLLING_LANE`].
     ///
+    /// The revived kernel is sealed with this snapshot, so its first
+    /// checkpoint extends this text's log section rather than rewriting
+    /// it.
+    ///
     /// # Errors
     ///
     /// [`SnapshotError::Corrupt`] for a text whose checksum holds but whose
     /// content does not decode to a kernel this build can run (an edited
-    /// and resealed snapshot).
+    /// and resealed snapshot), a log that breaks the task lifecycle
+    /// included.
     pub fn restore(&self) -> Result<(RtKernel, Vec<(TaskHandle, TenantServer)>), SnapshotError> {
-        restore_from_text(&self.text)
+        let (mut kernel, servers) = restore_from_text(&self.text, self.log)?;
+        // The reader accepted the `ev` run, so it is the writer's bytes for
+        // the log it decoded, and the next checkpoint may extend it.
+        kernel.seal = Some(self.clone());
+        Ok((kernel, servers))
     }
 }
 
-/// The part of a kernel's last checkpoint the next one reuses: the text,
-/// how many `ev` lines it holds, the byte offset where they end, and the
-/// FNV-1a state at that offset. Only [`write_kernel`] makes one, from the
-/// text it just wrote.
-pub(crate) struct Seal {
-    text: Arc<String>,
-    events: usize,
-    end: usize,
-    hash: u64,
+/// Why `text`, which does not start with the version line, is refused:
+/// the writer's version spelled with a `\r\n` is corrupt, anything else
+/// foreign.
+fn version_error(text: &str) -> SnapshotError {
+    let first = text.split('\n').next().unwrap_or_default();
+    if text.is_empty() {
+        SnapshotError::Corrupt("empty text".into())
+    } else if first.trim_end_matches('\r') == SNAPSHOT_VERSION {
+        SnapshotError::Corrupt("the version line does not end in a lone \\n".into())
+    } else {
+        SnapshotError::UnsupportedVersion(first.to_string())
+    }
 }
 
 impl RtKernel {
@@ -205,9 +268,10 @@ impl RtKernel {
     /// it was taken and audit replay of a restored run can see the stitch
     /// point. A refused checkpoint leaves the kernel untouched.
     ///
-    /// The text's log section is the last checkpoint's, extended by the
+    /// The text's log section is the kernel's seal's, extended by the
     /// entries logged since (see [`crate::snapshot`]), so the cost is
-    /// what was logged since that checkpoint plus the state stanzas.
+    /// what was logged since the last checkpoint or restore plus the
+    /// state stanzas.
     ///
     /// # Errors
     ///
@@ -235,8 +299,8 @@ impl RtKernel {
         }
         self.last_snapshot_at = Some(self.now);
         self.log.push((self.now, KernelEvent::SnapshotTaken));
-        let (snap, seal) = write_kernel(self, self.seal.as_ref(), &entry_bodies, &shed_bodies);
-        self.seal = Some(seal);
+        let snap = write_kernel(self, self.seal.as_ref(), &entry_bodies, &shed_bodies);
+        self.seal = Some(snap.clone());
         Ok(snap)
     }
 }
@@ -246,14 +310,29 @@ impl RtKernel {
 // ---------------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Folds `bytes` into the FNV-1a state `h` (start from [`FNV_OFFSET`]).
 fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Folds the line `bytes` starts with, through its `\n`, into the FNV-1a
+/// state `h`; returns the new state and the line's length (all of
+/// `bytes` when no `\n` ends it).
+fn fnv1a64_line(mut h: u64, bytes: &[u8]) -> (u64, usize) {
+    for (i, &b) in bytes.iter().enumerate() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+        if b == b'\n' {
+            return (h, i + 1);
+        }
+    }
+    (h, bytes.len())
 }
 
 /// Buffer bytes reserved per log line. A typical `ev` line (hex time,
@@ -475,7 +554,7 @@ impl Writer {
 }
 
 /// The `ev` record of every [`KernelEvent`]: its word, then its fields in
-/// token order, each with its codec — a [`Writer`] method and the [`Toks`]
+/// token order, each with its codec — a [`Writer`] method and the [`Cursor`]
 /// method of the same name. This one table generates both
 /// `Writer::event` and `parse_event`; the writer's match is exhaustive,
 /// so a new variant does not compile until it has a row here.
@@ -491,9 +570,12 @@ macro_rules! event_records {
             }
         }
 
-        fn parse_event(t: &mut Toks<'_>) -> Result<KernelEvent, SnapshotError> {
-            match t.word()? {
-                $($word => Ok(KernelEvent::$variant { $($field: t.$codec()?),* }),)*
+        // Inlined into the `ev` loop, which a restore runs once per log
+        // entry: a call returning the event costs a third of a line.
+        #[inline(always)]
+        fn parse_event(c: &mut Cursor<'_>) -> Result<KernelEvent, SnapshotError> {
+            match c.word()? {
+                $($word => Ok(KernelEvent::$variant { $($field: c.$codec()?),* }),)*
                 w => Err(corrupt(format!("unknown event {w:?}"))),
             }
         }
@@ -528,17 +610,24 @@ event_records! {
     ReleaseLate "release-late" { handle: handle, invocation: num, latency: time }
 }
 
-/// Writes `k`'s checkpoint text and the seal of its log section. A `seal`
-/// of an earlier checkpoint of `k` supplies the version line and the `ev`
-/// lines it holds, with their checksum state; a seal that does not fit the
-/// log falls through to writing the whole text.
+/// Writes `k`'s checkpoint text and records its log mark. A `seal`, an
+/// earlier snapshot of `k` or the one it was revived from, supplies the
+/// version line and the `ev` lines it holds, with their checksum state; a
+/// seal that does not fit the log falls through to writing the whole
+/// text.
 fn write_kernel(
     k: &RtKernel,
-    seal: Option<&Seal>,
+    seal: Option<&Snapshot>,
     entry_bodies: &[BodyState],
     shed_bodies: &[BodyState],
-) -> (Snapshot, Seal) {
-    let sealed = seal.and_then(|s| Some((s.text.get(..s.end)?, s.hash, k.log.get(s.events..)?)));
+) -> Snapshot {
+    let sealed = seal.and_then(|s| {
+        Some((
+            s.text.get(..s.log.end)?,
+            s.log.hash,
+            k.log.get(s.log.events..)?,
+        ))
+    });
     let (prefix, hash, fresh) = sealed.unwrap_or(("", FNV_OFFSET, k.log.as_slice()));
     let lines = 23 + k.machine.len() + k.entries.len() + k.shed.len();
     let mut w = Writer {
@@ -553,7 +642,11 @@ fn write_kernel(
     for (t, ev) in fresh {
         w.tag("ev").time(*t).event(ev).end();
     }
-    let (events, end, log_hash) = (k.log.len(), w.out.len(), w.hash);
+    let log = LogMark {
+        events: k.log.len(),
+        end: w.out.len(),
+        hash: w.hash,
+    };
     w.tag("clock").time(k.now).end();
     w.tag("epoch").num(k.mode_epoch).end();
     w.tag("next-handle").num(k.next_handle).end();
@@ -657,14 +750,10 @@ fn write_kernel(
     // The checksum line covers everything above it, and not itself.
     let hash = w.hash;
     w.tag("checksum").bits(hash).out.push('\n');
-    let text = Arc::new(w.out);
-    let seal = Seal {
-        text: Arc::clone(&text),
-        events,
-        end,
-        hash: log_hash,
-    };
-    (Snapshot { text }, seal)
+    Snapshot {
+        text: Arc::new(w.out),
+        log,
+    }
 }
 
 fn rm_test_token(t: RmTest) -> &'static str {
@@ -691,18 +780,70 @@ fn corrupt(what: impl Into<String>) -> SnapshotError {
     SnapshotError::Corrupt(what.into())
 }
 
-fn hex_token(tok: &str) -> Result<u64, SnapshotError> {
-    u64::from_str_radix(tok, 16).map_err(|_| corrupt(format!("bad hex {tok:?}")))
+/// Decodes exactly 16 lower-case hex digits, the only spelling the writer
+/// gives a float or a PRNG word.
+fn hex16(digits: &[u8]) -> Option<u64> {
+    let (hi, lo) = digits.split_at_checked(8)?;
+    let hi = hex8(hi.try_into().ok()?)?;
+    let lo = hex8(lo.try_into().ok()?)?;
+    Some(u64::from(hi) << 32 | u64::from(lo))
+}
+
+/// Decodes 8 lower-case hex digits at once, with no branch per digit:
+/// each byte of `x` is range-checked and turned into its nibble in
+/// place, then the nibbles are packed pairwise.
+fn hex8(digits: [u8; 8]) -> Option<u32> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let x = u64::from_be_bytes(digits);
+    // With every byte below 0x80, adding `0x80 - lo` sets a byte's high
+    // bit exactly when the byte is at least `lo`, with no carry out.
+    let at_least = |lo: u64| x.wrapping_add((0x80 - lo) * ONES) & HIGH;
+    let digit = at_least(0x30) & !at_least(0x3a);
+    let letter = at_least(0x61) & !at_least(0x67);
+    if x & HIGH != 0 || digit | letter != HIGH {
+        return None;
+    }
+    // '0'..'9' keep their low nibble, 'a'..'f' (0x61..0x66) add 9 to it.
+    let nibbles = (x & (0x0f * ONES)) + (letter >> 7) * 9;
+    let pairs = (nibbles | nibbles >> 4) & 0x00ff_00ff_00ff_00ff;
+    let quads = (pairs | pairs >> 8) & 0x0000_ffff_0000_ffff;
+    u32::try_from((quads | quads >> 16) & 0xffff_ffff).ok()
+}
+
+/// Decodes the canonical decimal `digits` start with — no sign, no
+/// leading zero, within `u64` — and how many bytes it spans.
+fn decimal_prefix(digits: &[u8]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    let mut len = 0;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            break;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+        len += 1;
+    }
+    let leading_zero = len > 1 && digits.first() == Some(&b'0');
+    (len > 0 && !leading_zero).then_some((v, len))
+}
+
+/// Decodes a token that is one canonical decimal and nothing else.
+fn decimal_token(tok: &str) -> Option<u64> {
+    match decimal_prefix(tok.as_bytes()) {
+        Some((v, len)) if len == tok.len() => Some(v),
+        _ => None,
+    }
 }
 
 /// Decodes a time or work field. A non-finite value would panic in
 /// `Time::from_ms`/`Work::from_ms`, so it is corrupt.
-fn finite_ms(tok: &str) -> Result<f64, SnapshotError> {
-    let v = f64::from_bits(hex_token(tok)?);
+fn finite_ms(bits: u64) -> Result<f64, SnapshotError> {
+    let v = f64::from_bits(bits);
     if v.is_finite() {
         Ok(v)
     } else {
-        Err(corrupt(format!("non-finite time or work {tok:?}")))
+        Err(corrupt(format!("non-finite time or work {bits:016x}")))
     }
 }
 
@@ -721,30 +862,166 @@ fn bounded(v: f64) -> Result<f64, SnapshotError> {
     }
 }
 
-/// Token cursor over one line. Tokens are separated by ASCII whitespace,
-/// the only separator the writer emits.
-struct Toks<'a> {
-    it: std::str::SplitAsciiWhitespace<'a>,
-    line: &'a str,
+/// Byte cursor over a snapshot text that accepts exactly what [`Writer`]
+/// emits. Each reader mirrors the [`Writer`] method of the same name: it
+/// takes the one space the writer puts before a token, then the token in
+/// the writer's spelling, and [`Cursor::eol`] takes the lone `\n` that
+/// ends a line. Nothing is split or searched for but a word's end, and
+/// every byte is taken with `get`.
+struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-impl<'a> Toks<'a> {
-    fn new(line: &'a str) -> Toks<'a> {
-        Toks {
-            it: line.split_ascii_whitespace(),
-            line,
+impl<'a> Cursor<'a> {
+    /// A cursor on byte `pos` of `text`.
+    fn new(text: &'a str, pos: usize) -> Cursor<'a> {
+        Cursor { text, pos }
+    }
+
+    /// The bytes from the cursor to the end of the text.
+    fn rest(&self) -> &'a [u8] {
+        self.text.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    /// What the cursor is on, for an error message: the rest of its line.
+    fn here(&self) -> &'a str {
+        let rest = self.text.get(self.pos..).unwrap_or_default();
+        rest.split('\n').next().unwrap_or_default()
+    }
+
+    fn fail<T>(&self, what: &str) -> Result<T, SnapshotError> {
+        Err(corrupt(format!("{what} at {:?}", self.here())))
+    }
+
+    /// Steps over the bytes a token spans and returns its value, or fails
+    /// with `what` when there is no such token.
+    fn advance<T>(&mut self, token: Option<(T, usize)>, what: &str) -> Result<T, SnapshotError> {
+        match token {
+            Some((v, len)) => {
+                self.pos = self.pos.saturating_add(len);
+                Ok(v)
+            }
+            None => self.fail(what),
         }
     }
 
-    fn word(&mut self) -> Result<&'a str, SnapshotError> {
-        self.it
-            .next()
-            .ok_or_else(|| corrupt(format!("truncated line {:?}", self.line)))
+    /// Steps over `lit` if the cursor is on it.
+    fn skip(&mut self, lit: &str) -> bool {
+        let hit = self.rest().starts_with(lit.as_bytes());
+        if hit {
+            self.pos = self.pos.saturating_add(lit.len());
+        }
+        hit
     }
 
-    fn num<T: std::str::FromStr>(&mut self) -> Result<T, SnapshotError> {
-        let t = self.word()?;
-        t.parse().map_err(|_| corrupt(format!("bad integer {t:?}")))
+    /// The one space before a token.
+    fn sep(&mut self) -> Result<(), SnapshotError> {
+        if self.skip(" ") {
+            Ok(())
+        } else {
+            self.fail("expected one space")
+        }
+    }
+
+    /// The lone `\n` that ends a line.
+    fn eol(&mut self) -> Result<(), SnapshotError> {
+        if self.skip("\n") {
+            Ok(())
+        } else {
+            self.fail("expected the end of the line")
+        }
+    }
+
+    /// Whether the line at the cursor carries `tag`.
+    fn at_tag(&self, tag: &str) -> bool {
+        let rest = self.rest();
+        rest.starts_with(tag.as_bytes()) && matches!(rest.get(tag.len()), Some(b' ' | b'\n'))
+    }
+
+    /// A line's tag, at the start of the line.
+    fn tag(&mut self, tag: &str) -> Result<(), SnapshotError> {
+        if self.at_tag(tag) {
+            self.pos = self.pos.saturating_add(tag.len());
+            Ok(())
+        } else {
+            self.fail(&format!("expected a {tag:?} line"))
+        }
+    }
+
+    /// Reads a line that holds `tag` and exactly one value.
+    fn one<T>(
+        &mut self,
+        tag: &str,
+        value: impl FnOnce(&mut Cursor<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.tag(tag)?;
+        let v = value(self)?;
+        self.eol()?;
+        Ok(v)
+    }
+
+    /// The text from the cursor up to the first byte `end` accepts, or
+    /// `None` when no byte does.
+    fn until(&self, end: impl Fn(u8) -> bool) -> Option<(&'a str, usize)> {
+        let len = self.rest().iter().position(|&b| end(b))?;
+        let s = self.text.get(self.pos..self.pos.saturating_add(len))?;
+        Some((s, len))
+    }
+
+    /// A word: the bytes up to the next space or `\n`, at least one.
+    fn word(&mut self) -> Result<&'a str, SnapshotError> {
+        self.sep()?;
+        let word = self
+            .until(|b| b == b' ' || b == b'\n')
+            .filter(|&(_, len)| len > 0);
+        self.advance(word, "expected a word")
+    }
+
+    /// Everything up to the `\n`, the machine name's spelling: it is the
+    /// line's last field and may hold any other byte.
+    fn rest_of_line(&mut self) -> Result<&'a str, SnapshotError> {
+        self.sep()?;
+        let rest = self.until(|b| b == b'\n');
+        self.advance(rest, "expected the end of the line")
+    }
+
+    /// 16 lower-case hex digits, no separator.
+    fn hex(&mut self) -> Result<u64, SnapshotError> {
+        let digits = self.rest().get(..16).and_then(hex16).map(|v| (v, 16));
+        self.advance(digits, "expected 16 lower-case hex digits")
+    }
+
+    /// Canonical decimal digits, no separator.
+    fn decimal(&mut self) -> Result<u64, SnapshotError> {
+        self.advance(decimal_prefix(self.rest()), "expected a canonical decimal")
+    }
+
+    fn bits(&mut self) -> Result<u64, SnapshotError> {
+        self.sep()?;
+        self.hex()
+    }
+
+    fn f64(&mut self) -> Result<f64, SnapshotError> {
+        Ok(f64::from_bits(self.bits()?))
+    }
+
+    fn time(&mut self) -> Result<Time, SnapshotError> {
+        Ok(Time::from_ms(finite_ms(self.bits()?)?))
+    }
+
+    fn work(&mut self) -> Result<Work, SnapshotError> {
+        Ok(Work::from_ms(finite_ms(self.bits()?)?))
+    }
+
+    fn num(&mut self) -> Result<u64, SnapshotError> {
+        self.sep()?;
+        self.decimal()
+    }
+
+    fn index(&mut self) -> Result<usize, SnapshotError> {
+        let v = self.num()?;
+        usize::try_from(v).map_err(|_| corrupt(format!("index {v} out of range")))
     }
 
     /// A count or position the running kernel increments. No kernel
@@ -752,23 +1029,11 @@ impl<'a> Toks<'a> {
     /// 292 years at one per nanosecond), so such a count is forged, and
     /// incrementing it would overflow.
     fn count<T: TryFrom<u64>>(&mut self) -> Result<T, SnapshotError> {
-        let v: u64 = self.num()?;
+        let v = self.num()?;
         match (v.checked_mul(2).map(T::try_from), T::try_from(v)) {
             (Some(Ok(_)), Ok(c)) => Ok(c),
             _ => Err(corrupt(format!("count {v} leaves no headroom"))),
         }
-    }
-
-    fn bits(&mut self) -> Result<u64, SnapshotError> {
-        hex_token(self.word()?)
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.bits()?))
-    }
-
-    fn index(&mut self) -> Result<usize, SnapshotError> {
-        self.num()
     }
 
     fn handle(&mut self) -> Result<TaskHandle, SnapshotError> {
@@ -779,102 +1044,194 @@ impl<'a> Toks<'a> {
         intern_policy_name(self.word()?)
     }
 
-    fn time(&mut self) -> Result<Time, SnapshotError> {
-        Ok(Time::from_ms(finite_ms(self.word()?)?))
+    fn flag(&mut self) -> Result<bool, SnapshotError> {
+        self.sep()?;
+        if self.skip("0") {
+            Ok(false)
+        } else if self.skip("1") {
+            Ok(true)
+        } else {
+            self.fail("expected a 0 or 1 flag")
+        }
     }
 
-    fn work(&mut self) -> Result<Work, SnapshotError> {
-        Ok(Work::from_ms(finite_ms(self.word()?)?))
+    /// `none`, or the value `some` reads with no separator.
+    fn opt<T>(
+        &mut self,
+        some: impl FnOnce(&mut Cursor<'a>) -> Result<T, SnapshotError>,
+    ) -> Result<Option<T>, SnapshotError> {
+        self.sep()?;
+        if self.skip("none") {
+            Ok(None)
+        } else {
+            some(self).map(Some)
+        }
     }
 
     /// A time, or `none`.
     fn opt_time(&mut self) -> Result<Option<Time>, SnapshotError> {
-        match self.word()? {
-            "none" => Ok(None),
-            tok => Ok(Some(Time::from_ms(finite_ms(tok)?))),
-        }
+        self.opt(|c| Ok(Time::from_ms(finite_ms(c.hex()?)?)))
     }
 
     /// A point index, or `none`.
     fn opt_point(&mut self) -> Result<Option<usize>, SnapshotError> {
-        match self.word()? {
-            "none" => Ok(None),
-            tok => tok
-                .parse()
-                .map(Some)
-                .map_err(|_| corrupt(format!("bad point index {tok:?}"))),
-        }
+        self.opt(|c| {
+            let v = c.decimal()?;
+            usize::try_from(v).map_err(|_| corrupt(format!("point {v} out of range")))
+        })
     }
 
-    fn flag(&mut self) -> Result<bool, SnapshotError> {
-        match self.word()? {
-            "0" => Ok(false),
-            "1" => Ok(true),
-            t => Err(corrupt(format!("bad flag {t:?}"))),
-        }
+    fn policy(&mut self) -> Result<PolicyKind, SnapshotError> {
+        parse_policy_token(self.word()?)
     }
 
-    fn rest(&mut self) -> String {
-        self.it.by_ref().collect::<Vec<_>>().join(" ")
-    }
-
-    fn done(&mut self) -> Result<(), SnapshotError> {
-        match self.it.next() {
-            None => Ok(()),
-            Some(t) => Err(corrupt(format!("trailing token {t:?}"))),
-        }
+    /// One `ev` line. The tag, the time and the event word sit at fixed
+    /// offsets (bytes 0, 3 and 20), so the line's head is taken in one
+    /// piece. Inlined like [`parse_event`].
+    #[inline(always)]
+    fn ev_line(&mut self) -> Result<(Time, KernelEvent), SnapshotError> {
+        let Some([b'e', b'v', b' ', time @ .., b' ']) = self.rest().get(..20) else {
+            return self.fail("expected an \"ev\" line");
+        };
+        let Some(bits) = hex16(time) else {
+            return self.fail("expected 16 lower-case hex digits");
+        };
+        let at = Time::from_ms(finite_ms(bits)?);
+        // On the space before the event word.
+        self.pos = self.pos.saturating_add(19);
+        let ev = parse_event(self)?;
+        self.eol()?;
+        Ok((at, ev))
     }
 }
 
-/// Line cursor that enforces each line's expected tag. A one-line
-/// push-back buffer supports optional stanzas: peeking a line that turns
-/// out to carry a different tag leaves it in place for the next read.
-struct LineReader<'a> {
-    it: std::str::Lines<'a>,
-    pending: Option<&'a str>,
+/// The lifecycle a log must follow to restore: exactly the rules of the
+/// audit's clock-monotonicity and log-consistency checks
+/// (`audit_kernel_log`), held in the parse pass. Timestamps never go
+/// backwards and a clamped clock jump records a positive distance; per
+/// task, releases number `+1` from the last and come only once the last
+/// is closed, a completion or miss closes the open release, and every
+/// event names a live task. A task's state is created only by its
+/// `admitted` line.
+#[derive(Default)]
+struct Lifecycle {
+    last_ms: f64,
+    tasks: HashMap<TaskHandle, TaskLife>,
+    /// The least handle no `admitted` line names: the kernel's next
+    /// handle may not be below it.
+    next_handle: u64,
 }
 
-impl<'a> LineReader<'a> {
-    fn next_line(&mut self) -> Option<&'a str> {
-        self.pending.take().or_else(|| self.it.next())
-    }
+/// One task's place in its lifecycle.
+struct TaskLife {
+    /// Admitted or readmitted, and not removed or shed since.
+    live: bool,
+    /// The release not yet closed.
+    open: Option<u64>,
+    /// The last invocation released; shed and readmission continue it.
+    last_released: Option<u64>,
+}
 
-    fn tagged(&mut self, tag: &str) -> Result<Toks<'a>, SnapshotError> {
-        let line = self
-            .next_line()
-            .ok_or_else(|| corrupt(format!("missing {tag:?} line")))?;
-        let mut toks = Toks::new(line);
-        let got = toks.word()?;
-        if got != tag {
-            return Err(corrupt(format!("expected {tag:?} line, found {got:?}")));
+impl Lifecycle {
+    /// Checks the next entry of the log. Inlined like [`parse_event`].
+    #[inline(always)]
+    fn check(&mut self, at: Time, ev: &KernelEvent) -> Result<(), SnapshotError> {
+        if at.as_ms() < self.last_ms {
+            return Err(corrupt(format!(
+                "the log goes back in time to {:016x}",
+                at.as_ms().to_bits()
+            )));
         }
-        Ok(toks)
-    }
-
-    /// Reads a line that holds `tag` and exactly one value.
-    fn one<T>(
-        &mut self,
-        tag: &str,
-        value: impl FnOnce(&mut Toks<'a>) -> Result<T, SnapshotError>,
-    ) -> Result<T, SnapshotError> {
-        let mut t = self.tagged(tag)?;
-        let v = value(&mut t)?;
-        t.done()?;
-        Ok(v)
-    }
-
-    /// Like [`LineReader::tagged`], but a line with a different tag (or
-    /// end of input) is not an error: it stays queued and `None` comes
-    /// back. Used for stanzas that older snapshots simply don't carry, and
-    /// to read the run of `ev` lines up to the first state stanza.
-    fn optional_tagged(&mut self, tag: &str) -> Option<Toks<'a>> {
-        let line = self.next_line()?;
-        let mut toks = Toks::new(line);
-        if toks.word().ok() == Some(tag) {
-            return Some(toks);
+        self.last_ms = at.as_ms();
+        match *ev {
+            KernelEvent::Admitted { handle, .. } => {
+                let fresh = TaskLife {
+                    live: true,
+                    open: None,
+                    last_released: None,
+                };
+                self.next_handle = self.next_handle.max(handle.raw().saturating_add(1));
+                if let Some(old) = self.tasks.insert(handle, fresh) {
+                    if old.live {
+                        return Err(corrupt(format!("{handle} admitted while live")));
+                    }
+                }
+            }
+            KernelEvent::Readmitted { handle, .. } => match self.tasks.get_mut(&handle) {
+                Some(t) if !t.live => t.live = true,
+                _ => return Err(corrupt(format!("{handle} readmitted while not shed"))),
+            },
+            KernelEvent::Removed { handle } | KernelEvent::Shed { handle, .. } => {
+                let t = self.live(handle)?;
+                t.live = false;
+                t.open = None;
+            }
+            KernelEvent::Released { handle, invocation } => {
+                let t = self.live(handle)?;
+                let next = t
+                    .last_released
+                    .map_or(Some(invocation), |l| l.checked_add(1));
+                if t.open.is_some() || next != Some(invocation) {
+                    return Err(corrupt(format!(
+                        "{handle} released invocation {invocation} out of sequence"
+                    )));
+                }
+                t.open = Some(invocation);
+                t.last_released = Some(invocation);
+            }
+            KernelEvent::Completed { handle, invocation }
+            | KernelEvent::DeadlineMiss {
+                handle, invocation, ..
+            } => {
+                let t = self.live(handle)?;
+                if t.open != Some(invocation) {
+                    return Err(corrupt(format!(
+                        "{handle} closed invocation {invocation}, which is not open"
+                    )));
+                }
+                t.open = None;
+            }
+            KernelEvent::Overrun { handle, .. } | KernelEvent::Renegotiated { handle, .. } => {
+                self.live(handle)?;
+            }
+            KernelEvent::ClockJumpClamped { attempted } if attempted.as_ms() <= 0.0 => {
+                return Err(corrupt("a clamped clock jump of no distance"));
+            }
+            _ => {}
         }
-        self.pending = Some(line);
-        None
+        Ok(())
+    }
+
+    /// Checks that a task the state stanzas hold resumes where the log
+    /// leaves it: live if it is an entry and not if it is shed, at its
+    /// last release, with that release `open` exactly while the entry
+    /// runs it. The revived kernel's next event for the task then keeps
+    /// the rules above.
+    fn resumes(
+        &self,
+        handle: TaskHandle,
+        live: bool,
+        invocation: u64,
+        open: Option<u64>,
+    ) -> Result<(), SnapshotError> {
+        let fits = |t: &TaskLife| {
+            t.live == live && t.open == open && t.last_released.is_none_or(|l| l == invocation)
+        };
+        if self.tasks.get(&handle).is_some_and(fits) {
+            Ok(())
+        } else {
+            Err(corrupt(format!(
+                "{handle} does not resume where the log leaves it"
+            )))
+        }
+    }
+
+    /// The state of `handle`, which must be live.
+    fn live(&mut self, handle: TaskHandle) -> Result<&mut TaskLife, SnapshotError> {
+        match self.tasks.get_mut(&handle) {
+            Some(t) if t.live => Ok(t),
+            _ => Err(corrupt(format!("an event for {handle}, which is not live"))),
+        }
     }
 }
 
@@ -900,7 +1257,8 @@ fn parse_policy_token(tok: &str) -> Result<PolicyKind, SnapshotError> {
             } else if let Some(t) = tok.strip_prefix("cc-rm:") {
                 Ok(PolicyKind::CcRm(rm_test(t)?))
             } else if let Some(c) = tok.strip_prefix("stoch-edf:") {
-                let confidence = f64::from_bits(hex_token(c)?);
+                let bits = hex16(c.as_bytes()).ok_or_else(|| corrupt(format!("bad hex {c:?}")))?;
+                let confidence = f64::from_bits(bits);
                 // `PolicyKind::build` asserts this range.
                 if !(confidence > 0.0 && confidence <= 1.0) {
                     return Err(corrupt(format!("confidence {confidence} outside (0, 1]")));
@@ -915,9 +1273,9 @@ fn parse_policy_token(tok: &str) -> Result<PolicyKind, SnapshotError> {
                     "rm" => SchedulerKind::Rm,
                     _ => return Err(corrupt(format!("bad scheduler {sched:?}"))),
                 };
-                let point = point
-                    .parse()
-                    .map_err(|_| corrupt(format!("bad point {point:?}")))?;
+                let point = decimal_token(point)
+                    .and_then(|p| usize::try_from(p).ok())
+                    .ok_or_else(|| corrupt(format!("bad point {point:?}")))?;
                 Ok(PolicyKind::Manual { scheduler, point })
             } else {
                 Err(corrupt(format!("unknown policy token {tok:?}")))
@@ -935,50 +1293,50 @@ fn parse_state_token(tok: &str) -> Result<InvState, SnapshotError> {
     }
 }
 
-fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
-    match toks.word()? {
+fn parse_body_state(c: &mut Cursor<'_>) -> Result<BodyState, SnapshotError> {
+    match c.word()? {
         "wcet" => Ok(BodyState::Wcet),
-        "fraction" => Ok(BodyState::Fraction(toks.f64()?)),
+        "fraction" => Ok(BodyState::Fraction(c.f64()?)),
         "uniform" => Ok(BodyState::Uniform {
-            rng_state: toks.bits()?,
+            rng_state: c.bits()?,
         }),
         "overrun" => Ok(BodyState::Overrun {
-            base_state: toks.bits()?,
-            fault_state: toks.bits()?,
-            rate: toks.f64()?,
-            factor: toks.f64()?,
-            from: toks.num()?,
-            until: toks.num()?,
+            base_state: c.bits()?,
+            fault_state: c.bits()?,
+            rate: c.f64()?,
+            factor: c.f64()?,
+            from: c.num()?,
+            until: c.num()?,
         }),
         "coldstart" => {
-            let surcharge = toks.f64()?;
-            let inner = parse_body_state(toks)?;
+            let surcharge = c.f64()?;
+            let inner = parse_body_state(c)?;
             Ok(BodyState::ColdStart {
                 surcharge,
                 inner: Box::new(inner),
             })
         }
         "tserver" => {
-            let next_id = toks.count()?;
-            let served = toks.work()?;
-            let forfeited_releases = toks.count()?;
-            let n_lanes: usize = toks.num()?;
+            let next_id = c.count()?;
+            let served = c.work()?;
+            let forfeited_releases = c.count()?;
+            let n_lanes = c.index()?;
             let tenants = (0..n_lanes)
                 .map(|_| {
                     Ok(TenantLaneSnapshot {
-                        tenant: toks.num()?,
-                        quota: toks.work()?,
-                        max_backlog: toks.num()?,
-                        budget_remaining: toks.work()?,
-                        quarantined: toks.flag()?,
-                        over_streak: toks.count()?,
-                        shed: toks.count()?,
-                        rejected: toks.count()?,
-                        served_jobs: toks.count()?,
-                        served_work: toks.work()?,
-                        queue: parse_jobs(toks)?,
-                        finishing: parse_jobs(toks)?,
-                        completed: parse_completed(toks)?,
+                        tenant: c.num()?,
+                        quota: c.work()?,
+                        max_backlog: c.index()?,
+                        budget_remaining: c.work()?,
+                        quarantined: c.flag()?,
+                        over_streak: c.count()?,
+                        shed: c.count()?,
+                        rejected: c.count()?,
+                        served_jobs: c.count()?,
+                        served_work: c.work()?,
+                        queue: parse_jobs(c)?,
+                        finishing: parse_jobs(c)?,
+                        completed: parse_completed(c)?,
                     })
                 })
                 .collect::<Result<Vec<_>, SnapshotError>>()?;
@@ -993,29 +1351,29 @@ fn parse_body_state(toks: &mut Toks<'_>) -> Result<BodyState, SnapshotError> {
     }
 }
 
-fn parse_jobs(toks: &mut Toks<'_>) -> Result<Vec<JobRecord>, SnapshotError> {
-    let n: usize = toks.num()?;
+fn parse_jobs(c: &mut Cursor<'_>) -> Result<Vec<JobRecord>, SnapshotError> {
+    let n = c.index()?;
     (0..n)
         .map(|_| {
             Ok(JobRecord {
-                id: toks.num()?,
-                arrival: toks.time()?,
-                total: toks.work()?,
-                remaining: toks.work()?,
+                id: c.num()?,
+                arrival: c.time()?,
+                total: c.work()?,
+                remaining: c.work()?,
             })
         })
         .collect()
 }
 
-fn parse_completed(toks: &mut Toks<'_>) -> Result<Vec<CompletedJob>, SnapshotError> {
-    let n: usize = toks.num()?;
+fn parse_completed(c: &mut Cursor<'_>) -> Result<Vec<CompletedJob>, SnapshotError> {
+    let n = c.index()?;
     (0..n)
         .map(|_| {
             Ok(CompletedJob {
-                id: JobId::from_raw(toks.num()?),
-                arrival: toks.time()?,
-                completed: toks.time()?,
-                work: toks.work()?,
+                id: JobId::from_raw(c.num()?),
+                arrival: c.time()?,
+                completed: c.time()?,
+                work: c.work()?,
             })
         })
         .collect()
@@ -1105,20 +1463,6 @@ fn intern_policy_name(name: &str) -> Result<&'static str, SnapshotError> {
         .ok_or_else(|| corrupt(format!("unknown policy name {name:?}")))
 }
 
-/// The shortest line an `ev` record can take: the log is reserved from
-/// the text's line count, capped by how many such lines the text can hold.
-const MIN_EV_LINE: usize = "ev 0 snapshot\n".len();
-
-/// How many lines `text` holds. Each 255-byte chunk is counted in a `u8`,
-/// which cannot overflow and which the compiler vectorizes: about ten
-/// times as fast as a plain `filter().count()`, which it does not.
-fn line_count(text: &str) -> usize {
-    text.as_bytes()
-        .chunks(255)
-        .map(|chunk| usize::from(chunk.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
-        .sum()
-}
-
 /// How many periods a live task's next release may trail the clock. A
 /// running kernel fires each release as the clock passes it (a stalled
 /// timer holds releases back for at most `WATCHDOG_GAP_TICKS` ticks), so
@@ -1126,87 +1470,109 @@ fn line_count(text: &str) -> usize {
 /// kernel's first run.
 const MAX_TRAIL_PERIODS: f64 = 65_536.0;
 
+/// Reads the `ev` run up to `mark`, holding it to the [`Lifecycle`]
+/// rules; returns the log and the lifecycle it leaves.
+fn parse_log(
+    c: &mut Cursor<'_>,
+    mark: LogMark,
+) -> Result<(Vec<(Time, KernelEvent)>, Lifecycle), SnapshotError> {
+    let mut log = Vec::with_capacity(mark.events.saturating_add(LOG_HEADROOM));
+    let mut lifecycle = Lifecycle::default();
+    for _ in 0..mark.events {
+        let (at, ev) = c.ev_line()?;
+        lifecycle.check(at, &ev)?;
+        log.push((at, ev));
+    }
+    if c.pos == mark.end {
+        Ok((log, lifecycle))
+    } else {
+        Err(corrupt("the log ends off its mark"))
+    }
+}
+
+/// Log entries reserved beyond the restored ones: a revived kernel logs
+/// its restore stamp at once and goes on logging, and room for those
+/// spares copying the whole log on its first entries.
+const LOG_HEADROOM: usize = 64;
+
 #[allow(clippy::too_many_lines)]
 fn restore_from_text(
     text: &str,
+    mark: LogMark,
 ) -> Result<(RtKernel, Vec<(TaskHandle, TenantServer)>), SnapshotError> {
-    let mut lines = LineReader {
-        it: text.lines(),
-        pending: None,
-    };
-    // The version line, checked when the snapshot was constructed.
-    lines.next_line();
-    // No more `ev` lines than lines, nor than the shortest such line fits.
-    let mut log = Vec::with_capacity(line_count(text).min(text.len() / MIN_EV_LINE));
-    while let Some(mut t) = lines.optional_tagged("ev") {
-        let at = t.time()?;
-        let ev = parse_event(&mut t)?;
-        t.done()?;
-        log.push((at, ev));
-    }
+    // Past the version line, checked when the snapshot was constructed.
+    let mut c = Cursor::new(text, VERSION_LINE_BYTES);
+    let (log, lifecycle) = parse_log(&mut c, mark)?;
 
-    let now = lines.one("clock", Toks::time)?;
-    let mode_epoch = lines.one("epoch", Toks::count)?;
-    let next_handle = lines.one("next-handle", Toks::count)?;
-    let switches = lines.one("switches", Toks::count)?;
-    let stall_until = lines.one("stall-until", Toks::time)?;
-    let applied = lines.one("applied", Toks::opt_point)?;
-    let mut t = lines.tagged("flags")?;
-    let account_switch_overhead = t.flag()?;
-    let defer_new_tasks = t.flag()?;
-    let degrade_on_fault = t.flag()?;
-    let traced = t.flag()?;
-    t.done()?;
-    let mut t = lines.tagged("overhead")?;
-    let switch_overhead = match t.word()? {
-        "none" => None,
-        tok => Some(SwitchOverhead {
-            freq_only: Time::from_ms(bounded(f64::from_bits(hex_token(tok)?))?),
-            voltage_change: Time::from_ms(bounded(t.f64()?)?),
-        }),
-    };
-    t.done()?;
-    let last_snapshot_at = lines.one("last-snapshot", Toks::opt_time)?;
-    let brownout_cap = lines.one("cap", Toks::opt_point)?;
-    let mut t = lines.tagged("ladder")?;
-    let ladder_pos = t.count()?;
-    let ladder_review_at = t.time()?;
-    let fallbacks_at_review = t.num()?;
-    let preferred_policy = parse_policy_token(t.word()?)?;
-    t.done()?;
-    let mut t = lines.tagged("regulator-stats")?;
-    let transition_retries = t.num()?;
-    let transition_failures = t.num()?;
-    let regulator_fallbacks = t.num()?;
-    let forced_transitions = t.num()?;
-    t.done()?;
-    let mut timebase = crate::timebase::TimeBase::default();
-    if let Some(mut t) = lines.optional_tagged("timebase") {
-        timebase.ewma_err_ms = bounded(t.f64()?)?;
-        timebase.clamped_jumps = t.num()?;
-        timebase.last_clamp = t.time()?;
-        timebase.max_catch_up = t.num()?;
-        timebase.pending_gap = t.num()?;
-        timebase.pending_catch_up = t.flag()?;
-        timebase.watchdog = t.flag()?;
-        t.done()?;
+    let now = c.one("clock", Cursor::time)?;
+    if now.as_ms() < lifecycle.last_ms {
+        return Err(corrupt("the clock is behind the log"));
     }
-    let mut t = lines.tagged("machine")?;
+    let mode_epoch = c.one("epoch", Cursor::count)?;
+    let next_handle = c.one("next-handle", Cursor::count)?;
+    if next_handle < lifecycle.next_handle {
+        return Err(corrupt("the next handle is one the log has admitted"));
+    }
+    let switches = c.one("switches", Cursor::count)?;
+    let stall_until = c.one("stall-until", Cursor::time)?;
+    let applied = c.one("applied", Cursor::opt_point)?;
+    c.tag("flags")?;
+    let account_switch_overhead = c.flag()?;
+    let defer_new_tasks = c.flag()?;
+    let degrade_on_fault = c.flag()?;
+    let traced = c.flag()?;
+    c.eol()?;
+    let switch_overhead = c.one("overhead", |c| {
+        c.opt(|c| {
+            Ok(SwitchOverhead {
+                freq_only: Time::from_ms(bounded(f64::from_bits(c.hex()?))?),
+                voltage_change: Time::from_ms(bounded(c.f64()?)?),
+            })
+        })
+    })?;
+    let last_snapshot_at = c.one("last-snapshot", Cursor::opt_time)?;
+    let brownout_cap = c.one("cap", Cursor::opt_point)?;
+    c.tag("ladder")?;
+    let ladder_pos = c.count()?;
+    let ladder_review_at = c.time()?;
+    let fallbacks_at_review = c.num()?;
+    let preferred_policy = c.policy()?;
+    c.eol()?;
+    c.tag("regulator-stats")?;
+    let transition_retries = c.num()?;
+    let transition_failures = c.num()?;
+    let regulator_fallbacks = c.num()?;
+    let forced_transitions = c.num()?;
+    c.eol()?;
+    let mut timebase = crate::timebase::TimeBase::default();
+    if c.at_tag("timebase") {
+        c.tag("timebase")?;
+        timebase.ewma_err_ms = bounded(c.f64()?)?;
+        timebase.clamped_jumps = c.num()?;
+        timebase.last_clamp = c.time()?;
+        timebase.max_catch_up = c.num()?;
+        timebase.pending_gap = c.num()?;
+        timebase.pending_catch_up = c.flag()?;
+        timebase.watchdog = c.flag()?;
+        c.eol()?;
+    }
+    c.tag("machine")?;
     // No pre-sizing from the claimed count: a short line ends the loop.
-    let n_points: usize = t.num()?;
+    let n_points = c.index()?;
     let pairs = (0..n_points)
-        .map(|_| Ok((t.f64()?, t.f64()?)))
+        .map(|_| Ok((c.f64()?, c.f64()?)))
         .collect::<Result<Vec<_>, SnapshotError>>()?;
-    let name = t.rest();
-    let machine = Machine::new(&name, &pairs).map_err(|e| corrupt(format!("bad machine: {e}")))?;
-    let policy_kind = lines.one("policy", |t| parse_policy_token(t.word()?))?;
-    let mut t = lines.tagged("meter")?;
-    let idle_level = t.f64()?;
-    let busy_energy = t.f64()?;
-    let idle_energy = t.f64()?;
-    let stall_time = t.time()?;
-    let meter_points: usize = t.num()?;
-    t.done()?;
+    let name = c.rest_of_line()?;
+    c.eol()?;
+    let machine = Machine::new(name, &pairs).map_err(|e| corrupt(format!("bad machine: {e}")))?;
+    let policy_kind = c.one("policy", Cursor::policy)?;
+    c.tag("meter")?;
+    let idle_level = c.f64()?;
+    let busy_energy = c.f64()?;
+    let idle_energy = c.f64()?;
+    let stall_time = c.time()?;
+    let meter_points = c.index()?;
+    c.eol()?;
     if meter_points != machine.len() {
         return Err(corrupt("meter/machine point-count mismatch"));
     }
@@ -1214,11 +1580,11 @@ fn restore_from_text(
     let mut idle_time = Vec::with_capacity(meter_points);
     let mut work_done = Vec::with_capacity(meter_points);
     for _ in 0..meter_points {
-        let mut t = lines.tagged("meter-point")?;
-        busy_time.push(t.time()?);
-        idle_time.push(t.time()?);
-        work_done.push(t.work()?);
-        t.done()?;
+        c.tag("meter-point")?;
+        busy_time.push(c.time()?);
+        idle_time.push(c.time()?);
+        work_done.push(c.work()?);
+        c.eol()?;
     }
     let meter = EnergyMeter::from_parts(
         idle_level,
@@ -1253,8 +1619,7 @@ fn restore_from_text(
         mode_epoch,
         pending_change: None,
         last_snapshot_at,
-        // Unsealed: the next checkpoint writes its whole text, so every
-        // sealed byte is one this process's writer produced.
+        // `Snapshot::restore` seals the kernel with the snapshot.
         seal: None,
         // The regulator and supervisor are live hardware / the restoring
         // agent; callers re-attach them after restore.
@@ -1290,25 +1655,25 @@ fn restore_from_text(
         Ok::<_, SnapshotError>(body)
     };
 
-    let n_entries: usize = lines.one("entries", Toks::num)?;
+    let n_entries = c.one("entries", Cursor::index)?;
     for _ in 0..n_entries {
-        let mut t = lines.tagged("entry")?;
-        let handle = t.handle()?;
-        let period = t.time()?;
-        let wcet = t.work()?;
-        let nominal_period = t.time()?;
-        let invocation = t.count()?;
-        let state = parse_state_token(t.word()?)?;
-        let executed = t.work()?;
-        let actual = t.work()?;
-        let deadline = t.time()?;
-        let next_release = t.time()?;
-        let deferred = t.flag()?;
-        let overrun_logged = t.flag()?;
-        let observed_peak = t.work()?;
-        let pending_shed = t.flag()?;
-        let body_state = parse_body_state(&mut t)?;
-        t.done()?;
+        c.tag("entry")?;
+        let handle = c.handle()?;
+        let period = c.time()?;
+        let wcet = c.work()?;
+        let nominal_period = c.time()?;
+        let invocation = c.count()?;
+        let state = parse_state_token(c.word()?)?;
+        let executed = c.work()?;
+        let actual = c.work()?;
+        let deadline = c.time()?;
+        let next_release = c.time()?;
+        let deferred = c.flag()?;
+        let overrun_logged = c.flag()?;
+        let observed_peak = c.work()?;
+        let pending_shed = c.flag()?;
+        let body_state = parse_body_state(&mut c)?;
+        c.eol()?;
         let user_spec =
             Task::new(period, wcet).map_err(|e| corrupt(format!("bad task spec: {e}")))?;
         let spec = user_spec
@@ -1317,6 +1682,10 @@ fn restore_from_text(
         if !deferred && (now - next_release).as_ms() > MAX_TRAIL_PERIODS * period.as_ms() {
             return Err(corrupt(format!("task {handle} trails the clock")));
         }
+        // A miss in degraded mode closes the release in the log but leaves
+        // the entry active until it is shed.
+        let running = state == InvState::Active && !pending_shed;
+        lifecycle.resumes(handle, true, invocation, running.then_some(invocation))?;
         let body = revive(&mut kernel, handle, &body_state, wcet)?;
         kernel.insert_entry(Entry {
             handle,
@@ -1337,22 +1706,23 @@ fn restore_from_text(
         });
     }
 
-    let n_shed: usize = lines.one("shed-tasks", Toks::num)?;
+    let n_shed = c.one("shed-tasks", Cursor::index)?;
     if n_shed > 0 && !degrade_on_fault {
         // Only degraded mode sheds, and only it retries a shed task.
         return Err(corrupt("shed tasks outside degraded mode"));
     }
     for _ in 0..n_shed {
-        let mut t = lines.tagged("shed")?;
-        let handle = t.handle()?;
-        let period = t.time()?;
-        let wcet = t.work()?;
-        let observed_peak = t.work()?;
-        let invocation = t.count()?;
-        let next_attempt = t.time()?;
-        let body_state = parse_body_state(&mut t)?;
-        t.done()?;
+        c.tag("shed")?;
+        let handle = c.handle()?;
+        let period = c.time()?;
+        let wcet = c.work()?;
+        let observed_peak = c.work()?;
+        let invocation = c.count()?;
+        let next_attempt = c.time()?;
+        let body_state = parse_body_state(&mut c)?;
+        c.eol()?;
         Task::new(period, wcet).map_err(|e| corrupt(format!("bad shed task: {e}")))?;
+        lifecycle.resumes(handle, false, invocation, None)?;
         let body = revive(&mut kernel, handle, &body_state, wcet)?;
         kernel.shed.push(ShedTask {
             handle,
@@ -1365,8 +1735,10 @@ fn restore_from_text(
         });
     }
 
-    let _ = lines.tagged("checksum")?;
-    if lines.next_line().is_some() {
+    // The checksum line, checked when the snapshot was constructed, ends
+    // the text.
+    c.tag("checksum")?;
+    if c.rest().len() != CHECKSUM_LINE_BYTES - "checksum".len() {
         return Err(corrupt("trailing lines after checksum"));
     }
 
@@ -1506,16 +1878,16 @@ mod tests {
         let state = |b: &dyn TaskBody| b.snapshot_state().expect("serializable bodies");
         let entries: Vec<BodyState> = k.entries.iter().map(|e| state(&*e.body)).collect();
         let shed: Vec<BodyState> = k.shed.iter().map(|s| state(&*s.body)).collect();
-        write_kernel(k, None, &entries, &shed)
-            .0
-            .as_text()
-            .to_owned()
+        write_kernel(k, None, &entries, &shed).as_text().to_owned()
     }
 
     /// Checkpoints of generated kernels at random instants, through
     /// policy swaps, checkpoints a staged mode change refuses and
     /// restores: each text equals the unsealed writer's byte for byte and
-    /// restores to the kernel it was taken of.
+    /// restores to the kernel it was taken of. Every other restore goes
+    /// through `from_text`, whose log mark must equal the writer's; either
+    /// way the revived kernel is sealed with the restored snapshot, and its
+    /// next checkpoint too equals the unsealed writer's.
     #[test]
     fn sealed_checkpoints_equal_the_unsealed_writer() {
         use crate::modechange::ModeChange;
@@ -1523,7 +1895,7 @@ mod tests {
 
         let kinds = PolicyKind::paper_six();
         let mut rng = SplitMix64::seed_from_u64(0x5EA1_ED0C);
-        let (mut sealed, mut refused, mut restored) = (0, 0, 0);
+        let (mut sealed, mut refused, mut restored, mut restores) = (0, 0, 0, 0);
         for _ in 0..6 {
             let n = 2 + (rng.next_u64() % 10) as usize;
             let spec = TaskGenSpec::new(n, rng.range_f64(0.3, 0.8)).expect("valid spec");
@@ -1554,18 +1926,31 @@ mod tests {
                 assert_eq!(snap.as_text(), unsealed_text(&k));
                 let seal = k.seal.as_ref().expect("a checkpoint seals");
                 assert!(Arc::ptr_eq(&seal.text, &snap.text));
-                assert_eq!(seal.events, k.log().len());
+                assert_eq!(seal.log.events, k.log().len());
                 sealed += usize::from(had_seal);
-                let (revived, _) = snap.restore().expect("own checkpoint restores");
+                let source = if restores % 2 == 0 {
+                    snap
+                } else {
+                    let parsed = Snapshot::from_text(snap.as_text()).expect("own text parses");
+                    assert_eq!(parsed.log, snap.log, "from_text's mark is the writer's");
+                    parsed
+                };
+                restores += 1;
+                let (mut revived, _) = source.restore().expect("own checkpoint restores");
                 assert_eq!(revived.now(), k.now());
                 assert_eq!(revived.energy().to_bits(), k.energy().to_bits());
                 assert_eq!(revived.log(), k.log());
                 assert_eq!(revived.status(), k.status());
-                assert!(revived.seal.is_none(), "a revived kernel starts unsealed");
+                let seal = revived.seal.as_ref().expect("a revived kernel is sealed");
+                assert!(Arc::ptr_eq(&seal.text, &source.text));
                 if rng.next_u64() % 5 == 0 {
                     k = revived;
                     k.mark_restored();
                     restored += 1;
+                } else {
+                    revived.run_for(ms(rng.range_f64(0.0, 30.0)));
+                    let next = revived.checkpoint().expect("a revived kernel serializes");
+                    assert_eq!(next.as_text(), unsealed_text(&revived));
                 }
             }
         }
@@ -2060,7 +2445,7 @@ mod tests {
     }
 
     /// A count the kernel increments: anything up to the top half of the
-    /// range, which restore rejects (see `Toks::count`).
+    /// range, which restore rejects (see `Cursor::count`).
     fn count(rng: &mut SplitMix64) -> u64 {
         id(rng) >> 1
     }
@@ -2279,11 +2664,16 @@ mod tests {
 
     /// Parses `line` past its tag with `parse`, requiring the whole line
     /// to be consumed.
-    fn reparse<T>(line: &str, parse: impl FnOnce(&mut Toks<'_>) -> Result<T, SnapshotError>) -> T {
-        let mut toks = Toks::new(line);
-        toks.word().expect("a tag");
-        let value = parse(&mut toks).expect("the writer's own record parses");
-        toks.done().expect("the record is consumed");
+    fn reparse<T>(
+        line: &str,
+        tag: &str,
+        parse: impl FnOnce(&mut Cursor<'_>) -> Result<T, SnapshotError>,
+    ) -> T {
+        let mut c = Cursor::new(line, 0);
+        c.tag(tag).expect("the line's tag");
+        let value = parse(&mut c).expect("the writer's own record parses");
+        c.eol().expect("the record is consumed");
+        assert!(c.rest().is_empty());
         value
     }
 
@@ -2305,7 +2695,9 @@ mod tests {
                 );
                 assert_eq!(line, frozen, "{ev:?}");
                 assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
-                let (t, back) = reparse(&line, |t| Ok((t.time()?, parse_event(t)?)));
+                let mut c = Cursor::new(&line, 0);
+                let (t, back) = c.ev_line().expect("the writer's own record parses");
+                assert!(c.rest().is_empty(), "the record is consumed");
                 assert_eq!(t.as_ms().to_bits(), at.as_ms().to_bits());
                 let (again, _) = write_line(|w| {
                     w.tag("ev").time(t).event(&back);
@@ -2331,7 +2723,7 @@ mod tests {
                 let frozen = format!("body {}\n", frozen::body_tokens(&body));
                 assert_eq!(line, frozen, "{body:?}");
                 assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
-                let back = reparse(&line, parse_body_state);
+                let back = reparse(&line, "body", parse_body_state);
                 let (again, _) = write_line(|w| {
                     w.tag("body").body_state(&back);
                 });
@@ -2375,7 +2767,7 @@ mod tests {
                 w.tag("policy").policy(kind);
             });
             assert_eq!(line, format!("policy {}\n", frozen::policy_token(kind)));
-            assert_eq!(reparse(&line, |t| parse_policy_token(t.word()?)), kind);
+            assert_eq!(reparse(&line, "policy", |c| c.policy()), kind);
         }
     }
 
@@ -2492,5 +2884,201 @@ mod tests {
         assert_corrupt(restore_forged(&snap, |b| {
             b.replacen("epoch 0", "epoch\u{2003}0", 1)
         }));
+    }
+
+    /// The word-at-a-time hex decoder agrees with a digit-by-digit one:
+    /// every byte value in every position decodes exactly when it is a
+    /// lower-case hex digit, to that digit's value.
+    #[test]
+    fn hex_decoding_accepts_only_lower_case_digits() {
+        let mut rng = SplitMix64::seed_from_u64(0x4E8_D161);
+        for _ in 0..8 {
+            let base = format!("{:016x}", rng.next_u64()).into_bytes();
+            for i in 0..16 {
+                for b in 0..=u8::MAX {
+                    let mut digits = base.clone();
+                    digits[i] = b;
+                    let lower = matches!(b, b'0'..=b'9' | b'a'..=b'f');
+                    let expected = std::str::from_utf8(&digits)
+                        .ok()
+                        .filter(|_| lower)
+                        .and_then(|d| u64::from_str_radix(d, 16).ok());
+                    assert_eq!(hex16(&digits), expected, "{digits:?}");
+                }
+            }
+        }
+        assert_eq!(hex16(b"0123456789abcde"), None);
+        assert_eq!(hex16(b"0123456789abcdef0"), None);
+    }
+
+    /// Reseals `body` (the text above the checksum line), loads it and
+    /// restores it; returns the first error.
+    fn load_forged(body: &str) -> Result<(), SnapshotError> {
+        let sum = fnv1a64(FNV_OFFSET, body.as_bytes());
+        let snap = Snapshot::from_text(&format!("{body}checksum {sum:016x}\n"))?;
+        snap.restore().map(|_| ())
+    }
+
+    /// The spellings the writer never emits, each resealed into an `ev`
+    /// line and into a state stanza (`epoch`, or `clock` for the hex
+    /// ones, since the epoch is a decimal), and the `\r\n` one into the
+    /// version line: every one is corrupt, so an accepted text's `ev` run
+    /// is the writer's bytes.
+    #[test]
+    fn non_canonical_spellings_are_corrupt() {
+        use crate::modechange::ModeChange;
+
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        let change = ModeChange::new().admit(ms(50.0), w(0.5), Box::new(WcetBody));
+        k.submit_mode_change(change)
+            .expect("the set stays feasible");
+        k.run_until(ms(100.7));
+        assert_eq!(k.mode_epoch(), 1);
+        let snap = k.checkpoint().expect("serializable set");
+        let text = snap.as_text();
+        let body = &text[..text.rfind("checksum ").expect("a sealed text")];
+        load_forged(body).expect("the unedited text restores");
+        let has_letter = |tok: &str| tok.bytes().any(|b| b.is_ascii_lowercase());
+        let ev = body
+            .lines()
+            .find(|l| l.contains(" completed 1 ") && has_letter(&l[3..19]))
+            .expect("a completion of task 1 at an instant with a letter digit");
+        let clock = body
+            .lines()
+            .find(|l| l.starts_with("clock "))
+            .expect("clock");
+        assert!(has_letter(&clock[6..]));
+
+        let hex = |line: &str, edit: fn(&str) -> String| {
+            let at = line.find(' ').expect("a tagged line") + 1;
+            format!(
+                "{}{}{}",
+                &line[..at],
+                edit(&line[at..at + 16]),
+                &line[at + 16..]
+            )
+        };
+        let decimal = |line: &str, prefix: &str| {
+            let (head, value) = match line.split_once(" completed ") {
+                Some((head, rest)) => (format!("{head} completed "), rest),
+                None => ("epoch ".to_owned(), &line[6..]),
+            };
+            format!("{head}{prefix}{value}")
+        };
+        type Edit<'a> = Box<dyn Fn(&str) -> String + 'a>;
+        let spellings: [(&str, Edit); 8] = [
+            ("a doubled space", Box::new(|l| l.replacen(' ', "  ", 1))),
+            ("a tab", Box::new(|l| l.replacen(' ', "\t", 1))),
+            ("a trailing space", Box::new(|l| format!("{l} "))),
+            ("a \\r before the \\n", Box::new(|l| format!("{l}\r"))),
+            (
+                "upper-case hex",
+                Box::new(|l| hex(l, |d| d.to_ascii_uppercase())),
+            ),
+            ("15-digit hex", Box::new(|l| hex(l, |d| d[1..].to_owned()))),
+            ("a sign", Box::new(|l| decimal(l, "+"))),
+            ("a leading zero", Box::new(|l| decimal(l, "0"))),
+        ];
+        for (what, edit) in &spellings {
+            let stanza = if what.contains("hex") {
+                clock
+            } else {
+                "epoch 1"
+            };
+            for line in [ev, stanza] {
+                let edited = edit(line);
+                assert_ne!(edited, line, "{what} does not change {line:?}");
+                let forged = body.replacen(&format!("\n{line}\n"), &format!("\n{edited}\n"), 1);
+                assert_ne!(forged, body);
+                let e = load_forged(&forged).expect_err(what);
+                assert!(
+                    matches!(e, SnapshotError::Corrupt(_)),
+                    "{what} in {line:?}: {e:?}"
+                );
+            }
+        }
+        let crlf = body.replacen(SNAPSHOT_VERSION, &format!("{SNAPSHOT_VERSION}\r"), 1);
+        let e = load_forged(&crlf).expect_err("a \\r\\n version line");
+        assert!(matches!(e, SnapshotError::Corrupt(_)), "{e:?}");
+    }
+
+    /// A resealed log that breaks the task lifecycle the audit checks
+    /// (its clock-monotonicity and log-consistency rules) is corrupt, and
+    /// so are state stanzas the log does not lead to: a clock behind the
+    /// log, a next handle the log has admitted (a spawn would reuse a live
+    /// one), or an entry that does not resume its task's last release. The
+    /// first probe is Table 2 under ccEDF at 100 ms with one `released`
+    /// line duplicated, which restored before the parse held the log to
+    /// those rules.
+    #[test]
+    fn lifecycle_broken_logs_are_corrupt() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        k.run_until(ms(100.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let text = snap.as_text();
+        let body = &text[..text.rfind("checksum ").expect("a sealed text")];
+        let line = |needle: &str| {
+            let l = body.lines().find(|l| l.ends_with(needle));
+            l.unwrap_or_else(|| panic!("no line ending {needle:?}"))
+        };
+        let release = line(" released 1 1");
+        let completion = line(" completed 1 1");
+        let late = body
+            .lines()
+            .filter(|l| l.starts_with("ev "))
+            .last()
+            .expect("a log");
+        let t = &late[3..19];
+        let probes = [
+            (
+                "a duplicated release",
+                body.replacen(release, &format!("{release}\n{release}"), 1),
+            ),
+            (
+                "a duplicated completion",
+                body.replacen(completion, &format!("{completion}\n{completion}"), 1),
+            ),
+            (
+                "a release out of sequence",
+                body.replacen(" released 2 2\n", " released 2 3\n", 1),
+            ),
+            (
+                "a timestamp going backwards",
+                body.replacen(late, &format!("{late}\nev 0000000000000000 snapshot"), 1),
+            ),
+            (
+                "a clock jump of no distance",
+                body.replacen(
+                    late,
+                    &format!("{late}\nev {t} clock-jump 8000000000000000"),
+                    1,
+                ),
+            ),
+            (
+                "an event for a handle never admitted",
+                body.replacen(late, &format!("{late}\nev {t} removed 9"), 1),
+            ),
+            (
+                "a second admission of a live task",
+                body.replacen(late, &format!("{late}\nev {t} admitted 1 0"), 1),
+            ),
+            (
+                "a clock behind the log",
+                set_field(body, "clock", 1, "0000000000000000"),
+            ),
+            (
+                "a next handle the log has admitted",
+                set_field(body, "next-handle", 1, "3"),
+            ),
+            (
+                "an entry that does not resume its last release",
+                set_field(body, "entry", 5, "99"),
+            ),
+        ];
+        for (what, forged) in probes {
+            assert_ne!(forged, body, "{what}: the edit missed");
+            let e = load_forged(&forged).expect_err(what);
+            assert!(matches!(e, SnapshotError::Corrupt(_)), "{what}: {e:?}");
+        }
     }
 }

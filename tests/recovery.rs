@@ -683,19 +683,42 @@ fn mutate(body: &str, rng: &mut SplitMix64) -> String {
     out
 }
 
+/// The version line and the `ev` lines after it: the part of a snapshot
+/// that a checkpoint of the kernel restored from it extends.
+fn ev_run(text: &str) -> &str {
+    let mut end = text.find('\n').map_or(text.len(), |i| i + 1);
+    while text[end..].starts_with("ev ") {
+        end += text[end..].find('\n').map_or(text.len() - end, |i| i + 1);
+    }
+    &text[..end]
+}
+
 /// The restore contract for one resealed mutant: `from_text` and
 /// `restore` return an error or a kernel, never panic; a kernel they
-/// return runs 200 ms, answers `status` and `availability`, and
-/// re-checkpoints to a text that loads and restores again. Returns
-/// whether the mutant restored.
+/// return holds a log with no clock-monotonicity or log-consistency
+/// finding, runs 200 ms, answers `status` and `availability`, and
+/// re-checkpoints to a text that extends the mutant's `ev` run and that
+/// loads and restores again. Returns whether the mutant restored.
 fn check_mutant(text: &str) -> bool {
     let Ok((mut kernel, _)) = Snapshot::from_text(text).and_then(|s| s.restore()) else {
         return false;
     };
+    let findings: Vec<_> = audit_kernel_log(kernel.log())
+        .into_iter()
+        .filter(|v| matches!(v.rule, Rule::ClockMonotonicity | Rule::KernelLogConsistency))
+        .collect();
+    assert!(
+        findings.is_empty(),
+        "a restored log breaks the lifecycle: {findings:?}"
+    );
     kernel.run_for(ms(200.0));
     let _ = kernel.status();
     let _ = kernel.availability();
     let again = kernel.checkpoint().expect("a restored kernel serializes");
+    assert!(
+        again.as_text().starts_with(ev_run(text)),
+        "a restored kernel's checkpoint does not extend the restored log"
+    );
     let reloaded = Snapshot::from_text(again.as_text()).and_then(|s| s.restore());
     assert!(
         reloaded.is_ok(),
