@@ -1,6 +1,6 @@
 //! Checkpoint / crash-recovery snapshots of the full kernel state.
 //!
-//! A [`Snapshot`] is a versioned (`rtdvs-snapshot/v2`), line-oriented text
+//! A [`Snapshot`] is a versioned (`rtdvs-snapshot/v3`), line-oriented text
 //! serialization of everything the kernel needs to resume mid-run: the
 //! complete event log, the virtual clock, mode epoch, machine, loaded
 //! policy kind, energy meter, every task entry (including the
@@ -8,26 +8,40 @@
 //! [`crate::body::UniformBody`] and every lane of an aperiodic server) and
 //! the shed list. All floating-point values are written as the hex of their
 //! IEEE-754 bits, so a round trip is bit-exact, and the final line carries
-//! an FNV-1a checksum of everything above it.
+//! a checksum of everything above it.
+//!
+//! The checksum folds the text eight bytes at a time, each word read
+//! little-endian, as `h = rotl((h ^ w) · K, 29)` with `K` odd; the last
+//! partial word is zero-padded and the length is folded in last. Every
+//! step is a bijection of the running state, so changing any one byte is
+//! certain to change the checksum, as it was under the byte-serial FNV-1a
+//! of v2 (a v3 text is its v2 text with only the version and checksum
+//! lines changed), and the state after any whole number of words can be
+//! saved and resumed.
 //!
 //! The layout is log first: the version line, one `ev` line per log entry,
 //! then the state stanzas, then the checksum. The log only grows, so the
-//! text up to the last `ev` line, and the checksum state there, depend on
-//! the log alone: they are a prefix of every later checkpoint of the same
-//! kernel.
+//! text up to the last `ev` line, and the checksum state at the last word
+//! boundary before it ends, depend on the log alone: they are a prefix of
+//! every later checkpoint of the same kernel.
 //!
 //! The writer seals as it writes: one pass appends each line to a buffer
-//! pre-sized from the log length and folds the line into the running
-//! checksum. Every [`Snapshot`] carries its log mark: how many `ev` lines
-//! its text holds, the byte offset where they end and the checksum state
-//! at that offset. The writer records the mark as it passes it, and
-//! [`Snapshot::from_text`] in the hashing pass it makes anyway. The kernel
-//! keeps its last checkpoint as its seal; the next checkpoint copies the
-//! text up to the mark, writes and hashes only the entries logged since,
-//! and then the state stanzas, so a checkpoint costs what was logged since
-//! the last one, not the whole uptime. A kernel revived by
-//! [`Snapshot::restore`] (or by the supervisor) is sealed with the snapshot
-//! it came from, so its first checkpoint is no dearer than any other.
+//! pre-sized from the log length and folds the line's whole words into the
+//! running checksum. Every [`Snapshot`] carries its log mark: how many `ev`
+//! lines its text holds, the byte offset where they end and the checksum
+//! state at the last word boundary at or before that offset. The writer
+//! records the mark as it passes it. [`Snapshot::from_text`] finds the end
+//! of the `ev` run by searching back from the end of the text for the last
+//! `ev` line, so it searches only the state stanzas, counts the lines
+//! before it and hashes the body in one word loop that saves the state at
+//! the mark's boundary. The kernel keeps its last checkpoint as its seal;
+//! the next checkpoint copies the text up to the mark, re-reads from that
+//! copy the at most seven bytes between the boundary and the mark, writes
+//! and hashes only the entries logged since, and then the state stanzas,
+//! so a checkpoint costs what was logged since the last one, not the whole
+//! uptime. A kernel revived by [`Snapshot::restore`] (or by the supervisor)
+//! is sealed with the snapshot it came from, so its first checkpoint is no
+//! dearer than any other.
 //!
 //! That is sound because the reader accepts exactly what the writer emits
 //! and nothing else: tokens are separated by one space, every line ends in
@@ -41,11 +55,11 @@
 //! does not authenticate. Anyone can edit a snapshot and reseal it, so
 //! restore checks every field it decodes — a non-finite time, an
 //! out-of-range policy or meter parameter, an impossible count — holds
-//! the log to the lifecycle rules of the audit's clock-monotonicity and
-//! log-consistency checks, and the state stanzas to the log they follow,
-//! answering [`SnapshotError::Corrupt`] instead of panicking. Restore
-//! relies on the checks done when the [`Snapshot`] was constructed (see
-//! the type) and does not repeat them.
+//! the log to the lifecycle rules of the audit's clock-monotonicity,
+//! epoch-monotonicity and log-consistency checks, and the state stanzas to
+//! the log they follow, answering [`SnapshotError::Corrupt`] instead of
+//! panicking. Restore relies on the checks done when the [`Snapshot`] was
+//! constructed (see the type) and does not repeat them.
 //!
 //! What is *not* serialized is the policy module's internal state (a
 //! `dyn DvsPolicy` is opaque). Restore rebuilds the policy from its
@@ -82,7 +96,7 @@ use crate::tenants::{
 };
 
 /// The format tag on a snapshot's first line.
-pub const SNAPSHOT_VERSION: &str = "rtdvs-snapshot/v2";
+pub const SNAPSHOT_VERSION: &str = "rtdvs-snapshot/v3";
 
 /// The version line's length, with its `\n`.
 const VERSION_LINE_BYTES: usize = SNAPSHOT_VERSION.len() + 1;
@@ -132,7 +146,9 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 /// Where a snapshot's `ev` run ends: how many `ev` lines the text holds,
-/// the byte offset past the last one and the FNV-1a state at that offset.
+/// the byte offset past the last one and the checksum state after the
+/// whole words before that offset, that is at the last word boundary at
+/// or before it (`end & !7`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LogMark {
     events: usize,
@@ -147,8 +163,9 @@ struct LogMark {
 /// checksum, and [`RtKernel::checkpoint`], which writes and seals the text
 /// itself. Every `Snapshot` therefore holds a text that passed those
 /// checks, and [`Snapshot::restore`] does not repeat them. Both record the
-/// text's log mark (see [`crate::snapshot`]), which the next checkpoint of
-/// a kernel sealed with this snapshot extends.
+/// text's log mark (see [`crate::snapshot`]), with the checksum state at
+/// its word boundary, which the next checkpoint of a kernel sealed with
+/// this snapshot resumes.
 ///
 /// The text is shared, not copied: a clone, and the seal a kernel keeps
 /// of its last checkpoint or of the snapshot it was revived from, hold
@@ -193,30 +210,23 @@ impl Snapshot {
         let (Some(claimed), true) = (claimed, body.ends_with('\n')) else {
             return Err(SnapshotError::Corrupt("malformed checksum line".into()));
         };
-        // Hash the `ev` run line by line to find its end; the rest of the
-        // body in one go.
+        // One word loop over the body, saving the state at the mark's
+        // boundary on the way. A text whose `ev` lines are not one run
+        // after the version line is left for `parse_log` to refuse.
         let bytes = body.as_bytes();
-        let head = bytes.get(..VERSION_LINE_BYTES).unwrap_or_default();
-        let mut log = LogMark {
-            events: 0,
-            end: head.len(),
-            hash: fnv1a64(FNV_OFFSET, head),
-        };
-        while let Some(line) = bytes.get(log.end..).filter(|l| l.starts_with(b"ev ")) {
-            let (hash, len) = fnv1a64_line(log.hash, line);
-            log = LogMark {
-                events: log.events.saturating_add(1),
-                end: log.end.saturating_add(len),
-                hash,
-            };
-        }
-        let rest = bytes.get(log.end..).unwrap_or_default();
-        if fnv1a64(log.hash, rest) != claimed {
+        let end = ev_run_end(body);
+        let (hash, boundary) = sum_words(SUM_SEED, bytes.get(..end).unwrap_or_default(), 0);
+        if sum_resume(hash, boundary, bytes) != claimed {
             return Err(SnapshotError::ChecksumMismatch);
         }
+        let run = bytes.get(VERSION_LINE_BYTES..end).unwrap_or_default();
         Ok(Snapshot {
             text: Arc::new(text.to_owned()),
-            log,
+            log: LogMark {
+                events: line_count(run),
+                end,
+                hash,
+            },
         })
     }
 
@@ -243,6 +253,33 @@ impl Snapshot {
         kernel.seal = Some(self.clone());
         Ok((kernel, servers))
     }
+}
+
+/// Where the `ev` run of `body` (a text up to its checksum line, starting
+/// with the version line) ends: past the last line that starts with
+/// `ev `, searched for back from the end, so that only the state stanzas
+/// are searched and not the log; right after the version line when no
+/// line does.
+fn ev_run_end(body: &str) -> usize {
+    // From the version line's `\n`, so a first `ev` line is found too.
+    let from = VERSION_LINE_BYTES.saturating_sub(1);
+    let last = body.get(from..).and_then(|run| run.rfind("\nev "));
+    let Some(line) = last.map(|at| from.saturating_add(at).saturating_add(1)) else {
+        return VERSION_LINE_BYTES.min(body.len());
+    };
+    let rest = body.get(line..).unwrap_or_default();
+    rest.find('\n')
+        .map_or(body.len(), |len| line.saturating_add(len).saturating_add(1))
+}
+
+/// How many `\n` bytes `bytes` holds, counted in blocks of at most 255
+/// bytes so that each block's count is a `u8` sum the compiler
+/// vectorizes.
+fn line_count(bytes: &[u8]) -> usize {
+    bytes
+        .chunks(255)
+        .map(|block| usize::from(block.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+        .sum()
 }
 
 /// Why `text`, which does not start with the version line, is refused:
@@ -309,30 +346,45 @@ impl RtKernel {
 // Serialization
 // ---------------------------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The checksum's state before the first word.
+const SUM_SEED: u64 = 0x243f_6a88_85a3_08d3;
+/// The checksum's multiplier: odd, so multiplying by it is a bijection.
+const SUM_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Folds `bytes` into the FNV-1a state `h` (start from [`FNV_OFFSET`]).
-fn fnv1a64(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// Folds the word `w` into the checksum state `h`. For each `w` this is a
+/// bijection of `h` (an xor, a multiplication by an odd number and a
+/// rotation), and for each `h` an injection of `w`, so a changed word
+/// changes the state and every step after keeps it changed.
+fn sum_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(SUM_MUL).rotate_left(29)
 }
 
-/// Folds the line `bytes` starts with, through its `\n`, into the FNV-1a
-/// state `h`; returns the new state and the line's length (all of
-/// `bytes` when no `\n` ends it).
-fn fnv1a64_line(mut h: u64, bytes: &[u8]) -> (u64, usize) {
-    for (i, &b) in bytes.iter().enumerate() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-        if b == b'\n' {
-            return (h, i + 1);
-        }
-    }
-    (h, bytes.len())
+/// Folds the whole words of `body` from byte `from`, a word boundary,
+/// into the checksum state `h`, each read little-endian; returns the
+/// state and the word boundary it reached. The bytes past that boundary,
+/// at most seven, are left for a later call or for [`sum_resume`].
+fn sum_words(h: u64, body: &[u8], from: usize) -> (u64, usize) {
+    let (words, tail) = body.get(from..).unwrap_or_default().as_chunks::<8>();
+    let h = words
+        .iter()
+        .fold(h, |h, &w| sum_step(h, u64::from_le_bytes(w)));
+    (h, body.len().saturating_sub(tail.len()))
+}
+
+/// The checksum of `body`, whose words before `from`, a word boundary,
+/// are folded into the state `h`: the rest of its whole words, then its
+/// last partial word zero-padded, then its length.
+fn sum_resume(h: u64, from: usize, body: &[u8]) -> u64 {
+    let (h, boundary) = sum_words(h, body, from);
+    let tail = body.get(boundary..).unwrap_or_default();
+    let h = if tail.is_empty() {
+        h
+    } else {
+        let mut word = [0u8; 8];
+        word.iter_mut().zip(tail).for_each(|(w, &b)| *w = b);
+        sum_step(h, u64::from_le_bytes(word))
+    };
+    sum_step(h, body.len() as u64)
 }
 
 /// Buffer bytes reserved per log line. A typical `ev` line (hex time,
@@ -344,12 +396,13 @@ const LINE_BYTES: usize = 256;
 
 /// The one-pass snapshot writer. Every token goes straight into one
 /// pre-sized buffer — hex and decimal digits in place, no per-token
-/// `String` — and [`Writer::end`] folds each finished line into the
-/// running FNV-1a state while it is still in cache, so the checksum line
-/// costs no second walk over the text.
+/// `String` — and [`Writer::end`] folds the whole words of each finished
+/// line into the running checksum state while they are still in cache,
+/// so the checksum line costs no second walk over the text.
 struct Writer {
     out: String,
-    /// Bytes of `out` already folded into `hash`.
+    /// Bytes of `out` already folded into `hash`: always a word boundary,
+    /// with at most seven bytes of `out` after it once a line has ended.
     hashed: usize,
     hash: u64,
 }
@@ -469,12 +522,16 @@ impl Writer {
         }
     }
 
-    /// Ends the line and folds it into the checksum.
+    /// Ends the line and folds the whole words written since the last
+    /// fold into the checksum.
     fn end(&mut self) {
         self.out.push('\n');
-        let line = self.out.as_bytes().get(self.hashed..).unwrap_or_default();
-        self.hash = fnv1a64(self.hash, line);
-        self.hashed = self.out.len();
+        (self.hash, self.hashed) = sum_words(self.hash, self.out.as_bytes(), self.hashed);
+    }
+
+    /// The checksum of everything written, at the end of a line.
+    fn sum(&self) -> u64 {
+        sum_resume(self.hash, self.hashed, self.out.as_bytes())
     }
 
     fn body_state(&mut self, b: &BodyState) -> &mut Writer {
@@ -612,9 +669,10 @@ event_records! {
 
 /// Writes `k`'s checkpoint text and records its log mark. A `seal`, an
 /// earlier snapshot of `k` or the one it was revived from, supplies the
-/// version line and the `ev` lines it holds, with their checksum state; a
-/// seal that does not fit the log falls through to writing the whole
-/// text.
+/// version line and the `ev` lines it holds, with the checksum state at
+/// their last word boundary; the writer folds the bytes after that
+/// boundary again from its copy of them. A seal that does not fit the log
+/// falls through to writing the whole text.
 fn write_kernel(
     k: &RtKernel,
     seal: Option<&Snapshot>,
@@ -628,11 +686,11 @@ fn write_kernel(
             k.log.get(s.log.events..)?,
         ))
     });
-    let (prefix, hash, fresh) = sealed.unwrap_or(("", FNV_OFFSET, k.log.as_slice()));
+    let (prefix, hash, fresh) = sealed.unwrap_or(("", SUM_SEED, k.log.as_slice()));
     let lines = 23 + k.machine.len() + k.entries.len() + k.shed.len();
     let mut w = Writer {
         out: String::with_capacity(prefix.len() + LINE_BYTES * lines + EV_LINE_BYTES * fresh.len()),
-        hashed: prefix.len(),
+        hashed: prefix.len() & !7,
         hash,
     };
     w.out.push_str(prefix);
@@ -748,8 +806,8 @@ fn write_kernel(
             .end();
     }
     // The checksum line covers everything above it, and not itself.
-    let hash = w.hash;
-    w.tag("checksum").bits(hash).out.push('\n');
+    let sum = w.sum();
+    w.tag("checksum").bits(sum).out.push('\n');
     Snapshot {
         text: Arc::new(w.out),
         log,
@@ -1106,20 +1164,72 @@ impl<'a> Cursor<'a> {
 }
 
 /// The lifecycle a log must follow to restore: exactly the rules of the
-/// audit's clock-monotonicity and log-consistency checks
-/// (`audit_kernel_log`), held in the parse pass. Timestamps never go
-/// backwards and a clamped clock jump records a positive distance; per
-/// task, releases number `+1` from the last and come only once the last
-/// is closed, a completion or miss closes the open release, and every
-/// event names a live task. A task's state is created only by its
-/// `admitted` line.
+/// audit's clock-monotonicity, epoch-monotonicity and log-consistency
+/// checks (`audit_kernel_log`), held in the parse pass. Timestamps never
+/// go backwards and a clamped clock jump records a positive distance;
+/// each committed mode change carries the epoch after the last one's,
+/// starting at 1; per task, releases number `+1` from the last and come
+/// only once the last is closed, a completion or miss closes the open
+/// release, and every event names a live task. A task's state is created
+/// only by its `admitted` line.
 #[derive(Default)]
 struct Lifecycle {
     last_ms: f64,
-    tasks: HashMap<TaskHandle, TaskLife>,
+    tasks: Tasks,
     /// The least handle no `admitted` line names: the kernel's next
     /// handle may not be below it.
     next_handle: u64,
+    /// The last committed mode epoch, 0 before the first commit: the
+    /// kernel's epoch must be this one.
+    epoch: u64,
+}
+
+/// Handles below this have a slot in the [`Tasks`] table. A kernel issues
+/// handles from 1 up, one per admitted task, so only one that admitted
+/// thousands of tasks, or a forged text, names a handle past it.
+const DENSE_HANDLES: usize = 4096;
+
+/// Each task's [`TaskLife`] by handle: a table indexed by handle below
+/// [`DENSE_HANDLES`], so the `ev` loop's lookup of a live task does not
+/// hash, and a map for the handles above it.
+#[derive(Default)]
+struct Tasks {
+    dense: Vec<Option<TaskLife>>,
+    sparse: HashMap<TaskHandle, TaskLife>,
+}
+
+impl Tasks {
+    /// The table slot of `handle`, if it has one.
+    fn slot(handle: TaskHandle) -> Option<usize> {
+        usize::try_from(handle.raw())
+            .ok()
+            .filter(|&i| i < DENSE_HANDLES)
+    }
+
+    fn get(&self, handle: TaskHandle) -> Option<&TaskLife> {
+        match Tasks::slot(handle) {
+            Some(i) => self.dense.get(i).and_then(Option::as_ref),
+            None => self.sparse.get(&handle),
+        }
+    }
+
+    fn get_mut(&mut self, handle: TaskHandle) -> Option<&mut TaskLife> {
+        match Tasks::slot(handle) {
+            Some(i) => self.dense.get_mut(i).and_then(Option::as_mut),
+            None => self.sparse.get_mut(&handle),
+        }
+    }
+
+    /// Sets the state of `handle`, returning the one it replaces.
+    fn insert(&mut self, handle: TaskHandle, life: TaskLife) -> Option<TaskLife> {
+        let Some(i) = Tasks::slot(handle) else {
+            return self.sparse.insert(handle, life);
+        };
+        if self.dense.len() <= i {
+            self.dense.resize_with(i.saturating_add(1), || None);
+        }
+        self.dense.get_mut(i).and_then(|slot| slot.replace(life))
+    }
 }
 
 /// One task's place in its lifecycle.
@@ -1157,7 +1267,7 @@ impl Lifecycle {
                     }
                 }
             }
-            KernelEvent::Readmitted { handle, .. } => match self.tasks.get_mut(&handle) {
+            KernelEvent::Readmitted { handle, .. } => match self.tasks.get_mut(handle) {
                 Some(t) if !t.live => t.live = true,
                 _ => return Err(corrupt(format!("{handle} readmitted while not shed"))),
             },
@@ -1194,6 +1304,15 @@ impl Lifecycle {
             KernelEvent::Overrun { handle, .. } | KernelEvent::Renegotiated { handle, .. } => {
                 self.live(handle)?;
             }
+            KernelEvent::ModeChangeCommitted { epoch } => {
+                if self.epoch.checked_add(1) != Some(epoch) {
+                    return Err(corrupt(format!(
+                        "a mode change committed epoch {epoch} after epoch {}",
+                        self.epoch
+                    )));
+                }
+                self.epoch = epoch;
+            }
             KernelEvent::ClockJumpClamped { attempted } if attempted.as_ms() <= 0.0 => {
                 return Err(corrupt("a clamped clock jump of no distance"));
             }
@@ -1217,7 +1336,7 @@ impl Lifecycle {
         let fits = |t: &TaskLife| {
             t.live == live && t.open == open && t.last_released.is_none_or(|l| l == invocation)
         };
-        if self.tasks.get(&handle).is_some_and(fits) {
+        if self.tasks.get(handle).is_some_and(fits) {
             Ok(())
         } else {
             Err(corrupt(format!(
@@ -1228,7 +1347,7 @@ impl Lifecycle {
 
     /// The state of `handle`, which must be live.
     fn live(&mut self, handle: TaskHandle) -> Result<&mut TaskLife, SnapshotError> {
-        match self.tasks.get_mut(&handle) {
+        match self.tasks.get_mut(handle) {
             Some(t) if t.live => Ok(t),
             _ => Err(corrupt(format!("an event for {handle}, which is not live"))),
         }
@@ -1509,6 +1628,9 @@ fn restore_from_text(
         return Err(corrupt("the clock is behind the log"));
     }
     let mode_epoch = c.one("epoch", Cursor::count)?;
+    if mode_epoch != lifecycle.epoch {
+        return Err(corrupt("the epoch is not the log's last committed one"));
+    }
     let next_handle = c.one("next-handle", Cursor::count)?;
     if next_handle < lifecycle.next_handle {
         return Err(corrupt("the next handle is one the log has admitted"));
@@ -1976,10 +2098,14 @@ mod tests {
             Snapshot::from_text(torn),
             Err(SnapshotError::Corrupt(_) | SnapshotError::ChecksumMismatch)
         ));
-        // A foreign version tag is named, not mangled, and the log-last
-        // layout of v1 is not read.
+        // A foreign version tag is named, not mangled: neither the
+        // log-last layout of v1 nor the FNV-1a checksum of v2 is read.
         let family = SNAPSHOT_VERSION.trim_end_matches(|c: char| c.is_ascii_digit());
-        for tag in [format!("{family}9"), format!("{family}1")] {
+        for tag in [
+            format!("{family}9"),
+            format!("{family}1"),
+            format!("{family}2"),
+        ] {
             let foreign = text.replacen(SNAPSHOT_VERSION, &tag, 1);
             assert_eq!(
                 Snapshot::from_text(&foreign),
@@ -2195,7 +2321,7 @@ mod tests {
     /// The first `rtdvs-snapshot/v1` writer's records, frozen verbatim as
     /// the reference the one-pass writer is held to, record by record
     /// (v2 moved the log ahead of the state stanzas and dropped its count
-    /// line; every record is unchanged).
+    /// line, v3 changed only the checksum; every record is unchanged).
     mod frozen {
         use rtdvs_core::analysis::RmTest;
         use rtdvs_core::policy::PolicyKind;
@@ -2401,17 +2527,23 @@ mod tests {
         }
     }
 
-    /// Writes one line through `f` and returns its text and the writer's
-    /// running checksum.
+    /// Writes one line through `f` and returns its text and the
+    /// checksum the writer folded for it.
     fn write_line(f: impl FnOnce(&mut Writer)) -> (String, u64) {
         let mut w = Writer {
             out: String::new(),
             hashed: 0,
-            hash: FNV_OFFSET,
+            hash: SUM_SEED,
         };
         f(&mut w);
         w.end();
-        (w.out, w.hash)
+        let sum = w.sum();
+        (w.out, sum)
+    }
+
+    /// The checksum of `body` in one go.
+    fn checksum(body: &[u8]) -> u64 {
+        sum_resume(SUM_SEED, 0, body)
     }
 
     /// Raw-`f64` fields travel bit-exactly: −0.0, subnormals, NaN
@@ -2694,7 +2826,7 @@ mod tests {
                     frozen::event_tokens(&ev)
                 );
                 assert_eq!(line, frozen, "{ev:?}");
-                assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
+                assert_eq!(hash, checksum(line.as_bytes()));
                 let mut c = Cursor::new(&line, 0);
                 let (t, back) = c.ev_line().expect("the writer's own record parses");
                 assert!(c.rest().is_empty(), "the record is consumed");
@@ -2722,7 +2854,7 @@ mod tests {
                 });
                 let frozen = format!("body {}\n", frozen::body_tokens(&body));
                 assert_eq!(line, frozen, "{body:?}");
-                assert_eq!(hash, fnv1a64(FNV_OFFSET, line.as_bytes()));
+                assert_eq!(hash, checksum(line.as_bytes()));
                 let back = reparse(&line, "body", parse_body_state);
                 let (again, _) = write_line(|w| {
                     w.tag("body").body_state(&back);
@@ -2776,7 +2908,7 @@ mod tests {
     fn restore_forged(snap: &Snapshot, edit: impl FnOnce(&str) -> String) -> SnapshotError {
         let text = snap.as_text();
         let body = edit(&text[..text.rfind("checksum ").expect("a sealed text")]);
-        let sum = fnv1a64(FNV_OFFSET, body.as_bytes());
+        let sum = checksum(body.as_bytes());
         let forged = Snapshot::from_text(&format!("{body}checksum {sum:016x}\n"))
             .expect("a resealed text passes the checksum");
         match forged.restore() {
@@ -2914,7 +3046,7 @@ mod tests {
     /// Reseals `body` (the text above the checksum line), loads it and
     /// restores it; returns the first error.
     fn load_forged(body: &str) -> Result<(), SnapshotError> {
-        let sum = fnv1a64(FNV_OFFSET, body.as_bytes());
+        let sum = checksum(body.as_bytes());
         let snap = Snapshot::from_text(&format!("{body}checksum {sum:016x}\n"))?;
         snap.restore().map(|_| ())
     }
@@ -3003,15 +3135,20 @@ mod tests {
     }
 
     /// A resealed log that breaks the task lifecycle the audit checks
-    /// (its clock-monotonicity and log-consistency rules) is corrupt, and
-    /// so are state stanzas the log does not lead to: a clock behind the
-    /// log, a next handle the log has admitted (a spawn would reuse a live
-    /// one), or an entry that does not resume its task's last release. The
-    /// first probe is Table 2 under ccEDF at 100 ms with one `released`
-    /// line duplicated, which restored before the parse held the log to
-    /// those rules.
+    /// (its clock-monotonicity, epoch-monotonicity and log-consistency
+    /// rules) is corrupt, and so are state stanzas the log does not lead
+    /// to: a clock behind the log, an epoch that is not the log's last
+    /// committed one, a next handle the log has admitted (a spawn would
+    /// reuse a live one), or an entry that does not resume its task's last
+    /// release. The first probe is Table 2 under ccEDF at 100 ms with one
+    /// `released` line duplicated, which restored before the parse held
+    /// the log to those rules; the epoch stanza off the log and the
+    /// duplicated commit restored before it held the epoch rule, and the
+    /// first revived a kernel whose next commit the audit flags.
     #[test]
     fn lifecycle_broken_logs_are_corrupt() {
+        use crate::modechange::ModeChange;
+
         let mut k = paper_kernel(PolicyKind::CcEdf);
         k.run_until(ms(100.0));
         let snap = k.checkpoint().expect("serializable set");
@@ -3067,6 +3204,10 @@ mod tests {
                 set_field(body, "clock", 1, "0000000000000000"),
             ),
             (
+                "an epoch stanza off the log",
+                set_field(body, "epoch", 1, "5"),
+            ),
+            (
                 "a next handle the log has admitted",
                 set_field(body, "next-handle", 1, "3"),
             ),
@@ -3075,10 +3216,136 @@ mod tests {
                 set_field(body, "entry", 5, "99"),
             ),
         ];
-        for (what, forged) in probes {
-            assert_ne!(forged, body, "{what}: the edit missed");
-            let e = load_forged(&forged).expect_err(what);
+        let refused = |what: &str, unedited: &str, forged: &str| {
+            assert_ne!(forged, unedited, "{what}: the edit missed");
+            let e = load_forged(forged).expect_err(what);
             assert!(matches!(e, SnapshotError::Corrupt(_)), "{what}: {e:?}");
+        };
+        for (what, forged) in probes {
+            refused(what, body, &forged);
+        }
+        // The same set after one committed mode change, its commit line
+        // duplicated.
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        let change = ModeChange::new().admit(ms(50.0), w(0.5), Box::new(WcetBody));
+        k.submit_mode_change(change)
+            .expect("the set stays feasible");
+        k.run_until(ms(100.0));
+        assert_eq!(k.mode_epoch(), 1);
+        let committed = k.checkpoint().expect("serializable set");
+        let text = committed.as_text();
+        let committed = &text[..text.rfind("checksum ").expect("a sealed text")];
+        load_forged(committed).expect("the unedited text restores");
+        let commit = committed
+            .lines()
+            .find(|l| l.ends_with(" mc-committed 1"))
+            .expect("a commit line");
+        let duplicated = committed.replacen(commit, &format!("{commit}\n{commit}"), 1);
+        refused("a duplicated commit", committed, &duplicated);
+    }
+
+    /// `from_text` takes the `ev` run to end at the last `ev` line, so a
+    /// resealed text whose `ev` lines are not one run after the version
+    /// line loads, and restore's `ev` loop refuses it.
+    #[test]
+    fn an_ev_run_split_by_a_stanza_is_corrupt() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        k.run_until(ms(100.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let text = snap.as_text();
+        let body = &text[..text.rfind("checksum ").expect("a sealed text")];
+        let last = body
+            .lines()
+            .filter(|l| l.starts_with("ev "))
+            .last()
+            .expect("a log");
+        let split = [
+            body.replacen(&format!("{last}\n"), "", 1).replacen(
+                "\nepoch ",
+                &format!("\n{last}\nepoch "),
+                1,
+            ),
+            format!("{body}{last}\n"),
+        ];
+        for forged in split {
+            assert_ne!(forged, body);
+            let e = load_forged(&forged).expect_err("a split run");
+            assert!(
+                matches!(&e, SnapshotError::Corrupt(m) if m.contains("\"ev\" line")),
+                "{e:?}"
+            );
+        }
+    }
+
+    /// The checksum's guarantees, on a small checkpoint (Table 2 under
+    /// ccEDF at 100 ms): `from_text` refuses every single-bit flip at
+    /// every byte (but those in bit 7, which make the text invalid UTF-8,
+    /// a `&str` cannot hold) and every truncation.
+    #[test]
+    fn every_bit_flip_and_truncation_is_refused() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        k.run_until(ms(100.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let text = snap.as_text();
+        assert!(text.is_ascii());
+        let mut bytes = text.as_bytes().to_vec();
+        let mut flips = 0;
+        for i in 0..bytes.len() {
+            for bit in 0..7 {
+                bytes[i] ^= 1 << bit;
+                let flipped = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+                assert!(
+                    Snapshot::from_text(flipped).is_err(),
+                    "bit {bit} of byte {i} flipped is accepted"
+                );
+                bytes[i] ^= 1 << bit;
+                flips += 1;
+            }
+        }
+        assert_eq!(flips, 7 * text.len());
+        for cut in 0..text.len() {
+            assert!(
+                Snapshot::from_text(&text[..cut]).is_err(),
+                "the text cut at byte {cut} is accepted"
+            );
+        }
+        assert!(Snapshot::from_text(text).is_ok());
+    }
+
+    /// The checksum state saved at a word boundary resumes to the one-shot
+    /// checksum: at every split point of a ~300-byte text, a writer that
+    /// holds the text up to the split, with the state at the boundary
+    /// before it, and writes the rest line by line seals it as the
+    /// one-shot checksum does.
+    #[test]
+    fn the_checksum_resumes_at_every_word_boundary() {
+        let mut k = paper_kernel(PolicyKind::StaticEdf);
+        k.run_until(ms(3.0));
+        let snap = k.checkpoint().expect("serializable set");
+        let text = snap.as_text();
+        let cut = text
+            .get(..300)
+            .and_then(|t| t.rfind('\n'))
+            .expect("a long text")
+            + 1;
+        let text = &text[..cut];
+        assert!((280..=300).contains(&text.len()), "{}", text.len());
+        let whole = checksum(text.as_bytes());
+        for split in 0..=text.len() {
+            let boundary = split & !7;
+            let (hash, reached) = sum_words(SUM_SEED, &text.as_bytes()[..boundary], 0);
+            assert_eq!(reached, boundary);
+            assert_eq!(sum_resume(hash, boundary, text.as_bytes()), whole);
+            let mut w = Writer {
+                out: text[..split].to_owned(),
+                hashed: boundary,
+                hash,
+            };
+            for line in text[split..].split_inclusive('\n') {
+                w.tag(line.trim_end_matches('\n')).end();
+            }
+            assert_eq!(w.out, text);
+            assert_eq!(w.sum(), whole, "resumed at byte {split}");
         }
     }
 }

@@ -537,27 +537,34 @@ fn stanza_kernels() -> Vec<(&'static str, RtKernel)> {
     vec![("classic", classic), ("tenant", tenant), ("clock", clock)]
 }
 
-fn checksum_line(text: &str) -> &str {
-    text.lines().last().expect("a snapshot has lines")
+/// The checksum line of `text`, checked against [`checksum`] of the body
+/// above it.
+fn sealed_checksum_line(text: &str) -> &str {
+    let line = text.lines().last().expect("a snapshot has lines");
+    let body = &text[..text.len() - line.len() - 1];
+    assert_eq!(line, format!("checksum {:016x}", checksum(body.as_bytes())));
+    line
 }
 
-/// The bytes of `rtdvs-snapshot/v2` are pinned: any change to what the
-/// writer emits changes these checksum lines. They were regenerated once
-/// for v2, when the log moved ahead of the state stanzas and lost its
-/// count line; each v2 text is the v1 text of the same checkpoint with
-/// exactly that edit, resealed. The recovery checkpoints after the first
-/// extend the sealed log of the one before.
+/// The bytes of `rtdvs-snapshot/v3` are pinned: any change to what the
+/// writer emits changes these checksum lines. They were regenerated for
+/// v2, when the log moved ahead of the state stanzas and lost its count
+/// line (each v2 text is the v1 text of the same checkpoint with exactly
+/// that edit, resealed), and for v3, whose texts are the v2 texts with
+/// only the version line and the checksum line changed. The recovery
+/// checkpoints after the first extend the sealed log of the one before,
+/// and each line equals [`checksum`] of its text, the independent oracle.
 #[test]
 fn snapshot_bytes_are_pinned() {
     let recovery: Vec<String> = recovery_shape_checkpoints()
         .iter()
-        .map(|t| checksum_line(t).to_owned())
+        .map(|t| sealed_checksum_line(t).to_owned())
         .collect();
     let stanzas: Vec<String> = stanza_kernels()
         .into_iter()
         .map(|(name, mut k)| {
             let snap = k.checkpoint().expect("stanza kernels serialize");
-            format!("{name} {}", checksum_line(snap.as_text()))
+            format!("{name} {}", sealed_checksum_line(snap.as_text()))
         })
         .collect();
     assert_eq!(recovery, RECOVERY_CHECKSUMS);
@@ -566,26 +573,34 @@ fn snapshot_bytes_are_pinned() {
 
 /// Checksum lines of [`recovery_shape_checkpoints`].
 const RECOVERY_CHECKSUMS: [&str; 6] = [
-    "checksum 8ba57887cdf8d624",
-    "checksum 39cbda32f01d02d3",
-    "checksum 0b42b3b97b5fce73",
-    "checksum 876e418843632688",
-    "checksum 30df99a9d09d3a7d",
-    "checksum c5a78139046b0d8d",
+    "checksum 3b19dd4e149fab13",
+    "checksum bfe40b69e59966d1",
+    "checksum 88e7983be7203e89",
+    "checksum 766f6a3c9207d06d",
+    "checksum ba02df38aedd64a5",
+    "checksum 53abfb502708d765",
 ];
 
 /// Checksum lines of a checkpoint of each of [`stanza_kernels`].
 const STANZA_CHECKSUMS: [&str; 3] = [
-    "classic checksum bd2ee723bfc9e755",
-    "tenant checksum 8aeeaa249cc6b43e",
-    "clock checksum 35bc0534524706b2",
+    "classic checksum f633dc150d5e6032",
+    "tenant checksum 4c4b4765e3a9cd12",
+    "clock checksum 8b10a1e0a711b445",
 ];
 
-/// FNV-1a 64, the `rtdvs-snapshot/v2` checksum.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The `rtdvs-snapshot/v3` checksum, written out from its definition
+/// rather than taken from the crate: from a fixed seed, each 8-byte
+/// little-endian word `w` of `bytes`, the last one zero-padded, steps the
+/// state to `rotl((h ^ w) * K, 29)`, and the length steps it last.
+fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(29);
+    let h = bytes.chunks(8).fold(0x243f_6a88_85a3_08d3, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        step(h, u64::from_le_bytes(word))
+    });
+    step(h, bytes.len() as u64)
 }
 
 /// Seals `body` (the text above the checksum line) with a fresh checksum,
@@ -594,7 +609,7 @@ fn reseal(mut body: String) -> String {
     if !body.ends_with('\n') {
         body.push('\n');
     }
-    let sum = fnv1a64(body.as_bytes());
+    let sum = checksum(body.as_bytes());
     body + &format!("checksum {sum:016x}\n")
 }
 
@@ -695,17 +710,23 @@ fn ev_run(text: &str) -> &str {
 
 /// The restore contract for one resealed mutant: `from_text` and
 /// `restore` return an error or a kernel, never panic; a kernel they
-/// return holds a log with no clock-monotonicity or log-consistency
-/// finding, runs 200 ms, answers `status` and `availability`, and
-/// re-checkpoints to a text that extends the mutant's `ev` run and that
-/// loads and restores again. Returns whether the mutant restored.
+/// return holds a log with no clock-monotonicity, epoch-monotonicity or
+/// log-consistency finding, runs 200 ms, answers `status` and
+/// `availability`, and re-checkpoints to a text that extends the
+/// mutant's `ev` run and that loads and restores again. Returns whether
+/// the mutant restored.
 fn check_mutant(text: &str) -> bool {
     let Ok((mut kernel, _)) = Snapshot::from_text(text).and_then(|s| s.restore()) else {
         return false;
     };
     let findings: Vec<_> = audit_kernel_log(kernel.log())
         .into_iter()
-        .filter(|v| matches!(v.rule, Rule::ClockMonotonicity | Rule::KernelLogConsistency))
+        .filter(|v| {
+            matches!(
+                v.rule,
+                Rule::ClockMonotonicity | Rule::EpochMonotonicity | Rule::KernelLogConsistency
+            )
+        })
         .collect();
     assert!(
         findings.is_empty(),

@@ -4,8 +4,9 @@
 //!
 //! * `cargo run -p xtask -- ci` — the full local gate, nine stages: fmt,
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
-//!   crash-recovery smoke test, examples and `bench-check`, each
-//!   wall-clock-timed with a summary table at the end.
+//!   crash-recovery smoke test, examples (the workspace examples, then the
+//!   `examples/benchmark` package's release build and unit tests) and
+//!   `bench-check`, each wall-clock-timed with a summary table at the end.
 //!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
 //!   shell script and the hosted pipeline cannot drift. `--skip a,b`
 //!   skips stages by name (unknown names are hard errors); `--json PATH`
@@ -135,45 +136,49 @@ fn main() -> ExitCode {
     }
 }
 
-/// One stage of the CI gate: a name and the argv it runs (always `cargo`
-/// from the workspace root), or — with an empty argv — an in-process
-/// pass dispatched by name (`lint`, `analyze`).
+/// One stage of the CI gate: a name and the argvs it runs in order
+/// (always `cargo` from the workspace root), or — with none — an
+/// in-process pass dispatched by name (`lint`, `analyze`).
 struct Stage {
     name: &'static str,
-    args: &'static [&'static str],
+    runs: &'static [&'static [&'static str]],
 }
 
+/// The benchmark's manifest. It is a package of its own, outside the
+/// workspace, so `cargo build --examples` does not reach it.
+const BENCHMARK_MANIFEST: &str = "examples/benchmark/Cargo.toml";
+
 /// The full local gate, in dependency order. `lint` and `analyze` are
-/// the in-process passes (empty argv); everything else shells out to
+/// the in-process passes (no argv); everything else shells out to
 /// cargo so the stages are exactly what a contributor would type.
 const STAGES: [Stage; 9] = [
     Stage {
         name: "fmt",
-        args: &["fmt", "--all", "--check"],
+        runs: &[&["fmt", "--all", "--check"]],
     },
     Stage {
         name: "clippy",
-        args: &["clippy", "--workspace", "--", "-D", "warnings"],
+        runs: &[&["clippy", "--workspace", "--", "-D", "warnings"]],
     },
     Stage {
         name: "lint",
-        args: &[],
+        runs: &[],
     },
     Stage {
         name: "analyze",
-        args: &[],
+        runs: &[],
     },
     Stage {
         name: "build",
-        args: &["build", "--workspace", "--release"],
+        runs: &[&["build", "--workspace", "--release"]],
     },
     Stage {
         name: "test",
-        args: &["test", "--workspace", "-q"],
+        runs: &[&["test", "--workspace", "-q"]],
     },
     Stage {
         name: "recovery-smoke",
-        args: &[
+        runs: &[&[
             "test",
             "-q",
             "--release",
@@ -181,15 +186,28 @@ const STAGES: [Stage; 9] = [
             "rtdvs",
             "--test",
             "recovery",
+        ]],
+    },
+    // The workspace examples, then the benchmark package: its binary in
+    // the profile the benchmark runs it in, and its unit tests, so a
+    // change to an API it calls fails here rather than in a benchmark run.
+    Stage {
+        name: "examples",
+        runs: &[
+            &["build", "--examples"],
+            &["build", "--release", "--manifest-path", BENCHMARK_MANIFEST],
+            &[
+                "test",
+                "-q",
+                "--release",
+                "--manifest-path",
+                BENCHMARK_MANIFEST,
+            ],
         ],
     },
     Stage {
-        name: "examples",
-        args: &["build", "--examples"],
-    },
-    Stage {
         name: "bench-check",
-        args: &[
+        runs: &[&[
             "run",
             "-q",
             "--release",
@@ -199,7 +217,7 @@ const STAGES: [Stage; 9] = [
             "figures",
             "--",
             "check",
-        ],
+        ]],
     },
 ];
 
@@ -266,24 +284,26 @@ fn ci(args: &[String]) -> ExitCode {
         }
         println!("==> {}", stage.name);
         let start = Instant::now();
-        let ok = if stage.args.is_empty() {
+        let ok = if stage.runs.is_empty() {
             let code = match stage.name {
                 "analyze" => analyze(&[]),
                 _ => lint(),
             };
             code == ExitCode::SUCCESS
         } else {
-            match Command::new("cargo")
-                .args(stage.args)
-                .current_dir(&root)
-                .status()
-            {
-                Ok(status) => status.success(),
-                Err(e) => {
-                    eprintln!("cannot spawn cargo: {e}");
-                    false
+            stage.runs.iter().all(|args| {
+                match Command::new("cargo")
+                    .args(*args)
+                    .current_dir(&root)
+                    .status()
+                {
+                    Ok(status) => status.success(),
+                    Err(e) => {
+                        eprintln!("cannot spawn cargo: {e}");
+                        false
+                    }
                 }
-            }
+            })
         };
         let secs = start.elapsed().as_secs_f64();
         results.push((stage.name, if ok { "ok" } else { "FAILED" }, secs));
