@@ -8,7 +8,10 @@
 //! workspace functions name-wise, preferring same-crate candidates and
 //! accepting a cross-crate match only when it is unambiguous — a
 //! deliberate over/under-approximation balance: reachability and taint
-//! stay useful without every `.len()` edge exploding the graph.
+//! stay useful without every `.len()` edge exploding the graph. A method
+//! call also resolves only to functions taking as many arguments besides
+//! `self`: Rust has no overloading, so where the counts are right that
+//! drops no real edge (see [`list_items`] for what they see).
 
 use crate::lexer::{Token, TokenKind};
 
@@ -24,6 +27,9 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// Whether the call is a method call (`recv.name(…)`).
     pub is_method: bool,
+    /// How many arguments the call passes, the receiver of a method call
+    /// not counted.
+    pub args: usize,
 }
 
 /// One function item.
@@ -41,6 +47,8 @@ pub struct FnInfo {
     pub line: u32,
     /// Token index range of the body (braces included), if it has one.
     pub body: Option<(usize, usize)>,
+    /// How many parameters it takes besides a `self` receiver.
+    pub arity: usize,
     /// `#[test]` or inside a `#[cfg(test)]` scope.
     pub is_test: bool,
     /// Gated to debug/audit builds via `#[cfg(debug_assertions)]`-style
@@ -119,6 +127,7 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
         .filter(|(_, t)| !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment))
         .collect();
     let text = |k: usize| -> &str { sig[k].1.text(src) };
+    let texts: Vec<&str> = sig.iter().map(|(_, t)| t.text(src)).collect();
 
     struct Scope {
         /// `Some(type)` for impl blocks, `None` otherwise.
@@ -133,14 +142,15 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
     let mut k = 0usize;
 
     // Skips a balanced `( … )` / `[ … ]` / `{ … }` / `< … >` group whose
-    // opener is at `k`; returns the index one past the closer.
+    // opener is at `k`; returns the index one past the closer. The `>` of
+    // a `->` closes nothing.
     let skip_group = |sig: &[(usize, Token)], mut k: usize, open: &str, close: &str| -> usize {
         let mut depth = 0usize;
         while k < sig.len() {
             let t = sig[k].1.text(src);
             if t == open {
                 depth += 1;
-            } else if t == close {
+            } else if t == close && !(t == ">" && sig[k - 1].1.text(src) == "-") {
                 depth -= 1;
                 if depth == 0 {
                     return k + 1;
@@ -281,12 +291,15 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
                 };
                 let name = name_tok.text(src).to_owned();
                 // Locate the body `{` (or a `;` for bodyless trait fns),
-                // skipping parameter parens and generic groups.
+                // skipping parameter parens and generic groups. The first
+                // `(` at this level opens the parameters.
                 let mut j = k + 2;
                 let mut body: Option<(usize, usize)> = None;
+                let mut params: Option<usize> = None;
                 while j < sig.len() {
                     match text(j) {
                         "(" => {
+                            params.get_or_insert(j);
                             j = skip_group(&sig, j, "(", ")");
                         }
                         "<" => {
@@ -330,6 +343,10 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
                 qual.push_str(&name);
                 let calls =
                     body.map_or_else(Vec::new, |(b0, b1)| extract_calls(src, tokens, b0, b1 + 1));
+                let arity = params.map_or(0, |open| {
+                    let (items, has_self) = list_items(&texts, open, true);
+                    items - usize::from(has_self)
+                });
                 fns.push(FnInfo {
                     file,
                     name,
@@ -337,6 +354,7 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
                     impl_type,
                     line: tok.line,
                     body: body.map(|(b0, b1)| (b0, b1 + 1)),
+                    arity,
                     is_test: in_test_scope || own_test,
                     debug_only,
                     calls,
@@ -385,12 +403,81 @@ fn has_word(hay: &str, needle: &str) -> bool {
     false
 }
 
+/// What the parenthesized list opened at `texts[open]` holds: how many
+/// top-level comma-separated items, and whether the first names `self`
+/// before any `:` (a method receiver).
+///
+/// `(`, `[` and `{` nest. `<` nests where it opens generics: everywhere
+/// in a parameter list (`params`), and after `::` (a turbofish) in an
+/// argument list; a `>` closes one unless it ends `->`. In an argument
+/// list a `|` in prefix position ([`opens_closure`]) opens closure
+/// parameters, whose commas are not the list's. A closure whose body is
+/// a closure (`|a| |b, c| …`) is not seen: the inner `|` follows a `|`,
+/// as the second half of `||` does.
+fn list_items(texts: &[&str], open: usize, params: bool) -> (usize, bool) {
+    let (mut depth, mut angle) = (0usize, 0usize);
+    let (mut items, mut starts) = (0usize, true);
+    let (mut receiver, mut in_first_head) = (false, true);
+    let mut i = open + 1;
+    while let Some(&t) = texts.get(i) {
+        let prev = texts[i - 1];
+        let top = depth == 0 && angle == 0;
+        if top && t == ")" {
+            break;
+        }
+        if top && t == "," {
+            starts = true;
+            in_first_head = false;
+            i += 1;
+            continue;
+        }
+        items += usize::from(std::mem::replace(&mut starts, false));
+        match t {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => depth = depth.saturating_sub(1),
+            "<" if params || (prev == ":" && i >= 2 && texts[i - 2] == ":") => angle += 1,
+            ">" if angle > 0 && prev != "-" => angle -= 1,
+            ":" if top => in_first_head = false,
+            "self" if in_first_head => receiver = true,
+            "|" if !params && top && opens_closure(prev) => {
+                // Skip to the `|` that closes the closure's parameters.
+                i += 1;
+                let mut inner = 0usize;
+                while let Some(&c) = texts.get(i) {
+                    match c {
+                        "(" | "[" | "{" => inner += 1,
+                        ")" | "]" | "}" => inner = inner.saturating_sub(1),
+                        "|" if inner == 0 => break,
+                        _ => {}
+                    }
+                    i += 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    (items, receiver)
+}
+
+/// Whether a `|` after `prev` opens closure parameters: it is in prefix
+/// position, after no operand (an identifier, literal, `)`, `]`, `}` or
+/// `?`), and not the second half of `||`.
+fn opens_closure(prev: &str) -> bool {
+    match prev {
+        ")" | "]" | "}" | "?" | "|" => false,
+        "move" | "mut" | "return" | "in" => true,
+        _ => !prev.starts_with(|c: char| c.is_alphanumeric() || matches!(c, '_' | '"' | '\'')),
+    }
+}
+
 /// Call sites within a raw-token range (comments still present).
 fn extract_calls(src: &str, tokens: &[Token], start: usize, end: usize) -> Vec<CallSite> {
     let sig: Vec<&Token> = tokens[start..end.min(tokens.len())]
         .iter()
         .filter(|t| !matches!(t.kind, TokenKind::Comment | TokenKind::DocComment))
         .collect();
+    let texts: Vec<&str> = sig.iter().map(|t| t.text(src)).collect();
     let mut out = Vec::new();
     for i in 0..sig.len() {
         if sig[i].kind != TokenKind::Ident {
@@ -425,6 +512,7 @@ fn extract_calls(src: &str, tokens: &[Token], start: usize, end: usize) -> Vec<C
             name: name.to_owned(),
             qualifier,
             is_method,
+            args: list_items(&texts, i + 1, false).0,
         });
     }
     out
@@ -436,7 +524,10 @@ fn extract_calls(src: &str, tokens: &[Token], start: usize, end: usize) -> Vec<C
 /// * a qualified call `Q::f` resolves to functions named `f` whose impl
 ///   type is `Q` or whose qualified path contains `Q` as a segment;
 /// * an unqualified or method call resolves to same-crate functions with
-///   that name; failing that, to a unique workspace-wide match.
+///   that name; failing that, to a unique workspace-wide match. A method
+///   call then keeps only the functions whose [`FnInfo::arity`] is its
+///   [`CallSite::args`]: arity removes edges, it never picks a match the
+///   name alone would not.
 ///
 /// Test functions neither emit nor receive edges.
 #[must_use]
@@ -483,11 +574,18 @@ pub fn build_graph(fns: Vec<FnInfo>, file_paths: &[String]) -> ItemGraph {
                 .copied()
                 .filter(|&j| crate_of(&file_paths[fns[j].file]) == my_crate)
                 .collect();
-            if !same_crate.is_empty() {
-                tgt.extend(same_crate);
+            let picked = if !same_crate.is_empty() {
+                same_crate
             } else if cands.len() == 1 {
-                tgt.push(cands[0]);
-            }
+                cands.clone()
+            } else {
+                Vec::new()
+            };
+            tgt.extend(
+                picked
+                    .into_iter()
+                    .filter(|&j| !c.is_method || fns[j].arity == c.args),
+            );
         }
         tgt.sort_unstable();
         tgt.dedup();
@@ -552,5 +650,53 @@ mod tests {
         let point = g.fns.iter().position(|f| f.name == "point").unwrap();
         assert!(g.callees[drive].contains(&point));
         assert!(g.callers[point].contains(&drive));
+    }
+
+    #[test]
+    fn method_calls_resolve_by_arity() {
+        let files = vec!["crates/kernel/src/snapshot.rs".to_owned()];
+        let src = "impl Writer { fn time(&mut self, t: Time) {} }\n\
+                   impl Cursor { fn time(&mut self) -> Option<Time> { None } }\n\
+                   fn write(w: &mut Writer, c: &mut Cursor) { w.time(t); c.time(); }";
+        let g = build_graph(extract_fns(0, &files[0], src, &lex(src)), &files);
+        let find = |qual: &str| g.fns.iter().position(|f| f.qual.ends_with(qual)).unwrap();
+        let (write, writer, cursor) = (find("::write"), find("Writer::time"), find("Cursor::time"));
+        assert_eq!((g.fns[writer].arity, g.fns[cursor].arity), (1, 0));
+        let args: Vec<usize> = g.fns[write].calls.iter().map(|c| c.args).collect();
+        assert_eq!(args, [1, 0]);
+        // Each call reaches the one method of its arity, not both.
+        assert_eq!(g.callees[write], [writer, cursor]);
+        assert_eq!(g.callers[writer], [write]);
+        assert_eq!(g.callers[cursor], [write]);
+    }
+
+    #[test]
+    fn argument_and_parameter_lists_count_top_level_items() {
+        let src = "fn f<F: Fn(u8, u8) -> u8>(&'a mut self, a: HashMap<K, V>, b: F,) {\n\
+                   x.g(|a, b| a + b, move |c| c, Vec::<(u8, u8)>::new(), [1, 2], h(3, 4));\n\
+                   x.k(); x.m(|| 0, 1,); x.n((a, b), { c; d }, a < b, e > f);\n\
+                   x.p(&|a, b| a | b, &mut |c, d| c, e | f, g || h, i? | j) }\n\
+                   fn free((a, b): (u8, u8), self_: u8) {}\n\
+                   fn ret<F: Fn() -> (u8, u8)>(f: F) -> (u8, u8, u8) { f() }";
+        let fns = extract_fns(0, "crates/core/src/x.rs", src, &lex(src));
+        let arity: Vec<usize> = fns.iter().map(|f| f.arity).collect();
+        assert_eq!(arity, [2, 2, 1]);
+        let args: Vec<(&str, usize)> = fns[0]
+            .calls
+            .iter()
+            .map(|c| (c.name.as_str(), c.args))
+            .collect();
+        assert_eq!(
+            args,
+            [
+                ("g", 5),
+                ("new", 0),
+                ("h", 2),
+                ("k", 0),
+                ("m", 2),
+                ("n", 4),
+                ("p", 5)
+            ]
+        );
     }
 }

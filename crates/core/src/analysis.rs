@@ -32,12 +32,16 @@ pub enum RmTest {
     LiuLayland,
     /// Exact scheduling-point (Lehoczky–Sha–Ding) test. The default.
     ///
-    /// Each priority level tries at most [`MAX_SCHEDULING_POINTS`] points
-    /// and counts as not fitting once they are spent. The cap can reject
-    /// a feasible set only when a level has more points than that, such
-    /// as two tasks whose periods are more than 2¹⁸ apart; it never
-    /// admits an infeasible set. Generated sets, whose periods span at
-    /// most 1,000 to one, need at most 1,000 points per task.
+    /// A level that does not fit at its own period searches its points in
+    /// ascending order, skipping those whose workload an earlier point
+    /// already shows to be too large; the verdict is that of trying every
+    /// point. A level with more than [`MAX_SCHEDULING_POINTS`] points
+    /// instead tries the first that many in a fixed order and counts as
+    /// not fitting once they are spent. The cap can reject a feasible set
+    /// only when a level has more points than that, such as two tasks
+    /// whose periods are more than 2¹⁸ apart; it never admits an
+    /// infeasible set. Generated sets, whose periods span at most 1,000
+    /// to one, need at most 1,000 points per task.
     #[default]
     SchedulingPoints,
     /// Exact iterative response-time analysis.
@@ -77,11 +81,12 @@ pub fn rm_feasible_at(tasks: &TaskSet, alpha: f64, test: RmTest) -> bool {
 }
 
 /// The most scheduling points [`RmTest::SchedulingPoints`] tries for one
-/// priority level. A level that needs more counts as not fitting. A
-/// level of `n` generated tasks needs at most `1000·n + 1` points, so no
-/// generated set of up to 262 tasks reaches the cap (the largest the
-/// experiments generate has 128); without it, a set with periods 10¹²
-/// apart would take hours to decide.
+/// priority level. A level with at most this many is searched in full; a
+/// level with more tries this many in a fixed order and counts as not
+/// fitting once they are spent. A level of `n` generated tasks needs at
+/// most `1000·n + 1` points, so no generated set of up to 262 tasks
+/// reaches the cap (the largest the experiments generate has 128);
+/// without it, a set with periods 10¹² apart would take hours to decide.
 pub const MAX_SCHEDULING_POINTS: u64 = 1 << 18;
 
 /// Ceiling of `t / p` that tolerates float round-off: values within a
@@ -102,49 +107,119 @@ fn ceil_tolerant(t: f64, p: f64) -> f64 {
 ///
 /// For each task `i` in priority order, searches the scheduling points
 /// `S_i = { k·P_j : j ≤ i, k = 1..⌊P_i/P_j⌋ } ∪ {P_i}` for a `t` with
-/// `Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`.
+/// `W(t) = Σ_{j ≤ i} ⌈t/P_j⌉ · C_j/α ≤ t`.
 ///
-/// The search tries `t = P_i` first and then enumerates the `k·P_j` lazily,
-/// `j` in level order, until [`MAX_SCHEDULING_POINTS`] points are spent.
-/// Whether some point of a set fits does not depend on the order the
-/// points are tried in, so below the cap the verdict is that of a full
-/// search over `S_i`; the search only stops sooner.
+/// The search tries `t = P_i` first. If that fails and `S_i` has at most
+/// [`MAX_SCHEDULING_POINTS`] points, [`level_fits_somewhere`] visits them
+/// in ascending order and skips those an earlier point rules out, so the
+/// verdict is that of a full search over `S_i`. Otherwise it enumerates
+/// the `k·P_j` lazily, `j` in level order, until the cap's points are
+/// spent; there the verdict depends on which points the cap leaves out,
+/// so that order is kept as it is.
 fn rm_scheduling_points_feasible(tasks: &TaskSet, alpha: f64) -> bool {
     debug_assert!(alpha > 0.0);
     let order = tasks.rm_order();
     order.iter().enumerate().all(|(i, &id_i)| {
         let level = &order[..=i];
         let p_i = tasks.task(id_i).period().as_ms();
-        // `t = P_i` is the first point; each `j` takes its multiples out
+        if level_workload(tasks, level, alpha, p_i) <= p_i + EPS {
+            return true;
+        }
+        let points = level.iter().fold(0u64, |sum, &id_j| {
+            sum.saturating_add(multiples(p_i, tasks.task(id_j).period().as_ms()))
+        });
+        if points < MAX_SCHEDULING_POINTS {
+            return level_fits_somewhere(tasks, level, alpha, p_i);
+        }
+        // `t = P_i` was the first point; each `j` takes its multiples out
         // of what is left.
         let mut budget = MAX_SCHEDULING_POINTS - 1;
-        level_fits_at(tasks, level, alpha, p_i)
-            || level.iter().any(|&id_j| {
-                let p_j = tasks.task(id_j).period().as_ms();
-                let kmax = ((p_i / p_j + 1e-9).floor() as u64).min(budget);
-                budget -= kmax;
-                (1..=kmax).any(|k| level_fits_at(tasks, level, alpha, k as f64 * p_j))
+        level.iter().any(|&id_j| {
+            let p_j = tasks.task(id_j).period().as_ms();
+            let kmax = multiples(p_i, p_j).min(budget);
+            budget -= kmax;
+            (1..=kmax).any(|k| {
+                let t = k as f64 * p_j;
+                level_workload(tasks, level, alpha, t) <= t + EPS
             })
+        })
     })
 }
 
-/// Whether the level-`i` workload at `t`, `Σ_{j ∈ level} ⌈t/P_j⌉ · C_j/α`
-/// summed in `level` order, is at most `t + EPS`.
+/// `⌊P_i/P_j⌋`, tolerating round-off: how many multiples of `p_j` are
+/// scheduling points of the level whose longest period is `p_i`.
+fn multiples(p_i: f64, p_j: f64) -> u64 {
+    (p_i / p_j + 1e-9).floor() as u64
+}
+
+/// Whether the level fits at some point `k·P_j`, `k ≤ ⌊P_i/P_j⌋`.
 ///
-/// The sum is abandoned once a partial sum exceeds `t + EPS`. Every term
-/// is non-negative, and adding a non-negative `f64` never lowers a sum
-/// (rounding is monotone), so the full sum would exceed the bound too.
-fn level_fits_at(tasks: &TaskSet, level: &[TaskId], alpha: f64, t: f64) -> bool {
-    let bound = t + EPS;
-    let mut workload = 0.0;
-    for &id_j in level {
-        let task = tasks.task(id_j);
-        workload += ceil_tolerant(t, task.period().as_ms()) * task.wcet().as_ms() / alpha;
-        if workload > bound {
+/// Visits the points in ascending order and skips every point `t` with
+/// `W(t_e) > t + EPS` for a visited `t_e ≤ t`. `W` never decreases as `t`
+/// grows: [`ceil_tolerant`] is a non-decreasing step function,
+/// multiplying or dividing by a positive constant is monotone under
+/// rounding, and so is each addition of the in-order sum. So
+/// `W(t) ≥ W(t_e) > t + EPS` and a skipped point cannot fit. `floor`
+/// keeps the largest `W` visited. A visited point costs one pass over
+/// the level for the next point, in which each progression's next
+/// multiple comes from `last` and `floor`, and one pass for `W`.
+fn level_fits_somewhere(tasks: &TaskSet, level: &[TaskId], alpha: f64, p_i: f64) -> bool {
+    let mut last = f64::NEG_INFINITY;
+    let mut floor = f64::NEG_INFINITY;
+    loop {
+        let next = level.iter().fold(f64::INFINITY, |next, &id_j| {
+            let p_j = tasks.task(id_j).period().as_ms();
+            first_multiple(p_j, multiples(p_i, p_j), last, floor).min(next)
+        });
+        if next.is_infinite() {
             return false;
         }
+        let workload = level_workload(tasks, level, alpha, next);
+        if workload <= next + EPS {
+            return true;
+        }
+        last = next;
+        floor = floor.max(workload);
     }
-    workload <= bound
+}
+
+/// The first multiple `t = k·p`, `1 ≤ k ≤ kmax`, with `t > last` and
+/// `t + EPS ≥ floor`, or `+∞` if there is none. Both conditions hold
+/// from some `k` on, since `k·p` and `t + EPS` are monotone in `k` (and
+/// no NaN reaches them); the estimate `⌊max(last, floor − EPS)/p⌋` is
+/// off by at most one, and the two loops settle the exact first `k`.
+fn first_multiple(p: f64, kmax: u64, last: f64, floor: f64) -> f64 {
+    let admits = |k: u64| {
+        let t = k as f64 * p;
+        t > last && t + EPS >= floor
+    };
+    let target = last.max(floor - EPS);
+    let estimate = if target > 0.0 {
+        (target / p).floor() as u64
+    } else {
+        1
+    };
+    let mut k = estimate.clamp(1, kmax.saturating_add(1));
+    while k > 1 && admits(k - 1) {
+        k -= 1;
+    }
+    while k <= kmax && !admits(k) {
+        k += 1;
+    }
+    if k <= kmax {
+        k as f64 * p
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The level-`i` workload at `t`, `W(t) = Σ_{j ∈ level} ⌈t/P_j⌉ · C_j/α`,
+/// summed in `level` order. The level fits at `t` if `W(t) ≤ t + EPS`.
+fn level_workload(tasks: &TaskSet, level: &[TaskId], alpha: f64, t: f64) -> f64 {
+    level.iter().fold(0.0, |workload, &id_j| {
+        let task = tasks.task(id_j);
+        workload + ceil_tolerant(t, task.period().as_ms()) * task.wcet().as_ms() / alpha
+    })
 }
 
 /// Exact response-time RM analysis at frequency factor `alpha`.
@@ -404,6 +479,52 @@ mod tests {
         assert!(!rm_feasible_at(&set, 1.0, RmTest::SchedulingPoints));
         let took = start.elapsed();
         assert!(took.as_secs_f64() < 1.0, "deciding took {took:?}");
+    }
+
+    #[test]
+    fn above_the_cap_the_enumeration_order_is_kept() {
+        // The second level fits only at t = 300,000, past the first 2¹⁸
+        // points the capped enumeration tries: it rejects the set, which
+        // the response-time test and a full ascending search admit.
+        let set =
+            TaskSet::from_ms_pairs(&[(1.0, 0.5), (300_000.1, 149_999.8)]).expect("valid task set");
+        assert!(!rm_feasible_at(&set, 1.0, RmTest::SchedulingPoints));
+        assert!(rm_feasible_at(&set, 1.0, RmTest::ResponseTime));
+        let level = set.rm_order();
+        assert!(level_fits_somewhere(&set, level, 1.0, 300_000.1));
+    }
+
+    #[test]
+    fn the_ascending_search_skips_what_it_rules_out() {
+        // Periods 1 and 1,000.5: 1,001 points. The level does not fit at
+        // its period (W = 0.75·1001 + 249.9 = 1000.65) and first fits at
+        // t = 1,000 (W = 999.9). Each visit jumps to the workload it
+        // found, so the search visits a few dozen of the points.
+        let set = TaskSet::from_ms_pairs(&[(1.0, 0.75), (1000.5, 249.9)]).expect("valid task set");
+        let level = set.rm_order();
+        assert!(level_workload(&set, level, 1.0, 1000.5) > 1000.5 + EPS);
+        assert!(level_fits_somewhere(&set, level, 1.0, 1000.5));
+        assert!(rm_feasible_at(&set, 1.0, RmTest::SchedulingPoints));
+        // The next multiple is past `last` and no more than EPS below
+        // `floor`: (p, kmax, last, floor, next).
+        let none = f64::NEG_INFINITY;
+        let cases = [
+            (1.0, 1000, none, none, 1.0),
+            (1.0, 1000, 200.0, 0.0, 201.0),
+            (1.0, 1000, 10.0, 799.5, 800.0),
+            (1.0, 1000, 10.0, 800.0 + 0.5 * EPS, 800.0),
+            (1.0, 1000, 10.0, 800.0 + 2.0 * EPS, 801.0),
+            (1000.0, 1, 999.0, 0.0, 1000.0),
+            (1000.0, 1, 1000.0, 0.0, f64::INFINITY),
+        ];
+        for (p, kmax, last, floor, next) in cases {
+            let got = first_multiple(p, kmax, last, floor);
+            assert_eq!(
+                got.to_bits(),
+                next.to_bits(),
+                "{p} {kmax} {last} {floor}: {got}"
+            );
+        }
     }
 
     #[test]

@@ -29,8 +29,12 @@ use crate::view::{InvState, SystemView, TaskView};
 /// two caches that only make a callback cheaper:
 ///
 /// * the tasks in reverse EDF order as of the last callback. Each callback
-///   refreshes every deadline from the view and re-sorts; between two
-///   callbacks few deadlines move, so the insertion sort does little work.
+///   compares every cached deadline with its view's, bit for bit, and
+///   moves only the entries whose deadline changed (usually just the task
+///   released), each by binary search into the order of the others; the
+///   rest keep their places. [`DvsPolicy::init`] caches the tasks by
+///   descending id with zero deadlines, which is already reverse EDF
+///   order, so the first callback moves every entry the same way.
 ///   `(deadline, id)` is a strict total order, so the sorted order is
 ///   unique: it is what a full sort of the view gives, whatever the cache
 ///   held before.
@@ -89,7 +93,7 @@ impl LaEdf {
         if self.order.len() != sys.tasks.len() {
             self.cache_task_set(sys.tasks);
         }
-        self.sort_reverse_edf(sys.views);
+        self.refresh_order(sys.views);
         let d1 = self.earliest_deadline(sys.now);
 
         // `u` starts at the total worst-case utilization; each iteration
@@ -138,34 +142,67 @@ impl LaEdf {
         (s, d1)
     }
 
-    /// Rebuilds the walk for a task set, in id order.
+    /// Rebuilds the walk for a task set, by descending id with zero
+    /// deadlines: reverse EDF order, whose ties run by descending id.
     fn cache_task_set(&mut self, tasks: &TaskSet) {
         self.order.clear();
-        self.order.extend(tasks.iter().map(|(id, task)| Entry {
+        let by_id = tasks.tasks().iter().enumerate();
+        self.order.extend(by_id.rev().map(|(i, task)| Entry {
             deadline: Time::ZERO,
-            id,
+            id: TaskId(i),
             utilization: task.utilization(),
         }));
         self.total_utilization = tasks.total_utilization();
     }
 
-    /// Refreshes every deadline from the view and restores reverse EDF
-    /// order by insertion sort, which costs `n` plus the number of pairs
-    /// the moved deadlines put out of order. Between two callbacks that is
-    /// a few pairs, where it is cheaper than `slice::sort_by`; a fully
-    /// permuted order, as at the first callback after `init`, costs
-    /// `O(n²)`.
-    fn sort_reverse_edf(&mut self, views: &[TaskView]) {
-        for i in 0..self.order.len() {
-            let mut entry = self.order[i];
+    /// Brings the order to reverse EDF order under the view's deadlines.
+    ///
+    /// One scan compares each entry's cached deadline with the view's, bit
+    /// for bit. A moved entry takes its new deadline and is re-inserted by
+    /// binary search among the others, which stay sorted by the deadlines
+    /// they carry, so the whole order is sorted again after each move.
+    /// A move to the left fills the moved entry's slot from the entries
+    /// already scanned, so the scan goes on after it; a move to the right
+    /// fills it with the next unscanned entry, so the scan resumes at it.
+    /// The entry moved right is met again with matching bits. That costs
+    /// `n` comparisons plus, per moved entry, a binary search and a shift
+    /// of the entries it passes.
+    ///
+    /// The scan between moves is a `position` search: on the benchmark's
+    /// `soak128` workload a `while` loop that indexed the order at each
+    /// step and called [`LaEdf::reinsert`] in its body ran laEDF about
+    /// 300 ns per event slower.
+    fn refresh_order(&mut self, views: &[TaskView]) {
+        let moved =
+            |e: &Entry| views[e.id.0].deadline.as_ms().to_bits() != e.deadline.as_ms().to_bits();
+        let mut i = 0;
+        while let Some(k) = self.order[i..].iter().position(moved) {
+            let at = i + k;
+            let mut entry = self.order[at];
             entry.deadline = views[entry.id.0].deadline;
-            let mut j = i;
-            while j > 0 && runs_before(&entry, &self.order[j - 1]) {
-                self.order[j] = self.order[j - 1];
-                j -= 1;
-            }
-            self.order[j] = entry;
+            let to = self.reinsert(at, entry);
+            i = if to > at { at } else { at + 1 };
         }
+    }
+
+    /// Moves `entry`, which sits at `from` with a new deadline, to its
+    /// place in the otherwise sorted order, and returns that place.
+    fn reinsert(&mut self, from: usize, entry: Entry) -> usize {
+        let order = &mut self.order;
+        let to = if from > 0 && runs_before(&entry, &order[from - 1]) {
+            let to = order[..from].partition_point(|e| runs_before(e, &entry));
+            order[to..=from].rotate_right(1);
+            to
+        } else if from + 1 < order.len() && runs_before(&order[from + 1], &entry) {
+            let after = from + 1;
+            let to = after + order[after..].partition_point(|e| runs_before(e, &entry)) - 1;
+            order[from..=to].rotate_left(1);
+            to
+        } else {
+            from
+        };
+        order[to] = entry;
+        to
     }
 
     /// [`SystemView::earliest_deadline`] read off the sorted order: the

@@ -48,6 +48,10 @@ impl Time {
     /// The zero instant.
     pub const ZERO: Time = Time(0.0);
 
+    /// `+∞`, the seed of a running minimum over times. No constructor
+    /// accepts it, so it is not public.
+    pub(crate) const UNBOUNDED: Time = Time(f64::INFINITY);
+
     /// Creates a time value from milliseconds.
     ///
     /// # Panics

@@ -24,6 +24,27 @@ pub enum InvState {
     Completed,
 }
 
+/// How many independent running minima [`SystemView::earliest_boundary`]
+/// keeps per quantity.
+const BOUNDARY_LANES: usize = 4;
+
+/// `acc` lowered to `t` if `t` is above `after` and below `acc`, by
+/// selects rather than branches. `t < acc` rather than `f64::min`: no NaN
+/// reaches it, so the NaN rule would only cost instructions.
+#[inline]
+fn min_above(acc: Time, t: Time, after: f64) -> Time {
+    let t = if t.as_ms() > after {
+        t
+    } else {
+        Time::UNBOUNDED
+    };
+    if t.as_ms() < acc.as_ms() {
+        t
+    } else {
+        acc
+    }
+}
+
 /// Per-task runtime snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskView {
@@ -123,26 +144,40 @@ impl<'a> SystemView<'a> {
     ///
     /// With no future deadline the boundary is `now`, as for
     /// [`SystemView::earliest_deadline`], whatever the releases.
+    ///
+    /// The scan keeps four independent minima per quantity, seeded with
+    /// `+∞`, and selects rather than branches, so `n` views cost `n / 4`
+    /// dependent steps. The result is the one a
+    /// fold in view order gives: with `now ≥ 0` only values above
+    /// `now + EPS > 0` reach a minimum, so no NaN and no signed zero
+    /// does, and the minimum of such a set is the same bits in any order.
+    /// A flag, not the `+∞` seed, says whether any deadline passed.
     #[must_use]
     pub fn earliest_boundary(&self) -> Time {
-        // Both minima fold in view order, so each is bit-identical to
-        // `reduce(Time::min)` over the same views.
         let after = self.now.as_ms() + crate::time::EPS;
-        let mut deadline: Option<Time> = None;
-        let mut release: Option<Time> = None;
-        for v in self.views {
-            if v.deadline.as_ms() > after {
-                deadline = Some(deadline.map_or(v.deadline, |d| d.min(v.deadline)));
-            }
-            if v.next_release.as_ms() > after {
-                release = Some(release.map_or(v.next_release, |r| r.min(v.next_release)));
+        let mut deadline = [Time::UNBOUNDED; BOUNDARY_LANES];
+        let mut release = [Time::UNBOUNDED; BOUNDARY_LANES];
+        let mut any_deadline = false;
+        let mut fold = |lane: usize, v: &TaskView| {
+            any_deadline |= v.deadline.as_ms() > after;
+            deadline[lane] = min_above(deadline[lane], v.deadline, after);
+            release[lane] = min_above(release[lane], v.next_release, after);
+        };
+        let chunks = self.views.chunks_exact(BOUNDARY_LANES);
+        let rest = chunks.remainder();
+        for chunk in chunks {
+            for (lane, v) in chunk.iter().enumerate() {
+                fold(lane, v);
             }
         }
-        match (deadline, release) {
-            (None, _) => self.now,
-            (Some(d), None) => d,
-            (Some(d), Some(r)) => d.min(r),
+        for (lane, v) in rest.iter().enumerate() {
+            fold(lane, v);
         }
+        if !any_deadline {
+            return self.now;
+        }
+        let min = |m: [Time; BOUNDARY_LANES]| m.into_iter().fold(Time::UNBOUNDED, Time::min);
+        min(deadline).min(min(release))
     }
 
     /// Iterates `(TaskId, &TaskView)`.

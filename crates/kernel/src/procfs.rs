@@ -38,8 +38,9 @@
 //!
 //! `<fraction>` gives the registered task's actual per-invocation demand
 //! as a fraction of its bound (the text protocol cannot carry closures).
-//! Every numeric argument must be a finite number, and `<fraction>` must
-//! lie in [0, 1]; anything else is an `err: bad <field>` reply.
+//! Every numeric argument must be a finite number, `<fraction>` must
+//! lie in [0, 1], and `run` takes at most [`MAX_RUN_MS`]; anything else
+//! is an `err: bad <field>` reply.
 
 use rtdvs_core::analysis::RmTest;
 use rtdvs_core::policy::PolicyKind;
@@ -48,6 +49,12 @@ use rtdvs_core::time::{Time, Work};
 
 use crate::body::FractionBody;
 use crate::kernel::{RtKernel, TaskHandle};
+
+/// The longest `run <ms>` accepts: one hour of virtual time, the longest
+/// uptime any benchmark workload runs. The kernel's event log grows by
+/// about two entries per job, so an unbounded `run` (`run 1e12` with one
+/// 10 ms task is 2·10¹¹ entries) would exhaust memory before it replied.
+pub const MAX_RUN_MS: f64 = 3_600_000.0;
 
 /// Parses a policy module name as used by the prototype's module loader.
 ///
@@ -151,7 +158,7 @@ fn try_execute(kernel: &mut RtKernel, line: &str) -> Result<String, String> {
             Ok(format!("ok {}", kernel.policy_name()))
         }
         ("run", [ms]) => {
-            let ms = number(ms, "duration", f64::is_finite)?;
+            let ms = number(ms, "duration", |ms| ms.is_finite() && ms <= MAX_RUN_MS)?;
             if ms <= 0.0 {
                 return Err("duration must be positive".to_owned());
             }
@@ -359,6 +366,25 @@ mod tests {
         for line in ["register 10 1 -0.1", "register 10 1 1.5"] {
             assert_eq!(execute(&mut k, line), "err: bad fraction");
         }
+    }
+
+    /// A duration past [`MAX_RUN_MS`] is refused before the kernel runs,
+    /// and the clock stays where it was; the cap itself is accepted.
+    #[test]
+    fn overlong_runs_are_rejected() {
+        let mut k = kernel();
+        execute(&mut k, "register 1000 3 0.9");
+        assert_eq!(execute(&mut k, "run 10"), "ok t=10.000");
+        let above = f64::from_bits(MAX_RUN_MS.to_bits() + 1);
+        for bad in ["1e12".to_owned(), format!("{above}")] {
+            assert_eq!(execute(&mut k, &format!("run {bad}")), "err: bad duration");
+            assert_eq!(k.now(), Time::from_ms(10.0), "run {bad}");
+        }
+        assert_eq!(
+            execute(&mut k, &format!("run {MAX_RUN_MS}")),
+            "ok t=3600010.000"
+        );
+        assert_eq!(execute(&mut k, "run -5"), "err: duration must be positive");
     }
 
     #[test]

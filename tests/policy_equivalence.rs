@@ -20,9 +20,15 @@
 //!   `SystemView::earliest_boundary` must equal the frozen two-pass rule
 //!   bit for bit on every view the fuzz makes and on three variants of
 //!   it: no future deadline, one deadline at `now`, and a release before
-//!   every deadline.
+//!   every deadline. Sets of 128 tasks are drawn sometimes, and
+//!   deterministic steps move 0, 1, several, many and all deadlines,
+//!   later and earlier, and call back on an unchanged view right after
+//!   `init`, with deadlines equal to `init`'s zeros.
 //! * (c) RM test: the verdict of the scheduling-point test at every
-//!   machine frequency, over generated, harmonic and tied-period sets.
+//!   machine frequency, over generated sets (32 to 128 tasks among them,
+//!   whose failing levels are searched in full), harmonic and
+//!   tied-period sets, and one set whose failing level has more points
+//!   than the search's cap.
 //!
 //! Horizons and call counts shrink as `n` grows so the suite stays within
 //! a few seconds in a debug build.
@@ -196,7 +202,13 @@ fn draw_set(r: &mut SplitMix64) -> TaskSet {
     if r.index(2) == 0 {
         hand_built_set(r)
     } else {
-        let n = [1, 2, 3, 5, 8, 16][r.index(6)];
+        // One generated set in 30 has 128 tasks: few, because the frozen
+        // scheduling-point test at `init` dominates their cost.
+        let n = if r.index(30) == 0 {
+            128
+        } else {
+            [1, 2, 3, 5, 8, 16][r.index(6)]
+        };
         let spec = TaskGenSpec::new(n, r.range_f64_inclusive(0.1, 1.0)).expect("valid spec");
         generate(&spec, r.next_u64()).expect("generated set")
     }
@@ -298,6 +310,11 @@ impl Sequence {
         let mut r = SplitMix64::seed_from_u64(seed);
         let tasks = draw_set(&mut r);
         let machine = machines()[r.index(3)].clone();
+        Sequence::with_set(r, tasks, machine)
+    }
+
+    /// A sequence over a given set, every task released at 0.
+    fn with_set(r: SplitMix64, tasks: TaskSet, machine: Machine) -> Sequence {
         let views = tasks
             .tasks()
             .iter()
@@ -487,6 +504,75 @@ fn callbacks_match_frozen_policies() {
     assert!(calls > 200_000, "only {calls} calls");
 }
 
+/// Deterministic steps for laEDF's order refresh, which re-inserts each
+/// moved deadline by binary search: steps that move 0, 1, several, many
+/// and all deadlines, later and earlier, and an `init` followed by a
+/// callback on the unchanged view, in which some deadlines are exactly
+/// the zeros `init` caches and so keep the places `init` gave them.
+#[test]
+fn deadline_moves_match_frozen_policies() {
+    let mut r = SplitMix64::seed_from_u64(0xdead_11e5);
+    let mut calls = 0;
+    for (case, n) in [3usize, 16, 17, 40, 128].into_iter().enumerate() {
+        for round in 0..3 {
+            let spec = TaskGenSpec::new(n, r.range_f64_inclusive(0.4, 0.95)).expect("valid spec");
+            let tasks = generate(&spec, r.next_u64()).expect("generated set");
+            let machine = machines()[(case + round) % 3].clone();
+            let mut s = Sequence::with_set(SplitMix64::seed_from_u64(r.next_u64()), tasks, machine);
+            let test = [RmTest::SchedulingPoints, RmTest::ResponseTime][round % 2];
+            let mut pair = Pair::new(test);
+            let label = |step: &str| format!("n={n} round {round}: {step}");
+            // Every other deadline at exactly 0, as a deadline moved
+            // earlier can be, with work left that laEDF cannot defer and
+            // sums in walk order; then `init` and calls on the same view.
+            for i in (0..n).step_by(2) {
+                let wcet = s.tasks.task(TaskId(i)).wcet();
+                s.views[i].deadline = Time::ZERO;
+                s.views[i].executed = wcet * s.r.range_f64_inclusive(0.0, 0.9);
+            }
+            pair.call(Call::Init, &s.sys(), &label("init"));
+            pair.call(Call::Review, &s.sys(), &label("unchanged view after init"));
+            pair.call(
+                Call::Release(TaskId(0)),
+                &s.sys(),
+                &label("unchanged again"),
+            );
+            calls += 3;
+            for moves in [0, 1, 2, 5, 15, 16, 17, 33, n] {
+                for direction in 0..3 {
+                    s.now += 0.25;
+                    // Distinct tasks, from a random start.
+                    let start = s.r.index(n);
+                    for m in 0..moves.min(n) {
+                        let i = (start + m * 7) % n;
+                        let d = s.views[i].deadline.as_ms();
+                        let later = match direction {
+                            0 => true,
+                            1 => false,
+                            _ => m % 2 == 0,
+                        };
+                        let step = s.r.range_f64_inclusive(0.5, 40.0);
+                        let moved = if later { d + step } else { (d - step).max(0.0) };
+                        s.views[i].deadline = Time::from_ms(moved);
+                    }
+                    let call = [
+                        Call::Release(TaskId(start)),
+                        Call::Completion(TaskId(start)),
+                    ][direction % 2];
+                    pair.call(
+                        call,
+                        &s.sys(),
+                        &label(&format!("{moves} moved, {direction}")),
+                    );
+                    s.check_boundary(&label(&format!("{moves} moved, {direction}")));
+                    calls += 1;
+                }
+            }
+        }
+    }
+    assert!(calls > 400, "only {calls} calls");
+}
+
 // ---------------------------------------------------------------------
 // (c) RM test.
 // ---------------------------------------------------------------------
@@ -532,6 +618,12 @@ fn scheduling_point_verdicts_match_frozen_test() {
         sets.push(TaskSet::from_ms_pairs(&pairs).expect("valid exact-fit set"));
         sets.push(hand_built_set(&mut r));
     }
+    // Large sets around and above the frequencies that schedule them:
+    // the first failing level's point set is searched in full.
+    for n in [32, 64, 128] {
+        let spec = TaskGenSpec::new(n, r.range_f64_inclusive(0.6, 1.0)).expect("valid spec");
+        sets.push(generate(&spec, r.next_u64()).expect("generated set"));
+    }
     let mut feasible = 0;
     let mut checks = 0;
     for (i, set) in sets.iter().enumerate() {
@@ -548,4 +640,18 @@ fn scheduling_point_verdicts_match_frozen_test() {
         feasible > checks / 5 && feasible < checks * 4 / 5,
         "{feasible} of {checks}"
     );
+}
+
+/// A `U < 1` set whose second level fits at none of its 300,001 points,
+/// more than `MAX_SCHEDULING_POINTS`: the capped enumeration, which tries
+/// only the first 2¹⁸ of them, must still agree with the full search.
+#[test]
+fn capped_point_search_keeps_its_verdict() {
+    let set = TaskSet::from_ms_pairs(&[(1.0, 0.5), (300_000.1, 150_000.02)]).expect("valid set");
+    assert!(set.total_utilization() < 1.0);
+    for alpha in [1.0, 0.75] {
+        let new = rm_feasible_at(&set, alpha, RmTest::SchedulingPoints);
+        assert_eq!(new, frozen::rm_scheduling_points_feasible(&set, alpha));
+        assert!(!new, "alpha {alpha}");
+    }
 }

@@ -5,8 +5,10 @@
 //! * `cargo run -p xtask -- ci` — the full local gate, nine stages: fmt,
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
 //!   crash-recovery smoke test, examples (the workspace examples, then the
-//!   `examples/benchmark` package's release build and unit tests) and
-//!   `bench-check`, each wall-clock-timed with a summary table at the end.
+//!   `examples/benchmark` package's release build and unit tests, then a
+//!   one-second `soak128` run whose `result_digest` must be
+//!   `SOAK128_DIGEST`) and `bench-check`, each wall-clock-timed with a
+//!   summary table at the end.
 //!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
 //!   shell script and the hosted pipeline cannot drift. `--skip a,b`
 //!   skips stages by name (unknown names are hard errors); `--json PATH`
@@ -136,17 +138,24 @@ fn main() -> ExitCode {
     }
 }
 
-/// One stage of the CI gate: a name and the argvs it runs in order
-/// (always `cargo` from the workspace root), or — with none — an
-/// in-process pass dispatched by name (`lint`, `analyze`).
+/// One stage of the CI gate: a name, the argvs it runs in order (always
+/// `cargo` from the workspace root), then an in-process check, if any.
 struct Stage {
     name: &'static str,
     runs: &'static [&'static [&'static str]],
+    check: Option<fn() -> bool>,
 }
 
 /// The benchmark's manifest. It is a package of its own, outside the
 /// workspace, so `cargo build --examples` does not reach it.
 const BENCHMARK_MANIFEST: &str = "examples/benchmark/Cargo.toml";
+
+/// `result_digest` of the benchmark's `soak128` workload at seed 1, as
+/// listed in `examples/benchmark/README.md`. It hashes the events, energy
+/// and misses of the six paper policies on four 128-task sets, so it
+/// changes exactly when a policy or the engine decides differently. A
+/// change that alters decisions on purpose updates it and says why.
+const SOAK128_DIGEST: &str = "07acbb0d52b0ec60";
 
 /// The full local gate, in dependency order. `lint` and `analyze` are
 /// the in-process passes (no argv); everything else shells out to
@@ -155,26 +164,32 @@ const STAGES: [Stage; 9] = [
     Stage {
         name: "fmt",
         runs: &[&["fmt", "--all", "--check"]],
+        check: None,
     },
     Stage {
         name: "clippy",
         runs: &[&["clippy", "--workspace", "--", "-D", "warnings"]],
+        check: None,
     },
     Stage {
         name: "lint",
         runs: &[],
+        check: Some(|| lint() == ExitCode::SUCCESS),
     },
     Stage {
         name: "analyze",
         runs: &[],
+        check: Some(|| analyze(&[]) == ExitCode::SUCCESS),
     },
     Stage {
         name: "build",
         runs: &[&["build", "--workspace", "--release"]],
+        check: None,
     },
     Stage {
         name: "test",
         runs: &[&["test", "--workspace", "-q"]],
+        check: None,
     },
     Stage {
         name: "recovery-smoke",
@@ -187,10 +202,12 @@ const STAGES: [Stage; 9] = [
             "--test",
             "recovery",
         ]],
+        check: None,
     },
     // The workspace examples, then the benchmark package: its binary in
     // the profile the benchmark runs it in, and its unit tests, so a
-    // change to an API it calls fails here rather than in a benchmark run.
+    // change to an API it calls fails here rather than in a benchmark run;
+    // then the policy-layer digest guard on the binary just built.
     Stage {
         name: "examples",
         runs: &[
@@ -204,6 +221,7 @@ const STAGES: [Stage; 9] = [
                 BENCHMARK_MANIFEST,
             ],
         ],
+        check: Some(soak128_digest_holds),
     },
     Stage {
         name: "bench-check",
@@ -218,8 +236,51 @@ const STAGES: [Stage; 9] = [
             "--",
             "check",
         ]],
+        check: None,
     },
 ];
+
+/// The policy-layer digest guard: runs `soak128` at seed 1 for one second,
+/// untraced, and requires exit 0 and `result_digest` [`SOAK128_DIGEST`].
+/// A speed-only change to a policy, the RM test or the engine keeps it.
+fn soak128_digest_holds() -> bool {
+    let run = Command::new("cargo")
+        .args([
+            "run",
+            "--release",
+            "--offline",
+            "--quiet",
+            "--manifest-path",
+        ])
+        .arg(BENCHMARK_MANIFEST)
+        .args(["--", "--workload", "soak128", "--seed", "1"])
+        .args(["--seconds", "1", "--trace", "0"])
+        .current_dir(repo_root())
+        .output();
+    let out = match run {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("cannot spawn cargo: {e}");
+            return false;
+        }
+    };
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let digest = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("result_digest "));
+    if out.status.success() && digest == Some(SOAK128_DIGEST) {
+        println!("soak128 seed 1: result_digest {SOAK128_DIGEST}");
+        return true;
+    }
+    eprint!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    eprintln!(
+        "soak128 seed 1: {}, result_digest {} (expected {SOAK128_DIGEST}): \
+         a policy or the engine decides differently",
+        out.status,
+        digest.unwrap_or("missing"),
+    );
+    false
+}
 
 /// Runs the full offline gate with per-stage wall-clock timing and a
 /// summary table. Stops at the first failing stage (later stages would
@@ -284,27 +345,19 @@ fn ci(args: &[String]) -> ExitCode {
         }
         println!("==> {}", stage.name);
         let start = Instant::now();
-        let ok = if stage.runs.is_empty() {
-            let code = match stage.name {
-                "analyze" => analyze(&[]),
-                _ => lint(),
-            };
-            code == ExitCode::SUCCESS
-        } else {
-            stage.runs.iter().all(|args| {
-                match Command::new("cargo")
-                    .args(*args)
-                    .current_dir(&root)
-                    .status()
-                {
-                    Ok(status) => status.success(),
-                    Err(e) => {
-                        eprintln!("cannot spawn cargo: {e}");
-                        false
-                    }
+        let ok = stage.runs.iter().all(|args| {
+            match Command::new("cargo")
+                .args(*args)
+                .current_dir(&root)
+                .status()
+            {
+                Ok(status) => status.success(),
+                Err(e) => {
+                    eprintln!("cannot spawn cargo: {e}");
+                    false
                 }
-            })
-        };
+            }
+        }) && stage.check.is_none_or(|check| check());
         let secs = start.elapsed().as_secs_f64();
         results.push((stage.name, if ok { "ok" } else { "FAILED" }, secs));
         if !ok {
