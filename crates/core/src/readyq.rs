@@ -42,10 +42,16 @@ pub const NUM_BUCKETS: usize = 256;
 pub(crate) const WORD_BITS: usize = 64;
 
 /// Converts an instant to its bucket/wheel tick. Total: negative times
-/// map to tick 0 and `+inf`/huge times saturate at `u64::MAX`.
+/// and NaN map to tick 0 and `+inf`/huge times saturate at `u64::MAX`.
+///
+/// The cast alone is the floor: `as` truncates toward zero, which is the
+/// floor for every `x ≥ 0`, and saturates every `x < 0` (and NaN) to 0,
+/// as `x.floor() as u64` does. Skipping `floor` keeps a libm call out of
+/// the wheel and queue hot paths on targets without a rounding
+/// instruction (baseline x86-64 has no SSE4.1 `roundsd`).
 #[must_use]
 pub fn tick_of(t: Time) -> u64 {
-    (t.as_ms() * TICKS_PER_MS).floor() as u64
+    (t.as_ms() * TICKS_PER_MS) as u64
 }
 
 /// The word holding `bit` and the bit's mask within it.
@@ -593,5 +599,46 @@ mod tests {
         // SkipRelease-style deadline push: T0 moves behind T1.
         q.insert(TaskId(0), Time::from_ms(20.0), 0);
         assert_eq!(q.pick(SchedulerKind::Edf, 0), Some(TaskId(1)));
+    }
+
+    /// The bare cast in `tick_of` is `floor` then cast on every input:
+    /// negatives, signed zero, subnormals, NaN, infinities, the edge of
+    /// exact integers, saturation and one ulp below an integer tick.
+    #[test]
+    fn tick_of_is_the_floored_tick() {
+        let two53 = 2f64.powi(53);
+        let below_tick = f64::from_bits(3.0f64.to_bits() - 1);
+        let cases = [
+            Time::from_ms(-1.5),
+            Time::from_ms(-0.0),
+            Time::from_ms(f64::from_bits(1)),
+            Time::from_ms(f64::MIN_POSITIVE / 2.0),
+            Time::ZERO * f64::NAN,
+            Time::UNBOUNDED,
+            -Time::UNBOUNDED,
+            Time::from_ms(two53 - 1.0),
+            Time::from_ms(two53),
+            // 2^53 + 1 rounds to 2^53; 2^53 + 2 is the next f64.
+            Time::from_ms(two53 + 1.0),
+            Time::from_ms(two53 + 2.0),
+            Time::from_ms(u64::MAX as f64),
+            Time::from_ms(below_tick),
+            Time::from_ms(3.0),
+            Time::from_ms(1.0 / 1024.0),
+            Time::from_ms(7.25),
+        ];
+        for t in cases {
+            let ms = t.as_ms();
+            assert_eq!(
+                tick_of(t),
+                (ms * TICKS_PER_MS).floor() as u64,
+                "tick_of({ms:e} ms)"
+            );
+        }
+        assert_eq!(tick_of(Time::from_ms(below_tick)), 3 * 1024 - 1);
+        assert_eq!(tick_of(Time::from_ms(-1.5)), 0);
+        assert_eq!(tick_of(Time::ZERO * f64::NAN), 0);
+        assert_eq!(tick_of(Time::from_ms(two53)), 1 << 63);
+        assert_eq!(tick_of(Time::from_ms(u64::MAX as f64)), u64::MAX);
     }
 }

@@ -17,10 +17,12 @@
 //! The steady-state loop performs **zero heap allocation**: the ready set
 //! is a priority-bitmap [`ReadyQueue`] (O(1) highest-EDF-bucket lookup
 //! with an exact intra-bucket `(deadline, id)` tiebreak; a pure rank
-//! bitmap for RM), release/deadline timers live in a hierarchical
-//! [`TimingWheel`], completion candidates are a bitmap maintained at the
-//! only two points a task can finish (a charged interval or a zero-work
-//! release), and policy notifications reuse one views buffer. All
+//! bitmap for RM), release timers live in a hierarchical [`TimingWheel`]
+//! (a task's deadline gets a timer of its own only when it differs from
+//! its next release, which periodic arrival never does), completion
+//! candidates are a bitmap maintained at the only two points a task can
+//! finish (a charged interval or a zero-work release), and policy
+//! notifications reuse one views buffer. All
 //! quantized structures resolve order by comparing the exact `f64` times,
 //! so every pick, event set, and event order is bit-for-bit identical to
 //! the retired linear scans — `crate::baseline` keeps that engine frozen
@@ -123,7 +125,9 @@ struct Engine<'a> {
     /// Priority-bitmap ready set (active tasks with work left).
     rq: ReadyQueue,
     /// Release/deadline timers: timer `2i` is task `i`'s next release,
-    /// `2i + 1` its deadline (scheduled only while the task is active).
+    /// `2i + 1` its deadline, armed only while the task is active with a
+    /// deadline other than its next release (sporadic gaps and release
+    /// jitter); otherwise the release timer fires at the deadline.
     wheel: TimingWheel,
     /// Tasks that may have finished their sampled work (bitmap): set when
     /// a charged interval exhausts the running task's work or a release
@@ -296,6 +300,30 @@ impl<'a> Engine<'a> {
         self.quarantined.get(i).copied().unwrap_or(false)
     }
 
+    /// Cancels task `i`'s deadline timer if it is armed, counting the
+    /// operation only when the wheel does one.
+    fn disarm_deadline(&mut self, i: usize) {
+        if self.wheel.is_scheduled(dl_timer(i)) {
+            self.wheel.cancel(dl_timer(i));
+            self.ops.timer_ops += 1;
+        }
+    }
+
+    /// Schedules task `i`'s release timer at `next_release` and its
+    /// deadline timer at `deadline`, unless the two coincide (every
+    /// periodic release): the release timer then stands for the deadline,
+    /// and an armed deadline timer is cancelled.
+    fn arm_timers(&mut self, i: usize, deadline: Time, next_release: Time) {
+        self.wheel.schedule(rel_timer(i), next_release);
+        self.ops.timer_ops += 1;
+        if deadline == next_release {
+            self.disarm_deadline(i);
+        } else {
+            self.wheel.schedule(dl_timer(i), deadline);
+            self.ops.timer_ops += 1;
+        }
+    }
+
     fn complete(&mut self, i: usize) {
         let Some(rt) = self.rt.get_mut(i) else {
             return;
@@ -303,9 +331,8 @@ impl<'a> Engine<'a> {
         rt.executed = rt.actual;
         rt.state = InvState::Completed;
         self.sync_view(i);
-        self.wheel.cancel(dl_timer(i));
+        self.disarm_deadline(i);
         self.rq.remove(TaskId(i));
-        self.ops.timer_ops += 1;
         self.ops.queue_ops += 1;
         let Some(rt) = self.rt.get_mut(i) else {
             return;
@@ -389,9 +416,8 @@ impl<'a> Engine<'a> {
                 // release.
                 rt.actual = rt.executed;
                 rt.state = InvState::Completed;
-                self.wheel.cancel(dl_timer(i));
+                self.disarm_deadline(i);
                 self.rq.remove(TaskId(i));
-                self.ops.timer_ops += 1;
                 self.ops.queue_ops += 1;
             }
             MissPolicy::SkipRelease => {
@@ -400,11 +426,9 @@ impl<'a> Engine<'a> {
                 rt.deadline += period;
                 rt.next_release += period;
                 let (deadline, next_release) = (rt.deadline, rt.next_release);
-                self.wheel.schedule(dl_timer(i), deadline);
-                self.wheel.schedule(rel_timer(i), next_release);
+                self.arm_timers(i, deadline, next_release);
                 let now_tick = self.wheel.now_tick();
                 self.rq.insert(TaskId(i), deadline, now_tick);
-                self.ops.timer_ops += 2;
                 self.ops.queue_ops += 1;
             }
         }
@@ -457,9 +481,7 @@ impl<'a> Engine<'a> {
         rt.actual = actual;
         let (deadline, next_release) = (rt.deadline, rt.next_release);
         self.sync_view(i);
-        self.wheel.schedule(rel_timer(i), next_release);
-        self.wheel.schedule(dl_timer(i), deadline);
-        self.ops.timer_ops += 2;
+        self.arm_timers(i, deadline, next_release);
         if self.remaining(i).is_positive() {
             let now_tick = self.wheel.now_tick();
             self.rq.insert(TaskId(i), deadline, now_tick);
@@ -528,8 +550,11 @@ impl<'a> Engine<'a> {
             // pass of this loop).
             if self.wheel.has_due(self.now) {
                 self.wheel.collect_due(self.now, &mut self.due_buf);
+                // A task whose deadline is its next release has no deadline
+                // timer: its due release bit stands for the deadline too.
                 for w in 0..self.due_buf.len() {
-                    let mut word = self.due_buf.get(w).copied().unwrap_or(0) & DL_MASK;
+                    let due = self.due_buf.get(w).copied().unwrap_or(0);
+                    let mut word = (due & DL_MASK) | ((due & REL_MASK) << 1);
                     while word != 0 {
                         let b = word.trailing_zeros() as usize;
                         word &= !(1u64 << b);
@@ -696,10 +721,11 @@ impl<'a> Engine<'a> {
             }
             // Cross-check the O(1) structures against a full scan of the
             // authoritative task state: the wheel holds every release
-            // timer plus a deadline timer exactly while active, and queue
-            // membership tracks active-with-work-left (a task whose work
-            // just ran out stays queued until its pending completion
-            // candidate is processed).
+            // timer plus a deadline timer exactly while active with a
+            // deadline other than the next release, and queue membership
+            // tracks active-with-work-left (a task whose work just ran out
+            // stays queued until its pending completion candidate is
+            // processed).
             let active = s.state == InvState::Active;
             assert_eq!(
                 self.wheel.scheduled_at(rel_timer(i)),
@@ -709,7 +735,7 @@ impl<'a> Engine<'a> {
             );
             assert_eq!(
                 self.wheel.scheduled_at(dl_timer(i)),
-                active.then_some(s.deadline),
+                (active && s.deadline != s.next_release).then_some(s.deadline),
                 "T{}: deadline timer disagrees with state/deadline",
                 i + 1
             );
@@ -817,9 +843,10 @@ impl<'a> Engine<'a> {
             let point = self.applied.unwrap_or(desired);
             let op = self.machine.point(point);
 
-            // Earliest next event: a release, an active deadline (distinct
-            // from the release only under sporadic arrivals), the running
-            // task's completion, or the end of the horizon.
+            // Earliest next event: a release, an active deadline (a timer
+            // of its own only when it is not the next release: sporadic
+            // gaps or release jitter), the running task's completion, or
+            // the end of the horizon.
             let mut t_next = self.cfg.duration;
             if let Some(mn) = self.wheel.peek_min() {
                 t_next = t_next.min(mn.max(self.now));

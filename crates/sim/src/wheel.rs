@@ -2,8 +2,9 @@
 //!
 //! The engine's old hot path recomputed "earliest next event" by scanning
 //! every task's `next_release` and `deadline` at every scheduling point.
-//! This wheel replaces the scan: each pending timer (two per task — one
-//! release, one deadline) occupies one slot at one of [`LEVELS`] levels of
+//! This wheel replaces the scan: each pending timer (one release timer
+//! per task, plus a deadline timer while an active task's deadline is not
+//! its next release) occupies one slot at one of [`LEVELS`] levels of
 //! [`SLOTS`] slots each. Level `l` slots are `64^l` ticks wide (one tick
 //! is `1/1024` ms, see [`rtdvs_core::readyq::TICKS_PER_MS`]), so five
 //! levels cover ~17 minutes of simulated time; anything beyond goes to a
@@ -12,14 +13,15 @@
 //!
 //! Placement invariant: a timer sits at the *lowest* level whose current
 //! window (the `64^(l+1)`-tick span containing `now`) contains its expiry
-//! tick. Advancing `now` across a window boundary *cascades*: the slot the
-//! new window enters is drained and its timers re-placed at lower levels.
+//! tick. Advancing `now` across a slot boundary *cascades*: at each level
+//! whose slot boundary was crossed, the one slot under the new cursor is
+//! drained and its timers re-placed at lower levels.
 //! The invariant makes levels disjoint and ordered — every level-0 timer
 //! expires before every level-1 timer, and so on — so the earliest timer
 //! is always in the first occupied slot of the first non-empty level.
 //!
 //! Quantization never decides order: slots route timers, but
-//! [`TimingWheel::peek_min`] and [`TimingWheel::for_each_due`] compare the
+//! [`TimingWheel::peek_min`] and [`TimingWheel::collect_due`] compare the
 //! exact stored [`Time`]s, so the wheel reproduces the old linear scan
 //! bit for bit. All operations are total (no indexing panics): the wheel
 //! sits inside the engine's zero-panic-budget scheduling loop.
@@ -338,35 +340,17 @@ impl TimingWheel {
             if old_tick >> slot_shift == new_tick >> slot_shift {
                 continue;
             }
-            // Drain every occupied slot in this level whose range start is
-            // now at or behind the new tick: their windows have been
-            // entered (or passed), so members belong at lower levels now.
-            let window_shift = slot_shift + LEVEL_SHIFT;
-            let window_base = (new_tick >> window_shift) << window_shift;
-            loop {
-                let occ = self.occ.get(l).copied().unwrap_or(0);
-                if occ == 0 {
-                    break;
-                }
-                let mut drained = false;
-                let mut bits = occ;
-                while bits != 0 {
-                    let slot = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let range_start = window_base + ((slot as u64) << slot_shift);
-                    // Slots "behind" the cursor in this window belong to
-                    // the *next* window only if their range is entirely
-                    // in the past relative to placement — placement keeps
-                    // same-window timers only, so range_start ≤ new_tick
-                    // means the window has been entered.
-                    if range_start <= new_tick {
-                        self.drain(l, slot);
-                        drained = true;
-                    }
-                }
-                if !drained {
-                    break;
-                }
+            // Drain the occupied slots at or behind the new cursor: their
+            // ranges have been entered, so members belong lower now. By
+            // the contract nothing pends before `new_tick`, so that is at
+            // most the cursor's own slot, and a drained timer shares this
+            // level's slot with `now` and lands strictly lower: one pass.
+            let cursor = ((new_tick >> slot_shift) & (SLOTS as u64 - 1)) as u32;
+            let mut bits = self.occ.get(l).copied().unwrap_or(0) & (u64::MAX >> (63 - cursor));
+            while bits != 0 {
+                let slot = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.drain(l, slot);
             }
         }
     }
@@ -584,6 +568,114 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The oracle again, with 96 timers over all five levels and the far
+    /// set. Each step advances by one tick, by several slots of a level or
+    /// by a whole level window, capped at the earliest pending expiry (the
+    /// engine's contract), checks `peek_min` and `collect_due`, and
+    /// cancels what is due; early steps also reschedule and cancel at
+    /// random. Four rounds refill the wheel and drain it past the horizon.
+    #[test]
+    fn many_timers_over_every_level_match_the_oracle() {
+        let m = 96;
+        let mut wheel = TimingWheel::new(m);
+        let mut naive: Vec<Option<Time>> = vec![None; m];
+        let mut rng = 0x853c_49e6_748f_ea9bu64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let ticks = |t: u64| ms(t as f64 / 1024.0);
+        // A span that reaches level `l` (0..LEVELS) or, for `l == LEVELS`,
+        // the far set, plus a sub-tick fraction.
+        let span = |l: usize, r: u64| {
+            let lo = if l == 0 {
+                0
+            } else {
+                1u64 << (LEVEL_SHIFT * l as u32)
+            };
+            let hi = 1u64 << (LEVEL_SHIFT * (l as u32 + 1)).min(HORIZON_SHIFT + 2);
+            ticks(lo + r % (hi - lo)) + ms((r >> 40) as f64 / 1024.0 / 16_777_216.0)
+        };
+        let mut now = Time::ZERO;
+        let mut due = Vec::new();
+        let mut seen = [false; LEVELS + 1];
+        let note = |wheel: &TimingWheel, seen: &mut [bool; LEVELS + 1]| {
+            for &p in &wheel.placed {
+                if p == FAR {
+                    seen[LEVELS] = true;
+                } else if p != NOT_PLACED {
+                    seen[p as usize / SLOTS] = true;
+                }
+            }
+        };
+        for round in 0..4 {
+            for (k, slot) in naive.iter_mut().enumerate() {
+                let t = now + span(k % (LEVELS + 1), next());
+                wheel.schedule(k, t);
+                *slot = Some(t);
+            }
+            note(&wheel, &mut seen);
+            let mut step = 0;
+            while naive.iter().any(Option::is_some) {
+                assert!(step < 20_000, "round {round}: the wheel did not drain");
+                if step < 300 && next() % 4 == 0 {
+                    let k = (next() % m as u64) as usize;
+                    if next() % 3 == 0 {
+                        wheel.cancel(k);
+                        naive[k] = None;
+                    } else {
+                        let t = now + span((next() % (LEVELS as u64 + 1)) as usize, next());
+                        wheel.schedule(k, t);
+                        naive[k] = Some(t);
+                        note(&wheel, &mut seen);
+                    }
+                }
+                let naive_min = naive
+                    .iter()
+                    .flatten()
+                    .copied()
+                    .min_by(|a, b| a.total_cmp(b));
+                assert_eq!(
+                    wheel.peek_min().map(Time::as_ms),
+                    naive_min.map(Time::as_ms),
+                    "round {round} step {step}: min before the advance"
+                );
+                let l = (next() % (LEVELS as u64 + 1)) as u32;
+                let delta = match next() % 3 {
+                    0 => 1,
+                    1 => (1 + next() % 8) << (LEVEL_SHIFT * l),
+                    _ => 1u64 << (LEVEL_SHIFT * (l + 1)),
+                };
+                let target = ticks(tick_of(now) + delta);
+                now = naive_min.map_or(target, |t| target.min(t));
+                wheel.advance(now);
+                assert_eq!(
+                    wheel.peek_min().map(Time::as_ms),
+                    naive_min.map(Time::as_ms),
+                    "round {round} step {step}: min after the advance"
+                );
+                wheel.collect_due(now, &mut due);
+                for (k, pending) in naive.iter_mut().enumerate() {
+                    let bit = due
+                        .get(k / SLOTS)
+                        .is_some_and(|w| w & (1u64 << (k % SLOTS)) != 0);
+                    let expect = pending.is_some_and(|t| t.at_or_before(now));
+                    assert_eq!(bit, expect, "round {round} step {step}: timer {k}");
+                    if expect {
+                        wheel.cancel(k);
+                        *pending = None;
+                    }
+                }
+                step += 1;
+            }
+            assert_eq!(wheel.peek_min(), None, "round {round}: drained");
+        }
+        assert_eq!(seen, [true; LEVELS + 1], "levels 0..5 and the far set");
+        assert!(wheel.replacements() > 0);
     }
 
     #[test]

@@ -14,12 +14,21 @@ use rtdvs_core::example::{table2_task_set, table3_actual_times, EXAMPLE_HORIZON_
 use rtdvs_core::task::TaskSet;
 use rtdvs_core::{Machine, PolicyKind, RmTest, Time};
 use rtdvs_sim::baseline::simulate_baseline;
-use rtdvs_sim::{simulate, ArrivalModel, EngineOps, ExecModel, FaultPlan, MissPolicy, SimConfig};
+use rtdvs_sim::{
+    simulate, ArrivalModel, EngineOps, ExecModel, FaultEvent, FaultPlan, MissPolicy, SimConfig,
+    SimReport,
+};
 use rtdvs_taskgen::{generate, TaskGenSpec};
 
 /// Runs both engines and asserts bit-exact equality of the reports, all
-/// but their operation counts.
-fn assert_equivalent(tasks: &TaskSet, policy: PolicyKind, cfg: &SimConfig, label: &str) {
+/// but their operation counts. Returns the baseline's report, so a case
+/// can check that its config reaches the path it is meant to.
+fn assert_equivalent(
+    tasks: &TaskSet,
+    policy: PolicyKind,
+    cfg: &SimConfig,
+    label: &str,
+) -> SimReport {
     let mut new = simulate(tasks, &Machine::machine0(), policy, cfg);
     new.ops = EngineOps::default();
     let old = simulate_baseline(tasks, &Machine::machine0(), policy, cfg);
@@ -49,6 +58,7 @@ fn assert_equivalent(tasks: &TaskSet, policy: PolicyKind, cfg: &SimConfig, label
         format!("{old:?}"),
         "{label}: reports differ"
     );
+    old
 }
 
 /// The paper's Table 2 set on the Table 3 trace, all six policies.
@@ -210,5 +220,83 @@ fn long_horizon_wheel_cascades() {
     ] {
         let label = format!("long {}", policy.name());
         assert_equivalent(&tasks, policy, &cfg, &label);
+    }
+}
+
+/// Configs in which every release's deadline is its next release, so the
+/// engine keeps one timer per task and finds each miss through the
+/// release timer: periodic arrival, sporadic arrival with no extra and
+/// release jitter of at most zero, under both miss policies (`SkipRelease`
+/// then moves the deadline and the release together). The overloaded set
+/// must miss in each.
+#[test]
+fn deadline_at_next_release_configs() {
+    let spec = TaskGenSpec::new(6, 0.9).expect("valid spec");
+    let tasks = generate(&spec, 0x06a9).expect("generated set");
+    let overload =
+        TaskSet::from_ms_pairs(&[(5.0, 4.0), (7.0, 5.0), (11.0, 3.0)]).expect("task set");
+    let periodic = SimConfig::new(Time::from_ms(400.0))
+        .with_exec(ExecModel::uniform())
+        .with_seed(5)
+        .with_trace();
+    let sporadic = periodic.clone().with_arrival(ArrivalModel::Sporadic {
+        max_extra_fraction: 0.0,
+    });
+    let jitter = periodic
+        .clone()
+        .with_faults(FaultPlan::new(9).with_release_jitter(1.0, 0.0));
+    for (name, cfg) in [
+        ("periodic", periodic),
+        ("sporadic0", sporadic),
+        ("jitter0", jitter),
+    ] {
+        for miss_policy in [MissPolicy::DropRemaining, MissPolicy::SkipRelease] {
+            let mut cfg = cfg.clone();
+            cfg.miss_policy = miss_policy;
+            for policy in PolicyKind::paper_six() {
+                let label = format!("{name} {miss_policy:?} {}", policy.name());
+                assert_equivalent(&tasks, policy, &cfg, &label);
+                let r = assert_equivalent(&overload, policy, &cfg, &format!("{label} overload"));
+                assert!(!r.misses.is_empty(), "{label}: the overload never missed");
+            }
+        }
+    }
+}
+
+/// Release jitter that fires on some releases only: a task's gaps mix
+/// zero and non-zero, so its deadline timer arms on the jittered
+/// invocations and stays disarmed on the others, through completions and
+/// misses under both miss policies.
+#[test]
+fn mixed_gaps_arm_and_disarm_the_deadline_timer() {
+    let spec = TaskGenSpec::new(5, 0.8).expect("valid spec");
+    let tasks = generate(&spec, 0x61d5).expect("generated set");
+    let overload =
+        TaskSet::from_ms_pairs(&[(5.0, 4.0), (7.0, 5.0), (11.0, 3.0)]).expect("task set");
+    for miss_policy in [MissPolicy::DropRemaining, MissPolicy::SkipRelease] {
+        for seed in 0..3u64 {
+            let mut cfg = SimConfig::new(Time::from_ms(400.0))
+                .with_exec(ExecModel::uniform())
+                .with_seed(seed)
+                .with_faults(FaultPlan::new(seed).with_release_jitter(0.5, 0.3))
+                .with_trace();
+            cfg.miss_policy = miss_policy;
+            for policy in PolicyKind::paper_six() {
+                let label = format!("mixed {miss_policy:?} seed={seed} {}", policy.name());
+                let r = assert_equivalent(&tasks, policy, &cfg, &label);
+                let jittered = r
+                    .faults
+                    .iter()
+                    .filter(|f| matches!(f, FaultEvent::ReleaseJitter { .. }))
+                    .count() as u64;
+                let releases: u64 = r.task_stats.iter().map(|t| t.releases).sum();
+                assert!(
+                    jittered > 0 && jittered < releases,
+                    "{label}: {jittered} of {releases} releases jittered"
+                );
+                let r = assert_equivalent(&overload, policy, &cfg, &format!("{label} overload"));
+                assert!(!r.misses.is_empty(), "{label}: the overload never missed");
+            }
+        }
     }
 }

@@ -1,8 +1,8 @@
 //! Seeded fuzz of the text readers: those `figures check` trusts with
 //! committed text (the `rtdvs-repro/v1` reader with its replay, the
 //! `results/` value diff, and the `BENCH_*.json` artifact readers with
-//! their layout check and golden diff) and the task-file parser of the
-//! CLI tools.
+//! their layout check and golden diff), the task-file parser of the CLI
+//! tools and the kernel's procfs command interface.
 //!
 //! Each mutant is one or two SplitMix64 edits of a text: truncation, a
 //! bit flip, a token swap, a duplicated or deleted line, or (twice as
@@ -10,13 +10,16 @@
 //! contract is never to panic: a repro is rejected with a typed error or
 //! replays to a verdict within the horizon cap, a mutated results file is
 //! either reproduced or named line by line, an artifact is rejected or
-//! writes text that reads back, and a task file parses to valid tasks or
-//! to a `TaskFileError`.
+//! writes text that reads back, a task file parses to valid tasks or to
+//! a `TaskFileError`, and a procfs command replies with a value, an `ok…`
+//! or an `err: …`.
 
 use std::path::Path;
 
 use rtdvs::core::task::Task;
+use rtdvs::kernel::procfs::execute;
 use rtdvs::taskgen::SplitMix64;
+use rtdvs::{Machine, PolicyKind, RtKernel};
 use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
 use rtdvs_bench::figures::diff_results_file;
 use rtdvs_bench::taskfile::parse_task_set;
@@ -297,4 +300,89 @@ fn bench_artifact_mutants_never_panic() {
     let mutants = files.len() * MUTANTS_PER_ARTIFACT;
     println!("{mutants} BENCH artifact mutants, {accepted} accepted");
     assert!(accepted > 0 && accepted < mutants);
+}
+
+/// A procfs session that uses every write command (`register`, `remove`,
+/// `policy`, `run`, `cap`, `cap none`, `supervise`, `checkpoint`) and
+/// some reads.
+const PROCFS_SCRIPT: &str = "register 10 2 0.5\nregister 25 5 1\npolicy cc-edf\nrun 40\n\
+    cap 1\nstatus\nrun 25.5\nremove rt1\ncap\ncap none\nsupervise 20\nrun 30\n\
+    checkpoint\nenergy\nmisses\npolicy la-edf\nregister 40 4 0.25\nrun 50\n\
+    last-snapshot\navailability\nsupervisor\ntenants\n";
+
+/// Whether `line` may run on the session's kernel. A `register` whose
+/// period does not parse to at least 1 ms, or a `run` above 100 ms, goes
+/// to a fresh kernel with no tasks instead: its parser still sees the
+/// hostile value, but no kernel logs millions of entries.
+fn within_session_bounds(line: &str) -> bool {
+    let mut toks = line.split_whitespace();
+    let cmd = toks.next();
+    let value = toks.next().and_then(|t| t.parse::<f64>().ok());
+    match cmd {
+        Some("register") => value.is_some_and(|period| period >= 1.0),
+        Some("run") => !value.is_some_and(|ms| ms > 100.0),
+        _ => true,
+    }
+}
+
+/// A write replies `ok…` or `err: …`; any other command replies a value
+/// or `err: …`.
+fn well_formed(line: &str, reply: &str) -> bool {
+    if let Some(msg) = reply.strip_prefix("err: ") {
+        return !msg.is_empty();
+    }
+    let mut toks = line.split_whitespace();
+    let cmd = toks.next();
+    let has_arg = toks.next().is_some();
+    let write = matches!(
+        cmd,
+        Some("register" | "remove" | "policy" | "run" | "supervise" | "checkpoint")
+    ) || (cmd == Some("cap") && has_arg);
+    if write {
+        reply.starts_with("ok")
+    } else {
+        !reply.is_empty() && !reply.starts_with("err")
+    }
+}
+
+/// Mutants of [`PROCFS_SCRIPT`], fed line by line to `procfs::execute`
+/// on a fresh kernel each: no command panics, and every reply is well
+/// formed (see [`well_formed`]).
+#[test]
+fn procfs_write_mutants_never_panic() {
+    const MUTANTS: usize = 2000;
+    let fresh = || RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+    let mut rng = SplitMix64::seed_from_u64(0x9C0F_5E55);
+    let (mut lines, mut ok_writes, mut errors, mut diverted) = (0, 0, 0, 0);
+    for i in 0..MUTANTS {
+        let script = mutant(PROCFS_SCRIPT, ' ', &mut rng);
+        let mut kernel = fresh();
+        for line in script.lines() {
+            let mut spare;
+            let target = if within_session_bounds(line) {
+                &mut kernel
+            } else {
+                diverted += 1;
+                spare = fresh();
+                &mut spare
+            };
+            let reply =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(target, line)))
+                    .unwrap_or_else(|_| {
+                        panic!("procfs mutant {i} panicked on {line:?}:\n{script}")
+                    });
+            assert!(
+                well_formed(line, &reply),
+                "procfs mutant {i}: {line:?} replied {reply:?}"
+            );
+            lines += 1;
+            errors += usize::from(reply.starts_with("err: "));
+            ok_writes += usize::from(reply.starts_with("ok"));
+        }
+    }
+    println!(
+        "{MUTANTS} procfs mutants, {lines} commands: {ok_writes} ok, {errors} err, \
+         {diverted} on a task-free kernel"
+    );
+    assert!(ok_writes > 0 && errors > 0 && diverted > 0);
 }

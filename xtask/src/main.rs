@@ -5,10 +5,10 @@
 //! * `cargo run -p xtask -- ci` — the full local gate, nine stages: fmt,
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
 //!   crash-recovery smoke test, examples (the workspace examples, then the
-//!   `examples/benchmark` package's release build and unit tests, then a
-//!   one-second `soak128` run whose `result_digest` must be
-//!   `SOAK128_DIGEST`) and `bench-check`, each wall-clock-timed with a
-//!   summary table at the end.
+//!   `examples/benchmark` package's release build and unit tests, then
+//!   one-second `soak128` and `paper-sweep` runs whose `result_digest`s
+//!   must be those in `DIGESTS`) and `bench-check`, each
+//!   wall-clock-timed with a summary table at the end.
 //!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
 //!   shell script and the hosted pipeline cannot drift. `--skip a,b`
 //!   skips stages by name (unknown names are hard errors); `--json PATH`
@@ -150,12 +150,17 @@ struct Stage {
 /// workspace, so `cargo build --examples` does not reach it.
 const BENCHMARK_MANIFEST: &str = "examples/benchmark/Cargo.toml";
 
-/// `result_digest` of the benchmark's `soak128` workload at seed 1, as
-/// listed in `examples/benchmark/README.md`. It hashes the events, energy
-/// and misses of the six paper policies on four 128-task sets, so it
-/// changes exactly when a policy or the engine decides differently. A
-/// change that alters decisions on purpose updates it and says why.
-const SOAK128_DIGEST: &str = "07acbb0d52b0ec60";
+/// `result_digest` of benchmark workloads at seed 1, as listed in
+/// `examples/benchmark/README.md`. Each hashes the events, energy and
+/// misses of the six paper policies, so it changes exactly when a policy
+/// or the engine decides differently: `soak128` on four 128-task sets,
+/// `paper-sweep` over the Figs. 6–8 grid of 5- to 15-task sets through
+/// the sweep runner and the task generator. A change that alters
+/// decisions on purpose updates them and says why.
+const DIGESTS: [(&str, &str); 2] = [
+    ("soak128", "07acbb0d52b0ec60"),
+    ("paper-sweep", "5796d6ee345d6b46"),
+];
 
 /// The full local gate, in dependency order. `lint` and `analyze` are
 /// the in-process passes (no argv); everything else shells out to
@@ -207,7 +212,7 @@ const STAGES: [Stage; 9] = [
     // The workspace examples, then the benchmark package: its binary in
     // the profile the benchmark runs it in, and its unit tests, so a
     // change to an API it calls fails here rather than in a benchmark run;
-    // then the policy-layer digest guard on the binary just built.
+    // then the decision digest guard on the binary just built.
     Stage {
         name: "examples",
         runs: &[
@@ -221,7 +226,7 @@ const STAGES: [Stage; 9] = [
                 BENCHMARK_MANIFEST,
             ],
         ],
-        check: Some(soak128_digest_holds),
+        check: Some(digests_hold),
     },
     Stage {
         name: "bench-check",
@@ -240,46 +245,52 @@ const STAGES: [Stage; 9] = [
     },
 ];
 
-/// The policy-layer digest guard: runs `soak128` at seed 1 for one second,
-/// untraced, and requires exit 0 and `result_digest` [`SOAK128_DIGEST`].
-/// A speed-only change to a policy, the RM test or the engine keeps it.
-fn soak128_digest_holds() -> bool {
-    let run = Command::new("cargo")
-        .args([
-            "run",
-            "--release",
-            "--offline",
-            "--quiet",
-            "--manifest-path",
-        ])
-        .arg(BENCHMARK_MANIFEST)
-        .args(["--", "--workload", "soak128", "--seed", "1"])
-        .args(["--seconds", "1", "--trace", "0"])
-        .current_dir(repo_root())
-        .output();
-    let out = match run {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("cannot spawn cargo: {e}");
-            return false;
+/// The decision digest guard: runs each workload in [`DIGESTS`] at seed 1
+/// for one second, untraced, and requires exit 0 and its pinned
+/// `result_digest`. A speed-only change to a policy, the RM test, the
+/// engine, the runner or the task generator keeps them. Every workload
+/// runs, so one failure does not hide another.
+fn digests_hold() -> bool {
+    let mut ok = true;
+    for (workload, expected) in DIGESTS {
+        let run = Command::new("cargo")
+            .args([
+                "run",
+                "--release",
+                "--offline",
+                "--quiet",
+                "--manifest-path",
+            ])
+            .arg(BENCHMARK_MANIFEST)
+            .args(["--", "--workload", workload, "--seed", "1"])
+            .args(["--seconds", "1", "--trace", "0"])
+            .current_dir(repo_root())
+            .output();
+        let out = match run {
+            Ok(out) => out,
+            Err(e) => {
+                eprintln!("cannot spawn cargo: {e}");
+                return false;
+            }
+        };
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let digest = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("result_digest "));
+        if out.status.success() && digest == Some(expected) {
+            println!("{workload} seed 1: result_digest {expected}");
+            continue;
         }
-    };
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let digest = stdout
-        .lines()
-        .find_map(|l| l.strip_prefix("result_digest "));
-    if out.status.success() && digest == Some(SOAK128_DIGEST) {
-        println!("soak128 seed 1: result_digest {SOAK128_DIGEST}");
-        return true;
+        eprint!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        eprintln!(
+            "{workload} seed 1: {}, result_digest {} (expected {expected}): \
+             a policy or the engine decides differently",
+            out.status,
+            digest.unwrap_or("missing"),
+        );
+        ok = false;
     }
-    eprint!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
-    eprintln!(
-        "soak128 seed 1: {}, result_digest {} (expected {SOAK128_DIGEST}): \
-         a policy or the engine decides differently",
-        out.status,
-        digest.unwrap_or("missing"),
-    );
-    false
+    ok
 }
 
 /// Runs the full offline gate with per-stage wall-clock timing and a
