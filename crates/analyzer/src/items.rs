@@ -51,8 +51,8 @@ pub struct FnInfo {
     pub arity: usize,
     /// `#[test]` or inside a `#[cfg(test)]` scope.
     pub is_test: bool,
-    /// Gated to debug/audit builds via `#[cfg(debug_assertions)]`-style
-    /// attributes: its panic sites never ship in release result paths.
+    /// Gated to debug builds by a `#[cfg(debug_assertions)]` attribute: its
+    /// panic sites never ship in release result paths.
     pub debug_only: bool,
     /// Call sites inside the body, in source order.
     pub calls: Vec<CallSite>,
@@ -322,9 +322,7 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
                 }
                 let in_test_scope = scopes.iter().any(|s| s.is_test);
                 let own_test = attrs_mark_test(&pending_attrs);
-                let debug_only = pending_attrs.iter().any(|a| {
-                    a.contains("debug_assertions") || (a.contains("feature") && a.contains("audit"))
-                });
+                let debug_only = pending_attrs.iter().any(|a| a.contains("debug_assertions"));
                 let impl_type = scopes.iter().rev().find_map(|s| s.impl_type.clone());
                 let mods: Vec<&str> = scopes
                     .iter()

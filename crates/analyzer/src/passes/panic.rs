@@ -17,11 +17,10 @@
 //! `.expect(…)`, aborting macros (`panic!`, `unreachable!`, `todo!`,
 //! `unimplemented!`, `assert*!` — `debug_assert*!` is compiled out of
 //! release and exempt), and literal counter bumps (`n += 1` on integer
-//! counters, which overflow-panic in debug/audit builds; flagged only in
+//! counters, which overflow-panic in debug builds; flagged only in
 //! zero-budget functions, where `saturating_add` is the total spelling).
-//! Functions gated to debug/audit builds (`#[cfg(debug_assertions)]`,
-//! `feature = "audit"`) are exempt throughout: their asserts are the
-//! sanitizer, not the result path.
+//! Functions gated to debug builds (`#[cfg(debug_assertions)]`) are exempt
+//! throughout: their asserts are the sanitizer, not the result path.
 
 use crate::items::ItemGraph;
 use crate::lexer::{Token, TokenKind};

@@ -355,7 +355,7 @@ pub(crate) struct SchedState {
     /// storage that rebuild overwrites.
     pub(crate) stale: bool,
     /// One policy view per entry, rewritten wherever the entry changes
-    /// (the engine's `sync_view` mirror).
+    /// (`RtKernel::sync_view`).
     pub(crate) views: Vec<TaskView>,
     /// The views were last rewritten under a drift estimate, so their
     /// deadlines were tightened for that instant: the next callback

@@ -14,8 +14,8 @@
 //!   tightened deadline views), admission, and transition-retry backoff;
 //! * **tick-gap recovery** — releases are driven by delivered ticks, so
 //!   a lost/coalesced run opens a gap; when it closes, the backlog is
-//!   drained through a [`TimingWheel`] catch-up cascade in exact
-//!   `(scheduled release, task)` order ([`KernelEvent::ClockTickGap`]);
+//!   sorted and fired in exact `(scheduled release, task)` order
+//!   ([`KernelEvent::ClockTickGap`]);
 //! * **stalled-tick watchdog** — [`WATCHDOG_GAP_TICKS`] missed ticks in a
 //!   row force a synthetic delivery (bounding release latency) and
 //!   escalate the operating point to the capped fail-safe rail —
@@ -30,7 +30,7 @@
 use rtdvs_core::machine::PointIdx;
 use rtdvs_core::readyq::tick_of;
 use rtdvs_core::time::{Time, Work, EPS};
-use rtdvs_sim::wheel::{TimingWheel, SLOTS};
+use rtdvs_sim::wheel::SLOTS;
 use rtdvs_sim::{ClockOracle, ClockPlan, TickOutcome};
 
 use crate::kernel::{KernelEvent, RtKernel};
@@ -83,13 +83,13 @@ pub struct TimeBase {
     pub(crate) clamped_jumps: u64,
     /// When the clamp last refused a jump.
     pub(crate) last_clamp: Time,
-    /// Deepest catch-up cascade so far (distinct overdue release instants
-    /// drained after one gap).
+    /// Deepest catch-up so far (distinct overdue release instants drained
+    /// after one gap).
     pub(crate) max_catch_up: u64,
     /// Ticks lost or deferred since the last delivery (open gap depth).
     pub(crate) pending_gap: u64,
-    /// A gap just closed: the next release pass must drain the backlog
-    /// through the catch-up cascade.
+    /// A gap just closed: the next release pass must drain the backlog in
+    /// release order.
     pub(crate) pending_catch_up: bool,
     /// The stalled-tick watchdog is engaged (fail-safe rail forced).
     pub(crate) watchdog: bool,
@@ -158,7 +158,7 @@ pub struct ClockStats {
     pub clamped_jumps: u64,
     /// When the clamp last refused a jump, if ever.
     pub last_clamp: Option<Time>,
-    /// Deepest catch-up cascade so far.
+    /// Deepest catch-up so far.
     pub max_catch_up: u64,
     /// Current open gap depth (ticks lost/deferred since last delivery).
     pub pending_gap: u64,
@@ -291,16 +291,16 @@ impl RtKernel {
     }
 
     /// Fires every non-deferred release that is due, honoring the tick
-    /// gate and the catch-up cascade, in ascending entry order. Returns
+    /// gate and the post-gap catch-up, in ascending entry order. Returns
     /// whether anything fired.
     ///
     /// The steady state takes the due releases from the kernel's wheel of
     /// release timers. While a tick gap is open, kernel time runs past
     /// releases the gate holds back, so the wheel is left where it was
     /// (it must never advance past a pending timer) and an exact scan
-    /// fires what the gate lets through; the catch-up cascade drains the
-    /// backlog once the gap closes, and a pass that finds a timer behind
-    /// the clock re-arms the wheel, O(n), instead of advancing it.
+    /// fires what the gate lets through; the catch-up drains the backlog
+    /// in release order once the gap closes, and a pass that finds a timer
+    /// behind the clock re-arms the wheel, O(n), instead of advancing it.
     pub(crate) fn process_due_releases(&mut self) -> bool {
         self.freshen();
         if self.timebase.driver.is_some() && self.timebase.pending_catch_up {
@@ -368,33 +368,27 @@ impl RtKernel {
             .map(|at| at.max(now))
     }
 
-    /// Drains the post-gap release backlog in `(scheduled release, task)`
-    /// order via the timing wheel's catch-up cascade — the order an
-    /// uninterrupted timer would have fired them in.
+    /// Drains the post-gap release backlog in `backlog_order`, the order an
+    /// uninterrupted timer would have fired it in.
     fn catch_up_releases(&mut self) -> bool {
         self.timebase.pending_catch_up = false;
         self.sched.ops.timer_ops += self.entries.len() as u64;
-        let due: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| {
-                !self.entries[i].deferred && self.entries[i].next_release.at_or_before(self.now)
-            })
+        let due: Vec<(Time, usize)> = self
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| !e.deferred && e.next_release.at_or_before(self.now))
+            .map(|(i, e)| (e.next_release.max(Time::ZERO), i))
             .collect();
-        if due.len() <= 1 {
-            let Some(&i) = due.first() else { return false };
-            self.release(i);
-            return true;
+        let (order, depth) = backlog_order(due);
+        // A lone overdue release is not a catch-up.
+        if order.len() > 1 {
+            self.timebase.max_catch_up = self.timebase.max_catch_up.max(depth);
         }
-        let mut wheel = TimingWheel::new(self.entries.len());
-        for &i in &due {
-            wheel.schedule(i, self.entries[i].next_release.max(Time::ZERO));
-        }
-        let mut order = Vec::with_capacity(due.len());
-        let depth = wheel.catch_up(self.now, &mut order);
-        self.timebase.max_catch_up = self.timebase.max_catch_up.max(depth);
-        for i in order {
+        for &i in &order {
             self.release(i);
         }
-        true
+        !order.is_empty()
     }
 
     /// Logs a clock-induced late release (the audit layer holds these to
@@ -473,6 +467,30 @@ impl RtKernel {
         let margin = Time::from_ms(self.timebase.ewma_err_ms.abs() * SLACK_MARGIN_TICKS);
         (slack - margin).max(Time::ZERO)
     }
+}
+
+/// Orders a tick-gap backlog of `(scheduled release, entry)` pairs as an
+/// uninterrupted timer would have fired it: a batch is every release within
+/// `EPS` of the earliest one left, fired in ascending entry order. Returns
+/// the firing order and the number of batches (the catch-up depth).
+fn backlog_order(mut due: Vec<(Time, usize)>) -> (Vec<usize>, u64) {
+    let by_release = |a: &(Time, usize), b: &(Time, usize)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+    due.sort_by(by_release);
+    // Stamp each entry with its batch's first release, so that a second
+    // sort orders batches by release and each batch by entry.
+    let mut depth = 0;
+    let mut head: Option<Time> = None;
+    for (at, _) in &mut due {
+        match head {
+            Some(h) if at.at_or_before(h) => *at = h,
+            _ => {
+                head = Some(*at);
+                depth += 1;
+            }
+        }
+    }
+    due.sort_by(by_release);
+    (due.into_iter().map(|(_, i)| i).collect(), depth)
 }
 
 #[cfg(test)]
@@ -573,6 +591,54 @@ mod tests {
         let count = |f: fn(&KernelEvent) -> bool| k.log().iter().filter(|(_, e)| f(e)).count();
         assert!(count(|e| matches!(e, KernelEvent::DeadlineMiss { .. })) > 10);
         assert!(count(|e| matches!(e, KernelEvent::ReleaseLate { .. })) > 10);
+    }
+
+    /// A 40-entry backlog over 8 s, cut by a gap ending at 3 s, fires in
+    /// `(release, entry)` order, one batch per distinct release instant.
+    #[test]
+    fn backlog_fires_in_release_order() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let gap_end = Time::from_ms(3_000.0);
+        let due: Vec<(Time, usize)> = (0..40)
+            .map(|i| (Time::from_ms((next() % 8_000_000) as f64 / 1000.0), i))
+            .filter(|(at, _)| at.at_or_before(gap_end))
+            .collect();
+        let mut expected = due.clone();
+        expected.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut instants: Vec<f64> = due.iter().map(|(at, _)| at.as_ms()).collect();
+        instants.sort_by(f64::total_cmp);
+        instants.dedup();
+        let (order, depth) = backlog_order(due);
+        assert!(order.len() > 5, "the gap holds back too few releases");
+        assert_eq!(order, expected.iter().map(|&(_, i)| i).collect::<Vec<_>>());
+        assert_eq!(depth, instants.len() as u64);
+    }
+
+    /// Releases within `EPS` of the earliest one left share its batch and
+    /// fire by entry; one past `EPS` starts the next batch.
+    #[test]
+    fn backlog_batches_releases_within_eps() {
+        let t = 5.0;
+        let due = vec![
+            (Time::from_ms(t + 1.5 * EPS), 1),
+            (Time::from_ms(t), 2),
+            (Time::from_ms(t + 0.5 * EPS), 0),
+        ];
+        assert_eq!(backlog_order(due), (vec![0, 2, 1], 2));
+    }
+
+    /// Exact ties are one batch, fired in ascending entry order.
+    #[test]
+    fn backlog_ties_fire_by_entry() {
+        let t = Time::from_ms(7.25);
+        let due = vec![(t, 3), (t, 0), (t, 2), (t, 1)];
+        assert_eq!(backlog_order(due), (vec![0, 1, 2, 3], 1));
     }
 
     #[test]

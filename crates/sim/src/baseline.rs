@@ -511,7 +511,7 @@ impl<'a> BaselineEngine<'a> {
     /// These guard the engine itself; the paper-level invariants (switch
     /// bounds, demand coverage, idle points) are checked post-hoc by
     /// `rtdvs-audit`'s `TraceAuditor`, which replays the recorded trace.
-    #[cfg(any(feature = "audit", debug_assertions))]
+    #[cfg(debug_assertions)]
     fn sanitize(&self, prev: Time) {
         assert!(
             prev.at_or_before(self.now),
@@ -541,7 +541,7 @@ impl<'a> BaselineEngine<'a> {
         }
     }
 
-    #[cfg(not(any(feature = "audit", debug_assertions)))]
+    #[cfg(not(debug_assertions))]
     #[inline]
     fn sanitize(&self, _prev: Time) {}
 

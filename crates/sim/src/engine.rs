@@ -17,17 +17,17 @@
 //! The steady-state loop performs **zero heap allocation**: the ready set
 //! is a priority-bitmap [`ReadyQueue`] (O(1) highest-EDF-bucket lookup
 //! with an exact intra-bucket `(deadline, id)` tiebreak; a pure rank
-//! bitmap for RM), release timers live in a hierarchical [`TimingWheel`]
-//! (a task's deadline gets a timer of its own only when it differs from
-//! its next release, which periodic arrival never does), completion
-//! candidates are a bitmap maintained at the only two points a task can
-//! finish (a charged interval or a zero-work release), and policy
-//! notifications reuse one views buffer. All
-//! quantized structures resolve order by comparing the exact `f64` times,
-//! so every pick, event set, and event order is bit-for-bit identical to
-//! the retired linear scans — `crate::baseline` keeps that engine frozen
-//! and the differential suite (`tests/equivalence.rs`) plus the
-//! debug/audit [`Engine::sanitize`] cross-checks hold the two equal.
+//! bitmap for RM), each task has one timer in a hierarchical
+//! [`TimingWheel`] (at its deadline while active, at its next release
+//! otherwise), completion candidates are a bitmap maintained at the only
+//! two points a task can finish (a charged interval or a zero-work
+//! release), and each task's state is kept once, as the [`TaskView`] the
+//! policy callbacks read. All quantized structures resolve order by
+//! comparing the exact `f64` times, so every pick, event set, and event
+//! order is bit-for-bit identical to the retired linear scans —
+//! `crate::baseline` keeps that engine frozen and the differential suite
+//! (`tests/equivalence.rs`) plus the debug-build [`Engine::sanitize`]
+//! cross-checks hold the two equal.
 //!
 //! The loop also counts its work in [`SimReport::ops`]: one exact bump per
 //! callback, view write, wheel or queue operation and meter charge, at the
@@ -83,24 +83,17 @@ pub fn simulate_with(
     Engine::new(tasks, machine, policy, cfg).run()
 }
 
-/// Per-task runtime state.
-#[derive(Debug, Clone)]
-struct TaskRt {
-    invocation: u64,
-    state: InvState,
-    executed: Work,
-    actual: Work,
-    deadline: Time,
-    next_release: Time,
-}
-
 struct Engine<'a> {
     tasks: &'a TaskSet,
     machine: &'a Machine,
     policy: &'a mut dyn DvsPolicy,
     cfg: &'a SimConfig,
     now: Time,
-    rt: Vec<TaskRt>,
+    /// Per-task invocation state, written in place: it is also the view
+    /// every policy callback observes.
+    views: Vec<TaskView>,
+    /// Per-task sampled work of the current invocation.
+    actual: Vec<Work>,
     meter: EnergyMeter,
     rng: SplitMix64,
     trace: Option<Trace>,
@@ -124,10 +117,8 @@ struct Engine<'a> {
     clamp_events: u64,
     /// Priority-bitmap ready set (active tasks with work left).
     rq: ReadyQueue,
-    /// Release/deadline timers: timer `2i` is task `i`'s next release,
-    /// `2i + 1` its deadline, armed only while the task is active with a
-    /// deadline other than its next release (sporadic gaps and release
-    /// jitter); otherwise the release timer fires at the deadline.
+    /// One timer per task: at its deadline while the task is active, at
+    /// its next release otherwise.
     wheel: TimingWheel,
     /// Tasks that may have finished their sampled work (bitmap): set when
     /// a charged interval exhausts the running task's work or a release
@@ -135,29 +126,10 @@ struct Engine<'a> {
     comp_cand: Vec<u64>,
     /// Reused due-timer bitmap for [`Engine::process_due_events`].
     due_buf: Vec<u64>,
-    /// Reused task-view buffer for policy notifications.
-    views_buf: Vec<TaskView>,
     /// Operation counts; the wheel's cascade re-placements join
     /// `timer_ops` when the run ends.
     ops: EngineOps,
 }
-
-/// Timer id of task `i`'s release event.
-#[inline]
-fn rel_timer(i: usize) -> usize {
-    2 * i
-}
-
-/// Timer id of task `i`'s deadline event.
-#[inline]
-fn dl_timer(i: usize) -> usize {
-    2 * i + 1
-}
-
-/// Even bits of a timer word: release timers.
-const REL_MASK: u64 = 0x5555_5555_5555_5555;
-/// Odd bits of a timer word: deadline timers.
-const DL_MASK: u64 = 0xAAAA_AAAA_AAAA_AAAA;
 
 impl<'a> Engine<'a> {
     fn new(
@@ -170,23 +142,22 @@ impl<'a> Engine<'a> {
             cfg.duration.as_ms() > 0.0,
             "simulation duration must be positive"
         );
-        let rt: Vec<TaskRt> = tasks
+        let views: Vec<TaskView> = tasks
             .tasks()
             .iter()
-            .map(|t| TaskRt {
+            .map(|t| TaskView {
                 invocation: 0,
                 state: InvState::Inactive,
                 executed: Work::ZERO,
-                actual: Work::ZERO,
                 deadline: t.offset() + t.period(),
                 next_release: t.offset(),
             })
             .collect();
         let n = tasks.len();
         let mut ops = EngineOps::default();
-        let mut wheel = TimingWheel::new(2 * n);
+        let mut wheel = TimingWheel::new(n);
         for (i, t) in tasks.tasks().iter().enumerate() {
-            wheel.schedule(rel_timer(i), t.offset());
+            wheel.schedule(i, t.offset());
             ops.timer_ops += 1;
         }
         let mut rq = ReadyQueue::new();
@@ -204,24 +175,15 @@ impl<'a> Engine<'a> {
                 .then(a.cmp(&b))
         });
         rq.configure(n, span, &rm_order);
-        let timer_words = (2 * n).div_ceil(64).max(1);
-        let views_buf = rt
-            .iter()
-            .map(|s: &TaskRt| TaskView {
-                invocation: s.invocation,
-                state: s.state,
-                executed: s.executed,
-                deadline: s.deadline,
-                next_release: s.next_release,
-            })
-            .collect();
+        let words = n.div_ceil(64).max(1);
         Engine {
             tasks,
             machine,
             policy,
             cfg,
             now: Time::ZERO,
-            rt,
+            views,
+            actual: vec![Work::ZERO; n],
             meter: EnergyMeter::new(machine.len(), cfg.idle_level),
             rng: SplitMix64::seed_from_u64(cfg.seed),
             trace: cfg.record_trace.then(Trace::new),
@@ -239,30 +201,9 @@ impl<'a> Engine<'a> {
             clamp_events: 0,
             rq,
             wheel,
-            comp_cand: vec![0; n.div_ceil(64).max(1)],
-            due_buf: Vec::with_capacity(timer_words),
-            views_buf,
+            comp_cand: vec![0; words],
+            due_buf: Vec::with_capacity(words),
             ops,
-        }
-    }
-
-    /// Mirrors task `i`'s live state into the reused policy view buffer.
-    /// The buffer is kept in sync at every task mutation, so building a
-    /// [`SystemView`] is O(1) instead of an O(n) rebuild per notification.
-    fn sync_view(&mut self, i: usize) {
-        self.ops.view_writes += 1;
-        let Some(s) = self.rt.get(i) else {
-            return;
-        };
-        let v = TaskView {
-            invocation: s.invocation,
-            state: s.state,
-            executed: s.executed,
-            deadline: s.deadline,
-            next_release: s.next_release,
-        };
-        if let Some(slot) = self.views_buf.get_mut(i) {
-            *slot = v;
         }
     }
 
@@ -273,7 +214,7 @@ impl<'a> Engine<'a> {
             now: self.now,
             tasks: self.tasks,
             machine: self.machine,
-            views: &self.views_buf,
+            views: &self.views,
         };
         if is_release {
             self.policy.on_release(id, &sys);
@@ -290,9 +231,10 @@ impl<'a> Engine<'a> {
     }
 
     fn remaining(&self, i: usize) -> Work {
-        self.rt
-            .get(i)
-            .map_or(Work::ZERO, |s| (s.actual - s.executed).clamp_non_negative())
+        match (self.actual.get(i), self.views.get(i)) {
+            (Some(&actual), Some(v)) => (actual - v.executed).clamp_non_negative(),
+            _ => Work::ZERO,
+        }
     }
 
     /// Total lookup into the quarantine set; out-of-range reads as clean.
@@ -300,45 +242,36 @@ impl<'a> Engine<'a> {
         self.quarantined.get(i).copied().unwrap_or(false)
     }
 
-    /// Cancels task `i`'s deadline timer if it is armed, counting the
-    /// operation only when the wheel does one.
-    fn disarm_deadline(&mut self, i: usize) {
-        if self.wheel.is_scheduled(dl_timer(i)) {
-            self.wheel.cancel(dl_timer(i));
-            self.ops.timer_ops += 1;
-        }
-    }
-
-    /// Schedules task `i`'s release timer at `next_release` and its
-    /// deadline timer at `deadline`, unless the two coincide (every
-    /// periodic release): the release timer then stands for the deadline,
-    /// and an armed deadline timer is cancelled.
-    fn arm_timers(&mut self, i: usize, deadline: Time, next_release: Time) {
-        self.wheel.schedule(rel_timer(i), next_release);
-        self.ops.timer_ops += 1;
-        if deadline == next_release {
-            self.disarm_deadline(i);
+    /// Puts task `i`'s timer at its deadline while it is active and at its
+    /// next release otherwise, counting the operation only when the timer
+    /// moves. Under periodic arrival the two instants are the same `f64`,
+    /// so completion and a dropped miss leave the timer in place.
+    fn arm_timer(&mut self, i: usize) {
+        let Some(v) = self.views.get(i) else {
+            return;
+        };
+        let at = if v.state == InvState::Active {
+            v.deadline
         } else {
-            self.wheel.schedule(dl_timer(i), deadline);
+            v.next_release
+        };
+        if self.wheel.scheduled_at(i) != Some(at) {
+            self.wheel.schedule(i, at);
             self.ops.timer_ops += 1;
         }
     }
 
     fn complete(&mut self, i: usize) {
-        let Some(rt) = self.rt.get_mut(i) else {
+        let (Some(v), Some(&actual)) = (self.views.get_mut(i), self.actual.get(i)) else {
             return;
         };
-        rt.executed = rt.actual;
-        rt.state = InvState::Completed;
-        self.sync_view(i);
-        self.disarm_deadline(i);
+        v.executed = actual;
+        v.state = InvState::Completed;
+        let slack = v.deadline - self.now;
+        self.ops.view_writes += 1;
+        self.arm_timer(i);
         self.rq.remove(TaskId(i));
         self.ops.queue_ops += 1;
-        let Some(rt) = self.rt.get_mut(i) else {
-            return;
-        };
-        let executed = rt.executed;
-        let slack = rt.deadline - self.now;
         if let Some(st) = self.stats.get_mut(i) {
             st.record_completion(slack);
         }
@@ -346,7 +279,7 @@ impl<'a> Engine<'a> {
             tr.record_event(TraceEvent::Completion {
                 time: self.now,
                 task: TaskId(i),
-                executed,
+                executed: actual,
             });
         }
         self.notify(TaskId(i), false);
@@ -388,7 +321,7 @@ impl<'a> Engine<'a> {
     /// Handles an invocation still outstanding at its deadline.
     fn handle_deadline_miss(&mut self, i: usize) {
         let remaining = self.remaining(i);
-        let Some((deadline, invocation)) = self.rt.get(i).map(|s| (s.deadline, s.invocation))
+        let Some((deadline, invocation)) = self.views.get(i).map(|v| (v.deadline, v.invocation))
         else {
             return;
         };
@@ -407,53 +340,51 @@ impl<'a> Engine<'a> {
             });
         }
         let period = self.tasks.task(TaskId(i)).period();
-        let Some(rt) = self.rt.get_mut(i) else {
+        let (Some(v), Some(actual)) = (self.views.get_mut(i), self.actual.get_mut(i)) else {
             return;
         };
         match self.cfg.miss_policy {
             MissPolicy::DropRemaining => {
                 // Abandon the leftover work; the task waits for its next
                 // release.
-                rt.actual = rt.executed;
-                rt.state = InvState::Completed;
-                self.disarm_deadline(i);
+                *actual = v.executed;
+                v.state = InvState::Completed;
                 self.rq.remove(TaskId(i));
-                self.ops.queue_ops += 1;
             }
             MissPolicy::SkipRelease => {
                 // Let the old invocation overrun into the next period; its
                 // next release is skipped entirely.
-                rt.deadline += period;
-                rt.next_release += period;
-                let (deadline, next_release) = (rt.deadline, rt.next_release);
-                self.arm_timers(i, deadline, next_release);
+                v.deadline += period;
+                v.next_release += period;
                 let now_tick = self.wheel.now_tick();
-                self.rq.insert(TaskId(i), deadline, now_tick);
-                self.ops.queue_ops += 1;
+                self.rq.insert(TaskId(i), v.deadline, now_tick);
             }
         }
-        self.sync_view(i);
+        self.ops.queue_ops += 1;
+        self.ops.view_writes += 1;
+        self.arm_timer(i);
     }
 
     fn release(&mut self, i: usize) {
         let period = self.tasks.task(TaskId(i)).period();
         let gap = self.inter_arrival(i);
-        let Some(rt) = self.rt.get_mut(i) else {
+        let Some(v) = self.views.get_mut(i) else {
             return;
         };
         debug_assert!(
-            rt.state != InvState::Active,
+            v.state != InvState::Active,
             "deadline processing precedes releases"
         );
-        rt.invocation += 1;
-        rt.state = InvState::Active;
-        rt.executed = Work::ZERO;
-        rt.deadline = rt.next_release + period;
-        rt.next_release += gap;
+        v.invocation += 1;
+        v.state = InvState::Active;
+        v.executed = Work::ZERO;
+        v.deadline = v.next_release + period;
+        v.next_release += gap;
+        let (invocation, deadline, next_release) = (v.invocation, v.deadline, v.next_release);
         let (mut actual, clamped) = self.cfg.exec.sample_checked(
             TaskId(i),
             self.tasks.task(TaskId(i)),
-            rt.invocation,
+            invocation,
             &mut self.rng,
         );
         if clamped {
@@ -470,7 +401,7 @@ impl<'a> Engine<'a> {
                     self.fault_log.push(FaultEvent::Overrun {
                         time: self.now,
                         task: TaskId(i),
-                        invocation: rt.invocation,
+                        invocation,
                         injected,
                         bound,
                     });
@@ -478,10 +409,11 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        rt.actual = actual;
-        let (deadline, next_release) = (rt.deadline, rt.next_release);
-        self.sync_view(i);
-        self.arm_timers(i, deadline, next_release);
+        if let Some(a) = self.actual.get_mut(i) {
+            *a = actual;
+        }
+        self.ops.view_writes += 1;
+        self.arm_timer(i);
         if self.remaining(i).is_positive() {
             let now_tick = self.wheel.now_tick();
             self.rq.insert(TaskId(i), deadline, now_tick);
@@ -494,16 +426,14 @@ impl<'a> Engine<'a> {
             st.releases += 1;
         }
         if let Some(tr) = &mut self.trace {
-            if let Some(rt) = self.rt.get(i) {
-                tr.record_event(TraceEvent::Release {
-                    time: self.now,
-                    task: TaskId(i),
-                    invocation: rt.invocation,
-                    deadline: rt.deadline,
-                    next_release: rt.next_release,
-                    actual: rt.actual,
-                });
-            }
+            tr.record_event(TraceEvent::Release {
+                time: self.now,
+                task: TaskId(i),
+                invocation,
+                deadline,
+                next_release,
+                actual,
+            });
         }
         self.notify(TaskId(i), true);
     }
@@ -535,32 +465,32 @@ impl<'a> Engine<'a> {
                         *slot &= !(1u64 << b);
                     }
                     let i = w * 64 + b;
-                    let active = self.rt.get(i).is_some_and(|s| s.state == InvState::Active);
+                    let active = self
+                        .views
+                        .get(i)
+                        .is_some_and(|v| v.state == InvState::Active);
                     if active && !self.remaining(i).is_positive() {
                         self.complete(i);
                         progressed = true;
                     }
                 }
             }
-            // One wheel scan serves both deadline and release timers: the
-            // handlers only push times forward, so nothing becomes newly
-            // due mid-loop, and stale bits fail re-verification. The
-            // cached-minimum check skips the scan outright when no timer
-            // is due (every completion-only event, and the quiescent final
-            // pass of this loop).
+            // One wheel scan serves deadlines and releases: a due timer is
+            // its task's deadline while the task is active and its release
+            // otherwise. The handlers only push times forward, so nothing
+            // becomes newly due mid-loop, and stale bits fail
+            // re-verification. The cached-minimum check skips the scan
+            // outright when no timer is due (every completion-only event,
+            // and the quiescent final pass of this loop).
             if self.wheel.has_due(self.now) {
                 self.wheel.collect_due(self.now, &mut self.due_buf);
-                // A task whose deadline is its next release has no deadline
-                // timer: its due release bit stands for the deadline too.
                 for w in 0..self.due_buf.len() {
-                    let due = self.due_buf.get(w).copied().unwrap_or(0);
-                    let mut word = (due & DL_MASK) | ((due & REL_MASK) << 1);
+                    let mut word = self.due_buf.get(w).copied().unwrap_or(0);
                     while word != 0 {
-                        let b = word.trailing_zeros() as usize;
-                        word &= !(1u64 << b);
-                        let i = (w * 64 + b) / 2;
-                        let missed = self.rt.get(i).is_some_and(|s| {
-                            s.state == InvState::Active && s.deadline.at_or_before(self.now)
+                        let i = w * 64 + word.trailing_zeros() as usize;
+                        word &= word - 1;
+                        let missed = self.views.get(i).is_some_and(|v| {
+                            v.state == InvState::Active && v.deadline.at_or_before(self.now)
                         });
                         if missed {
                             self.handle_deadline_miss(i);
@@ -570,13 +500,12 @@ impl<'a> Engine<'a> {
                 }
                 if releases_allowed {
                     for w in 0..self.due_buf.len() {
-                        let mut word = self.due_buf.get(w).copied().unwrap_or(0) & REL_MASK;
+                        let mut word = self.due_buf.get(w).copied().unwrap_or(0);
                         while word != 0 {
-                            let b = word.trailing_zeros() as usize;
-                            word &= !(1u64 << b);
-                            let i = (w * 64 + b) / 2;
-                            let due = self.rt.get(i).is_some_and(|s| {
-                                s.state != InvState::Active && s.next_release.at_or_before(self.now)
+                            let i = w * 64 + word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            let due = self.views.get(i).is_some_and(|v| {
+                                v.state != InvState::Active && v.next_release.at_or_before(self.now)
                             });
                             if due {
                                 self.release(i);
@@ -657,9 +586,11 @@ impl<'a> Engine<'a> {
         if !containment {
             return;
         }
-        for i in 0..self.rt.len() {
-            let Some((state, executed, invocation)) =
-                self.rt.get(i).map(|s| (s.state, s.executed, s.invocation))
+        for i in 0..self.views.len() {
+            let Some((state, executed, invocation)) = self
+                .views
+                .get(i)
+                .map(|v| (v.state, v.executed, v.invocation))
             else {
                 continue;
             };
@@ -687,12 +618,12 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Sanitizer-style internal-consistency checks, compiled in under the
-    /// `audit` feature or any debug build and absent from release builds.
-    /// These guard the engine itself; the paper-level invariants (switch
-    /// bounds, demand coverage, idle points) are checked post-hoc by
-    /// `rtdvs-audit`'s `TraceAuditor`, which replays the recorded trace.
-    #[cfg(any(feature = "audit", debug_assertions))]
+    /// Sanitizer-style internal-consistency checks, compiled into debug
+    /// builds and absent from release builds. These guard the engine
+    /// itself; the paper-level invariants (switch bounds, demand coverage,
+    /// idle points) are checked post-hoc by `rtdvs-audit`'s
+    /// `TraceAuditor`, which replays the recorded trace.
+    #[cfg(debug_assertions)]
     fn sanitize(&self, prev: Time) {
         assert!(
             prev.at_or_before(self.now),
@@ -702,15 +633,16 @@ impl<'a> Engine<'a> {
         if let Some(p) = self.applied {
             assert!(p < self.machine.len(), "applied point {p} out of range");
         }
-        for (i, s) in self.rt.iter().enumerate() {
+        for (i, (s, &actual)) in self.views.iter().zip(&self.actual).enumerate() {
             assert!(
-                s.executed.as_ms() <= s.actual.as_ms() + EPS,
+                s.executed.as_ms() <= actual.as_ms() + EPS,
                 "T{} executed {} past its sampled work {}",
                 i + 1,
                 s.executed,
-                s.actual
+                actual
             );
-            if s.state == InvState::Active {
+            let active = s.state == InvState::Active;
+            if active {
                 assert!(
                     s.deadline.at_or_before(s.next_release),
                     "T{}: deadline {} after next release {}",
@@ -720,23 +652,15 @@ impl<'a> Engine<'a> {
                 );
             }
             // Cross-check the O(1) structures against a full scan of the
-            // authoritative task state: the wheel holds every release
-            // timer plus a deadline timer exactly while active with a
-            // deadline other than the next release, and queue membership
-            // tracks active-with-work-left (a task whose work just ran out
-            // stays queued until its pending completion candidate is
-            // processed).
-            let active = s.state == InvState::Active;
+            // authoritative task state: each task's timer sits at its
+            // deadline while active and at its next release otherwise, and
+            // queue membership tracks active-with-work-left (a task whose
+            // work just ran out stays queued until its pending completion
+            // candidate is processed).
             assert_eq!(
-                self.wheel.scheduled_at(rel_timer(i)),
-                Some(s.next_release),
-                "T{}: release timer disagrees with next_release",
-                i + 1
-            );
-            assert_eq!(
-                self.wheel.scheduled_at(dl_timer(i)),
-                (active && s.deadline != s.next_release).then_some(s.deadline),
-                "T{}: deadline timer disagrees with state/deadline",
+                self.wheel.scheduled_at(i),
+                Some(if active { s.deadline } else { s.next_release }),
+                "T{}: timer disagrees with state/deadline/next_release",
                 i + 1
             );
             let in_q = self.rq.contains(TaskId(i));
@@ -755,24 +679,10 @@ impl<'a> Engine<'a> {
                     i + 1
                 );
             }
-            // The incrementally-synced policy view must mirror the task
-            // state exactly (it is what every policy callback observes).
-            let view_ok = self.views_buf.get(i).is_some_and(|v| {
-                v.invocation == s.invocation
-                    && v.state == s.state
-                    && v.executed == s.executed
-                    && v.deadline == s.deadline
-                    && v.next_release == s.next_release
-            });
-            assert!(
-                view_ok,
-                "T{}: policy view out of sync with task state",
-                i + 1
-            );
         }
     }
 
-    #[cfg(not(any(feature = "audit", debug_assertions)))]
+    #[cfg(not(debug_assertions))]
     #[inline]
     fn sanitize(&self, _prev: Time) {}
 
@@ -782,6 +692,13 @@ impl<'a> Engine<'a> {
         self.process_due_events(true);
 
         loop {
+            // The due-event pass consumed every timer due now: one left
+            // due would pin the next event to `now` and spin this loop.
+            debug_assert!(
+                !self.wheel.has_due(self.now),
+                "a due timer was left unconsumed at {}",
+                self.now
+            );
             self.events = self.events.saturating_add(1);
             let prev_now = self.now;
             // Grant any due policy review (e.g. laEDF re-planning at its
@@ -793,7 +710,7 @@ impl<'a> Engine<'a> {
                         now: self.now,
                         tasks: self.tasks,
                         machine: self.machine,
-                        views: &self.views_buf,
+                        views: &self.views,
                     };
                     self.policy.on_review(&sys);
                     self.ops.policy_calls = self.ops.policy_calls.saturating_add(1);
@@ -843,10 +760,9 @@ impl<'a> Engine<'a> {
             let point = self.applied.unwrap_or(desired);
             let op = self.machine.point(point);
 
-            // Earliest next event: a release, an active deadline (a timer
-            // of its own only when it is not the next release: sporadic
-            // gaps or release jitter), the running task's completion, or
-            // the end of the horizon.
+            // Earliest next event: an inactive task's release, an active
+            // task's deadline, the running task's completion, or the end of
+            // the horizon.
             let mut t_next = self.cfg.duration;
             if let Some(mn) = self.wheel.peek_min() {
                 t_next = t_next.min(mn.max(self.now));
@@ -861,7 +777,7 @@ impl<'a> Engine<'a> {
                 if self.faults.as_ref().is_some_and(|f| f.plan.containment)
                     && !self.is_quarantined(id.0)
                 {
-                    let executed = self.rt.get(id.0).map_or(Work::ZERO, |s| s.executed);
+                    let executed = self.views.get(id.0).map_or(Work::ZERO, |v| v.executed);
                     let budget = (self.tasks.task(id).wcet() - executed).clamp_non_negative();
                     t_next = t_next.min(exec_start + budget.duration_at(op.freq));
                 }
@@ -891,10 +807,10 @@ impl<'a> Engine<'a> {
                         self.meter.charge_busy(self.machine, point, d);
                         self.ops.meter_intervals = self.ops.meter_intervals.saturating_add(1);
                         let work = d.work_at(op.freq);
-                        if let Some(s) = self.rt.get_mut(id.0) {
-                            s.executed += work;
+                        if let Some(v) = self.views.get_mut(id.0) {
+                            v.executed += work;
                         }
-                        self.sync_view(id.0);
+                        self.ops.view_writes = self.ops.view_writes.saturating_add(1);
                         if !self.remaining(id.0).is_positive() {
                             // The only other way an invocation completes is
                             // a zero-work sample, marked at release.
@@ -1009,6 +925,29 @@ mod tests {
         assert!(r.all_deadlines_met());
         // Task 1 (8 ms period) releases at 0, 8, ..., 1 099 992 ms.
         assert_eq!(r.task_stats[0].releases, 137_500);
+    }
+
+    /// Two releases within `EPS` of each other, on both sides of the
+    /// wheel's horizon window, fire at one instant as in the baseline.
+    #[test]
+    fn releases_straddling_the_wheel_horizon_window_fire_together() {
+        use rtdvs_core::task::Task;
+        let edge = 1_048_576.0;
+        let task = |offset: f64| {
+            Task::with_offset(
+                Time::from_ms(2.0e6),
+                Work::from_ms(1.0),
+                Time::from_ms(offset),
+            )
+            .unwrap()
+        };
+        let tasks = TaskSet::new(vec![task(edge - EPS / 2.0), task(edge)]).unwrap();
+        let m = Machine::machine0();
+        let cfg = SimConfig::new(Time::from_ms(edge + 4.0)).with_trace();
+        let mut r = simulate(&tasks, &m, PolicyKind::PlainEdf, &cfg);
+        r.ops = EngineOps::default();
+        let base = crate::baseline::simulate_baseline(&tasks, &m, PolicyKind::PlainEdf, &cfg);
+        assert_eq!(format!("{r:?}"), format!("{base:?}"));
     }
 
     /// Table 4, checked exactly: the normalized energies of all six

@@ -71,7 +71,8 @@ impl TaskStats {
 pub struct EngineOps {
     /// Policy release, completion and review callbacks.
     pub policy_calls: u64,
-    /// Writes of one task's entry in the policy view buffer.
+    /// Writes of one task's policy view (in the engine: at a release, a
+    /// completion, a miss and a charged interval).
     pub view_writes: u64,
     /// Timing-wheel schedules and cancels, plus the re-placements of
     /// timers its cascades make.

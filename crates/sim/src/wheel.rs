@@ -2,14 +2,14 @@
 //!
 //! The engine's old hot path recomputed "earliest next event" by scanning
 //! every task's `next_release` and `deadline` at every scheduling point.
-//! This wheel replaces the scan: each pending timer (one release timer
-//! per task, plus a deadline timer while an active task's deadline is not
-//! its next release) occupies one slot at one of [`LEVELS`] levels of
-//! [`SLOTS`] slots each. Level `l` slots are `64^l` ticks wide (one tick
-//! is `1/1024` ms, see [`rtdvs_core::readyq::TICKS_PER_MS`]), so five
-//! levels cover ~17 minutes of simulated time; anything beyond goes to a
-//! `far` overflow set resolved by exact linear comparison and re-placed
-//! whenever `now` enters a new horizon window.
+//! This wheel replaces the scan: each pending timer (one per task, at its
+//! deadline while it is active and at its next release otherwise)
+//! occupies one slot at one of [`LEVELS`] levels of [`SLOTS`] slots each.
+//! Level `l` slots are `64^l` ticks wide (one tick is `1/1024` ms, see
+//! [`rtdvs_core::readyq::TICKS_PER_MS`]), so five levels cover ~17 minutes
+//! of simulated time; anything beyond goes to a `far` overflow set
+//! resolved by exact linear comparison and re-placed whenever `now` enters
+//! a new horizon window.
 //!
 //! Placement invariant: a timer sits at the *lowest* level whose current
 //! window (the `64^(l+1)`-tick span containing `now`) contains its expiry
@@ -140,19 +140,12 @@ impl TimingWheel {
         self.replacements
     }
 
-    /// `true` if timer `k` is pending.
-    #[must_use]
-    pub fn is_scheduled(&self, k: usize) -> bool {
-        self.placed.get(k).is_some_and(|&p| p != NOT_PLACED)
-    }
-
-    /// The pending expiry of timer `k`, if any (sanitizer cross-checks).
+    /// The pending expiry of timer `k`, if any.
     #[must_use]
     pub fn scheduled_at(&self, k: usize) -> Option<Time> {
-        if self.is_scheduled(k) {
-            self.expiry.get(k).copied()
-        } else {
-            None
+        match self.placed.get(k) {
+            Some(&p) if p != NOT_PLACED => self.expiry.get(k).copied(),
+            _ => None,
         }
     }
 
@@ -426,6 +419,19 @@ impl TimingWheel {
     pub fn collect_due(&self, now: Time, out: &mut Vec<u64>) {
         out.clear();
         out.resize(self.words, 0);
+        let mut collect = |bitmap: &[u64]| {
+            for (w, (o, &bits)) in out.iter_mut().zip(bitmap).enumerate() {
+                let mut word = bits;
+                while word != 0 {
+                    let b = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    let t = self.expiry.get(w * SLOTS + b).copied();
+                    if t.is_some_and(|t| t.at_or_before(now)) {
+                        *o |= 1u64 << b;
+                    }
+                }
+            }
+        };
         // Due timers have tick ≤ now_tick + 1 (EPS can cross at most one
         // tick boundary). By the placement invariant they are in a slot
         // whose range starts at or before now_tick + 1; at most two such
@@ -444,58 +450,16 @@ impl TimingWheel {
                     break;
                 }
                 let base = (l * SLOTS + slot) * self.words;
-                for w in 0..self.words {
-                    let mut word = self.slot_bits.get(base + w).copied().unwrap_or(0);
-                    while word != 0 {
-                        let k = w * SLOTS + word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        let t = self.expiry.get(k).copied().unwrap_or(Time::ZERO);
-                        if t.at_or_before(now) {
-                            if let Some(o) = out.get_mut(w) {
-                                *o |= 1u64 << (k % SLOTS);
-                            }
-                        }
-                    }
-                }
+                let bits = self.slot_bits.get(base..base + self.words);
+                collect(bits.unwrap_or_default());
             }
         }
         // Far timers lie beyond the current horizon window (`advance`
-        // re-places them on entering theirs), so none is due yet.
-    }
-
-    /// In-order catch-up cascade after a tick gap: drains every timer due
-    /// at or before `t` in ascending `(expiry, id)` order, appending ids
-    /// to `out` and cancelling them, then leaves the wheel advanced to
-    /// `t`. Returns the number of distinct expiry instants drained (the
-    /// catch-up depth — 0 means nothing was overdue).
-    ///
-    /// Unlike the engine's usual advance-to-min stepping, `t` may lie far
-    /// past many pending expiries: the cascade advances to each overdue
-    /// minimum in turn, never violating [`TimingWheel::advance`]'s
-    /// contract, so a burst of coalesced or lost ticks is recovered in
-    /// exactly the order an uninterrupted clock would have fired.
-    pub fn catch_up(&mut self, t: Time, out: &mut Vec<usize>) -> u64 {
-        let mut depth = 0u64;
-        let mut due: Vec<u64> = Vec::new();
-        while let Some(mn) = self.peek_min() {
-            if !mn.at_or_before(t) {
-                break;
-            }
-            self.advance(mn);
-            self.collect_due(mn, &mut due);
-            depth += 1;
-            for (w, &word_bits) in due.iter().enumerate() {
-                let mut word = word_bits;
-                while word != 0 {
-                    let k = w * SLOTS + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    out.push(k);
-                    self.cancel(k);
-                }
-            }
+        // re-places them on entering theirs), so one is due only within
+        // EPS past it, while `now` is in the window's last tick.
+        if limit >> HORIZON_SHIFT != self.now_tick >> HORIZON_SHIFT {
+            collect(&self.far);
         }
-        self.advance(t);
-        depth
     }
 }
 
@@ -730,7 +694,22 @@ mod tests {
         assert_eq!(wheel.peek_min().map(Time::as_ms), Some(4.0));
         wheel.cancel(1);
         assert_eq!(wheel.peek_min().map(Time::as_ms), Some(1.0e8));
-        assert!(wheel.is_scheduled(0));
+        assert!(wheel.scheduled_at(0).is_some());
+    }
+
+    /// While `now` is in the horizon window's last tick, a timer within
+    /// `EPS` past the window is still in the far set, and due.
+    #[test]
+    fn far_timer_within_eps_of_now_is_due() {
+        let mut wheel = TimingWheel::new(2);
+        let edge = ms((1u64 << HORIZON_SHIFT) as f64 / 1024.0);
+        let now = edge - ms(rtdvs_core::time::EPS / 2.0);
+        wheel.schedule(0, now);
+        wheel.schedule(1, edge);
+        wheel.advance(now);
+        let mut due = Vec::new();
+        wheel.collect_due(now, &mut due);
+        assert_eq!(due, [0b11]);
     }
 
     #[test]
@@ -771,7 +750,7 @@ mod tests {
             wheel.advance(ms(1.5));
             wheel.reset(after, ms(40.0));
             assert_eq!(wheel.peek_min(), None, "{before} -> {after}");
-            assert!((0..after).all(|k| !wheel.is_scheduled(k)));
+            assert!((0..after).all(|k| wheel.scheduled_at(k).is_none()));
             wheel.schedule(after - 1, ms(40.5));
             wheel.schedule(0, ms(41.0));
             assert_eq!(wheel.peek_min().map(Time::as_ms), Some(40.5));
@@ -795,47 +774,5 @@ mod tests {
         assert_eq!(wheel.peek_min().map(Time::as_ms), Some(2.0));
         wheel.cancel(0);
         assert_eq!(wheel.peek_min(), None);
-    }
-
-    /// The catch-up cascade drains a large gap's overdue timers in exact
-    /// expiry order, matching a naive sort, and leaves the rest pending.
-    #[test]
-    fn catch_up_drains_overdue_in_expiry_order() {
-        let m = 40;
-        let mut wheel = TimingWheel::new(m);
-        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            rng ^= rng << 13;
-            rng ^= rng >> 7;
-            rng ^= rng << 17;
-            rng
-        };
-        let mut expiries = vec![Time::ZERO; m];
-        for (k, e) in expiries.iter_mut().enumerate() {
-            // Spread across ~8 s so the gap spans several wheel levels.
-            *e = ms((next() % 8_000_000) as f64 / 1000.0);
-            wheel.schedule(k, *e);
-        }
-        let gap_end = ms(3_000.0);
-        let mut order = Vec::new();
-        let depth = wheel.catch_up(gap_end, &mut order);
-
-        let mut expected: Vec<usize> = (0..m)
-            .filter(|&k| expiries[k].at_or_before(gap_end))
-            .collect();
-        expected.sort_by(|&a, &b| expiries[a].total_cmp(&expiries[b]).then(a.cmp(&b)));
-        assert_eq!(order, expected, "catch-up order diverged from expiry order");
-        assert!(depth >= 1 && depth <= order.len() as u64);
-        for k in 0..m {
-            assert_eq!(
-                wheel.is_scheduled(k),
-                !expiries[k].at_or_before(gap_end),
-                "timer {k} on the wrong side of the gap"
-            );
-        }
-        // The wheel ends advanced to the gap end: nothing is still due.
-        assert!(!wheel.has_due(gap_end));
-        // An empty catch-up is a plain advance.
-        assert_eq!(wheel.catch_up(gap_end + ms(0.5), &mut order), 0);
     }
 }

@@ -22,14 +22,31 @@ use rtdvs_taskgen::{generate, TaskGenSpec};
 
 /// Runs both engines and asserts bit-exact equality of the reports, all
 /// but their operation counts. Returns the baseline's report, so a case
-/// can check that its config reaches the path it is meant to.
+/// can check that its config reaches the path it is meant to. The engine
+/// runs on a worker, so an engine that stalls fails the case instead of
+/// hanging it, in release builds too.
 fn assert_equivalent(
     tasks: &TaskSet,
     policy: PolicyKind,
     cfg: &SimConfig,
     label: &str,
 ) -> SimReport {
-    let mut new = simulate(tasks, &Machine::machine0(), policy, cfg);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (worker_tasks, worker_cfg) = (tasks.clone(), cfg.clone());
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(simulate(
+            &worker_tasks,
+            &Machine::machine0(),
+            policy,
+            &worker_cfg,
+        ));
+    });
+    let mut new = rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .unwrap_or_else(|_| panic!("{label}: the engine stalled or panicked"));
+    worker
+        .join()
+        .expect("the simulation thread finished cleanly");
     new.ops = EngineOps::default();
     let old = simulate_baseline(tasks, &Machine::machine0(), policy, cfg);
 
