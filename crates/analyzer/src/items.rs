@@ -322,7 +322,7 @@ pub fn extract_fns(file: usize, path: &str, src: &str, tokens: &[Token]) -> Vec<
                 }
                 let in_test_scope = scopes.iter().any(|s| s.is_test);
                 let own_test = attrs_mark_test(&pending_attrs);
-                let debug_only = pending_attrs.iter().any(|a| a.contains("debug_assertions"));
+                let debug_only = pending_attrs.iter().any(|a| attr_requires_debug(a));
                 let impl_type = scopes.iter().rev().find_map(|s| s.impl_type.clone());
                 let mods: Vec<&str> = scopes
                     .iter()
@@ -380,6 +380,16 @@ fn attrs_mark_test(attrs: &[String]) -> bool {
             || inner.starts_with("tokio::test")
             || (inner.starts_with("cfg") && has_word(inner, "test"))
     })
+}
+
+/// Whether an attribute compiles its item only into debug builds: a
+/// positive `#[cfg(debug_assertions)]` gate. A release-only
+/// `cfg(not(debug_assertions))` twin is not debug-only, and neither is a
+/// compound predicate (`any`, `all`), which the panic pass keeps on the
+/// surface rather than guess at.
+fn attr_requires_debug(attr: &str) -> bool {
+    let flat: String = attr.chars().filter(|c| !c.is_whitespace()).collect();
+    flat == "#[cfg(debug_assertions)]"
 }
 
 /// Whether `needle` occurs in `hay` as a whole word (not inside a longer

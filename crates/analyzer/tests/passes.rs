@@ -191,6 +191,50 @@ mod tests {
     );
 }
 
+/// Only a positive `cfg(debug_assertions)` gate exempts a function: its
+/// release-only `cfg(not(debug_assertions))` twin ships, so an index site
+/// in it is on the root's panic surface.
+#[test]
+fn panic_pass_keeps_release_only_code_on_the_surface() {
+    let ws = Workspace::from_sources(&[(
+        "crates/simx/src/rel.rs",
+        r#"
+pub fn run_loop(xs: &[u64]) -> u64 {
+    let v = xs.first().copied().unwrap_or(0);
+    sanity(xs);
+    v
+}
+
+#[cfg(debug_assertions)]
+fn sanity(xs: &[u64]) {
+    assert!(xs.len() < 1000, "absurd input");
+}
+
+#[cfg(not(debug_assertions))]
+fn sanity(xs: &[u64]) {
+    let _ = xs[0];
+}
+"#,
+    )]);
+    let manifest = Manifest::parse("deny-panic rel.rs::run_loop\n").unwrap();
+    let a = analyze(&ws, &manifest);
+    let surface: Vec<_> = a
+        .report
+        .findings
+        .iter()
+        .filter(|f| f.pass == "panic" && f.symbol.ends_with("::sanity"))
+        .collect();
+    assert!(
+        surface.iter().any(|f| f.detail.contains("index")),
+        "the release-only twin's index site escaped the panic pass: {:?}",
+        a.report.findings
+    );
+    assert!(
+        !surface.iter().any(|f| f.detail.contains("assert")),
+        "the debug-only twin's assert leaked into the panic surface: {surface:?}"
+    );
+}
+
 #[test]
 fn lockorder_rejects_cycles_and_accepts_consistent_order() {
     let cyclic = Workspace::from_sources(&[(

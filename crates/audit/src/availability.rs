@@ -8,7 +8,7 @@
 //! can never disagree about what the numbers mean.
 
 use rtdvs_core::time::Time;
-use rtdvs_kernel::{AvailabilityStats, KernelEvent};
+use rtdvs_kernel::{AvailabilityStats, EventLog, KernelEvent};
 
 use crate::violation::{Rule, Violation};
 
@@ -41,7 +41,7 @@ impl Default for AvailabilityPolicy {
 /// [`Rule::AvailabilityFloor`] violation for the run.
 #[must_use]
 pub fn audit_availability(
-    log: &[(Time, KernelEvent)],
+    log: &EventLog,
     now: Time,
     rungs: &[&str],
     policy: &AvailabilityPolicy,
@@ -56,13 +56,13 @@ pub fn audit_availability(
                 if let Some(restored_at) = pending.take() {
                     // The previous restore never completed anything before
                     // the next crash; charge it the full gap.
-                    check_recovery(&mut violations, restored_at, *t, policy);
+                    check_recovery(&mut violations, restored_at, t, policy);
                 }
-                pending = Some(*t);
+                pending = Some(t);
             }
             KernelEvent::Completed { .. } => {
                 if let Some(restored_at) = pending.take() {
-                    check_recovery(&mut violations, restored_at, *t, policy);
+                    check_recovery(&mut violations, restored_at, t, policy);
                 }
             }
             _ => {}
@@ -134,7 +134,7 @@ mod tests {
     #[test]
     fn clean_log_passes() {
         let policy = AvailabilityPolicy::default();
-        let log = vec![done(5.0)];
+        let log = EventLog::from_iter([done(5.0)]);
         assert!(audit_availability(&log, Time::from_ms(100.0), &RUNGS, &policy).is_empty());
     }
 
@@ -144,9 +144,9 @@ mod tests {
             max_recovery_ms: 10.0,
             min_availability: 0.0,
         };
-        let ok = vec![at(20.0, KernelEvent::SupervisorRestored), done(25.0)];
+        let ok = EventLog::from_iter([at(20.0, KernelEvent::SupervisorRestored), done(25.0)]);
         assert!(audit_availability(&ok, Time::from_ms(100.0), &RUNGS, &policy).is_empty());
-        let late = vec![at(20.0, KernelEvent::SupervisorRestored), done(45.0)];
+        let late = EventLog::from_iter([at(20.0, KernelEvent::SupervisorRestored), done(45.0)]);
         let v = audit_availability(&late, Time::from_ms(100.0), &RUNGS, &policy);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::RecoveryBound);
@@ -159,7 +159,7 @@ mod tests {
             max_recovery_ms: 10.0,
             min_availability: 0.0,
         };
-        let log = vec![at(90.0, KernelEvent::SupervisorRestored)];
+        let log = EventLog::from_iter([at(90.0, KernelEvent::SupervisorRestored)]);
         let v = audit_availability(&log, Time::from_ms(200.0), &RUNGS, &policy);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::RecoveryBound);
@@ -171,11 +171,11 @@ mod tests {
             max_recovery_ms: 10.0,
             min_availability: 0.0,
         };
-        let log = vec![
+        let log = EventLog::from_iter([
             at(10.0, KernelEvent::SupervisorRestored),
             at(40.0, KernelEvent::SupervisorRestored),
             done(45.0),
-        ];
+        ]);
         let v = audit_availability(&log, Time::from_ms(100.0), &RUNGS, &policy);
         // The first restore's window ran 30 ms to the second crash.
         assert_eq!(v.len(), 1);
@@ -188,13 +188,13 @@ mod tests {
             max_recovery_ms: 1000.0,
             min_availability: 0.9,
         };
-        let log = vec![at(
+        let log = EventLog::from_iter([at(
             10.0,
             KernelEvent::LadderStepped {
                 from: "laEDF",
                 to: "manual",
             },
-        )];
+        )]);
         let v = audit_availability(&log, Time::from_ms(100.0), &RUNGS, &policy);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::AvailabilityFloor);

@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 
 use rtdvs_core::time::Time;
-use rtdvs_kernel::{KernelEvent, TaskHandle};
+use rtdvs_kernel::{EventLog, KernelEvent, TaskHandle};
 
 use crate::violation::{Rule, Violation};
 
@@ -74,7 +74,7 @@ fn flag(out: &mut Vec<Violation>, time: Time, rule: Rule, details: String) {
 /// sheds only name live tasks, and committed mode changes stepped the
 /// epoch monotonically.
 #[must_use]
-pub fn audit_kernel_log(log: &[(Time, KernelEvent)]) -> Vec<Violation> {
+pub fn audit_kernel_log(log: &EventLog) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut tasks: HashMap<TaskHandle, TaskState> = HashMap::new();
     let mut last_time = Time::ZERO;
@@ -106,7 +106,7 @@ pub fn audit_kernel_log(log: &[(Time, KernelEvent)]) -> Vec<Violation> {
         st
     }
 
-    for &(time, ref event) in log {
+    for (time, event) in log {
         if time.as_ms() < last_time.as_ms() {
             flag(
                 &mut out,
@@ -121,7 +121,7 @@ pub fn audit_kernel_log(log: &[(Time, KernelEvent)]) -> Vec<Violation> {
         }
         last_time = last_time.max(time);
 
-        match *event {
+        match event {
             KernelEvent::Admitted { handle, .. } => {
                 let st = tasks.entry(handle).or_default();
                 if st.live {
@@ -372,16 +372,14 @@ pub struct TenantStanding {
 /// a misconfigured backlog bound, not cross-tenant interference, and are
 /// left to other checks.
 #[must_use]
-pub fn audit_tenant_isolation(
-    standings: &[TenantStanding],
-    log: &[(Time, KernelEvent)],
-) -> Vec<Violation> {
+pub fn audit_tenant_isolation(standings: &[TenantStanding], log: &EventLog) -> Vec<Violation> {
     let mut out = Vec::new();
     if !standings.iter().any(|s| s.over_quota) {
         return out;
     }
-    let end = log.last().map_or(Time::ZERO, |&(t, _)| t);
-    for &(time, ref event) in log {
+    let end = log.last().map_or(Time::ZERO, |(t, _)| t);
+    // Deadline misses are never packed: the side table holds them all.
+    for &(time, ref event) in log.unpacked() {
         if let KernelEvent::DeadlineMiss {
             handle, invocation, ..
         } = *event
@@ -457,12 +455,12 @@ mod tests {
 
     #[test]
     fn epoch_skips_and_repeats_are_flagged() {
-        let log = vec![
+        let log = EventLog::from_iter([
             (ms(1.0), KernelEvent::ModeChangeCommitted { epoch: 1 }),
             (ms(2.0), KernelEvent::ModeChangeCommitted { epoch: 3 }),
             (ms(3.0), KernelEvent::ModeChangeCommitted { epoch: 4 }),
             (ms(4.0), KernelEvent::ModeChangeCommitted { epoch: 4 }),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         let epochs: Vec<_> = violations
             .iter()
@@ -478,7 +476,7 @@ mod tests {
         let h = TaskHandle::from_raw(1);
         // Released without admission, then a sequence gap, then an
         // unclosed release superseded by the next one.
-        let log = vec![
+        let log = EventLog::from_iter([
             (
                 ms(0.0),
                 KernelEvent::Released {
@@ -507,7 +505,7 @@ mod tests {
                     invocation: 4,
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         assert!(violations
             .iter()
@@ -523,7 +521,7 @@ mod tests {
     #[test]
     fn backwards_time_and_stray_completion_are_flagged() {
         let h = TaskHandle::from_raw(2);
-        let log = vec![
+        let log = EventLog::from_iter([
             (
                 ms(5.0),
                 KernelEvent::Admitted {
@@ -538,7 +536,7 @@ mod tests {
                     invocation: 1,
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         assert!(violations
             .iter()
@@ -552,7 +550,7 @@ mod tests {
     #[test]
     fn clock_events_audit_clean_and_degenerate_ones_are_flagged() {
         let h = TaskHandle::from_raw(1);
-        let healthy = vec![
+        let healthy = EventLog::from_iter([
             (
                 ms(0.0),
                 KernelEvent::Admitted {
@@ -582,11 +580,11 @@ mod tests {
                 },
             ),
             (ms(4.0), KernelEvent::ClockWatchdog { engaged: false }),
-        ];
+        ]);
         let violations = audit_kernel_log(&healthy);
         assert!(violations.is_empty(), "{violations:?}");
 
-        let degenerate = vec![
+        let degenerate = EventLog::from_iter([
             (
                 ms(1.0),
                 KernelEvent::ClockJumpClamped { attempted: ms(0.0) },
@@ -607,7 +605,7 @@ mod tests {
                     latency: ms(-1.0),
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&degenerate);
         assert!(violations.iter().any(|v| v.rule == Rule::ClockMonotonicity
             && v.details.contains("non-positive backward jump")));
@@ -623,7 +621,7 @@ mod tests {
     #[test]
     fn misses_surface_as_deadline_miss_findings() {
         let h = TaskHandle::from_raw(1);
-        let log = vec![
+        let log = EventLog::from_iter([
             (
                 ms(0.0),
                 KernelEvent::Admitted {
@@ -646,7 +644,7 @@ mod tests {
                     remaining: Work::from_ms(0.5),
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].rule, Rule::DeadlineMiss);
@@ -655,7 +653,7 @@ mod tests {
 
     #[test]
     fn unsafe_fallbacks_and_cap_violations_are_flagged() {
-        let log = vec![
+        let log = EventLog::from_iter([
             // Round-up fallback under no cap: fine.
             (
                 ms(1.0),
@@ -690,7 +688,7 @@ mod tests {
                     applied: 3,
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         let unsafe_fb: Vec<_> = violations
             .iter()
@@ -709,7 +707,7 @@ mod tests {
     #[test]
     fn tenant_isolation_passes_when_the_flood_is_contained() {
         let h = TaskHandle::from_raw(1);
-        let log = vec![
+        let log = EventLog::from_iter([
             (
                 ms(0.0),
                 KernelEvent::Admitted {
@@ -731,7 +729,7 @@ mod tests {
                     invocation: 1,
                 },
             ),
-        ];
+        ]);
         // The flooding tenant absorbs all the backpressure itself.
         let standings = [
             TenantStanding {
@@ -753,14 +751,14 @@ mod tests {
     #[test]
     fn tenant_isolation_flags_quota_theft_and_leaked_misses() {
         let h = TaskHandle::from_raw(1);
-        let log = vec![(
+        let log = EventLog::from_iter([(
             ms(10.0),
             KernelEvent::DeadlineMiss {
                 handle: h,
                 invocation: 1,
                 remaining: Work::from_ms(0.5),
             },
-        )];
+        )]);
         let standings = [
             TenantStanding {
                 tenant: 1,
@@ -791,14 +789,14 @@ mod tests {
         let h = TaskHandle::from_raw(1);
         // Even a deadline miss and sheds are not *isolation* findings when
         // nobody flooded (other rules own those).
-        let log = vec![(
+        let log = EventLog::from_iter([(
             ms(10.0),
             KernelEvent::DeadlineMiss {
                 handle: h,
                 invocation: 1,
                 remaining: Work::from_ms(0.5),
             },
-        )];
+        )]);
         let standings = [TenantStanding {
             tenant: 1,
             over_quota: false,
@@ -811,7 +809,7 @@ mod tests {
     #[test]
     fn shed_and_readmit_continue_the_invocation_count() {
         let h = TaskHandle::from_raw(1);
-        let log = vec![
+        let log = EventLog::from_iter([
             (
                 ms(0.0),
                 KernelEvent::Admitted {
@@ -854,7 +852,7 @@ mod tests {
                     invocation: 2,
                 },
             ),
-        ];
+        ]);
         let violations = audit_kernel_log(&log);
         assert!(violations.is_empty(), "{violations:?}");
     }

@@ -53,7 +53,8 @@ use rtdvs_core::task::Task;
 use rtdvs_core::tenant::{TenantId, TenantQuota};
 use rtdvs_core::time::{Time, Work};
 use rtdvs_kernel::{
-    KernelError, KernelEvent, ModeChange, OverrunBody, RtKernel, Snapshot, TaskHandle, TenantServer,
+    EventLog, KernelError, KernelEvent, ModeChange, OverrunBody, RtKernel, Snapshot, TaskHandle,
+    TenantServer,
 };
 use rtdvs_platform::{PowerNowCpu, UnreliableRegulator};
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
@@ -868,11 +869,12 @@ pub(crate) struct KernelBlame {
 /// fallback, brownout cap change, ladder step, supervisor restore,
 /// injected overrun, or clock event is logged, the admission test's
 /// premises are void and later misses are excused; a miss before all of
-/// that is a policy bug.
-pub(crate) fn kernel_blame(log: &[(Time, KernelEvent)]) -> KernelBlame {
+/// that is a policy bug. Every kind it counts is one the log keeps whole,
+/// so it walks the side table, not the whole history.
+pub(crate) fn kernel_blame(log: &EventLog) -> KernelBlame {
     let mut adversity_acted = false;
     let (mut blamed, mut excused, mut clock_events) = (0, 0, 0);
-    for (_, event) in log {
+    for (_, event) in log.unpacked() {
         match event {
             KernelEvent::RegulatorFallback { .. }
             | KernelEvent::BrownoutCapSet { .. }

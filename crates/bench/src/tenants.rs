@@ -368,6 +368,13 @@ struct SoakRun {
 /// bodies, overrun draws, compliant streams — is bit-identical across
 /// the flooded and baseline runs.
 fn run_soak(cfg: &TenantsConfig, flood_active: bool) -> SoakRun {
+    let (mut kernel, server) = soak_kernel(cfg);
+    run_offered_load(cfg, flood_active, &mut kernel, &server)
+}
+
+/// The soak's kernel before any load: the periodic set with its overrun
+/// bodies, beside the tenant server.
+fn soak_kernel(cfg: &TenantsConfig) -> (RtKernel, TenantServer) {
     let root = SplitMix64::seed_from_u64(cfg.seed);
     let mut kernel = RtKernel::new(cfg.machine.clone(), cfg.policy);
     for (i, &(period, wcet)) in cfg.periodic.iter().enumerate() {
@@ -400,8 +407,7 @@ fn run_soak(cfg: &TenantsConfig, flood_active: bool) -> SoakRun {
     let (_handle, server) = kernel
         .spawn_tenant_server(cfg.server_period, cfg.server_budget, &quotas)
         .expect("quotas fit the budget and the budget passes admission");
-
-    run_offered_load(cfg, flood_active, &mut kernel, &server)
+    (kernel, server)
 }
 
 /// Drives the open-loop generators into `server` one server period at a
@@ -608,6 +614,32 @@ mod tests {
         let b = run_tenants(&tiny());
         assert!(a.canonical_json().contains("\"wall_ms\": 0"));
         assert_eq!(a.canonical_json(), b.canonical_json());
+    }
+
+    /// The soak's log spends at most 16.5 bytes per entry, spare capacity
+    /// aside: a 16-byte record each, plus the side table's share, which
+    /// holds the overruns (2% of periodic invocations) and never a release
+    /// or completion. A variant that stops packing, or a wider record,
+    /// fails here.
+    #[test]
+    fn the_soak_log_spends_about_one_record_per_entry() {
+        use rtdvs_kernel::KernelEvent;
+
+        let cfg = tiny();
+        let (mut kernel, server) = soak_kernel(&cfg);
+        run_offered_load(&cfg, true, &mut kernel, &server);
+        let log = kernel.log();
+        let per_entry = log.stored_bytes() as f64 / log.len() as f64;
+        assert!(
+            per_entry <= 16.5,
+            "{per_entry:.3} bytes per entry over {} entries",
+            log.len()
+        );
+        assert!(!log.unpacked().is_empty(), "the overruns are kept whole");
+        assert!(!log.unpacked().iter().any(|(_, e)| matches!(
+            e,
+            KernelEvent::Released { .. } | KernelEvent::Completed { .. }
+        )));
     }
 
     #[test]

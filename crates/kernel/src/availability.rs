@@ -21,6 +21,7 @@
 
 use rtdvs_core::time::Time;
 
+use crate::eventlog::EventLog;
 use crate::kernel::KernelEvent;
 
 /// Availability statistics replayed from one kernel event log.
@@ -60,7 +61,7 @@ impl AvailabilityStats {
     /// [`RtKernel::log`]: crate::kernel::RtKernel::log
     /// [`RtKernel::ladder_rung_names`]: crate::kernel::RtKernel::ladder_rung_names
     #[must_use]
-    pub fn replay(log: &[(Time, KernelEvent)], now: Time, rungs: &[&str]) -> AvailabilityStats {
+    pub fn replay(log: &EventLog, now: Time, rungs: &[&str]) -> AvailabilityStats {
         let mut stats = AvailabilityStats {
             total_ms: 0.0,
             nominal_ms: 0.0,
@@ -96,17 +97,17 @@ impl AvailabilityStats {
             *cursor = upto.max(*cursor);
         }
         for (t, event) in log {
-            charge(&mut stats, *t, &mut cursor, depth, shed);
+            charge(&mut stats, t, &mut cursor, depth, shed);
             let was_nominal = depth == 0 && shed == 0;
             match event {
                 KernelEvent::LadderStepped { to, .. } => {
-                    depth = rungs.iter().position(|r| r == to).unwrap_or(depth);
+                    depth = rungs.iter().position(|r| *r == to).unwrap_or(depth);
                 }
                 KernelEvent::PolicyLoaded { name } => {
-                    depth = rungs.iter().position(|r| r == name).unwrap_or(0);
+                    depth = rungs.iter().position(|r| *r == name).unwrap_or(0);
                 }
                 KernelEvent::Degraded { active } => {
-                    if *active {
+                    if active {
                         shed += 1;
                     } else {
                         shed = shed.saturating_sub(1);
@@ -114,7 +115,7 @@ impl AvailabilityStats {
                 }
                 KernelEvent::SupervisorRestored => {
                     stats.outages += 1;
-                    pending_restore = Some(*t);
+                    pending_restore = Some(t);
                     stats.open_recovery = true;
                 }
                 KernelEvent::Completed { .. } => {
@@ -189,7 +190,7 @@ mod tests {
 
     #[test]
     fn clean_log_is_fully_nominal() {
-        let stats = AvailabilityStats::replay(&[], Time::from_ms(100.0), &RUNGS);
+        let stats = AvailabilityStats::replay(&EventLog::new(), Time::from_ms(100.0), &RUNGS);
         assert_eq!(stats.total_ms, 100.0);
         assert_eq!(stats.nominal_ms, 100.0);
         assert_eq!(stats.availability(), 1.0);
@@ -200,7 +201,7 @@ mod tests {
 
     #[test]
     fn ladder_steps_split_the_horizon() {
-        let log = vec![
+        let log = EventLog::from_iter([
             at(
                 20.0,
                 KernelEvent::LadderStepped {
@@ -215,7 +216,7 @@ mod tests {
                     to: "laEDF",
                 },
             ),
-        ];
+        ]);
         let stats = AvailabilityStats::replay(&log, Time::from_ms(100.0), &RUNGS);
         assert_eq!(stats.nominal_ms, 70.0);
         assert_eq!(stats.degraded_ms, 30.0);
@@ -229,13 +230,13 @@ mod tests {
 
     #[test]
     fn unknown_ladder_destination_keeps_depth() {
-        let log = vec![at(
+        let log = EventLog::from_iter([at(
             10.0,
             KernelEvent::LadderStepped {
                 from: "laEDF",
                 to: "elsewhere",
             },
-        )];
+        )]);
         let stats = AvailabilityStats::replay(&log, Time::from_ms(20.0), &RUNGS);
         assert_eq!(stats.nominal_ms, 20.0);
     }
@@ -246,12 +247,12 @@ mod tests {
             handle: crate::kernel::TaskHandle::from_raw(1),
             invocation: 1,
         };
-        let log = vec![
+        let log = EventLog::from_iter([
             at(30.0, KernelEvent::SupervisorRestored),
             at(42.0, done.clone()),
             at(60.0, KernelEvent::SupervisorRestored),
             at(65.0, done),
-        ];
+        ]);
         let stats = AvailabilityStats::replay(&log, Time::from_ms(100.0), &RUNGS);
         assert_eq!(stats.outages, 2);
         assert_eq!(stats.worst_recovery_ms, 12.0);
@@ -261,10 +262,10 @@ mod tests {
 
     #[test]
     fn shed_time_counts_as_degraded_without_moving_the_ladder() {
-        let log = vec![
+        let log = EventLog::from_iter([
             at(10.0, KernelEvent::Degraded { active: true }),
             at(40.0, KernelEvent::Degraded { active: false }),
-        ];
+        ]);
         let stats = AvailabilityStats::replay(&log, Time::from_ms(50.0), &RUNGS);
         assert_eq!(stats.degraded_ms, 30.0);
         assert_eq!(stats.rung_ms[0], 50.0);

@@ -33,6 +33,7 @@ use rtdvs_sim::wheel::TimingWheel;
 use rtdvs_sim::{Activity, EnergyMeter, EngineOps, SwitchOverhead, Trace};
 
 use crate::body::TaskBody;
+use crate::eventlog::EventLog;
 
 /// A stand-in for "far in the future" used for deferred tasks' views.
 const FAR_FUTURE_MS: f64 = 1e15;
@@ -445,7 +446,9 @@ pub struct RtKernel {
     /// prototype only *logs* overruns).
     pub(crate) degrade_on_fault: bool,
     pub(crate) shed: Vec<ShedTask>,
-    pub(crate) log: Vec<(Time, KernelEvent)>,
+    /// Every event, in time order, one 16-byte record each (see
+    /// [`crate::eventlog`]).
+    pub(crate) log: EventLog,
     pub(crate) next_handle: u64,
     /// Monotonic counter bumped by every committed mode change.
     pub(crate) mode_epoch: u64,
@@ -528,7 +531,7 @@ impl RtKernel {
             defer_new_tasks: true,
             degrade_on_fault: false,
             shed: Vec::new(),
-            log: Vec::new(),
+            log: EventLog::new(),
             next_handle: 1,
             mode_epoch: 0,
             pending_change: None,
@@ -762,13 +765,15 @@ impl RtKernel {
 
     /// The event log, in time order.
     #[must_use]
-    pub fn log(&self) -> &[(Time, KernelEvent)] {
+    pub fn log(&self) -> &EventLog {
         &self.log
     }
 
-    /// All deadline misses so far.
+    /// All deadline misses so far, found in the log's side table rather
+    /// than its whole history.
     pub fn misses(&self) -> impl Iterator<Item = &(Time, KernelEvent)> {
         self.log
+            .unpacked()
             .iter()
             .filter(|(_, e)| matches!(e, KernelEvent::DeadlineMiss { .. }))
     }
@@ -833,6 +838,7 @@ impl RtKernel {
     #[must_use]
     pub fn overruns(&self) -> u64 {
         self.log
+            .unpacked()
             .iter()
             .filter(|(_, e)| matches!(e, KernelEvent::Overrun { .. }))
             .count() as u64

@@ -32,6 +32,7 @@
 
 pub mod availability;
 pub mod body;
+pub mod eventlog;
 pub mod kernel;
 pub mod modechange;
 pub mod procfs;
@@ -44,6 +45,7 @@ pub use availability::AvailabilityStats;
 pub use body::{
     BodyState, ColdStartBody, FractionBody, OverrunBody, TaskBody, UniformBody, WcetBody,
 };
+pub use eventlog::EventLog;
 pub use kernel::{GovernorState, KernelError, KernelEvent, RtKernel, TaskHandle};
 pub use modechange::{ModeChange, ModeChangeReceipt};
 pub use procfs::{execute, execute_script};
@@ -143,9 +145,7 @@ mod tests {
             .log()
             .iter()
             .find_map(|(t, e)| match e {
-                KernelEvent::Admitted { handle, deferred } if *handle == h2 => {
-                    Some((*t, *deferred))
-                }
+                KernelEvent::Admitted { handle, deferred } if handle == h2 => Some((t, deferred)),
                 _ => None,
             })
             .unwrap();
@@ -160,7 +160,7 @@ mod tests {
                 KernelEvent::Released {
                     handle,
                     invocation: 1,
-                } if *handle == h2 => Some(*t),
+                } if handle == h2 => Some(t),
                 _ => None,
             })
             .unwrap();
@@ -177,7 +177,7 @@ mod tests {
             .unwrap();
         // Nothing was in flight, so no deferral.
         let deferred = kernel.log().iter().any(
-            |(_, e)| matches!(e, KernelEvent::Admitted { handle, deferred: true } if *handle == h),
+            |(_, e)| matches!(e, KernelEvent::Admitted { handle, deferred: true } if handle == h),
         );
         assert!(!deferred);
         kernel.run_for(Time::from_ms(1.0));
@@ -203,7 +203,7 @@ mod tests {
             .log()
             .iter()
             .filter_map(|(_, e)| match e {
-                KernelEvent::PolicyLoaded { name } => Some(*name),
+                KernelEvent::PolicyLoaded { name } => Some(name),
                 _ => None,
             })
             .collect();
@@ -225,7 +225,7 @@ mod tests {
             .log()
             .iter()
             .filter_map(|(_, e)| match e {
-                KernelEvent::Overrun { invocation, .. } => Some(*invocation),
+                KernelEvent::Overrun { invocation, .. } => Some(invocation),
                 _ => None,
             })
             .collect();
@@ -425,7 +425,7 @@ mod tests {
             .log()
             .iter()
             .filter_map(|(_, e)| match e {
-                KernelEvent::Shed { handle, observed } => Some((*handle, *observed)),
+                KernelEvent::Shed { handle, observed } => Some((handle, observed)),
                 _ => None,
             })
             .collect();
@@ -434,7 +434,7 @@ mod tests {
             .log()
             .iter()
             .filter_map(|(_, e)| match e {
-                KernelEvent::Readmitted { handle, bound } => Some((*handle, *bound)),
+                KernelEvent::Readmitted { handle, bound } => Some((handle, bound)),
                 _ => None,
             })
             .collect();
@@ -443,7 +443,7 @@ mod tests {
             .log()
             .iter()
             .filter_map(|(_, e)| match e {
-                KernelEvent::Degraded { active } => Some(*active),
+                KernelEvent::Degraded { active } => Some(active),
                 _ => None,
             })
             .collect();

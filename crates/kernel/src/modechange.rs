@@ -551,7 +551,7 @@ mod tests {
         assert!(k
             .log()
             .iter()
-            .any(|(_, e)| matches!(e, KernelEvent::Removed { handle } if *handle == handles[2])));
+            .any(|(_, e)| matches!(e, KernelEvent::Removed { handle } if handle == handles[2])));
     }
 
     #[test]
@@ -578,7 +578,7 @@ mod tests {
         assert!(k
             .log()
             .iter()
-            .any(|(_, e)| matches!(e, KernelEvent::Released { handle, .. } if *handle == receipt.admitted[0])));
+            .any(|(_, e)| matches!(e, KernelEvent::Released { handle, .. } if handle == receipt.admitted[0])));
         assert!(k.misses().count() == 0);
     }
 

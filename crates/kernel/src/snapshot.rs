@@ -90,6 +90,7 @@ use rtdvs_sim::{EnergyMeter, SwitchOverhead, Trace};
 use crate::body::{
     BodyState, ColdStartBody, FractionBody, OverrunBody, TaskBody, UniformBody, WcetBody,
 };
+use crate::eventlog::{EventLog, POLICY_NAMES};
 use crate::kernel::{Entry, KernelEvent, RtKernel, ShedTask, TaskHandle};
 use crate::tenants::{
     CompletedJob, JobId, JobRecord, ServerSnapshot, TenantLaneSnapshot, TenantServer,
@@ -683,10 +684,10 @@ fn write_kernel(
         Some((
             s.text.get(..s.log.end)?,
             s.log.hash,
-            k.log.get(s.log.events..)?,
+            k.log.iter_from(s.log.events)?,
         ))
     });
-    let (prefix, hash, fresh) = sealed.unwrap_or(("", SUM_SEED, k.log.as_slice()));
+    let (prefix, hash, fresh) = sealed.unwrap_or(("", SUM_SEED, k.log.iter()));
     let lines = 23 + k.machine.len() + k.entries.len() + k.shed.len();
     let mut w = Writer {
         out: String::with_capacity(prefix.len() + LINE_BYTES * lines + EV_LINE_BYTES * fresh.len()),
@@ -698,7 +699,7 @@ fn write_kernel(
         w.tag(SNAPSHOT_VERSION).end();
     }
     for (t, ev) in fresh {
-        w.tag("ev").time(*t).event(ev).end();
+        w.tag("ev").time(t).event(&ev).end();
     }
     let log = LogMark {
         events: k.log.len(),
@@ -1563,19 +1564,7 @@ fn rebuild_body(
 /// policies report. The set is closed, so an unknown name means
 /// corruption.
 fn intern_policy_name(name: &str) -> Result<&'static str, SnapshotError> {
-    const KNOWN: [&str; 10] = [
-        "EDF",
-        "RM",
-        "StaticEDF",
-        "StaticRM",
-        "ccEDF",
-        "ccRM",
-        "laEDF",
-        "stochEDF",
-        "interval",
-        "manual",
-    ];
-    KNOWN
+    POLICY_NAMES
         .iter()
         .find(|k| **k == name)
         .copied()
@@ -1591,11 +1580,8 @@ const MAX_TRAIL_PERIODS: f64 = 65_536.0;
 
 /// Reads the `ev` run up to `mark`, holding it to the [`Lifecycle`]
 /// rules; returns the log and the lifecycle it leaves.
-fn parse_log(
-    c: &mut Cursor<'_>,
-    mark: LogMark,
-) -> Result<(Vec<(Time, KernelEvent)>, Lifecycle), SnapshotError> {
-    let mut log = Vec::with_capacity(mark.events.saturating_add(LOG_HEADROOM));
+fn parse_log(c: &mut Cursor<'_>, mark: LogMark) -> Result<(EventLog, Lifecycle), SnapshotError> {
+    let mut log = EventLog::with_capacity(mark.events.saturating_add(LOG_HEADROOM));
     let mut lifecycle = Lifecycle::default();
     for _ in 0..mark.events {
         let (at, ev) = c.ev_line()?;

@@ -567,7 +567,7 @@ mod tests {
         assert!(stats.last_clamp.is_some());
         // The clamp held: the kernel log never goes backwards.
         let mut last = Time::ZERO;
-        for &(t, _) in k.log() {
+        for (t, _) in k.log() {
             assert!(last.at_or_before(t), "kernel time moved backward");
             last = last.max(t);
         }

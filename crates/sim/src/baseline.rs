@@ -506,8 +506,8 @@ impl<'a> BaselineEngine<'a> {
         }
     }
 
-    /// Sanitizer-style internal-consistency checks, compiled in under the
-    /// `audit` feature or any debug build and absent from release builds.
+    /// Sanitizer-style internal-consistency checks, compiled into debug
+    /// builds and absent from release builds.
     /// These guard the engine itself; the paper-level invariants (switch
     /// bounds, demand coverage, idle points) are checked post-hoc by
     /// `rtdvs-audit`'s `TraceAuditor`, which replays the recorded trace.

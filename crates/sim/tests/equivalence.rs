@@ -281,11 +281,12 @@ fn deadline_at_next_release_configs() {
 }
 
 /// Release jitter that fires on some releases only: a task's gaps mix
-/// zero and non-zero, so its deadline timer arms on the jittered
-/// invocations and stays disarmed on the others, through completions and
-/// misses under both miss policies.
+/// zero and non-zero, so on the jittered invocations its deadline falls
+/// before its next release and its one timer moves between the two,
+/// while on the others they coincide and the timer stays put, through
+/// completions and misses under both miss policies.
 #[test]
-fn mixed_gaps_arm_and_disarm_the_deadline_timer() {
+fn mixed_gaps_move_the_one_timer() {
     let spec = TaskGenSpec::new(5, 0.8).expect("valid spec");
     let tasks = generate(&spec, 0x61d5).expect("generated set");
     let overload =

@@ -60,7 +60,7 @@ fn main() {
         )
         .expect("still schedulable");
     let deferred = kernel.log().iter().any(
-        |(_, e)| matches!(e, KernelEvent::Admitted { handle, deferred: true } if *handle == cam),
+        |(_, e)| matches!(e, KernelEvent::Admitted { handle, deferred: true } if handle == cam),
     );
     println!("camera task {cam} admitted (first release deferred: {deferred})");
     kernel.run_for(Time::from_ms(300.0));

@@ -139,7 +139,7 @@ fn clamp_never_moves_time_backward_and_releases_stay_bounded() {
         );
 
         let mut last = Time::ZERO;
-        for &(t, _) in kernel.log() {
+        for (t, _) in kernel.log() {
             assert!(
                 last.at_or_before(t),
                 "case {case} ({}): log time moved backward ({last} -> {t})",
@@ -188,8 +188,8 @@ fn catch_up_preserves_release_order() {
         };
         let mut prev: Option<(Time, (u64, usize))> = None;
         let mut batched = 0usize;
-        for &(t, ref ev) in kernel.log() {
-            let KernelEvent::Released { handle, invocation } = *ev else {
+        for (t, ev) in kernel.log() {
+            let KernelEvent::Released { handle, invocation } = ev else {
                 continue;
             };
             let idx = index_of(handle);

@@ -290,7 +290,7 @@ fn cold_start_warms_up() {
         .log()
         .iter()
         .filter_map(|(_, e)| match e {
-            KernelEvent::Overrun { invocation, .. } => Some(*invocation),
+            KernelEvent::Overrun { invocation, .. } => Some(invocation),
             _ => None,
         })
         .collect();

@@ -12,12 +12,16 @@
 //! either reproduced or named line by line, an artifact is rejected or
 //! writes text that reads back, a task file parses to valid tasks or to
 //! a `TaskFileError`, and a procfs command replies with a value, an `ok…`
-//! or an `err: …`.
+//! or an `err: …`, while the session's kernel keeps a log that audits
+//! clean of all but deadline misses and checkpoints and restores to an
+//! equal log.
 
 use std::path::Path;
 
+use rtdvs::audit::{audit_kernel_log, Rule};
 use rtdvs::core::task::Task;
 use rtdvs::kernel::procfs::execute;
+use rtdvs::kernel::Snapshot;
 use rtdvs::taskgen::SplitMix64;
 use rtdvs::{Machine, PolicyKind, RtKernel};
 use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
@@ -345,9 +349,36 @@ fn well_formed(line: &str, reply: &str) -> bool {
     }
 }
 
+/// Holds a finished procfs session's kernel to what a hostile but
+/// accepted session must leave behind: a log whose audit finds deadline
+/// misses at most, and a checkpoint that reads back and restores to an
+/// equal log.
+fn check_session(i: usize, kernel: &mut RtKernel, script: &str) {
+    let findings: Vec<_> = audit_kernel_log(kernel.log())
+        .into_iter()
+        .filter(|v| v.rule != Rule::DeadlineMiss)
+        .collect();
+    assert!(
+        findings.is_empty(),
+        "procfs mutant {i}: audit findings {findings:?}\n{script}"
+    );
+    let snap = kernel
+        .checkpoint()
+        .unwrap_or_else(|e| panic!("procfs mutant {i}: checkpoint refused: {e}\n{script}"));
+    let (revived, _) = Snapshot::from_text(snap.as_text())
+        .and_then(|parsed| parsed.restore())
+        .unwrap_or_else(|e| panic!("procfs mutant {i}: restore refused: {e}\n{script}"));
+    assert_eq!(
+        revived.log(),
+        kernel.log(),
+        "procfs mutant {i}: the restored log differs\n{script}"
+    );
+}
+
 /// Mutants of [`PROCFS_SCRIPT`], fed line by line to `procfs::execute`
-/// on a fresh kernel each: no command panics, and every reply is well
-/// formed (see [`well_formed`]).
+/// on a fresh kernel each: no command panics, every reply is well formed
+/// (see [`well_formed`]), and the session's kernel passes
+/// [`check_session`].
 #[test]
 fn procfs_write_mutants_never_panic() {
     const MUTANTS: usize = 2000;
@@ -379,6 +410,7 @@ fn procfs_write_mutants_never_panic() {
             errors += usize::from(reply.starts_with("err: "));
             ok_writes += usize::from(reply.starts_with("ok"));
         }
+        check_session(i, &mut kernel, &script);
     }
     println!(
         "{MUTANTS} procfs mutants, {lines} commands: {ok_writes} ok, {errors} err, \

@@ -114,7 +114,7 @@ fn restore_is_deterministic() {
     let replay = |snap: &Snapshot| {
         let (mut k, _) = snap.restore().expect("snapshot restores");
         k.run_until(ms(HORIZON_MS));
-        (k.log().to_vec(), k.energy().to_bits(), k.mode_epoch())
+        (k.log().clone(), k.energy().to_bits(), k.mode_epoch())
     };
     let first = replay(&snapshot);
     let second = replay(&snapshot);

@@ -6,8 +6,8 @@
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
 //!   crash-recovery smoke test, examples (the workspace examples, then the
 //!   `examples/benchmark` package's release build and unit tests, then
-//!   one-second `soak128` and `paper-sweep` runs whose `result_digest`s
-//!   must be those in `DIGESTS`) and `bench-check`, each
+//!   one-second runs of its four workloads whose `result_digest`s must be
+//!   those in `DIGESTS`) and `bench-check`, each
 //!   wall-clock-timed with a summary table at the end.
 //!   `ci.sh` and the GitHub Actions workflow both delegate here, so the
 //!   shell script and the hosted pipeline cannot drift. `--skip a,b`
@@ -150,16 +150,26 @@ struct Stage {
 /// workspace, so `cargo build --examples` does not reach it.
 const BENCHMARK_MANIFEST: &str = "examples/benchmark/Cargo.toml";
 
-/// `result_digest` of benchmark workloads at seed 1, as listed in
-/// `examples/benchmark/README.md`. Each hashes the events, energy and
-/// misses of the six paper policies, so it changes exactly when a policy
-/// or the engine decides differently: `soak128` on four 128-task sets,
-/// `paper-sweep` over the Figs. 6–8 grid of 5- to 15-task sets through
-/// the sweep runner and the task generator. A change that alters
-/// decisions on purpose updates them and says why.
-const DIGESTS: [(&str, &str); 2] = [
+/// `result_digest` of every benchmark workload at seed 1. The two engine
+/// workloads hash the events, energy and misses of the six paper
+/// policies, so they change exactly when a policy or the engine decides
+/// differently: `soak128` on four 128-task sets, `paper-sweep` over the
+/// Figs. 6–8 grid of 5- to 15-task sets through the sweep runner and the
+/// task generator (both as listed in `examples/benchmark/README.md`).
+/// The two kernel workloads hash what an `RtKernel` leaves behind:
+/// `kernel-tenants` its log length and energy after an hour serving
+/// tenants, with the served, shed and rejected requests and the response
+/// times; `kernel-recovery` its log length, energy and restores after
+/// checkpoints, crashes and policy swaps, with the last checkpoint's
+/// checksum line, so a change to the `rtdvs-snapshot/v3` text moves it
+/// (its value is in EXPERIMENTS.md § Checkpoint cost; the README still
+/// lists the v1 one). A change that alters any of these on purpose
+/// updates them and says why.
+const DIGESTS: [(&str, &str); 4] = [
     ("soak128", "07acbb0d52b0ec60"),
     ("paper-sweep", "5796d6ee345d6b46"),
+    ("kernel-tenants", "12a4add0089d7a83"),
+    ("kernel-recovery", "c0a3d85c6fba1612"),
 ];
 
 /// The full local gate, in dependency order. `lint` and `analyze` are
@@ -248,8 +258,9 @@ const STAGES: [Stage; 9] = [
 /// The decision digest guard: runs each workload in [`DIGESTS`] at seed 1
 /// for one second, untraced, and requires exit 0 and its pinned
 /// `result_digest`. A speed-only change to a policy, the RM test, the
-/// engine, the runner or the task generator keeps them. Every workload
-/// runs, so one failure does not hide another.
+/// engine, the runner, the task generator, the kernel or its snapshot
+/// codec keeps them. Every workload runs, so one failure does not hide
+/// another.
 fn digests_hold() -> bool {
     let mut ok = true;
     for (workload, expected) in DIGESTS {
@@ -284,7 +295,7 @@ fn digests_hold() -> bool {
         eprint!("{stdout}{}", String::from_utf8_lossy(&out.stderr));
         eprintln!(
             "{workload} seed 1: {}, result_digest {} (expected {expected}): \
-             a policy or the engine decides differently",
+             the workload's decisions or outputs changed",
             out.status,
             digest.unwrap_or("missing"),
         );
