@@ -1,5 +1,5 @@
 //! The one JSON codec behind every committed artifact, and the
-//! `rtdvs-bench/v1` schema with its ±1% comparator.
+//! `rtdvs-bench/v1` schema.
 //!
 //! Every `BENCH_*.json` file and every minimized repro goes through this
 //! module and nothing else: [`Json`] is the value tree, its `Display` is
@@ -49,8 +49,8 @@
 //!
 //! The reader is deliberately forward-compatible: it looks members up by
 //! name and ignores object keys it does not know, so an artifact written
-//! by a newer producer with extra members still loads here (the
-//! comparators then only judge the members both sides speak).
+//! by a newer producer with extra members still loads here
+//! ([`Artifact::diff`] then judges only the members this reader knows).
 //!
 //! Everything except each schema's [`Artifact::PROVENANCE`] members (for
 //! `rtdvs-bench/v1`, `meta.threads` and `wall_ms`) is a pure function of
@@ -239,7 +239,7 @@ pub struct BenchPoint {
     /// count only misses classified as policy bugs here.
     pub deadline_miss: u64,
     /// Misses attributed to injected adversity. Always 0 outside soak
-    /// grids; absent in pre-fault artifacts, which parse as 0.
+    /// grids.
     pub fault_miss: u64,
 }
 
@@ -357,8 +357,7 @@ impl Artifact for BenchArtifact {
                             u: p.get("u")?.as_f64()?,
                             energy_norm: p.get("energy_norm")?.as_f64()?,
                             deadline_miss: p.get("deadline_miss")?.as_u64()?,
-                            // Absent in pre-fault artifacts.
-                            fault_miss: p.get("fault_miss").map_or(Ok(0), Json::as_u64)?,
+                            fault_miss: p.get("fault_miss")?.as_u64()?,
                         })
                     })?,
                 })
@@ -450,73 +449,6 @@ impl BenchArtifact {
         }
         problems
     }
-}
-
-/// Compares a fresh artifact against the committed golden: identical grid,
-/// every energy within `tolerance` (relative), and deadline-miss counts
-/// unchanged. Returns one message per divergence; empty means the run
-/// reproduces the golden.
-#[must_use]
-pub fn compare(golden: &BenchArtifact, fresh: &BenchArtifact, tolerance: f64) -> Vec<String> {
-    let mut problems = Vec::new();
-    if golden.grid != fresh.grid {
-        problems.push(format!(
-            "grid mismatch: golden ran {:?}, fresh ran {:?} — regenerate the golden if the \
-             grid change is intentional",
-            golden.grid.label, fresh.grid.label
-        ));
-        return problems;
-    }
-    if golden.seed != fresh.seed {
-        problems.push(format!(
-            "seed mismatch: golden {} vs fresh {}",
-            golden.seed, fresh.seed
-        ));
-        return problems;
-    }
-    if golden.series.len() != fresh.series.len() {
-        problems.push(format!(
-            "series count mismatch: golden {} vs fresh {}",
-            golden.series.len(),
-            fresh.series.len()
-        ));
-        return problems;
-    }
-    for (g, f) in golden.series.iter().zip(&fresh.series) {
-        let tag = format!("{}/{} tasks", g.policy, g.n_tasks);
-        if g.policy != f.policy || g.n_tasks != f.n_tasks || g.points.len() != f.points.len() {
-            problems.push(format!("{tag}: series shape diverged"));
-            continue;
-        }
-        for (gp, fp) in g.points.iter().zip(&f.points) {
-            let denom = gp.energy_norm.abs().max(1e-12);
-            let rel = (fp.energy_norm - gp.energy_norm).abs() / denom;
-            // A NaN on either side is a divergence, not a pass.
-            if rel.is_nan() || rel > tolerance {
-                problems.push(format!(
-                    "{tag} at U={}: energy {} vs golden {} ({:+.2}% > ±{:.2}%)",
-                    gp.u,
-                    fp.energy_norm,
-                    gp.energy_norm,
-                    100.0 * (fp.energy_norm - gp.energy_norm) / denom,
-                    100.0 * tolerance
-                ));
-            }
-            if fp.deadline_miss != gp.deadline_miss {
-                problems.push(format!(
-                    "{tag} at U={}: {} deadline miss(es) vs golden {}",
-                    gp.u, fp.deadline_miss, gp.deadline_miss
-                ));
-            }
-            if fp.fault_miss != gp.fault_miss {
-                problems.push(format!(
-                    "{tag} at U={}: {} fault-induced miss(es) vs golden {}",
-                    gp.u, fp.fault_miss, gp.fault_miss
-                ));
-            }
-        }
-    }
-    problems
 }
 
 /// A parse or schema error, with the offending member or byte offset.
@@ -1105,56 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn compare_accepts_identity_and_small_drift() {
-        let golden = sample();
-        assert!(compare(&golden, &golden, 0.01).is_empty());
-        let mut fresh = sample();
-        fresh.series[1].points[0].energy_norm *= 1.005;
-        assert!(compare(&golden, &fresh, 0.01).is_empty());
-    }
-
-    #[test]
-    fn compare_rejects_two_percent_energy_delta() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[1].points[1].energy_norm *= 1.02;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("ccEDF"), "{problems:?}");
-        assert!(problems[0].contains("U=0.9"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_rejects_nan_energy() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[1].points[0].energy_norm = f64::NAN;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(problems[0].contains("NaN"), "{problems:?}");
-    }
-
-    #[test]
-    fn compare_rejects_new_deadline_miss() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[0].points[0].deadline_miss = 1;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("deadline miss"), "{problems:?}");
-        // Misses are exact: no energy tolerance excuses one.
-        assert_eq!(compare(&golden, &fresh, 0.20), problems);
-    }
-
-    #[test]
-    fn compare_rejects_grid_drift() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.grid.sets_per_point = 3;
-        assert!(!compare(&golden, &fresh, 0.01).is_empty());
-    }
-
-    #[test]
     fn validate_flags_guarantee_violations() {
         let mut art = sample();
         assert!(art.validate().is_empty());
@@ -1172,15 +1054,10 @@ mod tests {
     }
 
     #[test]
-    fn pre_fault_artifacts_parse_with_zero_fault_miss() {
-        // Artifacts written before the fault_miss field must still load.
-        let text = sample().to_json().replace(", \"fault_miss\": 0", "");
-        assert!(!text.contains("fault_miss"));
-        let parsed = BenchArtifact::from_json(&text).expect("tolerant parse");
-        assert!(parsed
-            .series
-            .iter()
-            .all(|s| s.points.iter().all(|p| p.fault_miss == 0)));
+    fn a_point_without_fault_miss_is_refused() {
+        let text = sample().to_json().replacen(", \"fault_miss\": 0", "", 1);
+        let err = BenchArtifact::from_json(&text).expect_err("fault_miss is required");
+        assert_eq!(err.0, "missing field \"fault_miss\"");
     }
 
     #[test]
@@ -1197,16 +1074,6 @@ mod tests {
             art.series[1].points[0].deadline_miss = 1;
             assert_eq!(art.validate().len(), 1, "{soak:?}");
         }
-    }
-
-    #[test]
-    fn compare_rejects_fault_miss_drift() {
-        let golden = sample();
-        let mut fresh = sample();
-        fresh.series[1].points[1].fault_miss = 2;
-        let problems = compare(&golden, &fresh, 0.01);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains("fault-induced"), "{problems:?}");
     }
 
     #[test]
@@ -1277,16 +1144,18 @@ mod tests {
         }
     }
 
+    /// An edit of one member, and the path at which `diff` must name it.
+    type Drift<A> = (fn(&mut A), &'static str);
+
     /// The codec contract, on one schema's `sample`: it round-trips to the
     /// same value and text, a wrong schema is rejected, an unknown member
     /// in every object is ignored, `text` (a string member, if the schema
     /// has one) survives [`NASTY`] escaped on one line, and `diff` names
-    /// exactly the member `drift` changes, at `drifted`.
+    /// exactly the member each of `drifts` changes, at its path.
     fn codec_contract<A: Artifact + Clone + PartialEq + fmt::Debug>(
         sample: &A,
         text: Option<fn(&mut A) -> &mut String>,
-        drift: fn(&mut A),
-        drifted: &str,
+        drifts: &[Drift<A>],
     ) {
         let json = sample.to_json();
         let back = A::from_json(&json).expect("round trip");
@@ -1317,14 +1186,16 @@ mod tests {
             assert_eq!(A::from_json(&json).expect("escaped string parses"), art);
         }
 
-        let mut art = sample.clone();
-        drift(&mut art);
-        let problems = sample.diff(&art);
-        assert_eq!(problems.len(), 1, "{problems:?}");
-        assert!(
-            problems[0].starts_with(&format!("{drifted}: ")),
-            "{problems:?}"
-        );
+        for (drift, drifted) in drifts {
+            let mut art = sample.clone();
+            drift(&mut art);
+            let problems = sample.diff(&art);
+            assert_eq!(problems.len(), 1, "{problems:?}");
+            assert!(
+                problems[0].starts_with(&format!("{drifted}: ")),
+                "{problems:?}"
+            );
+        }
     }
 
     #[test]
@@ -1333,8 +1204,25 @@ mod tests {
         codec_contract(
             &paper,
             Some(|a| &mut a.grid.label),
-            |a| a.series[1].points[0].deadline_miss += 1,
-            "series[1].points[0].deadline_miss",
+            &[
+                (
+                    |a| a.series[1].points[0].deadline_miss += 1,
+                    "series[1].points[0].deadline_miss",
+                ),
+                (
+                    |a| a.series[1].points[1].fault_miss += 2,
+                    "series[1].points[1].fault_miss",
+                ),
+                (|a| a.grid.sets_per_point += 1, "meta.grid.sets_per_point"),
+                (
+                    |a| a.series[1].points[0].energy_norm = f64::NAN,
+                    "series[1].points[0].energy_norm",
+                ),
+                (
+                    |a| a.series[1].points[1].energy_norm *= 1.005,
+                    "series[1].points[1].energy_norm",
+                ),
+            ],
         );
 
         let ops = OpsArtifact::from_json(OPS).expect("golden");
@@ -1342,24 +1230,24 @@ mod tests {
         codec_contract(
             &ops,
             Some(|a| &mut a.panels[0].rows[0].policy),
-            |a| a.panels[3].rows[5].ops.timer_ops += 1,
-            "panels[3].rows[5].timer_ops",
+            &[(
+                |a| a.panels[3].rows[5].ops.timer_ops += 1,
+                "panels[3].rows[5].timer_ops",
+            )],
         );
 
         let tenants = TenantsArtifact::from_json(TENANTS).expect("golden");
         codec_contract(
             &tenants,
             None,
-            |a| a.tenants[0].served += 1,
-            "tenants[0].served",
+            &[(|a| a.tenants[0].served += 1, "tenants[0].served")],
         );
 
         let campaign = CampaignArtifact::from_json(CAMPAIGN).expect("golden");
         codec_contract(
             &campaign,
             Some(|a| &mut a.cells[0].policy),
-            |a| a.cells[0].kills += 1,
-            "cells[0].kills",
+            &[(|a| a.cells[0].kills += 1, "cells[0].kills")],
         );
 
         let mut repro = ReproArtifact::from_json(REPRO).expect("golden");
@@ -1368,8 +1256,7 @@ mod tests {
         codec_contract(
             &repro,
             Some(|a| &mut a.violation.details),
-            |a| a.plan.seed += 1,
-            "plan.seed",
+            &[(|a| a.plan.seed += 1, "plan.seed")],
         );
     }
 }

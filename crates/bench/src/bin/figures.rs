@@ -1,5 +1,5 @@
 //! Regenerates every paper number and every committed golden, and checks
-//! them all by value.
+//! that each reproduces exactly.
 //!
 //! ```text
 //! figures [run] [--out DIR]
@@ -17,22 +17,20 @@
 //!
 //! figures check [--golden-dir DIR]
 //!     The one gate for every committed artifact, read from DIR (default:
-//!     the repository root). It re-derives Figures 6–8 and diffs them
-//!     against BENCH_paper_figures.json (±1% energy, miss counts exact)
-//!     and re-derives every results/ file: tables and traces byte for
-//!     byte, sweep cells within ±1%, integer and text cells exactly, each
-//!     divergence named by file, line and column. It re-runs the four
-//!     soaks within ±1%, re-runs the tenant soak and the campaign and
-//!     diffs their canonical trees exactly (naming every member that
-//!     differs), re-counts the operation ledger and diffs it exactly
-//!     against BENCH_ops.json, enforces every artifact's own invariants
+//!     the repository root), and its one rule is exact reproduction. It
+//!     regenerates every BENCH_*.json as `run` does and diffs its
+//!     canonical tree (provenance zeroed) against the committed file's,
+//!     naming every member that differs; it re-derives every results/
+//!     file and requires it byte for byte, naming each divergence by
+//!     file, line and column. It enforces every artifact's own invariants
 //!     on the fresh run (the ledger's: ops/event flat from 8 to 128
-//!     tasks, in the engine and in the kernel), and replays results/repro_availability_floor.json to its
-//!     bit-identical violation. Nothing it gates is timed. Every JSON
-//!     file it reads must also be a fixed point of parse→write, so hand
-//!     edits and layout drift fail. Checks every artifact, then exits
-//!     non-zero if any diverged — this is what `xtask bench-check` and
-//!     the CI bench-smoke job run.
+//!     tasks, in the engine and in the kernel), and replays
+//!     results/repro_availability_floor.json to its bit-identical
+//!     violation. Nothing it gates is timed. Every JSON file it reads
+//!     must also be a fixed point of parse→write, so hand edits and
+//!     layout drift fail. Checks every artifact, then exits non-zero if
+//!     any diverged — this is what `xtask bench-check` and the CI
+//!     bench-smoke job run.
 //!
 //! figures repro [--write] [FILE]
 //!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
@@ -49,27 +47,19 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rtdvs_bench::artifact::{check_layout, compare, Artifact, BenchArtifact};
+use rtdvs_bench::artifact::{check_layout, Artifact};
 use rtdvs_bench::campaign::{
     campaign_smoke_config, known_violating_campaign, replay_repro, run_campaign, shrink_plan,
     CampaignArtifact, ReproArtifact,
 };
 use rtdvs_bench::figures::{
     diff_results_file, paper_figures, paper_figures_artifact, results_files, PaperFigure, Scale,
-    TOLERANCE,
 };
 use rtdvs_bench::ops::{run_ops, OpsArtifact};
 use rtdvs_bench::render_normalized_chart;
 use rtdvs_bench::soak::{run_soak, soak_violations, Soak};
 use rtdvs_bench::sweep::{available_threads, DEFAULT_SEED};
 use rtdvs_bench::tenants::{run_tenants, tenants_smoke_config, TenantsArtifact};
-
-/// File names of the committed golden artifacts at the repository root
-/// (the soaks' come from [`Soak::golden`]).
-const PAPER_FIGURES_FILE: &str = "BENCH_paper_figures.json";
-const OPS_FILE: &str = "BENCH_ops.json";
-const TENANTS_FILE: &str = "BENCH_tenants.json";
-const CAMPAIGN_FILE: &str = "BENCH_campaign.json";
 
 /// The directory of the paper's tables, traces and sweeps, relative to
 /// the repository root.
@@ -167,6 +157,90 @@ fn gate(name: &str, what: &str, problems: &[String]) -> bool {
     false
 }
 
+/// Reads the committed file at a path and names every member at which it
+/// differs from the fresh run.
+type Diff = Box<dyn Fn(&Path) -> Result<Vec<String>, String>>;
+
+/// A golden regenerated at [`DEFAULT_SEED`]: the text `run` writes, the
+/// fresh run's invariant violations, and the exact diff `check` holds the
+/// committed file to.
+struct Fresh {
+    json: String,
+    violations: Vec<String>,
+    diff: Diff,
+}
+
+impl Fresh {
+    fn new<A: Artifact + 'static>(violations: Vec<String>, art: A) -> Fresh {
+        Fresh {
+            json: art.to_json(),
+            violations,
+            diff: Box::new(move |path| load::<A>(path).map(|golden| golden.diff(&art))),
+        }
+    }
+}
+
+/// One committed `BENCH_*.json`: its file, what its invariants promise,
+/// and its generator at [`DEFAULT_SEED`], which checks them.
+struct Golden<'a> {
+    file: &'static str,
+    holds: &'static str,
+    generate: Box<dyn Fn() -> Fresh + 'a>,
+}
+
+/// Every committed `BENCH_*.json`, each named once: `run` writes what
+/// the generators produce and `check` diffs it against the committed
+/// file. The paper figures pack `figures`, the run behind `results/`.
+fn goldens(figures: &[PaperFigure]) -> Vec<Golden<'_>> {
+    let paper = Golden {
+        file: "BENCH_paper_figures.json",
+        holds: "is well formed",
+        generate: Box::new(move || {
+            let threads = available_threads();
+            let art = paper_figures_artifact(figures, Scale::committed(), DEFAULT_SEED, threads);
+            Fresh::new(art.validate(), art)
+        }),
+    };
+    let soaks = Soak::ALL.map(|soak| Golden {
+        file: soak.golden(),
+        holds: "keeps its promises",
+        generate: Box::new(move || {
+            let art = run_soak(soak, DEFAULT_SEED);
+            Fresh::new(soak_violations(soak, &art), art)
+        }),
+    });
+    let kernels = [
+        Golden {
+            file: "BENCH_tenants.json",
+            holds: "isolation holds",
+            generate: Box::new(|| {
+                let art = run_tenants(&tenants_smoke_config(DEFAULT_SEED));
+                print_tenants_summary(&art);
+                Fresh::new(art.validate(), art)
+            }),
+        },
+        Golden {
+            file: "BENCH_campaign.json",
+            holds: "invariants hold",
+            generate: Box::new(|| {
+                let art = run_campaign(&campaign_smoke_config(DEFAULT_SEED));
+                print_campaign_summary(&art);
+                Fresh::new(art.validate(), art)
+            }),
+        },
+        Golden {
+            file: "BENCH_ops.json",
+            holds: "ops/event stays flat",
+            generate: Box::new(|| {
+                let art = run_ops(DEFAULT_SEED);
+                print_ops_summary(&art);
+                Fresh::new(art.validate(), art)
+            }),
+        },
+    ];
+    std::iter::once(paper).chain(soaks).chain(kernels).collect()
+}
+
 fn run(args: &Args) -> Result<(), String> {
     let threads = available_threads();
     let scale = Scale::committed();
@@ -174,7 +248,6 @@ fn run(args: &Args) -> Result<(), String> {
     let results = out.join(RESULTS_DIR);
     std::fs::create_dir_all(&results)
         .map_err(|e| format!("cannot create {}: {e}", results.display()))?;
-    let refuse = |name: &str| format!("{name} breaks its invariants; not written");
 
     println!(
         "== Figures 6-8: {}-point grid x {} sets x 6 policies, {} thread(s) ==",
@@ -186,44 +259,19 @@ fn run(args: &Args) -> Result<(), String> {
     for figure in &figures {
         print_panel(figure);
     }
-    let artifact = paper_figures_artifact(&figures, scale, DEFAULT_SEED, threads);
-    if !gate(PAPER_FIGURES_FILE, "is well formed", &artifact.validate()) {
-        return Err(refuse(PAPER_FIGURES_FILE));
+    for golden in goldens(&figures) {
+        let fresh = (golden.generate)();
+        if !gate(golden.file, golden.holds, &fresh.violations) {
+            return Err(format!(
+                "{} breaks its invariants; not written",
+                golden.file
+            ));
+        }
+        write_file(&out, golden.file, &fresh.json)?;
     }
-    write_file(&out, PAPER_FIGURES_FILE, &artifact.to_json())?;
     for (name, text) in results_files(&figures, scale) {
         write_file(&results, &name, &text)?;
     }
-
-    for soak in Soak::ALL {
-        let art = run_soak(soak, DEFAULT_SEED);
-        if !gate(
-            soak.golden(),
-            "keeps its promises",
-            &soak_violations(soak, &art),
-        ) {
-            return Err(refuse(soak.golden()));
-        }
-        write_file(&out, soak.golden(), &art.to_json())?;
-    }
-    let tenants = run_tenants(&tenants_smoke_config(DEFAULT_SEED));
-    if !gate(TENANTS_FILE, "isolation holds", &tenants.validate()) {
-        return Err(refuse(TENANTS_FILE));
-    }
-    write_file(&out, TENANTS_FILE, &tenants.to_json())?;
-    print_tenants_summary(&tenants);
-    let campaign = run_campaign(&campaign_smoke_config(DEFAULT_SEED));
-    if !gate(CAMPAIGN_FILE, "invariants hold", &campaign.validate()) {
-        return Err(refuse(CAMPAIGN_FILE));
-    }
-    write_file(&out, CAMPAIGN_FILE, &campaign.to_json())?;
-    print_campaign_summary(&campaign);
-    let ops = run_ops(DEFAULT_SEED);
-    if !gate(OPS_FILE, "ops/event stays flat", &ops.validate()) {
-        return Err(refuse(OPS_FILE));
-    }
-    write_file(&out, OPS_FILE, &ops.to_json())?;
-    print_ops_summary(&ops);
     Ok(())
 }
 
@@ -237,15 +285,13 @@ fn load<A: Artifact>(path: &Path) -> Result<A, String> {
         .map_err(|e| format!("{}: {e}", path.display()))
 }
 
-/// Every deterministic committed artifact, reproduced from its seed and
-/// held to its invariants (see the module docs). Every artifact is
-/// checked and reported before any failure is returned, so one divergence
-/// never hides another.
+/// Every committed artifact, reproduced exactly and held to its
+/// invariants (see the module docs). Every artifact is checked and
+/// reported before any failure is returned, so one divergence never hides
+/// another.
 fn check(args: &Args) -> Result<(), String> {
-    let threads = available_threads();
     let scale = Scale::committed();
     let dir = args.golden_dir.clone().unwrap_or_else(repo_root);
-    let within = format!("reproduces within ±{:.0}%", 100.0 * TOLERANCE);
     let mut failed = Vec::new();
     let mut verdict = |name: &str, what: &str, problems: Result<Vec<String>, String>| {
         if !gate(name, what, &problems.unwrap_or_else(|e| vec![e])) {
@@ -253,14 +299,16 @@ fn check(args: &Args) -> Result<(), String> {
         }
     };
 
-    let figures = paper_figures(scale, DEFAULT_SEED, threads);
-    let paper = load::<BenchArtifact>(&dir.join(PAPER_FIGURES_FILE)).map(|golden| {
-        let fresh = paper_figures_artifact(&figures, scale, DEFAULT_SEED, threads);
-        let mut problems = compare(&golden, &fresh, TOLERANCE);
-        problems.extend(fresh.validate());
-        problems
-    });
-    verdict(PAPER_FIGURES_FILE, &within, paper);
+    let figures = paper_figures(scale, DEFAULT_SEED, available_threads());
+    for golden in goldens(&figures) {
+        let fresh = (golden.generate)();
+        let problems = (fresh.diff)(&dir.join(golden.file)).map(|mut problems| {
+            problems.extend(fresh.violations);
+            problems
+        });
+        let what = format!("reproduces exactly; {}", golden.holds);
+        verdict(golden.file, &what, problems);
+    }
 
     let files = results_files(&figures, scale);
     let results: Vec<String> = files
@@ -275,52 +323,8 @@ fn check(args: &Args) -> Result<(), String> {
         .collect();
     verdict(
         RESULTS_DIR,
-        &format!(
-            "{} files reproduce: tables and traces byte for byte, sweeps within ±1%",
-            files.len()
-        ),
+        &format!("{} files reproduce byte for byte", files.len()),
         Ok(results),
-    );
-
-    for soak in Soak::ALL {
-        let problems = load::<BenchArtifact>(&dir.join(soak.golden())).map(|golden| {
-            let fresh = run_soak(soak, golden.seed);
-            let mut problems = compare(&golden, &fresh, TOLERANCE);
-            problems.extend(soak_violations(soak, &fresh));
-            problems
-        });
-        verdict(soak.golden(), &within, problems);
-    }
-
-    let tenants = load::<TenantsArtifact>(&dir.join(TENANTS_FILE)).map(|golden| {
-        let fresh = run_tenants(&tenants_smoke_config(golden.seed));
-        print_tenants_summary(&fresh);
-        let mut problems = golden.diff(&fresh);
-        problems.extend(fresh.validate());
-        problems
-    });
-    verdict(TENANTS_FILE, "reproduces byte-for-byte", tenants);
-
-    let campaign = load::<CampaignArtifact>(&dir.join(CAMPAIGN_FILE)).map(|golden| {
-        let fresh = run_campaign(&campaign_smoke_config(golden.seed));
-        print_campaign_summary(&fresh);
-        let mut problems = golden.diff(&fresh);
-        problems.extend(fresh.validate());
-        problems
-    });
-    verdict(CAMPAIGN_FILE, "reproduces byte-for-byte", campaign);
-
-    let ops = load::<OpsArtifact>(&dir.join(OPS_FILE)).map(|golden| {
-        let fresh = run_ops(golden.seed);
-        print_ops_summary(&fresh);
-        let mut problems = golden.diff(&fresh);
-        problems.extend(fresh.validate());
-        problems
-    });
-    verdict(
-        OPS_FILE,
-        "reproduces byte-for-byte; ops/event stays flat",
-        ops,
     );
 
     let repro = load::<ReproArtifact>(&dir.join(REPRO_FILE))

@@ -1,6 +1,6 @@
 //! One driver per table/figure of the paper, plus the ablations called out
 //! in DESIGN.md; the text of every `results/` file they produce
-//! ([`results_files`]); and the value diff the gate holds those files to
+//! ([`results_files`]); and the exact diff the gate holds those files to
 //! ([`diff_results_file`]).
 
 use std::fmt::Write as _;
@@ -537,21 +537,13 @@ pub fn results_files(figures: &[PaperFigure], scale: Scale) -> Vec<(String, Stri
     files
 }
 
-/// Relative tolerance of every sample-mean golden the gate re-derives: a
-/// sweep or soak energy, or a decimal cell of a `results/` CSV.
-pub const TOLERANCE: f64 = 0.01;
-
-/// Compares a committed `results/` file with its fresh text and names
-/// every divergence by file, line and column. The tables and traces are
-/// exact functions of the worked example, so they must match byte for
-/// byte. In the other CSVs a decimal cell may move by
-/// [`TOLERANCE`] relative to the golden, and integer and text
-/// cells must match exactly. A NaN or infinite cell on either side always
-/// diverges.
+/// Compares a committed `results/` file with its fresh text, which must
+/// match byte for byte, and names every divergence by file, line (with
+/// its row key in a CSV) and column. A NaN or infinite CSV cell on either
+/// side always diverges.
 #[must_use]
 pub fn diff_results_file<'a>(name: &str, golden: &'a str, fresh: &'a str) -> Vec<String> {
     let csv = name.ends_with(".csv");
-    let exact = !csv || name == "table1.csv" || name == "table4.csv";
     let lines = |text: &'a str| text.strip_suffix('\n').unwrap_or(text).split('\n');
     let golden_lines: Vec<&str> = lines(golden).collect();
     let fresh_lines: Vec<&str> = lines(fresh).collect();
@@ -609,7 +601,7 @@ pub fn diff_results_file<'a>(name: &str, golden: &'a str, fresh: &'a str) -> Vec
             continue;
         }
         for (c, (g, f)) in g_cells.iter().zip(&f_cells).enumerate() {
-            if let Some(why) = diff_cell(g, f, exact) {
+            if let Some(why) = diff_cell(g, f) {
                 let column = header.get(c).copied().unwrap_or("?");
                 problems.push(format!("{name}: {row}, column {column}: {why}"));
             }
@@ -619,25 +611,12 @@ pub fn diff_results_file<'a>(name: &str, golden: &'a str, fresh: &'a str) -> Vec
 }
 
 /// One CSV cell against its golden: `None` if it reproduces.
-fn diff_cell(golden: &str, fresh: &str, exact: bool) -> Option<String> {
-    let (g, f) = (golden.parse::<f64>().ok(), fresh.parse::<f64>().ok());
-    if g.is_some_and(|v| !v.is_finite()) || f.is_some_and(|v| !v.is_finite()) {
+fn diff_cell(golden: &str, fresh: &str) -> Option<String> {
+    let finite = |cell: &str| cell.parse::<f64>().map_or(true, f64::is_finite);
+    if !finite(golden) || !finite(fresh) {
         return Some(format!("{fresh} vs golden {golden}: not a finite number"));
     }
-    let integer = !golden.is_empty() && golden.bytes().all(|b| b.is_ascii_digit());
-    match (g, f) {
-        (Some(g), Some(f)) if !exact && !integer => {
-            let rel = (f - g) / g.abs().max(1e-12);
-            (rel.abs() > TOLERANCE).then(|| {
-                format!(
-                    "{fresh} vs golden {golden} ({:+.2}% > ±{:.0}%)",
-                    100.0 * rel,
-                    100.0 * TOLERANCE
-                )
-            })
-        }
-        _ => (golden != fresh).then(|| format!("{fresh} vs golden {golden}")),
-    }
+    (golden != fresh).then(|| format!("{fresh} vs golden {golden}"))
 }
 
 #[cfg(test)]
@@ -705,19 +684,14 @@ mod tests {
                              1.000,1.000000,1.000000,0.990000\n";
 
     #[test]
-    fn results_diff_holds_sweep_cells_to_one_percent() {
+    fn results_diff_holds_sweep_cells_exactly() {
         let name = "fig10_idle1.csv";
         assert!(diff_results_file(name, SWEEP_CSV, SWEEP_CSV).is_empty());
         let half = SWEEP_CSV.replace("0.574000", "0.576870");
-        assert!(diff_results_file(name, SWEEP_CSV, &half).is_empty());
-        let two = SWEEP_CSV.replace("0.574000", "0.585480");
-        let problems = diff_results_file(name, SWEEP_CSV, &two);
+        let problems = diff_results_file(name, SWEEP_CSV, &half);
         assert_eq!(
             problems,
-            [
-                "fig10_idle1.csv: line 2 (U=0.500), column ccEDF: 0.585480 vs golden 0.574000 \
-              (+2.00% > ±1%)"
-            ]
+            ["fig10_idle1.csv: line 2 (U=0.500), column ccEDF: 0.576870 vs golden 0.574000"]
         );
         let nan = SWEEP_CSV.replace("0.374000", "NaN");
         let problems = diff_results_file(name, &nan, &nan);

@@ -4,11 +4,11 @@
 //! paper's evaluation (§3.2 and §4.3), and the one writer and gate of the
 //! repository's committed artifacts. The `figures` binary writes every
 //! paper number at one committed scale ([`Scale::committed`]) with
-//! `figures run`, and `figures check` re-derives each of them by value
-//! ([`compare`] for `BENCH_paper_figures.json`, [`diff_results_file`] for
-//! `results/`). Integration tests reuse the drivers with smaller sample
-//! counts to assert the paper's qualitative results (orderings,
-//! crossovers, bounds).
+//! `figures run`, and `figures check` regenerates each of them and
+//! requires it exactly ([`Artifact::diff`] for `BENCH_paper_figures.json`,
+//! [`diff_results_file`] for `results/`). Integration tests reuse the
+//! drivers with smaller sample counts to assert the paper's qualitative
+//! results (orderings, crossovers, bounds).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,8 +25,7 @@ pub mod taskfile;
 pub mod tenants;
 
 pub use artifact::{
-    check_layout, compare, Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint,
-    BenchSeries, Json,
+    check_layout, Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint, BenchSeries, Json,
 };
 pub use campaign::{
     campaign_smoke_config, cell_findings, known_violating_campaign, materialize, policy_by_name,

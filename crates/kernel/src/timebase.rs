@@ -5,7 +5,7 @@
 //! ticks, laEDF/ccEDF compute slack against assumed-true deadlines, and
 //! transition settle deadlines are measured on the same clock. This
 //! module owns the kernel's defense when that assumption breaks (a
-//! [`ClockPlan`] attached via [`RtKernel::with_clock_plan`]):
+//! [`ClockPlan`] attached via [`RtKernel::set_clock_plan`]):
 //!
 //! * **monotonicity clamp** — backward RTC jumps are refused and counted;
 //!   kernel time never moves backward ([`KernelEvent::ClockJumpClamped`]);
@@ -167,17 +167,11 @@ pub struct ClockStats {
 }
 
 impl RtKernel {
-    /// Attaches a clock fault plan behind the time base. An inactive plan
-    /// attaches nothing and the kernel runs byte-identically to one with
-    /// no plan at all.
-    #[must_use]
-    pub fn with_clock_plan(mut self, plan: ClockPlan) -> RtKernel {
-        self.set_clock_plan(plan);
-        self
-    }
-
-    /// Attaches or replaces the clock fault plan at run time (a restore
-    /// re-attaches the plan the same way the regulator is re-attached).
+    /// Attaches or replaces the clock fault plan behind the time base, at
+    /// spawn time or at run time (a restore re-attaches the plan the same
+    /// way the regulator is re-attached). An inactive plan attaches
+    /// nothing and the kernel runs byte-identically to one with no plan
+    /// at all.
     pub fn set_clock_plan(&mut self, plan: ClockPlan) {
         self.timebase.driver = plan.is_active().then(|| ClockDriver {
             oracle: ClockOracle::new(plan),
@@ -185,12 +179,6 @@ impl RtKernel {
             coverage: self.now,
             last_delivered: self.now,
         });
-    }
-
-    /// `true` when a clock fault plan is attached.
-    #[must_use]
-    pub fn clock_plan_active(&self) -> bool {
-        self.timebase.driver.is_some()
     }
 
     /// Time-base readback: drift estimate, clamp and catch-up counters,
@@ -509,8 +497,8 @@ mod tests {
 
     #[test]
     fn inactive_plan_attaches_no_driver() {
-        let k = kernel().with_clock_plan(ClockPlan::none());
-        assert!(!k.clock_plan_active());
+        let mut k = kernel();
+        k.set_clock_plan(ClockPlan::none());
         assert!(k.timebase.is_default_state());
         let stats = k.clock_stats();
         assert!(!stats.active);
@@ -523,8 +511,9 @@ mod tests {
         let plan = ClockPlan::new(0x7_11)
             .with_tick_loss(0.4)
             .with_coalescing(0.2, 4);
-        let mut k = kernel().with_clock_plan(plan);
-        assert!(k.clock_plan_active());
+        let mut k = kernel();
+        k.set_clock_plan(plan);
+        assert!(k.clock_stats().active);
         k.run_for(Time::from_ms(400.0));
         let gaps = k
             .log()
@@ -538,7 +527,8 @@ mod tests {
     #[test]
     fn watchdog_engages_under_total_tick_loss_and_time_still_advances() {
         let plan = ClockPlan::new(1).with_tick_loss(1.0);
-        let mut k = kernel().with_clock_plan(plan);
+        let mut k = kernel();
+        k.set_clock_plan(plan);
         k.run_for(Time::from_ms(100.0));
         assert!(
             k.log()
@@ -560,7 +550,8 @@ mod tests {
     #[test]
     fn backward_jumps_are_clamped_and_counted() {
         let plan = ClockPlan::new(2).with_backward_jumps(0.5, 2.0);
-        let mut k = kernel().with_clock_plan(plan);
+        let mut k = kernel();
+        k.set_clock_plan(plan);
         k.run_for(Time::from_ms(200.0));
         let stats = k.clock_stats();
         assert!(stats.clamped_jumps > 0, "rate-0.5 jumps never fired");
@@ -579,8 +570,8 @@ mod tests {
     /// every pick against a scan of the queue's members.
     #[test]
     fn held_releases_keep_overdue_invocations_first() {
-        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf)
-            .with_clock_plan(ClockPlan::new(1).with_tick_loss(1.0));
+        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+        k.set_clock_plan(ClockPlan::new(1).with_tick_loss(1.0));
         // Declared 1 ms per 4 ms, but every invocation demands 6 ms.
         let overrun = |_inv: u64, _spec: &rtdvs_core::task::Task| Work::from_ms(6.0);
         k.spawn(Time::from_ms(4.0), Work::from_ms(1.0), Box::new(overrun))
@@ -644,7 +635,8 @@ mod tests {
     #[test]
     fn drift_is_estimated_and_margins_activate() {
         let plan = ClockPlan::new(3).with_drift(0.3, 400.0);
-        let mut k = kernel().with_clock_plan(plan);
+        let mut k = kernel();
+        k.set_clock_plan(plan);
         k.run_for(Time::from_ms(500.0));
         let stats = k.clock_stats();
         assert!(stats.drift_ppm > 0.0, "drift never observed");

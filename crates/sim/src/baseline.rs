@@ -470,10 +470,9 @@ impl<'a> BaselineEngine<'a> {
     /// Overrun containment: quarantines any active invocation that has
     /// exhausted its declared WCET budget and still has work left, and
     /// lazily releases the quarantine once the invocation leaves the
-    /// active state. No-op unless the fault plan arms containment.
+    /// active state. No-op without an active fault plan.
     fn update_quarantine(&mut self) {
-        let containment = self.faults.as_ref().is_some_and(|f| f.plan.containment);
-        if !containment {
+        if self.faults.is_none() {
             return;
         }
         for i in 0..self.rt.len() {
@@ -614,12 +613,10 @@ impl<'a> BaselineEngine<'a> {
                 let exec_start = self.now.max(self.stall_until);
                 let t_done = exec_start + self.remaining(id.0).duration_at(op.freq);
                 t_next = t_next.min(t_done);
-                // With containment armed, budget exhaustion is an event of
-                // its own: stop exactly when the invocation reaches its
+                // Under an active fault plan, budget exhaustion is an event
+                // of its own: stop exactly when the invocation reaches its
                 // declared WCET so the quarantine begins on time.
-                if self.faults.as_ref().is_some_and(|f| f.plan.containment)
-                    && !self.is_quarantined(id.0)
-                {
+                if self.faults.is_some() && !self.is_quarantined(id.0) {
                     let executed = self.rt.get(id.0).map_or(Work::ZERO, |s| s.executed);
                     let budget = (self.tasks.task(id).wcet() - executed).clamp_non_negative();
                     t_next = t_next.min(exec_start + budget.duration_at(op.freq));

@@ -86,7 +86,9 @@ pub struct ReleaseJitterFault {
 ///
 /// Built with [`FaultPlan::new`] plus `with_*` calls; [`FaultPlan::none`]
 /// (the [`Default`]) injects nothing and is provably zero-cost. Builders
-/// with a zero rate install nothing, so a rate-0 plan *is* `none()`.
+/// with a zero rate install nothing, so a rate-0 plan *is* `none()`. An
+/// active plan always arms the engine's overrun containment (quarantine
+/// the offender, escalate to `f_max`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the per-fault child streams (independent of the sim seed).
@@ -99,11 +101,6 @@ pub struct FaultPlan {
     pub transition_jitter: Option<TransitionJitterFault>,
     /// Release jitter.
     pub release_jitter: Option<ReleaseJitterFault>,
-    /// Whether the engine's overrun-containment response (escalate to
-    /// `f_max`, quarantine the offender) is armed. On by default for plans
-    /// built with [`FaultPlan::new`]; turn off to measure uncontained
-    /// damage.
-    pub containment: bool,
 }
 
 impl FaultPlan {
@@ -116,7 +113,6 @@ impl FaultPlan {
             stuck_transition: None,
             transition_jitter: None,
             release_jitter: None,
-            containment: false,
         }
     }
 
@@ -125,7 +121,6 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            containment: true,
             ..FaultPlan::none()
         }
     }
@@ -163,13 +158,6 @@ impl FaultPlan {
         debug_assert!((0.0..=1.0).contains(&rate), "rate {rate} outside [0, 1]");
         debug_assert!(max_fraction >= 0.0);
         self.release_jitter = (rate > 0.0).then_some(ReleaseJitterFault { rate, max_fraction });
-        self
-    }
-
-    /// Disables the containment response, leaving only the injection side.
-    #[must_use]
-    pub fn without_containment(mut self) -> FaultPlan {
-        self.containment = false;
         self
     }
 
@@ -323,7 +311,6 @@ mod tests {
     fn none_is_inactive_and_default() {
         let p = FaultPlan::none();
         assert!(!p.is_active());
-        assert!(!p.containment);
         assert_eq!(p, FaultPlan::default());
     }
 
@@ -345,9 +332,7 @@ mod tests {
             .with_transition_jitter(0.05, Time::from_ms(0.1))
             .with_release_jitter(0.05, 0.25);
         assert!(p.is_active());
-        assert!(p.containment);
         assert_eq!(p.overrun.unwrap().factor, 1.5);
-        assert!(!p.without_containment().containment);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub struct TaskGenSpec {
     pub n_tasks: usize,
     /// Target total worst-case utilization in `(0, 1]`.
     pub utilization: f64,
-    bands: Vec<(f64, f64)>,
 }
 
 impl TaskGenSpec {
@@ -57,30 +56,7 @@ impl TaskGenSpec {
         Ok(TaskGenSpec {
             n_tasks,
             utilization,
-            bands: PERIOD_BANDS_MS.to_vec(),
         })
-    }
-
-    /// Replaces the period bands (each `(lo, hi)` in ms, picked with equal
-    /// probability, uniform within). Useful to restrict a study to short
-    /// or long periods.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TaskGenError::BadBands`] for an empty list or a band with
-    /// `lo ≤ 0` or `hi ≤ lo`.
-    pub fn with_bands(mut self, bands: &[(f64, f64)]) -> Result<TaskGenSpec, TaskGenError> {
-        if bands.is_empty() || bands.iter().any(|&(lo, hi)| lo <= 0.0 || hi <= lo) {
-            return Err(TaskGenError::BadBands);
-        }
-        self.bands = bands.to_vec();
-        Ok(self)
-    }
-
-    /// The period bands in use.
-    #[must_use]
-    pub fn bands(&self) -> &[(f64, f64)] {
-        &self.bands
     }
 }
 
@@ -98,8 +74,6 @@ pub enum TaskGenError {
     /// for extreme parameters, e.g. one task at utilization 1.0 whose
     /// scaled computation time keeps exceeding its period).
     Exhausted,
-    /// Custom period bands were empty or malformed.
-    BadBands,
 }
 
 impl fmt::Display for TaskGenError {
@@ -115,17 +89,16 @@ impl fmt::Display for TaskGenError {
                     "could not generate a valid task set within the retry budget"
                 )
             }
-            TaskGenError::BadBands => write!(f, "period bands must be non-empty with 0 < lo < hi"),
         }
     }
 }
 
 impl std::error::Error for TaskGenError {}
 
-/// Draws one value from a banded distribution: pick a band uniformly,
-/// then a value uniformly within it.
-fn banded(bands: &[(f64, f64)], rng: &mut SplitMix64) -> f64 {
-    let (lo, hi) = bands[rng.index(bands.len())];
+/// Draws one value from the paper's banded distribution: pick one of
+/// [`PERIOD_BANDS_MS`] uniformly, then a value uniformly within it.
+fn banded(rng: &mut SplitMix64) -> f64 {
+    let (lo, hi) = PERIOD_BANDS_MS[rng.index(PERIOD_BANDS_MS.len())];
     rng.range_f64(lo, hi)
 }
 
@@ -144,11 +117,9 @@ pub fn generate(spec: &TaskGenSpec, seed: u64) -> Result<TaskSet, TaskGenError> 
     let mut rng = SplitMix64::seed_from_u64(seed);
     const MAX_ATTEMPTS: usize = 10_000;
     for _ in 0..MAX_ATTEMPTS {
-        let periods: Vec<f64> = (0..spec.n_tasks)
-            .map(|_| banded(&spec.bands, &mut rng))
-            .collect();
+        let periods: Vec<f64> = (0..spec.n_tasks).map(|_| banded(&mut rng)).collect();
         let raw_comp: Vec<f64> = (0..spec.n_tasks)
-            .map(|_| banded(&spec.bands, &mut rng))
+            .map(|_| banded(&mut rng))
             .zip(&periods)
             .map(|(c, &p)| c.min(p))
             .collect();
@@ -176,22 +147,6 @@ pub fn generate(spec: &TaskGenSpec, seed: u64) -> Result<TaskSet, TaskGenError> 
         }
     }
     Err(TaskGenError::Exhausted)
-}
-
-/// Generates `count` independent task sets, seeded `seed, seed+1, …` —
-/// the paper averages each data point over hundreds of such sets.
-///
-/// # Errors
-///
-/// Propagates [`TaskGenError::Exhausted`] from [`generate`].
-pub fn generate_many(
-    spec: &TaskGenSpec,
-    seed: u64,
-    count: usize,
-) -> Result<Vec<TaskSet>, TaskGenError> {
-    (0..count)
-        .map(|i| generate(spec, seed.wrapping_add(i as u64)))
-        .collect()
 }
 
 #[cfg(test)]
@@ -270,52 +225,12 @@ mod tests {
     }
 
     #[test]
-    fn generate_many_counts_and_distinct() {
-        let spec = TaskGenSpec::new(5, 0.5).unwrap();
-        let sets = generate_many(&spec, 100, 20).unwrap();
-        assert_eq!(sets.len(), 20);
-        assert_ne!(sets[0], sets[1]);
-    }
-
-    #[test]
     fn single_task_full_utilization() {
         // C = P: valid and generated without exhausting retries.
         let spec = TaskGenSpec::new(1, 1.0).unwrap();
         let set = generate(&spec, 3).unwrap();
         let t = &set.tasks()[0];
         assert!((t.wcet().as_ms() - t.period().as_ms()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn custom_bands_constrain_periods() {
-        let spec = TaskGenSpec::new(10, 0.6)
-            .unwrap()
-            .with_bands(&[(20.0, 50.0)])
-            .unwrap();
-        for seed in 0..20 {
-            let set = generate(&spec, seed).unwrap();
-            for t in set.tasks() {
-                let p = t.period().as_ms();
-                assert!((20.0..50.0).contains(&p), "period {p} escaped the band");
-            }
-        }
-    }
-
-    #[test]
-    fn bad_bands_rejected() {
-        let spec = TaskGenSpec::new(5, 0.5).unwrap();
-        assert!(matches!(
-            spec.clone().with_bands(&[]),
-            Err(TaskGenError::BadBands)
-        ));
-        assert!(matches!(
-            spec.clone().with_bands(&[(5.0, 5.0)]),
-            Err(TaskGenError::BadBands)
-        ));
-        assert!(matches!(
-            spec.with_bands(&[(0.0, 5.0)]),
-            Err(TaskGenError::BadBands)
-        ));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! stream and the reduction folds cells in a fixed order, so the thread
 //! count is pure mechanism — it may change wall-clock, never results.
 //! These tests pin that claim at the two layers the gate relies on (the
-//! merged `Sweep` and the serialized artifact). The `compare` tolerance
-//! gate's own tests live beside it in `crates/bench/src/artifact.rs`.
+//! merged `Sweep` and the serialized artifact); it is why `figures check`
+//! can require every golden exactly. The exact diff's own tests live
+//! beside it in `crates/bench/src/artifact.rs`.
 
 use std::num::NonZeroUsize;
 

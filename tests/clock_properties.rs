@@ -82,10 +82,10 @@ fn inactive_plan_is_observationally_free_per_policy() {
                 build(kind, &mut rr)
             };
             let (mut plain, _) = draw(body_seed);
-            let (twin, _) = draw(body_seed);
-            let mut twin = twin.with_clock_plan(ClockPlan::none());
+            let (mut twin, _) = draw(body_seed);
+            twin.set_clock_plan(ClockPlan::none());
             assert!(
-                !twin.clock_plan_active(),
+                !twin.clock_stats().active,
                 "{} case {case}: a zero-rate plan attached a driver",
                 kind.name()
             );
@@ -127,8 +127,8 @@ fn clamp_never_moves_time_backward_and_releases_stay_bounded() {
     for case in 0..300u64 {
         let mut r = SplitMix64::seed_from_u64(0xC10C_C1A4 ^ case);
         let kind = PolicyKind::paper_six()[r.index(6)];
-        let (kernel, _) = build(kind, &mut r);
-        let mut kernel = kernel.with_clock_plan(adversarial_plan(&mut r));
+        let (mut kernel, _) = build(kind, &mut r);
+        kernel.set_clock_plan(adversarial_plan(&mut r));
 
         kernel.run_until(Time::from_ms(HORIZON_MS));
         assert!(
@@ -170,13 +170,13 @@ fn catch_up_preserves_release_order() {
     for case in 0..300u64 {
         let mut r = SplitMix64::seed_from_u64(0x0DE1_40DE ^ case);
         let kind = PolicyKind::paper_six()[r.index(6)];
-        let (kernel, workload) = build(kind, &mut r);
+        let (mut kernel, workload) = build(kind, &mut r);
         // Heavy loss and coalescing: gaps open constantly, so most
         // releases flow through the catch-up cascade.
         let plan = ClockPlan::new(r.next_u64())
             .with_tick_loss(r.range_f64_inclusive(0.3, 0.8))
             .with_coalescing(0.3, 4);
-        let mut kernel = kernel.with_clock_plan(plan);
+        kernel.set_clock_plan(plan);
         kernel.run_until(Time::from_ms(HORIZON_MS));
 
         let index_of = |h: TaskHandle| -> usize {

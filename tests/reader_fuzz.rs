@@ -160,8 +160,7 @@ fn repro_mutants_never_panic_or_hang() {
 /// Every committed results CSV or trace, mutated and compared with its
 /// fresh text (which `figures check` pins to the committed bytes), yields
 /// differences that each name the file and a line, and never panics.
-/// Tables and traces must name every mutant that changed a byte, and a
-/// NaN or infinite cell is always named.
+/// Every mutant that changed a byte is named.
 #[test]
 fn results_mutants_are_named_never_panic() {
     const MUTANTS_PER_FILE: usize = 200;
@@ -185,7 +184,6 @@ fn results_mutants_are_named_never_panic() {
     let (mut mutants, mut named) = (0, 0);
     for (name, fresh) in &files {
         let csv = name.ends_with(".csv");
-        let exact = !csv || name.starts_with("table");
         for _ in 0..MUTANTS_PER_FILE {
             let golden = mutant(fresh, if csv { ',' } else { ' ' }, &mut rng);
             let problems = std::panic::catch_unwind(|| diff_results_file(name, &golden, fresh))
@@ -193,11 +191,11 @@ fn results_mutants_are_named_never_panic() {
             for p in &problems {
                 assert!(p.starts_with(&format!("{name}: line ")), "{p}");
             }
-            if golden == *fresh {
-                assert!(problems.is_empty(), "{problems:?}");
-            } else if exact || golden.contains("NaN") || golden.contains("inf") {
-                assert!(!problems.is_empty(), "{name} mutant passed:\n{golden}");
-            }
+            assert_eq!(
+                problems.is_empty(),
+                golden == *fresh,
+                "{name} mutant:\n{golden}\n{problems:?}"
+            );
             mutants += 1;
             named += usize::from(!problems.is_empty());
         }

@@ -17,17 +17,13 @@
 //!   artifact.
 //! * `cargo run -p xtask -- bench-check` — the golden gate: delegates to
 //!   `figures check` (crates/bench), the single check of every committed
-//!   artifact. It re-derives every paper number by value: Figures 6–8
-//!   against `BENCH_paper_figures.json` (±1% energy, misses exact) and
-//!   every table, trace and sweep in `results/` (tables and traces byte
-//!   for byte, decimal cells within ±1%, counts and labels exact, each
-//!   divergence named by file, row and column). It re-runs the four
-//!   single-fault soaks (`BENCH_faults.json`, `BENCH_modes.json`,
-//!   `BENCH_regulator.json`, `BENCH_clock.json`) within ±1% energy,
-//!   re-runs the tenant soak and the chaos campaign byte-for-byte
-//!   against `BENCH_tenants.json` and `BENCH_campaign.json`, re-counts
-//!   the operation ledger of both executors (the engine and the kernel)
-//!   byte-for-byte against `BENCH_ops.json`, holds each to its
+//!   artifact, whose one rule is exact reproduction. It regenerates every
+//!   `BENCH_*.json` (Figures 6–8 in `BENCH_paper_figures.json`, the four
+//!   single-fault soaks, the tenant soak, the chaos campaign and both
+//!   executors' operation ledger in `BENCH_ops.json`) and requires every
+//!   member but provenance exactly, naming each member that differs, and
+//!   every table, trace and sweep in `results/` byte for byte, naming
+//!   each divergence by file, row and column. It holds each to its
 //!   invariants (no policy-blamed miss, inactive plans bit-exact, tenant
 //!   isolation, campaign availability, ops/event flat from 8 to 128 tasks
 //!   in each executor; nothing is timed), and replays the committed repro
