@@ -9,8 +9,10 @@
 //! pair. The writer's layout is fixed: two-space indent; a container
 //! whose members are all scalars or arrays of scalars goes on one line,
 //! any other container puts one member per line; every string is
-//! escaped. A committed file must be a fixed point of parse→write
-//! ([`check_layout`]), so hand edits and layout drift fail the gates.
+//! escaped. A committed file must be exactly what its schema's writer
+//! writes for the value its reader reads ([`Artifact::read_exact`]), so
+//! hand edits, layout drift, extra digits and unknown members all fail
+//! the gates, each named by its line.
 //!
 //! Schema `rtdvs-bench/v1`:
 //!
@@ -47,10 +49,10 @@
 //! zero-miss check then enforces "adversity never turns into a policy
 //! bug" mechanically.
 //!
-//! The reader is deliberately forward-compatible: it looks members up by
-//! name and ignores object keys it does not know, so an artifact written
-//! by a newer producer with extra members still loads here
-//! ([`Artifact::diff`] then judges only the members this reader knows).
+//! The tolerant reader, [`Artifact::from_json`], looks members up by name
+//! and ignores object keys it does not know, so an artifact written by a
+//! newer producer with extra members still parses; a committed file is
+//! read through [`Artifact::read_exact`], which refuses them.
 //!
 //! Everything except each schema's [`Artifact::PROVENANCE`] members (for
 //! `rtdvs-bench/v1`, `meta.threads` and `wall_ms`) is a pure function of
@@ -123,6 +125,33 @@ pub trait Artifact: Sized {
             )));
         }
         Self::from_tree(&tree)
+    }
+
+    /// Reads a committed artifact exactly: `text` must be what
+    /// [`Artifact::to_json`] writes for the value [`Artifact::from_json`]
+    /// reads from it, byte for byte. So a member the reader ignores, a
+    /// number written with digits the writer does not keep, or a space
+    /// outside the writer's layout is refused, where the tolerant reader
+    /// would read past it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the reader's error, or names the first line the rewrite
+    /// changes.
+    fn read_exact(text: &str) -> Result<Self, ArtifactError> {
+        let art = Self::from_json(text)?;
+        let written = art.to_json();
+        if written == text {
+            return Ok(art);
+        }
+        let line = 1 + written
+            .lines()
+            .zip(text.lines())
+            .take_while(|(a, b)| a == b)
+            .count();
+        Err(ArtifactError(format!(
+            "line {line} is not what the writer writes for the value read (read→write must reproduce the file)"
+        )))
     }
 
     /// Every path at which `fresh`'s canonical tree differs from this
@@ -203,28 +232,6 @@ fn diff_trees(path: &str, golden: &Json, fresh: &Json, problems: &mut Vec<String
         _ if golden != fresh => problems.push(format!("{path}: {fresh} vs golden {golden}")),
         _ => {}
     }
-}
-
-/// Checks that `text` is a fixed point of parse→write: the writer's own
-/// layout, byte for byte. A committed artifact that fails this was edited
-/// by hand or written by a drifted writer, even if every value parses.
-///
-/// # Errors
-///
-/// Returns the parse error, or the first line that the rewrite changes.
-pub fn check_layout(text: &str) -> Result<(), ArtifactError> {
-    let rewritten = format!("{}\n", Json::parse(text)?);
-    if rewritten == text {
-        return Ok(());
-    }
-    let line = 1 + rewritten
-        .lines()
-        .zip(text.lines())
-        .take_while(|(a, b)| a == b)
-        .count();
-    Err(ArtifactError(format!(
-        "line {line} is not in the writer's layout (parse→write must reproduce the file)"
-    )))
 }
 
 /// One plotted point.
@@ -1087,29 +1094,65 @@ mod tests {
         ]);
         let expected = "{\n  \"flat\": {\"a\": [], \"b\": \"x\"},\n  \"empty\": {}\n}";
         assert_eq!(nested.to_string(), expected);
-        let goldens = [
+        let bench = [
             PAPER_FIGURES,
             SOAK_FAULTS,
             SOAK_MODES,
             SOAK_REGULATOR,
             SOAK_CLOCK,
-            OPS,
-            TENANTS,
-            CAMPAIGN,
-            REPRO,
         ];
-        for golden in goldens {
-            assert_eq!(check_layout(golden), Ok(()), "a committed golden drifted");
+        for golden in bench {
+            assert!(
+                BenchArtifact::read_exact(golden).is_ok(),
+                "a golden drifted"
+            );
         }
+        assert!(OpsArtifact::read_exact(OPS).is_ok());
+        assert!(TenantsArtifact::read_exact(TENANTS).is_ok());
+        assert!(CampaignArtifact::read_exact(CAMPAIGN).is_ok());
+        assert!(ReproArtifact::read_exact(REPRO).is_ok());
+
         let text = sample().to_json();
-        assert_eq!(check_layout(&text), Ok(()));
-        let err = check_layout(&text.replacen("\"seed\": 24301", "\"seed\":  24301", 1))
-            .expect_err("hand-edited spacing");
-        assert!(err.0.starts_with("line 4 "), "{err}");
-        assert!(
-            check_layout(text.trim_end()).is_err(),
-            "missing final newline"
-        );
+        assert_eq!(BenchArtifact::read_exact(&text), Ok(sample()));
+        // Each edit still reads, but is not what the writer writes: a space
+        // out of layout, a missing final newline, a digit the writer does
+        // not keep, an unknown member.
+        let edits = [
+            (text.replacen("\"seed\": 24301", "\"seed\":  24301", 1), 4),
+            (text.trim_end().to_owned(), text.lines().count() + 1),
+            (edit_line(PAPER_FIGURES, 39, "0.359900,", "0.3599004,"), 39),
+            (
+                edit_line(
+                    SOAK_FAULTS,
+                    13,
+                    "\"fault_miss\": 0}",
+                    "\"fault_miss\": 0, \"x_note\": 7}",
+                ),
+                13,
+            ),
+        ];
+        for (edited, line) in edits {
+            assert!(BenchArtifact::from_json(&edited).is_ok());
+            let err = BenchArtifact::read_exact(&edited).expect_err("an edit");
+            assert!(err.0.starts_with(&format!("line {line} ")), "{err}");
+        }
+    }
+
+    /// `text` with `from` replaced by `to` on its (1-based) line `line`.
+    fn edit_line(text: &str, line: usize, from: &str, to: &str) -> String {
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| {
+                if i + 1 == line {
+                    assert!(l.contains(from), "line {line} is {l:?}");
+                    l.replacen(from, to, 1)
+                } else {
+                    l.to_owned()
+                }
+            })
+            .collect();
+        format!("{}\n", lines.join("\n"))
     }
 
     const PAPER_FIGURES: &str = include_str!("../../../BENCH_paper_figures.json");

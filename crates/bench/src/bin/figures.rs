@@ -27,14 +27,15 @@
 //!     tasks, in the engine and in the kernel), and replays
 //!     results/repro_availability_floor.json to its bit-identical
 //!     violation. Nothing it gates is timed. Every JSON file it reads
-//!     must also be a fixed point of parse→write, so hand edits and
-//!     layout drift fail. Checks every artifact, then exits non-zero if
+//!     must also be exactly what its writer writes for the value read
+//!     (`Artifact::read_exact`), so hand edits, extra digits, unknown
+//!     members and layout drift fail, each named by its line. Checks every artifact, then exits non-zero if
 //!     any diverged — this is what `xtask bench-check` and the CI
 //!     bench-smoke job run.
 //!
 //! figures repro [--write] [FILE]
-//!     Replay a minimized chaos repro (`rtdvs-repro/v1`, a fixed point of
-//!     parse→write) and require the bit-identical audit violation it pins
+//!     Replay a minimized chaos repro (`rtdvs-repro/v1`, read exactly)
+//!     and require the bit-identical audit violation it pins
 //!     (default FILE: results/repro_availability_floor.json). With
 //!     `--write`, instead shrink the known-violating campaign down to a
 //!     minimal repro and write it to FILE. This is what `xtask repro`
@@ -47,7 +48,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use rtdvs_bench::artifact::{check_layout, Artifact};
+use rtdvs_bench::artifact::Artifact;
 use rtdvs_bench::campaign::{
     campaign_smoke_config, known_violating_campaign, replay_repro, run_campaign, shrink_plan,
     CampaignArtifact, ReproArtifact,
@@ -275,14 +276,12 @@ fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Reads a committed artifact, which must also be in the writer's exact
-/// layout (a fixed point of parse→write).
+/// Reads a committed artifact exactly ([`Artifact::read_exact`]): it must
+/// be what the writer writes for the value read.
 fn load<A: Artifact>(path: &Path) -> Result<A, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    check_layout(&text)
-        .and_then(|()| A::from_json(&text))
-        .map_err(|e| format!("{}: {e}", path.display()))
+    A::read_exact(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Every committed artifact, reproduced exactly and held to its

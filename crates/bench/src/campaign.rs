@@ -345,14 +345,7 @@ impl ChaosPlan {
             clock: off,
         };
         for (name, dim) in plan.dims_mut() {
-            match tree.get(name) {
-                Ok(member) => *dim = Dim::from_tree(member)?,
-                // Plans serialized before the clock dimension existed omit
-                // it; read them as "clock faults off" so old repros stay
-                // replayable.
-                Err(_) if name == "clock" => {}
-                Err(e) => return Err(e),
-            }
+            *dim = Dim::from_tree(tree.get(name)?)?;
             if !(0.0..=1.0).contains(&dim.rate) {
                 return Err(ArtifactError(format!(
                     "{name} rate {} is outside [0, 1]",

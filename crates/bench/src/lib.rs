@@ -25,7 +25,7 @@ pub mod taskfile;
 pub mod tenants;
 
 pub use artifact::{
-    check_layout, Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint, BenchSeries, Json,
+    Artifact, ArtifactError, BenchArtifact, BenchGrid, BenchPoint, BenchSeries, Json,
 };
 pub use campaign::{
     campaign_smoke_config, cell_findings, known_violating_campaign, materialize, policy_by_name,

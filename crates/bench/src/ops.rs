@@ -19,6 +19,10 @@
 //! The engine counts only work done through its counted entry points (see
 //! [`EngineOps`]). The kernel also counts every entry an O(n) pass visits,
 //! under the structure the pass stands in for (see [`RtKernel::ops`]).
+//! A timer or EDF queue operation counts once, though it updates a
+//! tournament tree (`rtdvs_core::MinTree`) at a cost of at most ⌈log₂ n⌉
+//! node comparisons (7 at 128 tasks); `soak128` bounds that cost end to
+//! end.
 //! Either way an uncounted O(n) loop, such as a view rebuilt into a fresh
 //! `Vec`, is invisible here, as is a constant-factor slowdown; the
 //! end-to-end benchmark (`examples/benchmark`, `events_per_s`) catches

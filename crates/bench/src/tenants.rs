@@ -22,9 +22,10 @@
 //!
 //! Load comes from seeded open-loop generators
 //! ([`rtdvs_taskgen::OpenLoopGen`]): heavy-tailed interarrivals under a
-//! diurnal rate curve, batched into the kernel once per server period
-//! through the O(1) timing wheel ([`rtdvs_sim::wheel::TimingWheel`]) —
-//! the committed shape offers millions of requests per regeneration.
+//! diurnal rate curve, batched into the kernel once per server period,
+//! earliest generator first, from one tree of next arrivals
+//! ([`rtdvs_core::MinTree`]) — the committed shape offers millions of
+//! requests per regeneration.
 //!
 //! Everything in the artifact except `wall_ms` is a pure function of the
 //! seed (virtual time, deterministic generators, platform-independent
@@ -35,12 +36,12 @@ use std::time::Instant;
 
 use rtdvs_audit::{audit_kernel_log, audit_tenant_isolation, Rule, TenantStanding};
 use rtdvs_core::machine::Machine;
+use rtdvs_core::mintree::MinTree;
 use rtdvs_core::policy::PolicyKind;
 use rtdvs_core::task::Task;
 use rtdvs_core::tenant::{TenantId, TenantQuota};
 use rtdvs_core::time::{Time, Work};
 use rtdvs_kernel::{RtKernel, TenantServer};
-use rtdvs_sim::wheel::TimingWheel;
 use rtdvs_sim::FaultPlan;
 use rtdvs_taskgen::{OpenLoopGen, OpenLoopSpec, Request, SplitMix64};
 
@@ -420,7 +421,7 @@ fn run_offered_load(
 ) -> SoakRun {
     let n = cfg.tenants.len();
     let mut gens: Vec<Option<OpenLoopGen>> = Vec::with_capacity(n);
-    let mut wheel = TimingWheel::new(n);
+    let mut arrivals = MinTree::new(n);
     for (i, t) in cfg.tenants.iter().enumerate() {
         if t.flood && !flood_active {
             gens.push(None);
@@ -437,7 +438,7 @@ fn run_offered_load(
         let gen = OpenLoopGen::new(spec, cfg.seed, 0x7E_0300 + i as u64)
             .expect("the smoke spec is well-formed");
         let first = gen.clone().next_request().at_ms;
-        wheel.schedule(i, Time::from_ms(first));
+        arrivals.set(i, Time::from_ms(first));
         gens.push(Some(gen));
     }
 
@@ -452,19 +453,17 @@ fn run_offered_load(
     for b in 1..=n_periods {
         let t = Time::from_ms(period_ms * b as f64);
         // Release every generator whose next arrival lands before this
-        // boundary, earliest wheel expiry first.
-        while let Some(min) = wheel.peek_min() {
+        // boundary, earliest arrival first.
+        while let Some((min, _)) = arrivals.min() {
             if min.as_ms() >= t.as_ms() {
                 break;
             }
-            wheel.advance(min);
-            wheel.collect_due(min, &mut due);
+            arrivals.collect_at_or_before(min, &mut due);
             for (w, &word) in due.iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
                     let k = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    wheel.cancel(k);
                     let gen = gens[k].as_mut().expect("only scheduled lanes expire");
                     batch.clear();
                     gen.drain_until(t.as_ms(), &mut batch);
@@ -478,11 +477,10 @@ fn run_offered_load(
                         );
                     }
                     let next = gen.clone().next_request().at_ms;
-                    wheel.schedule(k, Time::from_ms(next));
+                    arrivals.set(k, Time::from_ms(next));
                 }
             }
         }
-        wheel.advance(t);
         kernel.run_until(t);
         for (i, lane) in server.lane_stats().iter().enumerate() {
             if lane.quarantined {

@@ -48,6 +48,7 @@ pub mod analysis;
 pub mod example;
 pub mod hyperperiod;
 pub mod machine;
+pub mod mintree;
 pub mod policy;
 pub mod readyq;
 pub mod sched;
@@ -58,6 +59,7 @@ pub mod view;
 
 pub use analysis::RmTest;
 pub use machine::{Machine, OperatingPoint, PointIdx};
+pub use mintree::MinTree;
 pub use policy::{DvsPolicy, PolicyKind};
 pub use readyq::ReadyQueue;
 pub use sched::SchedulerKind;

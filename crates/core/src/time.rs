@@ -52,6 +52,13 @@ impl Time {
     /// accepts it, so it is not public.
     pub(crate) const UNBOUNDED: Time = Time(f64::INFINITY);
 
+    /// The instant whose raw value is `ms`, unchecked: only for values
+    /// read back from a `Time`, such as a [`crate::mintree::MinTree`] key.
+    #[inline]
+    pub(crate) const fn from_raw(ms: f64) -> Time {
+        Time(ms)
+    }
+
     /// Creates a time value from milliseconds.
     ///
     /// # Panics

@@ -21,6 +21,7 @@ use core::fmt;
 use std::fmt::Write as _;
 
 use rtdvs_core::machine::{Machine, PointIdx};
+use rtdvs_core::mintree::MinTree;
 use rtdvs_core::policy::{DvsPolicy, PolicyKind};
 use rtdvs_core::readyq::ReadyQueue;
 use rtdvs_core::sched::SchedulerKind;
@@ -29,7 +30,6 @@ use rtdvs_core::tenant::TenantQuota;
 use rtdvs_core::time::{Time, Work, EPS};
 use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_platform::{Regulator, TransitionOutcome};
-use rtdvs_sim::wheel::TimingWheel;
 use rtdvs_sim::{Activity, EnergyMeter, EngineOps, SwitchOverhead, Trace};
 
 use crate::body::TaskBody;
@@ -335,6 +335,11 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
+    /// The work left in the current invocation.
+    pub(crate) fn remaining(&self) -> Work {
+        (self.actual - self.executed).clamp_non_negative()
+    }
+
     /// Whether the governor currently has this task's period stretched
     /// beyond its nominal value.
     pub(crate) fn stretched(&self) -> bool {
@@ -363,7 +368,7 @@ pub(crate) struct SchedState {
     /// rewrites them all, even if the estimate has since gone.
     pub(crate) views_tightened: bool,
     /// One release timer per non-deferred entry, keyed by entry index.
-    pub(crate) wheel: TimingWheel,
+    pub(crate) releases: MinTree,
     /// Due-timer bitmap reused by the release pass.
     pub(crate) due: Vec<u64>,
     /// Entries that may have run out of work: the running task after its
@@ -375,8 +380,7 @@ pub(crate) struct SchedState {
     pub(crate) deferred: usize,
     /// Whether the governor has any entry's period stretched.
     pub(crate) stretched: bool,
-    /// Work counted the engine's way (wheel re-placements are read from
-    /// the wheel when reported).
+    /// Work counted the engine's way.
     pub(crate) ops: EngineOps,
     /// Iterations of the run loop: the kernel's decision intervals.
     pub(crate) events: u64,
@@ -742,11 +746,7 @@ impl RtKernel {
     /// counts restart at zero on restore.
     #[must_use]
     pub fn ops(&self) -> EngineOps {
-        let mut ops = self.sched.ops;
-        ops.timer_ops = ops
-            .timer_ops
-            .saturating_add(self.sched.wheel.replacements());
-        ops
+        self.sched.ops
     }
 
     /// Decision intervals the run loop has processed (its iterations), the
@@ -1015,32 +1015,10 @@ impl RtKernel {
     /// one O(n) resync; it runs at spawn, remove, policy load, shed,
     /// readmit, stretch, relax, mode change, ladder step and restore.
     pub(crate) fn rebuild_and_reinit(&mut self) {
-        self.cached_set = if self.entries.is_empty() {
-            None
-        } else {
-            Some(
-                TaskSet::new(self.entries.iter().map(|e| e.spec).collect())
-                    .expect("non-empty entries"),
-            )
-        };
-        match &self.cached_set {
-            Some(set) => {
-                let span = set
-                    .tasks()
-                    .iter()
-                    .map(Task::period)
-                    .fold(Time::ZERO, Time::max);
-                let mut rm_order: Vec<TaskId> = (0..set.tasks().len()).map(TaskId).collect();
-                rm_order.sort_by(|&a, &b| {
-                    set.task(a)
-                        .period()
-                        .total_cmp(&set.task(b).period())
-                        .then(a.cmp(&b))
-                });
-                self.rq.configure(set.tasks().len(), span, &rm_order);
-            }
-            None => self.rq.configure(0, Time::ZERO, &[]),
-        }
+        // An empty table is the one set `TaskSet::new` refuses.
+        self.cached_set = TaskSet::new(self.entries.iter().map(|e| e.spec).collect()).ok();
+        self.rq
+            .configure(self.cached_set.as_ref().map_or(&[], TaskSet::rm_order));
         self.resync();
         // The synthetic release callbacks below read the views.
         if self.sched.active > 0 {
@@ -1048,15 +1026,15 @@ impl RtKernel {
         }
         if let Some(set) = &self.cached_set {
             self.policy.init(set, &self.machine);
-            for i in 0..self.entries.len() {
-                if self.entries[i].state == InvState::Active {
+            let sys = SystemView {
+                now: self.now,
+                tasks: set,
+                machine: &self.machine,
+                views: &self.sched.views,
+            };
+            for (i, e) in self.entries.iter().enumerate() {
+                if e.state == InvState::Active {
                     self.sched.ops.policy_calls += 1;
-                    let sys = SystemView {
-                        now: self.now,
-                        tasks: set,
-                        machine: &self.machine,
-                        views: &self.sched.views,
-                    };
                     self.policy.on_release(TaskId(i), &sys);
                 }
             }
@@ -1067,18 +1045,15 @@ impl RtKernel {
     /// the counts from `entries`, reusing every buffer, and marks the
     /// views and the release timers stale.
     fn resync(&mut self) {
-        let n = self.entries.len();
-        let now_tick = self.now_tick_index();
         self.sched.candidates.clear();
         self.sched.active = 0;
         self.sched.deferred = 0;
         self.sched.stretched = false;
-        for i in 0..n {
-            let e = &self.entries[i];
+        for (i, e) in self.entries.iter().enumerate() {
             let active = e.state == InvState::Active;
             self.sched.ops.queue_ops += 1;
-            if active && self.remaining(i).is_positive() {
-                self.rq.insert(TaskId(i), e.deadline, now_tick);
+            if active && e.remaining().is_positive() {
+                self.rq.insert(TaskId(i), e.deadline);
             } else if active {
                 self.sched.candidates.push(i);
             }
@@ -1098,30 +1073,28 @@ impl RtKernel {
         }
     }
 
-    /// Re-arms the wheel at the current instant with one release timer per
-    /// non-deferred entry.
-    pub(crate) fn rearm_release_timers(&mut self) {
-        self.sched.wheel.reset(self.entries.len(), self.now);
+    /// Re-arms the release timers with one per non-deferred entry.
+    fn rearm_release_timers(&mut self) {
+        self.sched.releases.reset(self.entries.len());
         for (i, e) in self.entries.iter().enumerate() {
             self.sched.ops.timer_ops += 1;
             if !e.deferred {
-                self.sched.wheel.schedule(i, e.next_release);
+                self.sched.releases.set(i, e.next_release);
             }
         }
     }
 
     /// Sets entry `idx`'s release timer to its next release.
     fn schedule_release(&mut self, idx: usize) {
-        self.sched
-            .wheel
-            .schedule(idx, self.entries[idx].next_release);
+        if let Some(e) = self.entries.get(idx) {
+            self.sched.releases.set(idx, e.next_release);
+        }
         self.sched.ops.timer_ops += 1;
     }
 
-    /// Entry `idx` as the policy sees it: deferred entries read as
+    /// Entry `e` as the policy sees it: deferred entries read as
     /// far-future, and deadlines are tightened by the drift estimate.
-    fn view_of(&self, idx: usize) -> TaskView {
-        let e = &self.entries[idx];
+    fn view_of(&self, e: &Entry) -> TaskView {
         if e.deferred {
             TaskView {
                 invocation: 0,
@@ -1146,21 +1119,20 @@ impl RtKernel {
     /// Rewrites entry `idx`'s policy view after the entry changed.
     fn sync_view(&mut self, idx: usize) {
         self.sched.ops.view_writes += 1;
-        let view = self.view_of(idx);
-        if let Some(slot) = self.sched.views.get_mut(idx) {
+        let view = self.entries.get(idx).map(|e| self.view_of(e));
+        if let (Some(slot), Some(view)) = (self.sched.views.get_mut(idx), view) {
             *slot = view;
         }
     }
 
     /// Rewrites all n views at the current instant.
     fn write_views(&mut self) {
-        let n = self.entries.len();
         self.sched.views.clear();
-        for i in 0..n {
-            let view = self.view_of(i);
+        for e in &self.entries {
+            let view = self.view_of(e);
             self.sched.views.push(view);
         }
-        self.sched.ops.view_writes += n as u64;
+        self.sched.ops.view_writes += self.entries.len() as u64;
         self.sched.views_tightened = self.clock_tightens_deadlines();
     }
 
@@ -1198,7 +1170,7 @@ impl RtKernel {
     }
 
     fn remaining(&self, idx: usize) -> Work {
-        (self.entries[idx].actual - self.entries[idx].executed).clamp_non_negative()
+        self.entries.get(idx).map_or(Work::ZERO, Entry::remaining)
     }
 
     fn complete(&mut self, idx: usize) {
@@ -1271,8 +1243,7 @@ impl RtKernel {
         // release is one of the two ways an invocation runs out of work.
         self.sched.ops.queue_ops += 1;
         if self.remaining(idx).is_positive() {
-            let now_tick = self.now_tick_index();
-            self.rq.insert(TaskId(idx), deadline, now_tick);
+            self.rq.insert(TaskId(idx), deadline);
         } else {
             self.rq.remove(TaskId(idx));
             self.sched.candidates.push(idx);
@@ -1902,10 +1873,11 @@ impl RtKernel {
     /// charging energy along the way. Returns immediately if `t` is not in
     /// the future.
     ///
-    /// Each iteration is one decision interval and costs O(1) in the
-    /// number of tasks: the ready queue, the release timers, the policy
-    /// views, the completion candidates and the counts are all kept in
-    /// step where entries change (see [`SchedState`]).
+    /// Each iteration is one decision interval and costs O(1) counted
+    /// operations in the number of tasks, a tree update among them at
+    /// most ⌈log₂ n⌉ node comparisons: the ready queue, the release
+    /// timers, the policy views, the completion candidates and the counts
+    /// are all kept in step where entries change (see [`SchedState`]).
     pub fn run_until(&mut self, t: Time) {
         while self.now.definitely_before(t) {
             self.sched.events += 1;
@@ -1928,14 +1900,10 @@ impl RtKernel {
                 }
             }
 
-            let now_tick = self.now_tick_index();
-            if self.timebase.release_gate().is_some() {
-                self.requeue_overdue(now_tick);
-            }
-            self.sanitize(now_tick);
+            self.sanitize();
             let running = if self.cached_set.is_some() {
                 self.sched.ops.queue_ops += 1;
-                self.rq.pick(self.policy.scheduler(), now_tick)
+                self.rq.pick(self.policy.scheduler())
             } else {
                 None
             };
@@ -2018,26 +1986,12 @@ impl RtKernel {
         self.process_due_events();
     }
 
-    /// While a tick gap holds releases back, an invocation can stay active
-    /// past its deadline, which leaves it behind the EDF queue's cursor.
-    /// Re-inserting such entries clamps them into the cursor's bucket, as
-    /// the pick requires. Runs only while a gap is open.
-    fn requeue_overdue(&mut self, now_tick: u64) {
-        for i in 0..self.entries.len() {
-            self.sched.ops.queue_ops += 1;
-            let deadline = self.entries[i].deadline;
-            if deadline < self.now && self.rq.contains(TaskId(i)) {
-                self.rq.insert(TaskId(i), deadline, now_tick);
-            }
-        }
-    }
-
     /// Debug-build cross-check of the incremental run-loop state against
     /// a full scan of `entries`, once per loop iteration just before the
     /// pick (the kernel's counterpart of the engine's sanitizer), the pick
     /// included. Compiled out of release builds.
     #[cfg(debug_assertions)]
-    fn sanitize(&self, now_tick: u64) {
+    fn sanitize(&self) {
         // Stale views and timers are rebuilt before their next use.
         // Tightened deadlines hold only for the instant they were written
         // at: under a drift estimate the next callback rewrites them all.
@@ -2072,14 +2026,14 @@ impl RtKernel {
             }
             if timers {
                 assert_eq!(
-                    self.sched.wheel.scheduled_at(i),
+                    self.sched.releases.get(i),
                     (!e.deferred).then_some(e.next_release),
                     "{}: release timer disagrees with the entry",
                     e.handle
                 );
             }
             if views {
-                let want = self.view_of(i);
+                let want = self.view_of(e);
                 assert_eq!(
                     self.sched.views[i], want,
                     "{}: policy view out of sync",
@@ -2097,7 +2051,7 @@ impl RtKernel {
                 .collect();
             let kind = self.policy.scheduler();
             assert_eq!(
-                self.rq.pick(kind, now_tick),
+                self.rq.pick(kind),
                 kind.pick_next(set, &ready),
                 "ready-queue pick disagrees with a scan of its members"
             );
@@ -2106,7 +2060,7 @@ impl RtKernel {
 
     #[cfg(not(debug_assertions))]
     #[inline]
-    fn sanitize(&self, _now_tick: u64) {}
+    fn sanitize(&self) {}
 
     /// Advances the virtual clock by `d`.
     pub fn run_for(&mut self, d: Time) {

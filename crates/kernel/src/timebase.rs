@@ -28,9 +28,7 @@
 //! pre-time-base kernel: no draws, no gating, no margins.
 
 use rtdvs_core::machine::PointIdx;
-use rtdvs_core::readyq::tick_of;
 use rtdvs_core::time::{Time, Work, EPS};
-use rtdvs_sim::wheel::SLOTS;
 use rtdvs_sim::{ClockOracle, ClockPlan, TickOutcome};
 
 use crate::kernel::{KernelEvent, RtKernel};
@@ -198,12 +196,6 @@ impl RtKernel {
         }
     }
 
-    /// The scheduler-tick index of the kernel's current instant. The only
-    /// raw tick arithmetic in the crate lives here.
-    pub(crate) fn now_tick_index(&self) -> u64 {
-        tick_of(self.now)
-    }
-
     /// Moves kernel time forward to `target`, stepping the clock driver
     /// through every tick scheduled on the way. This is the single place
     /// kernel time is written; without a driver it is exactly the old
@@ -282,66 +274,45 @@ impl RtKernel {
     /// gate and the post-gap catch-up, in ascending entry order. Returns
     /// whether anything fired.
     ///
-    /// The steady state takes the due releases from the kernel's wheel of
-    /// release timers. While a tick gap is open, kernel time runs past
-    /// releases the gate holds back, so the wheel is left where it was
-    /// (it must never advance past a pending timer) and an exact scan
-    /// fires what the gate lets through; the catch-up drains the backlog
-    /// in release order once the gap closes, and a pass that finds a timer
-    /// behind the clock re-arms the wheel, O(n), instead of advancing it.
+    /// The due releases come from the kernel's tree of release timers,
+    /// which holds every non-deferred entry's next release. While a tick
+    /// gap is open, the gate holds back every release past the last
+    /// delivered tick, and `t.at_or_before(gate) && t.at_or_before(now)`
+    /// is `t.at_or_before(gate.min(now))`, so the pass takes the releases
+    /// due at that instant and visits no entry that is not due. The
+    /// catch-up drains the backlog in release order once the gap closes.
     pub(crate) fn process_due_releases(&mut self) -> bool {
         self.freshen();
         if self.timebase.driver.is_some() && self.timebase.pending_catch_up {
             return self.catch_up_releases();
         }
-        if let Some(gate) = self.timebase.release_gate() {
-            let mut any = false;
-            for i in 0..self.entries.len() {
-                self.sched.ops.timer_ops += 1;
-                if !self.entries[i].deferred
-                    && self.entries[i].next_release.at_or_before(gate)
-                    && self.entries[i].next_release.at_or_before(self.now)
-                {
-                    self.release(i);
-                    any = true;
-                }
-            }
-            return any;
-        }
-        let now = self.now;
-        // Nothing due: one comparison against the wheel's cached minimum.
-        // The wheel advances only when something is due, which never
-        // passes a pending timer.
-        let Some(first) = self.sched.wheel.peek_min() else {
+        let now = self
+            .timebase
+            .release_gate()
+            .map_or(self.now, |gate| gate.min(self.now));
+        // Nothing due: one comparison against the root.
+        let due_now = self
+            .sched
+            .releases
+            .min()
+            .is_some_and(|(first, _)| first.at_or_before(now));
+        if !due_now {
             return false;
-        };
-        if !first.at_or_before(now) {
-            return false;
-        }
-        // A timer behind the clock (left by a gap, or by a restored
-        // backlog) forbids advancing: re-arm at `now` instead, which puts
-        // it in the current slot.
-        if tick_of(first) < tick_of(now) {
-            self.rearm_release_timers();
-        } else {
-            self.sched.wheel.advance(now);
         }
         let mut due = std::mem::take(&mut self.sched.due);
-        self.sched.wheel.collect_due(now, &mut due);
-        let mut any = false;
+        self.sched.releases.collect_at_or_before(now, &mut due);
         for (w, &word) in due.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
-                self.release(w * SLOTS + bits.trailing_zeros() as usize);
+                self.release(w * 64 + bits.trailing_zeros() as usize);
                 bits &= bits - 1;
-                any = true;
             }
         }
         self.sched.due = due;
-        any
+        true
     }
 
-    /// The earliest release the run loop must stop for: the wheel's
+    /// The earliest release the run loop must stop for: the timers'
     /// minimum, unless an open tick gap holds it back (a held-back release
     /// must not pin time; the next timer tick drives progress toward gap
     /// close). `at_or_before` is monotone, so when the minimum is held
@@ -350,8 +321,9 @@ impl RtKernel {
         self.freshen();
         let (now, gate) = (self.now, self.timebase.release_gate());
         self.sched
-            .wheel
-            .peek_min()
+            .releases
+            .min()
+            .map(|(at, _)| at)
             .filter(|at| gate.is_none_or(|cov| at.at_or_before(cov)))
             .map(|at| at.max(now))
     }
@@ -565,9 +537,9 @@ mod tests {
     }
 
     /// A release held back by an open tick gap can leave a missed
-    /// invocation active past its deadline, behind the EDF queue's
-    /// cursor. It must still be picked first: the debug sanitizer checks
-    /// every pick against a scan of the queue's members.
+    /// invocation active past its deadline, behind the clock. It must
+    /// still be picked first: the debug sanitizer checks every pick
+    /// against a scan of the queue's members.
     #[test]
     fn held_releases_keep_overdue_invocations_first() {
         let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);

@@ -1,8 +1,8 @@
 //! The frozen pre-refactor engine, kept as a differential yardstick.
 //!
 //! This is a verbatim copy of the event-driven engine as it stood before
-//! the O(1) hot-path rewrite (priority-bitmap ready queue + hierarchical
-//! timing wheel): linear scans over all tasks at every scheduling point
+//! the hot-path rewrite (today a tournament-tree ready queue and one
+//! tree of per-task timers, see `rtdvs_core::mintree`): linear scans over all tasks at every scheduling point
 //! and fresh `Vec` allocations for the ready queue, the due-event sets,
 //! and every policy notification. It is the reference implementation
 //! `tests/equivalence.rs` compares the engine against: both run the

@@ -15,35 +15,33 @@
 //! # Hot-path data structures
 //!
 //! The steady-state loop performs **zero heap allocation**: the ready set
-//! is a priority-bitmap [`ReadyQueue`] (O(1) highest-EDF-bucket lookup
-//! with an exact intra-bucket `(deadline, id)` tiebreak; a pure rank
-//! bitmap for RM), each task has one timer in a hierarchical
-//! [`TimingWheel`] (at its deadline while active, at its next release
-//! otherwise), completion candidates are a bitmap maintained at the only
-//! two points a task can finish (a charged interval or a zero-work
-//! release), and each task's state is kept once, as the [`TaskView`] the
-//! policy callbacks read. All quantized structures resolve order by
-//! comparing the exact `f64` times, so every pick, event set, and event
-//! order is bit-for-bit identical to the retired linear scans —
-//! `crate::baseline` keeps that engine frozen and the differential suite
+//! is a [`ReadyQueue`] (the EDF pick is the root of a [`MinTree`] of
+//! deadlines, ordered by `(deadline, id)`; RM picks from a rank bitmap),
+//! each task has one timer in a second [`MinTree`] (at its deadline while
+//! active, at its next release otherwise), completion candidates are a
+//! bitmap maintained at the only two points a task can finish (a charged
+//! interval or a zero-work release), and each task's state is kept once,
+//! as the [`TaskView`] the policy callbacks read. Both trees compare the
+//! exact `f64` times, so every pick, event set, and event order is
+//! bit-for-bit identical to the retired linear scans — `crate::baseline`
+//! keeps that engine frozen and the differential suite
 //! (`tests/equivalence.rs`) plus the debug-build [`Engine::sanitize`]
 //! cross-checks hold the two equal.
 //!
 //! The loop also counts its work in [`SimReport::ops`]: one exact bump per
-//! callback, view write, wheel or queue operation and meter charge, at the
+//! callback, view write, timer or queue operation and meter charge, at the
 //! site that does it. `figures check` pins the counts (`BENCH_ops.json`)
 //! and holds ops/event flat from 8 to 128 tasks, which gates the O(1)
 //! per-event claim above.
 
 use rtdvs_core::machine::{Machine, PointIdx};
+use rtdvs_core::mintree::MinTree;
 use rtdvs_core::policy::{DvsPolicy, PolicyKind};
 use rtdvs_core::readyq::ReadyQueue;
 use rtdvs_core::task::{TaskId, TaskSet};
 use rtdvs_core::time::{Time, Work, EPS};
 use rtdvs_core::view::{InvState, SystemView, TaskView};
 use rtdvs_taskgen::SplitMix64;
-
-use crate::wheel::TimingWheel;
 
 use crate::config::{MissPolicy, SimConfig};
 use crate::energy::EnergyMeter;
@@ -119,15 +117,14 @@ struct Engine<'a> {
     rq: ReadyQueue,
     /// One timer per task: at its deadline while the task is active, at
     /// its next release otherwise.
-    wheel: TimingWheel,
+    timers: MinTree,
     /// Tasks that may have finished their sampled work (bitmap): set when
     /// a charged interval exhausts the running task's work or a release
     /// samples zero work — the only ways an invocation can complete.
     comp_cand: Vec<u64>,
     /// Reused due-timer bitmap for [`Engine::process_due_events`].
     due_buf: Vec<u64>,
-    /// Operation counts; the wheel's cascade re-placements join
-    /// `timer_ops` when the run ends.
+    /// Operation counts.
     ops: EngineOps,
 }
 
@@ -155,26 +152,13 @@ impl<'a> Engine<'a> {
             .collect();
         let n = tasks.len();
         let mut ops = EngineOps::default();
-        let mut wheel = TimingWheel::new(n);
+        let mut timers = MinTree::new(n);
         for (i, t) in tasks.tasks().iter().enumerate() {
-            wheel.schedule(i, t.offset());
+            timers.set(i, t.offset());
             ops.timer_ops += 1;
         }
         let mut rq = ReadyQueue::new();
-        let span = tasks
-            .tasks()
-            .iter()
-            .map(rtdvs_core::task::Task::period)
-            .fold(Time::ZERO, Time::max);
-        let mut rm_order: Vec<TaskId> = (0..n).map(TaskId).collect();
-        rm_order.sort_by(|&a, &b| {
-            tasks
-                .task(a)
-                .period()
-                .total_cmp(&tasks.task(b).period())
-                .then(a.cmp(&b))
-        });
-        rq.configure(n, span, &rm_order);
+        rq.configure(tasks.rm_order());
         let words = n.div_ceil(64).max(1);
         Engine {
             tasks,
@@ -200,7 +184,7 @@ impl<'a> Engine<'a> {
             containment: ContainmentStats::default(),
             clamp_events: 0,
             rq,
-            wheel,
+            timers,
             comp_cand: vec![0; words],
             due_buf: Vec::with_capacity(words),
             ops,
@@ -221,6 +205,13 @@ impl<'a> Engine<'a> {
         } else {
             self.policy.on_completion(id, &sys);
         }
+    }
+
+    /// Whether some task's timer is due at the current instant.
+    fn timer_due(&self) -> bool {
+        self.timers
+            .min()
+            .is_some_and(|(t, _)| t.at_or_before(self.now))
     }
 
     /// Marks task `i` as a completion candidate.
@@ -255,8 +246,8 @@ impl<'a> Engine<'a> {
         } else {
             v.next_release
         };
-        if self.wheel.scheduled_at(i) != Some(at) {
-            self.wheel.schedule(i, at);
+        if self.timers.get(i) != Some(at) {
+            self.timers.set(i, at);
             self.ops.timer_ops += 1;
         }
     }
@@ -356,8 +347,7 @@ impl<'a> Engine<'a> {
                 // next release is skipped entirely.
                 v.deadline += period;
                 v.next_release += period;
-                let now_tick = self.wheel.now_tick();
-                self.rq.insert(TaskId(i), v.deadline, now_tick);
+                self.rq.insert(TaskId(i), v.deadline);
             }
         }
         self.ops.queue_ops += 1;
@@ -415,8 +405,7 @@ impl<'a> Engine<'a> {
         self.ops.view_writes += 1;
         self.arm_timer(i);
         if self.remaining(i).is_positive() {
-            let now_tick = self.wheel.now_tick();
-            self.rq.insert(TaskId(i), deadline, now_tick);
+            self.rq.insert(TaskId(i), deadline);
             self.ops.queue_ops += 1;
         } else {
             // A zero-work invocation completes at its own release instant.
@@ -475,15 +464,16 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            // One wheel scan serves deadlines and releases: a due timer is
+            // One timer pass serves deadlines and releases: a due timer is
             // its task's deadline while the task is active and its release
             // otherwise. The handlers only push times forward, so nothing
             // becomes newly due mid-loop, and stale bits fail
-            // re-verification. The cached-minimum check skips the scan
-            // outright when no timer is due (every completion-only event,
-            // and the quiescent final pass of this loop).
-            if self.wheel.has_due(self.now) {
-                self.wheel.collect_due(self.now, &mut self.due_buf);
+            // re-verification. The root check skips the pass outright when
+            // no timer is due (every completion-only event, and the
+            // quiescent final pass of this loop).
+            if self.timer_due() {
+                self.timers
+                    .collect_at_or_before(self.now, &mut self.due_buf);
                 for w in 0..self.due_buf.len() {
                     let mut word = self.due_buf.get(w).copied().unwrap_or(0);
                     while word != 0 {
@@ -657,7 +647,7 @@ impl<'a> Engine<'a> {
             // work just ran out stays queued until its pending completion
             // candidate is processed).
             assert_eq!(
-                self.wheel.scheduled_at(i),
+                self.timers.get(i),
                 Some(if active { s.deadline } else { s.next_release }),
                 "T{}: timer disagrees with state/deadline/next_release",
                 i + 1
@@ -694,7 +684,7 @@ impl<'a> Engine<'a> {
             // The due-event pass consumed every timer due now: one left
             // due would pin the next event to `now` and spin this loop.
             debug_assert!(
-                !self.wheel.has_due(self.now),
+                !self.timer_due(),
                 "a due timer was left unconsumed at {}",
                 self.now
             );
@@ -729,18 +719,19 @@ impl<'a> Engine<'a> {
             // plan, so a fault-free run skips the per-task scan.
             let containing = self.faults.is_some() && self.quarantined.iter().any(|&q| q);
             let kind = self.policy.scheduler();
-            // O(1) pick from the bitmap queue; under containment the
-            // offender is masked out exactly as the old `retain` did —
-            // unless every ready task is quarantined, in which case the
-            // offender still runs (at f_max, charged to containment).
+            // O(1) pick (the EDF tree's root, or the first RM rank bit);
+            // under containment the offender is masked out exactly as the
+            // old `retain` did — unless every ready task is quarantined,
+            // in which case the offender still runs (at f_max, charged to
+            // containment).
             let running = if containing {
                 if self.rq.any_unmasked(|id| self.is_quarantined(id.0)) {
                     self.rq.pick_masked(kind, |id| self.is_quarantined(id.0))
                 } else {
-                    self.rq.pick(kind, self.wheel.now_tick())
+                    self.rq.pick(kind)
                 }
             } else {
-                self.rq.pick(kind, self.wheel.now_tick())
+                self.rq.pick(kind)
             };
             self.ops.queue_ops = self.ops.queue_ops.saturating_add(1);
             let desired = if running.is_some() {
@@ -763,7 +754,7 @@ impl<'a> Engine<'a> {
             // task's deadline, the running task's completion, or the end of
             // the horizon.
             let mut t_next = self.cfg.duration;
-            if let Some(mn) = self.wheel.peek_min() {
+            if let Some((mn, _)) = self.timers.min() {
                 t_next = t_next.min(mn.max(self.now));
             }
             if let Some(id) = running {
@@ -835,7 +826,6 @@ impl<'a> Engine<'a> {
                 }
             }
             self.now = t_next;
-            self.wheel.advance(self.now);
             self.sanitize(prev_now);
 
             if self.now.as_ms() >= self.cfg.duration.as_ms() - EPS {
@@ -847,7 +837,6 @@ impl<'a> Engine<'a> {
             self.process_due_events(true);
         }
 
-        self.ops.timer_ops = self.ops.timer_ops.saturating_add(self.wheel.replacements());
         SimReport {
             policy: self.policy.name(),
             duration: self.cfg.duration,
@@ -897,11 +886,12 @@ mod tests {
         }
     }
 
-    /// A run past the timing wheel's 2^30-tick horizon window (1 048 576
-    /// ms) keeps firing releases. The run happens on a worker so an engine
-    /// that stalls there fails the test instead of hanging it.
+    /// A run past 2^30 ticks of 1/1024 ms (1 048 576 ms, where the old
+    /// timing wheel's horizon window ended) keeps firing releases. The run
+    /// happens on a worker so an engine that stalls there fails the test
+    /// instead of hanging it.
     #[test]
-    fn runs_past_the_wheel_horizon_window() {
+    fn runs_past_the_horizon_window() {
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let cfg = SimConfig::new(Time::from_ms(1_100_000.0));
@@ -915,7 +905,7 @@ mod tests {
         });
         let r = rx
             .recv_timeout(std::time::Duration::from_secs(120))
-            .expect("the engine stalled at the wheel horizon or panicked");
+            .expect("the engine stalled at the horizon window or panicked");
         worker
             .join()
             .expect("the simulation thread finished cleanly");
@@ -924,10 +914,10 @@ mod tests {
         assert_eq!(r.task_stats[0].releases, 137_500);
     }
 
-    /// Two releases within `EPS` of each other, on both sides of the
-    /// wheel's horizon window, fire at one instant as in the baseline.
+    /// Two releases within `EPS` of each other, on both sides of the old
+    /// wheel's horizon window edge, fire at one instant as in the baseline.
     #[test]
-    fn releases_straddling_the_wheel_horizon_window_fire_together() {
+    fn releases_straddling_the_horizon_window_fire_together() {
         use rtdvs_core::task::Task;
         let edge = 1_048_576.0;
         let task = |offset: f64| {

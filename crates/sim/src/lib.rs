@@ -39,7 +39,6 @@ pub mod fault;
 pub mod reference;
 pub mod report;
 pub mod trace;
-pub mod wheel;
 
 pub use bound::{minimum_average_power, theoretical_bound};
 pub use clock::{ClockOracle, ClockPlan, TickObservation, TickOutcome};

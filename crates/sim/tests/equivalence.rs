@@ -1,8 +1,9 @@
-//! Differential pinning of the O(1) engine against the frozen baseline.
+//! Differential pinning of the engine against the frozen baseline.
 //!
 //! `rtdvs_sim::baseline` is a verbatim copy of the pre-refactor engine
 //! (linear ready scans, per-phase `Vec` snapshots). The rewritten engine
-//! (priority-bitmap ready queue + hierarchical timing wheel) must be
+//! (an EDF ready queue and per-task timers in two tournament trees,
+//! `rtdvs_core::MinTree`, and an RM rank bitmap) must be
 //! observationally *identical* — not just equal energies, but the same
 //! events in the same order, the same RNG draws, the same trace segments,
 //! byte for byte. Every case here compares full `Debug` renderings of the
@@ -197,8 +198,8 @@ fn zero_work_releases() {
 }
 
 /// Thousands of tasks all releasing at the same instant: every period is
-/// shared by hundreds of tasks, so each release tick floods one wheel
-/// slot with a same-instant batch and the ready bitmap fills a word at a
+/// shared by hundreds of tasks, so each release instant is due for a
+/// same-instant batch of timers and the RM bitmap fills a word at a
 /// time. The engines must agree on the collection order, the pick order,
 /// and every switch.
 #[test]
@@ -223,9 +224,10 @@ fn thousands_of_same_instant_releases() {
     }
 }
 
-/// A long horizon on the paper set: many wheel cascades and cursor wraps.
+/// A long horizon on the paper set: two minutes of timers, where the old
+/// timing wheel cascaded and its ready-queue cursor wrapped many times.
 #[test]
-fn long_horizon_wheel_cascades() {
+fn long_horizon_cascades() {
     let tasks = table2_task_set();
     let cfg = SimConfig::new(Time::from_ms(120_000.0))
         .with_exec(ExecModel::uniform())

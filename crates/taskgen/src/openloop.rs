@@ -24,8 +24,8 @@
 //! * **Jittered work sizes** — uniform in `mean × [1 − jitter, 1 + jitter]`.
 //!
 //! Time is plain `f64` milliseconds: the generator feeds harnesses that
-//! batch arrivals into simulator ticks (the timing-wheel path), and those
-//! own the conversion into kernel [`rtdvs_core::time::Time`].
+//! batch arrivals into server periods (one tree timer per generator), and
+//! those own the conversion into kernel [`rtdvs_core::time::Time`].
 
 use core::fmt;
 

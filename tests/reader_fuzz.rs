@@ -28,8 +28,8 @@ use rtdvs_bench::campaign::MAX_REPRO_HORIZON_MS;
 use rtdvs_bench::figures::diff_results_file;
 use rtdvs_bench::taskfile::parse_task_set;
 use rtdvs_bench::{
-    check_layout, replay_repro, Artifact, BenchArtifact, CampaignArtifact, Json, OpsArtifact,
-    ReproArtifact, TenantsArtifact,
+    replay_repro, Artifact, BenchArtifact, CampaignArtifact, Json, OpsArtifact, ReproArtifact,
+    TenantsArtifact,
 };
 
 /// The committed minimized repro.
@@ -234,7 +234,7 @@ fn task_file_mutants_never_panic() {
 const MUTANTS_PER_ARTIFACT: usize = 400;
 
 /// Feeds [`MUTANTS_PER_ARTIFACT`] mutants of `golden`, an artifact of
-/// schema `A`, to `A::from_json`, to `check_layout` and to the diff
+/// schema `A`, to `A::from_json`, to `A::read_exact` and to the diff
 /// against the golden. None of them may panic, and an accepted mutant's
 /// `to_json` must read back to the same text. Returns how many mutants
 /// were accepted.
@@ -247,7 +247,7 @@ where
     for i in 0..MUTANTS_PER_ARTIFACT {
         let text = mutant(golden, ' ', rng);
         let outcome = std::panic::catch_unwind(|| {
-            let _ = check_layout(&text);
+            let _ = A::read_exact(&text);
             let art = A::from_json(&text).ok()?;
             let _ = parsed.diff(&art);
             Some(art.to_json())
