@@ -134,7 +134,7 @@ mod tests {
             .iter()
             .flat_map(|p| PolicyKind::paper_six().into_iter().map(move |k| (p, k)))
         {
-            let config = cfg().with_faults(plan.clone());
+            let config = cfg().with_faults(*plan);
             let (report, violations) = audit_run(&tasks, &machine, kind, &config);
             assert!(
                 !report.faults.is_empty(),

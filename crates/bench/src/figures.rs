@@ -620,6 +620,10 @@ fn diff_cell(golden: &str, fresh: &str) -> Option<String> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

@@ -101,6 +101,10 @@ pub fn parse_task_set(text: &str) -> Result<TaskSet, TaskFileError> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

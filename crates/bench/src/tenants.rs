@@ -594,6 +594,10 @@ pub fn run_tenants(cfg: &TenantsConfig) -> TenantsArtifact {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

@@ -307,6 +307,10 @@ impl fmt::Display for MachineError {
 impl std::error::Error for MachineError {}
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

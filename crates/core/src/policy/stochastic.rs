@@ -184,6 +184,10 @@ impl DvsPolicy for StochasticEdf {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
     use crate::time::Time;

@@ -354,6 +354,10 @@ impl std::error::Error for TaskSetError {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

@@ -174,6 +174,10 @@ impl AvailabilityStats {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
     use rtdvs_core::time::Work;

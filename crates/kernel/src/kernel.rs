@@ -465,6 +465,10 @@ pub struct RtKernel {
     /// the next checkpoint extends its log section (see
     /// [`crate::snapshot`]). Never serialized.
     pub(crate) seal: Option<crate::snapshot::Snapshot>,
+    /// The seal before the current one, kept so that a checkpoint can
+    /// write into its buffer once every caller has let it go (see
+    /// [`crate::snapshot`]). Never serialized.
+    pub(crate) retired: Option<crate::snapshot::Snapshot>,
     /// The hardware regulator behind the transition driver, when attached.
     /// Hardware state: never serialized — a restore re-attaches the live
     /// regulator rather than rewinding its fault streams.
@@ -541,6 +545,7 @@ impl RtKernel {
             pending_change: None,
             last_snapshot_at: None,
             seal: None,
+            retired: None,
             regulator: None,
             brownout_cap: None,
             preferred_policy: kind,

@@ -34,14 +34,20 @@
 //! of the `ev` run by searching back from the end of the text for the last
 //! `ev` line, so it searches only the state stanzas, counts the lines
 //! before it and hashes the body in one word loop that saves the state at
-//! the mark's boundary. The kernel keeps its last checkpoint as its seal;
-//! the next checkpoint copies the text up to the mark, re-reads from that
-//! copy the at most seven bytes between the boundary and the mark, writes
-//! and hashes only the entries logged since, and then the state stanzas,
-//! so a checkpoint costs what was logged since the last one, not the whole
-//! uptime. A kernel revived by [`Snapshot::restore`] (or by the supervisor)
-//! is sealed with the snapshot it came from, so its first checkpoint is no
-//! dearer than any other.
+//! the mark's boundary. The kernel keeps its last checkpoint as its seal,
+//! and the seal before it as its retired snapshot. The next checkpoint
+//! resumes the checksum at the seal's mark, re-reads the at most seven
+//! bytes between the boundary and the mark, writes and hashes only the
+//! entries logged since, and then the state stanzas, so its hashing costs
+//! what was logged since the last checkpoint, not the whole uptime. What
+//! it copies depends on what the caller kept. It writes into a buffer
+//! nobody else holds: the seal's own when the caller dropped it (nothing
+//! is copied), else the retired one when the caller dropped that, as a
+//! caller keeping only its latest snapshot does (the `ev` bytes between
+//! the two marks are copied), else a new buffer holding a copy of the
+//! seal's text up to its mark, as when the caller keeps every snapshot.
+//! A kernel revived by [`Snapshot::restore`] (or by the supervisor) is
+//! sealed with the snapshot it came from and retires nothing.
 //!
 //! That is sound because the reader accepts exactly what the writer emits
 //! and nothing else: tokens are separated by one space, every line ends in
@@ -170,7 +176,9 @@ struct LogMark {
 ///
 /// The text is shared, not copied: a clone, and the seal a kernel keeps
 /// of its last checkpoint or of the snapshot it was revived from, hold
-/// the same allocation.
+/// the same allocation. A checkpoint writes into a text's allocation only
+/// once the kernel holds its one reference (see [`crate::snapshot`]), so
+/// the text of a `Snapshot` that anyone holds never changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     text: Arc<String>,
@@ -307,9 +315,13 @@ impl RtKernel {
     /// point. A refused checkpoint leaves the kernel untouched.
     ///
     /// The text's log section is the kernel's seal's, extended by the
-    /// entries logged since (see [`crate::snapshot`]), so the cost is
-    /// what was logged since the last checkpoint or restore plus the
-    /// state stanzas.
+    /// entries logged since (see [`crate::snapshot`]), so the hashing
+    /// costs what was logged since the last checkpoint or restore plus
+    /// the state stanzas. The text goes into the seal's buffer if the
+    /// caller dropped the last checkpoint, else into the retired one's if
+    /// the caller dropped that (a caller keeping its latest snapshot), and
+    /// only when the caller keeps both into a new buffer with a copy of
+    /// the seal's log section.
     ///
     /// # Errors
     ///
@@ -337,8 +349,10 @@ impl RtKernel {
         }
         self.last_snapshot_at = Some(self.now);
         self.log.push((self.now, KernelEvent::SnapshotTaken));
-        let snap = write_kernel(self, self.seal.as_ref(), &entry_bodies, &shed_bodies);
+        let (seal, retired) = (self.seal.take(), self.retired.take());
+        let (snap, retired) = write_kernel(self, seal, retired, &entry_bodies, &shed_bodies);
         self.seal = Some(snap.clone());
+        self.retired = retired;
         Ok(snap)
     }
 }
@@ -668,34 +682,58 @@ event_records! {
     ReleaseLate "release-late" { handle: handle, invocation: num, latency: time }
 }
 
-/// Writes `k`'s checkpoint text and records its log mark. A `seal`, an
-/// earlier snapshot of `k` or the one it was revived from, supplies the
-/// version line and the `ev` lines it holds, with the checksum state at
-/// their last word boundary; the writer folds the bytes after that
-/// boundary again from its copy of them. A seal that does not fit the log
-/// falls through to writing the whole text.
+/// Writes `k`'s checkpoint text and records its log mark; returns it with
+/// the snapshot the kernel retires. A `seal`, an earlier snapshot of `k`
+/// or the one it was revived from, supplies the version line and the `ev`
+/// lines it holds, with the checksum state at their last word boundary;
+/// the writer folds the bytes after that boundary again from the buffer
+/// [`resume_text`] gives it. A seal that does not fit the log falls
+/// through to writing the whole text into a new buffer.
 fn write_kernel(
     k: &RtKernel,
-    seal: Option<&Snapshot>,
+    seal: Option<Snapshot>,
+    retired: Option<Snapshot>,
     entry_bodies: &[BodyState],
     shed_bodies: &[BodyState],
-) -> Snapshot {
-    let sealed = seal.and_then(|s| {
-        Some((
-            s.text.get(..s.log.end)?,
-            s.log.hash,
-            k.log.iter_from(s.log.events)?,
-        ))
-    });
-    let (prefix, hash, fresh) = sealed.unwrap_or(("", SUM_SEED, k.log.iter()));
+) -> (Snapshot, Option<Snapshot>) {
     let lines = 23 + k.machine.len() + k.entries.len() + k.shed.len();
-    let mut w = Writer {
-        out: String::with_capacity(prefix.len() + LINE_BYTES * lines + EV_LINE_BYTES * fresh.len()),
-        hashed: prefix.len() & !7,
-        hash,
+    let resumed = seal.and_then(|s| {
+        let fresh = k.log.iter_from(s.log.events)?;
+        s.text.get(..s.log.end)?;
+        Some((s, fresh))
+    });
+    let (out, mark, fresh, retired) = match resumed {
+        Some((seal, fresh)) => {
+            let (mark, growth) = (seal.log, EV_LINE_BYTES * fresh.len());
+            // The new text is the seal's with the entries logged since and
+            // the stanzas rewritten, which can gain a line's bytes for each
+            // line the seal's lacked, and one line's for wider numbers.
+            let stanzas = line_count(seal.text.as_bytes().get(mark.end..).unwrap_or_default());
+            let need = seal.text.len() + growth + LINE_BYTES * (1 + lines.saturating_sub(stanzas));
+            // A buffer that must grow gets room for two more checkpoints at
+            // this rate: a caller that keeps its latest snapshot hands it
+            // back two checkpoints on.
+            let want = need.max(mark.end + LINE_BYTES * lines + growth) + 2 * growth;
+            let (out, retired) = resume_text(seal, retired, need, want);
+            (out, mark, fresh, retired)
+        }
+        None => {
+            let fresh = k.log.iter();
+            let out = String::with_capacity(LINE_BYTES * lines + EV_LINE_BYTES * fresh.len());
+            let mark = LogMark {
+                events: 0,
+                end: 0,
+                hash: SUM_SEED,
+            };
+            (out, mark, fresh, None)
+        }
     };
-    w.out.push_str(prefix);
-    if prefix.is_empty() {
+    let mut w = Writer {
+        out,
+        hashed: mark.end & !7,
+        hash: mark.hash,
+    };
+    if w.out.is_empty() {
         w.tag(SNAPSHOT_VERSION).end();
     }
     for (t, ev) in fresh {
@@ -809,10 +847,68 @@ fn write_kernel(
     // The checksum line covers everything above it, and not itself.
     let sum = w.sum();
     w.tag("checksum").bits(sum).out.push('\n');
-    Snapshot {
+    let snap = Snapshot {
         text: Arc::new(w.out),
         log,
-    }
+    };
+    (snap, retired)
+}
+
+/// The buffer a checkpoint that resumes `seal` writes into, holding
+/// `seal`'s text up to its log mark with room for at least `need` bytes,
+/// and the snapshot the kernel retires. Uniqueness is decided by
+/// [`Arc::try_unwrap`] alone, so a text anyone else holds (a caller's
+/// snapshot, a clone, another kernel's seal) is never written to. In
+/// order of preference:
+/// - `seal`'s own buffer, cut back to its mark, when the kernel holds the
+///   only reference: its caller dropped the checkpoint, or it was parsed
+///   for a restore nobody kept. Nothing is copied, and nothing is
+///   retired;
+/// - `retired`'s buffer, when the kernel holds the only reference, cut
+///   back to its own mark and extended by `seal`'s `ev` bytes past that
+///   mark: what was logged between the two, with a caller that keeps
+///   only its latest snapshot. `seal` is retired;
+/// - a copy of `seal`'s text up to its mark, when both are shared, as
+///   with a caller that keeps every snapshot. `seal` is retired.
+///
+/// The two are checkpoints of one kernel value's append-only history
+/// (a revived kernel starts with nothing retired), so `retired`'s text up
+/// to its mark is a prefix of `seal`'s. A buffer with less room than
+/// `need` grows to `want` bytes.
+fn resume_text(
+    seal: Snapshot,
+    retired: Option<Snapshot>,
+    need: usize,
+    want: usize,
+) -> (String, Option<Snapshot>) {
+    let mark = seal.log;
+    let reserve = |out: &mut String| {
+        if out.capacity() < need {
+            out.reserve_exact(want.saturating_sub(out.len()));
+        }
+    };
+    let seal = match Arc::try_unwrap(seal.text) {
+        Ok(mut own) => {
+            // `write_kernel` checked that the mark is a boundary of it.
+            own.truncate(mark.end);
+            reserve(&mut own);
+            return (own, None);
+        }
+        Err(text) => Snapshot { text, log: mark },
+    };
+    let reused = retired
+        .filter(|r| r.log.events <= mark.events && seal.text.get(r.log.end..mark.end).is_some())
+        .and_then(|r| {
+            let end = r.log.end;
+            let mut text = Arc::try_unwrap(r.text).ok()?;
+            text.get(..end)?;
+            text.truncate(end);
+            Some(text)
+        });
+    let mut out = reused.unwrap_or_default();
+    reserve(&mut out);
+    out.push_str(seal.text.get(out.len()..mark.end).unwrap_or_default());
+    (out, Some(seal))
 }
 
 fn rm_test_token(t: RmTest) -> &'static str {
@@ -1727,8 +1823,11 @@ fn restore_from_text(
         mode_epoch,
         pending_change: None,
         last_snapshot_at,
-        // `Snapshot::restore` seals the kernel with the snapshot.
+        // `Snapshot::restore` seals the kernel with the snapshot; a revived
+        // kernel retires nothing, so no buffer of an abandoned history is
+        // ever written over.
         seal: None,
+        retired: None,
         // The regulator and supervisor are live hardware / the restoring
         // agent; callers re-attach them after restore.
         regulator: None,
@@ -1986,7 +2085,10 @@ mod tests {
         let state = |b: &dyn TaskBody| b.snapshot_state().expect("serializable bodies");
         let entries: Vec<BodyState> = k.entries.iter().map(|e| state(&*e.body)).collect();
         let shed: Vec<BodyState> = k.shed.iter().map(|s| state(&*s.body)).collect();
-        write_kernel(k, None, &entries, &shed).as_text().to_owned()
+        write_kernel(k, None, None, &entries, &shed)
+            .0
+            .as_text()
+            .to_owned()
     }
 
     /// Checkpoints of generated kernels at random instants, through
@@ -1996,37 +2098,58 @@ mod tests {
     /// through `from_text`, whose log mark must equal the writer's; either
     /// way the revived kernel is sealed with the restored snapshot, and its
     /// next checkpoint too equals the unsealed writer's.
-    #[test]
-    fn sealed_checkpoints_equal_the_unsealed_writer() {
-        use crate::modechange::ModeChange;
+    /// A plain-EDF kernel with 2 to 11 generated tasks at U in [0.3, 0.8),
+    /// each with a uniform body.
+    fn generated_kernel(rng: &mut SplitMix64) -> RtKernel {
         use rtdvs_taskgen::{generate, TaskGenSpec};
 
+        let n = 2 + (rng.next_u64() % 10) as usize;
+        let spec = TaskGenSpec::new(n, rng.range_f64(0.3, 0.8)).expect("valid spec");
+        let tasks = generate(&spec, rng.next_u64()).expect("generated set");
+        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+        for t in tasks.tasks() {
+            let body = Box::new(UniformBody::new(rng.next_u64()));
+            k.spawn(t.period(), t.wcet(), body).expect("U < 0.8 admits");
+        }
+        k
+    }
+
+    /// Stages a mode change on `k`, if one admits, and checks that a
+    /// checkpoint refuses it and leaves the log, the seal and the retired
+    /// snapshot as they were; then runs `k` past the change's safe point.
+    /// Returns whether a checkpoint was refused.
+    fn refuse_checkpoint(k: &mut RtKernel) -> bool {
+        use crate::modechange::ModeChange;
+
+        let change = ModeChange::new().admit(ms(50.0), w(0.5), Box::new(WcetBody));
+        if k.submit_mode_change(change).is_err() || !k.pending_mode_change() {
+            return false;
+        }
+        let log_len = k.log().len();
+        let (seal, retired) = (k.seal.clone(), k.retired.clone());
+        assert_eq!(k.checkpoint(), Err(SnapshotError::PendingModeChange));
+        assert_eq!(k.log().len(), log_len);
+        let same = |a: &Option<Snapshot>, b: &Option<Snapshot>| match (a, b) {
+            (Some(a), Some(b)) => Arc::ptr_eq(&a.text, &b.text),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        assert!(same(&k.seal, &seal) && same(&k.retired, &retired));
+        k.run_for(ms(60.0));
+        true
+    }
+
+    #[test]
+    fn sealed_checkpoints_equal_the_unsealed_writer() {
         let kinds = PolicyKind::paper_six();
         let mut rng = SplitMix64::seed_from_u64(0x5EA1_ED0C);
         let (mut sealed, mut refused, mut restored, mut restores) = (0, 0, 0, 0);
         for _ in 0..6 {
-            let n = 2 + (rng.next_u64() % 10) as usize;
-            let spec = TaskGenSpec::new(n, rng.range_f64(0.3, 0.8)).expect("valid spec");
-            let tasks = generate(&spec, rng.next_u64()).expect("generated set");
-            let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
-            for t in tasks.tasks() {
-                let body = Box::new(UniformBody::new(rng.next_u64()));
-                k.spawn(t.period(), t.wcet(), body).expect("U < 0.8 admits");
-            }
+            let mut k = generated_kernel(&mut rng);
             for _ in 0..20 {
                 k.run_for(ms(rng.range_f64(0.0, 30.0)));
                 match rng.next_u64() % 6 {
                     0 => k.load_policy(kinds[(rng.next_u64() % 6) as usize]),
-                    1 => {
-                        let change = ModeChange::new().admit(ms(50.0), w(0.5), Box::new(WcetBody));
-                        if k.submit_mode_change(change).is_ok() && k.pending_mode_change() {
-                            let log_len = k.log().len();
-                            assert_eq!(k.checkpoint(), Err(SnapshotError::PendingModeChange));
-                            assert_eq!(k.log().len(), log_len);
-                            refused += 1;
-                            k.run_for(ms(60.0));
-                        }
-                    }
+                    1 => refused += usize::from(refuse_checkpoint(&mut k)),
                     _ => {}
                 }
                 let had_seal = k.seal.is_some();
@@ -2051,7 +2174,7 @@ mod tests {
                 assert_eq!(revived.status(), k.status());
                 let seal = revived.seal.as_ref().expect("a revived kernel is sealed");
                 assert!(Arc::ptr_eq(&seal.text, &source.text));
-                if rng.next_u64() % 5 == 0 {
+                if rng.next_u64().is_multiple_of(5) {
                     k = revived;
                     k.mark_restored();
                     restored += 1;
@@ -2063,6 +2186,157 @@ mod tests {
             }
         }
         assert!(sealed > 0 && refused > 0 && restored > 0);
+    }
+
+    /// Checkpoints of the same generated kernels under each caller
+    /// pattern, drawn anew every ten checkpoints: keep only the latest
+    /// snapshot, drop each at once, or keep them all. Mixed in are policy
+    /// swaps, refused checkpoints, restores from the checkpoint just taken
+    /// (directly, so the caller's snapshot is the seal, and through
+    /// `from_text`, so nobody else holds it), a supervisor-style swap to a
+    /// kernel revived from the caller's latest snapshot, and restores from
+    /// a kept snapshot older than the kernel's retired one. Whichever
+    /// buffer it is written into, every text equals the unsealed writer's
+    /// byte for byte, and no snapshot the caller keeps ever changes.
+    #[test]
+    fn checkpoints_into_reused_buffers_equal_the_unsealed_writer() {
+        let kinds = PolicyKind::paper_six();
+        let mut rng = SplitMix64::seed_from_u64(0x5EA1_ED0C);
+        // Checkpoints written into the seal's buffer, the retired
+        // snapshot's and a new one.
+        let mut paths = [0usize; 3];
+        let (mut refused, mut swaps, mut rewinds) = (0, 0, 0);
+        for _ in 0..6 {
+            let mut k = generated_kernel(&mut rng);
+            let mut latest: Option<Snapshot> = None;
+            let mut kept: Vec<(Snapshot, String)> = Vec::new();
+            let mut caller = 0;
+            for step in 0..60 {
+                if step % 10 == 0 {
+                    caller = rng.next_u64() % 3;
+                }
+                k.run_for(ms(rng.range_f64(0.0, 30.0)));
+                match rng.next_u64() % 8 {
+                    0 => k.load_policy(kinds[(rng.next_u64() % 6) as usize]),
+                    1 => refused += usize::from(refuse_checkpoint(&mut k)),
+                    2 => {
+                        if let Some(snap) = &latest {
+                            // The supervisor's `*self = fresh`: both of the
+                            // crashed kernel's snapshots go with it.
+                            let (mut fresh, _) = snap.restore().expect("own checkpoint restores");
+                            fresh.mark_restored();
+                            k = fresh;
+                            swaps += 1;
+                        }
+                    }
+                    3 => {
+                        let retired = k.retired.as_ref().map_or(0, |r| r.log.events);
+                        let older: Vec<&Snapshot> = kept
+                            .iter()
+                            .map(|(snap, _)| snap)
+                            .filter(|snap| snap.log.events < retired)
+                            .collect();
+                        if !older.is_empty() {
+                            let snap = older[(rng.next_u64() as usize) % older.len()];
+                            let (mut fresh, _) = snap.restore().expect("own checkpoint restores");
+                            fresh.mark_restored();
+                            k = fresh;
+                            rewinds += 1;
+                        }
+                    }
+                    _ => {}
+                }
+                let refs = |s: &Option<Snapshot>| s.as_ref().map(|s| Arc::strong_count(&s.text));
+                let path = match (refs(&k.seal), refs(&k.retired)) {
+                    (Some(1), _) => 0,
+                    (Some(_), Some(1)) => 1,
+                    _ => 2,
+                };
+                let snap = k.checkpoint().expect("uniform and WCET bodies serialize");
+                assert_eq!(snap.as_text(), unsealed_text(&k));
+                paths[path] += 1;
+                match rng.next_u64() % 6 {
+                    0 => {
+                        let (fresh, _) = snap.restore().expect("own checkpoint restores");
+                        k = fresh;
+                        k.mark_restored();
+                    }
+                    1 => {
+                        let parsed = Snapshot::from_text(snap.as_text()).expect("own text parses");
+                        let (fresh, _) = parsed.restore().expect("own checkpoint restores");
+                        k = fresh;
+                        k.mark_restored();
+                    }
+                    _ => {}
+                }
+                match caller {
+                    0 => latest = Some(snap),
+                    1 => latest = None,
+                    _ => {
+                        kept.push((snap.clone(), snap.as_text().to_owned()));
+                        latest = Some(snap);
+                    }
+                }
+            }
+            for (snap, text) in &kept {
+                assert_eq!(snap.as_text(), text, "a kept snapshot changed");
+            }
+        }
+        assert!(
+            paths.iter().all(|&n| n > 0),
+            "every buffer choice ran: {paths:?}"
+        );
+        assert!(refused > 0 && swaps > 0 && rewinds > 0);
+    }
+
+    /// Keeping only its latest snapshot, a caller in a steady run gets
+    /// each text from the third checkpoint on in the buffer of the
+    /// checkpoint two before it, the one it let go; keeping them all,
+    /// every text is a new buffer, and the kernel holds a reference to
+    /// none but its seal and its retired snapshot.
+    #[test]
+    fn checkpoints_write_into_the_buffer_the_caller_let_go() {
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        let mut at = Vec::new();
+        let mut latest = None;
+        for i in 0..12usize {
+            k.run_for(ms(20.0));
+            let snap = k.checkpoint().expect("serializable set");
+            at.push(snap.as_text().as_ptr() as usize);
+            if let Some(two_before) = i.checked_sub(2) {
+                assert_eq!(
+                    at[i], at[two_before],
+                    "checkpoint {i} is not in the buffer let go"
+                );
+            }
+            latest = Some(snap);
+        }
+        assert!(latest.is_some());
+
+        let mut k = paper_kernel(PolicyKind::CcEdf);
+        let mut all: Vec<Snapshot> = Vec::new();
+        for _ in 0..12 {
+            k.run_for(ms(20.0));
+            let snap = k.checkpoint().expect("serializable set");
+            let at = snap.as_text().as_ptr();
+            assert!(
+                all.iter().all(|s| s.as_text().as_ptr() != at),
+                "a kept buffer was reused"
+            );
+            all.push(snap);
+            let n = all.len();
+            for (j, s) in all.iter().enumerate() {
+                let held = usize::from(j + 1 == n) + usize::from(j + 2 == n);
+                assert_eq!(Arc::strong_count(&s.text), 1 + held, "snapshot {j} of {n}");
+            }
+            let held = |s: &Option<Snapshot>, j: usize| {
+                s.as_ref()
+                    .map(|s| &s.text)
+                    .is_some_and(|t| Arc::ptr_eq(t, &all[j].text))
+            };
+            assert!(held(&k.seal, n - 1));
+            assert!(n < 2 || held(&k.retired, n - 2));
+        }
     }
 
     #[test]
@@ -3146,11 +3420,7 @@ mod tests {
         };
         let release = line(" released 1 1");
         let completion = line(" completed 1 1");
-        let late = body
-            .lines()
-            .filter(|l| l.starts_with("ev "))
-            .last()
-            .expect("a log");
+        let late = body.lines().rfind(|l| l.starts_with("ev ")).expect("a log");
         let t = &late[3..19];
         let probes = [
             (
@@ -3240,11 +3510,7 @@ mod tests {
         let snap = k.checkpoint().expect("serializable set");
         let text = snap.as_text();
         let body = &text[..text.rfind("checksum ").expect("a sealed text")];
-        let last = body
-            .lines()
-            .filter(|l| l.starts_with("ev "))
-            .last()
-            .expect("a log");
+        let last = body.lines().rfind(|l| l.starts_with("ev ")).expect("a log");
         let split = [
             body.replacen(&format!("{last}\n"), "", 1).replacen(
                 "\nepoch ",

@@ -329,17 +329,27 @@ impl RtKernel {
     }
 
     /// Drains the post-gap release backlog in `backlog_order`, the order an
-    /// uninterrupted timer would have fired it in.
+    /// uninterrupted timer would have fired it in. The release timers hold
+    /// exactly the non-deferred entries' next releases, so the backlog is
+    /// the timers due now, and the pass visits no entry that is not due.
     fn catch_up_releases(&mut self) -> bool {
         self.timebase.pending_catch_up = false;
-        self.sched.ops.timer_ops += self.entries.len() as u64;
-        let due: Vec<(Time, usize)> = self
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| !e.deferred && e.next_release.at_or_before(self.now))
-            .map(|(i, e)| (e.next_release.max(Time::ZERO), i))
-            .collect();
+        let mut bits = std::mem::take(&mut self.sched.due);
+        self.sched
+            .releases
+            .collect_at_or_before(self.now, &mut bits);
+        let mut due = Vec::new();
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let i = w * 64 + word.trailing_zeros() as usize;
+                if let Some(at) = self.sched.releases.get(i) {
+                    due.push((at.max(Time::ZERO), i));
+                }
+                word &= word - 1;
+            }
+        }
+        self.sched.due = bits;
         let (order, depth) = backlog_order(due);
         // A lone overdue release is not a catch-up.
         if order.len() > 1 {
@@ -554,6 +564,36 @@ mod tests {
         let count = |f: fn(&KernelEvent) -> bool| k.log().iter().filter(|(_, e)| f(e)).count();
         assert!(count(|e| matches!(e, KernelEvent::DeadlineMiss { .. })) > 10);
         assert!(count(|e| matches!(e, KernelEvent::ReleaseLate { .. })) > 10);
+    }
+
+    /// A gap that closes with k of its 32 entries due costs k timer
+    /// operations, one re-arm per release, and visits none of the others.
+    #[test]
+    fn gap_close_visits_only_the_due_releases() {
+        let mut k = RtKernel::new(Machine::machine0(), PolicyKind::PlainEdf);
+        for i in 0..32 {
+            let period = Time::from_ms(40.0 + f64::from(i));
+            k.spawn(period, Work::from_ms(0.2), Box::new(WcetBody))
+                .expect("U < 0.2 admits");
+        }
+        k.run_for(Time::from_ms(100.0));
+        k.set_clock_plan(ClockPlan::new(1).with_tick_loss(1.0));
+        let close = Time::from_ms(130.0);
+        let due = k
+            .entries
+            .iter()
+            .filter(|e| !e.deferred && e.next_release.at_or_before(close))
+            .count();
+        assert!(due > 0 && due < 32, "{due} of 32 due");
+        let before = k.ops().timer_ops;
+        k.now = close;
+        k.timebase.pending_catch_up = true;
+        assert!(k.process_due_releases());
+        assert_eq!(k.ops().timer_ops - before, due as u64);
+        assert!(k
+            .entries
+            .iter()
+            .all(|e| e.next_release.as_ms() > close.as_ms()));
     }
 
     /// A 40-entry backlog over 8 s, cut by a gap ending at 3 s, fires in

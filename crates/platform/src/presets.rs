@@ -69,6 +69,10 @@ pub fn all_machines() -> Vec<Machine> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

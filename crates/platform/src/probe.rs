@@ -106,6 +106,10 @@ impl PowerProbe {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
     use rtdvs_core::task::TaskId;

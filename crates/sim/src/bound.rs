@@ -88,6 +88,10 @@ pub fn minimum_average_power(machine: &Machine, rate: f64, idle_level: f64) -> f
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

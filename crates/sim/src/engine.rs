@@ -856,6 +856,10 @@ impl<'a> Engine<'a> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
     use crate::config::SwitchOverhead;

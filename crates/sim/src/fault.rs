@@ -304,6 +304,10 @@ pub(crate) fn fires(rng: &mut SplitMix64, rate: f64) -> bool {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 mod tests {
     use super::*;
 

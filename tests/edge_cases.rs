@@ -1,5 +1,9 @@
 //! Edge cases across the stack: degenerate machines, saturated and barely
 //! exercised task sets, offsets, and tie-breaking.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::analysis::RmTest;
 use rtdvs::kernel::{FractionBody, RtKernel, WcetBody};

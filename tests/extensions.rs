@@ -1,6 +1,10 @@
 //! Integration tests for the documented extensions: hyperperiod
 //! periodicity, statistical RT-DVS, the interval-governor baseline, and
 //! the extra platform presets.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::example::table2_task_set;
 use rtdvs::core::hyperperiod::hyperperiod;

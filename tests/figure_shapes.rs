@@ -5,6 +5,10 @@
 //! The horizon must comfortably exceed the longest task period (up to 1 s
 //! in the three-band workload model); otherwise work still in flight at
 //! the cutoff distorts the normalized energies.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::{Time, Work};
 use rtdvs::sim::theoretical_bound;

@@ -1,5 +1,9 @@
 //! Scenario tests for the RTOS layer: the §4.3 dynamic-task experiments,
 //! policy module swapping under load, and kernel/simulator cross-checks.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::analysis::RmTest;
 use rtdvs::core::example::table2_task_set;

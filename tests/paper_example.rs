@@ -1,6 +1,10 @@
 //! End-to-end reproduction of the paper's worked example through the
 //! public umbrella API: Table 4's normalized energies and the frequency
 //! traces of Figs. 2, 3, 5, and 7.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::analysis::RmTest;
 use rtdvs::core::example::{

@@ -8,6 +8,10 @@
 //! workspace's own `SplitMix64` so the whole tree builds offline. Every
 //! case is a pure function of the fixed base seed, so failures reproduce
 //! exactly.
+#![allow(
+    clippy::float_cmp,
+    reason = "these tests compare floats exactly on purpose: each expected value is computed the same way or is exactly representable"
+)]
 
 use rtdvs::core::analysis::{rm_feasible_at, RmTest};
 use rtdvs::sim::config::ArrivalModel;

@@ -82,7 +82,7 @@ fn for_each_case(property_salt: u64, mut check: impl FnMut(usize, PolicyKind, &S
 /// BENCH goldens staying byte-stable.
 #[test]
 fn ideal_regulator_is_observationally_free_for_all_policies() {
-    for_each_case(0x1DEA_1, |case, kind, scenario| {
+    for_each_case(0x0001_DEA1, |case, kind, scenario| {
         let mut bare = build_kernel(kind, scenario);
         let mut ideal = build_kernel(kind, scenario);
         ideal.attach_regulator(Box::new(UnreliableRegulator::new(
@@ -116,7 +116,7 @@ fn ideal_regulator_is_observationally_free_for_all_policies() {
 /// lifecycle inconsistency.
 #[test]
 fn fallbacks_never_round_down_under_any_failure_rate() {
-    for_each_case(0xFA11_2, |case, kind, scenario| {
+    for_each_case(0x000F_A112, |case, kind, scenario| {
         let mut r = SplitMix64::seed_from_u64(scenario.kernel_salt);
         let rate = r.range_f64_inclusive(0.05, 1.0);
         let cpu = PowerNowCpu::k6_2_plus_550();
