@@ -12,7 +12,8 @@
 //!   reports a positive attempted regression ([`Rule::ClockMonotonicity`]
 //!   — the time base's clamp must make regression unobservable),
 //! - clock-gated releases stay within the stalled-tick watchdog's
-//!   worst-case latency ([`Rule::ReleaseLatencyBound`]),
+//!   worst-case latency, [`RELEASE_LATENCY_BOUND_MS`]
+//!   ([`Rule::ReleaseLatencyBound`]),
 //! - the mode epoch advances by exactly one per committed transaction
 //!   ([`Rule::EpochMonotonicity`]),
 //! - per task, invocation numbers are released in `+1` sequence and every
@@ -29,21 +30,15 @@
 //!
 //! A trailing open invocation is *not* a violation: a log captured
 //! mid-run (or at a checkpoint) legitimately ends with work in flight.
+//! Snapshot restore holds a log to every rule here but the deadline-miss
+//! report, so a restored kernel's log has no other finding.
 
 use std::collections::HashMap;
 
 use rtdvs_core::time::Time;
-use rtdvs_kernel::{EventLog, KernelEvent, TaskHandle};
+use rtdvs_kernel::{EventLog, KernelEvent, TaskHandle, RELEASE_LATENCY_BOUND_MS};
 
 use crate::violation::{Rule, Violation};
-
-/// Worst acceptable release latency behind schedule, in milliseconds.
-/// The stalled-tick watchdog engages after
-/// [`rtdvs_kernel::WATCHDOG_GAP_TICKS`] silent ticks and synthesizes a
-/// delivery, so a gated release can trail its scheduled instant by at
-/// most that gap plus the catch-up cascade; twice the watchdog window is
-/// a safe ceiling at the 1ms nominal tick.
-const RELEASE_LATENCY_BOUND_MS: f64 = 16.0;
 
 /// Per-task bookkeeping while walking the log.
 #[derive(Default)]

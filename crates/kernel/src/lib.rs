@@ -55,7 +55,7 @@ pub use tenants::{
     AperiodicServer, CompletedJob, JobId, SubmitOutcome, TenantConfigError, TenantLaneStats,
     TenantServer,
 };
-pub use timebase::{ClockStats, TimeBase, TICK_MS, WATCHDOG_GAP_TICKS};
+pub use timebase::{ClockStats, TimeBase, RELEASE_LATENCY_BOUND_MS, TICK_MS, WATCHDOG_GAP_TICKS};
 
 #[cfg(test)]
 mod tests {

@@ -57,15 +57,25 @@
 //! bit for bit, so an accepted `ev` run is byte for byte what the writer
 //! emits for the log it decodes, and extending it equals a full write.
 //!
+//! Each kind of token has one decoder, a codec in `read` that takes a byte
+//! slice and an offset and returns the value and the bytes it spans. The
+//! `ev` loop decodes each line from the text's bytes at fixed offsets: the
+//! tag and the time in bytes 0–19, the event word compared in place at
+//! byte 20 together with the separator after it (releases and completions
+//! first), then each field by its codec where the last one ended. The
+//! cursor steps once per line, and error text is built only for a line
+//! that fails. The stanza readers of `Cursor` wrap the same codecs.
+//!
 //! The checksum catches a torn or accidentally altered text at load; it
 //! does not authenticate. Anyone can edit a snapshot and reseal it, so
 //! restore checks every field it decodes — a non-finite time, an
 //! out-of-range policy or meter parameter, an impossible count — holds
-//! the log to the lifecycle rules of the audit's clock-monotonicity,
-//! epoch-monotonicity and log-consistency checks, and the state stanzas to
-//! the log they follow, answering [`SnapshotError::Corrupt`] instead of
-//! panicking. Restore relies on the checks done when the [`Snapshot`] was
-//! constructed (see the type) and does not repeat them.
+//! the log to the rules of the audit's log checks (clock monotonicity,
+//! release latency, epoch monotonicity, log consistency, unsafe fallback
+//! and the brownout cap), and the state stanzas to the log they follow,
+//! answering [`SnapshotError::Corrupt`] instead of panicking. Restore
+//! relies on the checks done when the [`Snapshot`] was constructed (see
+//! the type) and does not repeat them.
 //!
 //! What is *not* serialized is the policy module's internal state (a
 //! `dyn DvsPolicy` is opaque). Restore rebuilds the policy from its
@@ -96,11 +106,12 @@ use rtdvs_sim::{EnergyMeter, SwitchOverhead, Trace};
 use crate::body::{
     BodyState, ColdStartBody, FractionBody, OverrunBody, TaskBody, UniformBody, WcetBody,
 };
-use crate::eventlog::{EventLog, POLICY_NAMES};
+use crate::eventlog::EventLog;
 use crate::kernel::{Entry, KernelEvent, RtKernel, ShedTask, TaskHandle};
 use crate::tenants::{
     CompletedJob, JobId, JobRecord, ServerSnapshot, TenantLaneSnapshot, TenantServer,
 };
+use crate::timebase::RELEASE_LATENCY_BOUND_MS;
 
 /// The format tag on a snapshot's first line.
 pub const SNAPSHOT_VERSION: &str = "rtdvs-snapshot/v3";
@@ -625,11 +636,25 @@ impl Writer {
     }
 }
 
+/// The bytes an `ev` record's event word is compared with: the word and
+/// the separator the writer puts after it, a space before the fields or
+/// the `\n` of a record with none.
+macro_rules! event_head {
+    ($word:literal) => {
+        concat!($word, "\n")
+    };
+    ($word:literal $($field:ident)+) => {
+        concat!($word, " ")
+    };
+}
+
 /// The `ev` record of every [`KernelEvent`]: its word, then its fields in
-/// token order, each with its codec — a [`Writer`] method and the [`Cursor`]
-/// method of the same name. This one table generates both
-/// `Writer::event` and `parse_event`; the writer's match is exhaustive,
-/// so a new variant does not compile until it has a row here.
+/// token order, each with its codec — a [`Writer`] method and the [`read`]
+/// codec of the same name. This one table generates both
+/// `Writer::event` and `ev_record`; the writer's match is exhaustive,
+/// so a new variant does not compile until it has a row here. The reader
+/// tries the rows in table order, so the two that make up almost every
+/// log come first.
 macro_rules! event_records {
     ($($variant:ident $word:literal { $($field:ident: $codec:ident),* })*) => {
         impl Writer {
@@ -642,23 +667,40 @@ macro_rules! event_records {
             }
         }
 
-        // Inlined into the `ev` loop, which a restore runs once per log
-        // entry: a call returning the event costs a third of a line.
+        /// Decodes the record of an `ev` line, which `record` starts with
+        /// at its event word: the event and the bytes it spans through the
+        /// line's `\n`, or what is wrong with it. Each row's word is
+        /// compared in place together with the separator after it, then
+        /// each field is read by its codec at the offset the last one
+        /// ended. Inlined into the `ev` loop, which a restore runs once per
+        /// log entry.
         #[inline(always)]
-        fn parse_event(c: &mut Cursor<'_>) -> Result<KernelEvent, SnapshotError> {
-            match c.word()? {
-                $($word => Ok(KernelEvent::$variant { $($field: c.$codec()?),* }),)*
-                w => Err(corrupt(format!("unknown event {w:?}"))),
-            }
+        fn ev_record(record: &[u8]) -> Result<(KernelEvent, usize), &'static str> {
+            $(
+                if record.starts_with(event_head!($word $($field)*).as_bytes()) {
+                    let at = $word.len();
+                    $(
+                        let Some(($field, len)) = read::$codec(record, at) else {
+                            return Err(concat!("a malformed \"", $word, "\" record"));
+                        };
+                        let at = at + len;
+                    )*
+                    return match record.get(at) {
+                        Some(b'\n') => Ok((KernelEvent::$variant { $($field),* }, at + 1)),
+                        _ => Err(concat!("a malformed \"", $word, "\" record")),
+                    };
+                }
+            )*
+            Err("an unknown event")
         }
     };
 }
 
 event_records! {
-    Admitted "admitted" { handle: handle, deferred: flag }
-    Removed "removed" { handle: handle }
     Released "released" { handle: handle, invocation: num }
     Completed "completed" { handle: handle, invocation: num }
+    Admitted "admitted" { handle: handle, deferred: flag }
+    Removed "removed" { handle: handle }
     DeadlineMiss "miss" { handle: handle, invocation: num, remaining: work }
     Overrun "overrun" { handle: handle, invocation: num, used: work, bound: work }
     PolicyLoaded "policy" { name: policy_name }
@@ -966,18 +1008,36 @@ fn hex8(digits: [u8; 8]) -> Option<u32> {
     u32::try_from((quads | quads >> 16) & 0xffff_ffff).ok()
 }
 
+/// The value of the decimal digit `b`, if it is one.
+fn digit(b: Option<&u8>) -> Option<u64> {
+    let d = b?.wrapping_sub(b'0');
+    (d <= 9).then_some(u64::from(d))
+}
+
 /// Decodes the canonical decimal `digits` start with — no sign, no
-/// leading zero, within `u64` — and how many bytes it spans.
+/// leading zero, within `u64` — and how many bytes it spans. Nineteen
+/// digits cannot overflow (10^19 − 1 < 2^64), so they are taken with no
+/// check; only a twentieth is checked, and a twenty-first is past
+/// `u64::MAX`.
 fn decimal_prefix(digits: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     let mut len = 0;
-    for &b in digits {
+    for &b in digits.iter().take(19) {
         let d = b.wrapping_sub(b'0');
         if d > 9 {
             break;
         }
-        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+        v = v * 10 + u64::from(d);
         len += 1;
+    }
+    if len == 19 {
+        if let Some(d) = digit(digits.get(19)) {
+            v = v.checked_mul(10)?.checked_add(d)?;
+            len += 1;
+            if digit(digits.get(20)).is_some() {
+                return None;
+            }
+        }
     }
     let leading_zero = len > 1 && digits.first() == Some(&b'0');
     (len > 0 && !leading_zero).then_some((v, len))
@@ -988,17 +1048,6 @@ fn decimal_token(tok: &str) -> Option<u64> {
     match decimal_prefix(tok.as_bytes()) {
         Some((v, len)) if len == tok.len() => Some(v),
         _ => None,
-    }
-}
-
-/// Decodes a time or work field. A non-finite value would panic in
-/// `Time::from_ms`/`Work::from_ms`, so it is corrupt.
-fn finite_ms(bits: u64) -> Result<f64, SnapshotError> {
-    let v = f64::from_bits(bits);
-    if v.is_finite() {
-        Ok(v)
-    } else {
-        Err(corrupt(format!("non-finite time or work {bits:016x}")))
     }
 }
 
@@ -1017,12 +1066,173 @@ fn bounded(v: f64) -> Result<f64, SnapshotError> {
     }
 }
 
+/// The token codecs, one per kind of token the writer emits. Each reads a
+/// token at byte `at` of a byte slice, in the writer's spelling only, and
+/// returns its value and the bytes it spans, or `None`. A codec named
+/// after a [`Writer`] method reads what that method writes, the one space
+/// before the token included; [`read::hex`] reads bare digits. The `ev`
+/// loop calls them on the line it decodes, at the offset where the last
+/// token ended, and each [`Cursor`] token reader wraps one, so every token
+/// kind has one decoder. Each takes two arguments, unlike the [`Writer`]
+/// method of its name, so that `xtask analyze`, which resolves a method
+/// call by its name and argument count, keeps the reader off the
+/// writer's call graph.
+mod read {
+    use rtdvs_core::time::{Time, Work};
+
+    use super::{decimal_prefix, hex16};
+    use crate::eventlog::POLICY_NAMES;
+    use crate::kernel::TaskHandle;
+
+    /// What `token` reads after the one space at byte `at`.
+    #[inline(always)]
+    fn spaced<'a, T>(
+        bytes: &'a [u8],
+        at: usize,
+        token: impl FnOnce(&'a [u8], usize) -> Option<(T, usize)>,
+    ) -> Option<(T, usize)> {
+        if bytes.get(at) != Some(&b' ') {
+            return None;
+        }
+        let (v, len) = token(bytes, at + 1)?;
+        Some((v, len + 1))
+    }
+
+    /// 16 lower-case hex digits.
+    #[inline(always)]
+    pub(super) fn hex(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+        Some((hex16(bytes.get(at..at.checked_add(16)?)?)?, 16))
+    }
+
+    /// A canonical decimal.
+    #[inline(always)]
+    fn decimal(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+        decimal_prefix(bytes.get(at..)?)
+    }
+
+    #[inline(always)]
+    pub(super) fn bits(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+        spaced(bytes, at, hex)
+    }
+
+    #[inline(always)]
+    pub(super) fn f64(bytes: &[u8], at: usize) -> Option<(f64, usize)> {
+        let (bits, len) = bits(bytes, at)?;
+        Some((f64::from_bits(bits), len))
+    }
+
+    /// A time or work amount: finite, or `Time::from_ms` and
+    /// `Work::from_ms` would panic.
+    #[inline(always)]
+    fn finite(bytes: &[u8], at: usize) -> Option<(f64, usize)> {
+        let (v, len) = f64(bytes, at)?;
+        v.is_finite().then_some((v, len))
+    }
+
+    #[inline(always)]
+    pub(super) fn time(bytes: &[u8], at: usize) -> Option<(Time, usize)> {
+        let (v, len) = finite(bytes, at)?;
+        Some((Time::from_ms(v), len))
+    }
+
+    #[inline(always)]
+    pub(super) fn work(bytes: &[u8], at: usize) -> Option<(Work, usize)> {
+        let (v, len) = finite(bytes, at)?;
+        Some((Work::from_ms(v), len))
+    }
+
+    #[inline(always)]
+    pub(super) fn num(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+        spaced(bytes, at, decimal)
+    }
+
+    #[inline(always)]
+    pub(super) fn index(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
+        let (v, len) = num(bytes, at)?;
+        Some((usize::try_from(v).ok()?, len))
+    }
+
+    #[inline(always)]
+    pub(super) fn handle(bytes: &[u8], at: usize) -> Option<(TaskHandle, usize)> {
+        let (v, len) = num(bytes, at)?;
+        Some((TaskHandle::from_raw(v), len))
+    }
+
+    #[inline(always)]
+    pub(super) fn flag(bytes: &[u8], at: usize) -> Option<(bool, usize)> {
+        match bytes.get(at..at.checked_add(2)?)? {
+            b" 0" => Some((false, 2)),
+            b" 1" => Some((true, 2)),
+            _ => None,
+        }
+    }
+
+    /// A word: the bytes up to the next space or `\n`, at least one.
+    pub(super) fn word(bytes: &[u8], at: usize) -> Option<(&[u8], usize)> {
+        spaced(bytes, at, |bytes, at| {
+            let rest = bytes.get(at..)?;
+            let len = rest.iter().position(|&b| b == b' ' || b == b'\n')?;
+            Some((rest.get(..len).filter(|w| !w.is_empty())?, len))
+        })
+    }
+
+    /// A policy's display name, one of the closed set live policies
+    /// report.
+    pub(super) fn policy_name(bytes: &[u8], at: usize) -> Option<(&'static str, usize)> {
+        let (name, len) = word(bytes, at)?;
+        let known = POLICY_NAMES.iter().find(|known| known.as_bytes() == name)?;
+        Some((known, len))
+    }
+
+    /// `none`, or what `some` reads.
+    fn opt<T>(
+        bytes: &[u8],
+        at: usize,
+        some: impl FnOnce(&[u8], usize) -> Option<(T, usize)>,
+    ) -> Option<(Option<T>, usize)> {
+        if bytes.get(at..)?.starts_with(b" none") {
+            return Some((None, 5));
+        }
+        let (v, len) = some(bytes, at)?;
+        Some((Some(v), len))
+    }
+
+    /// A point index, or `none`.
+    pub(super) fn opt_point(bytes: &[u8], at: usize) -> Option<(Option<usize>, usize)> {
+        opt(bytes, at, index)
+    }
+
+    /// A time, or `none`.
+    pub(super) fn opt_time(bytes: &[u8], at: usize) -> Option<(Option<Time>, usize)> {
+        opt(bytes, at, time)
+    }
+}
+
+/// One `ev` line at the start of `line`: its time, its event and the
+/// bytes it spans with its `\n`, or what is wrong with it. The tag and
+/// the time sit at fixed offsets (bytes 0 and 3), so the line's head is
+/// taken in one piece, and the record follows at byte 20. Inlined like
+/// `ev_record`.
+#[inline(always)]
+fn ev_line(line: &[u8]) -> Result<(Time, KernelEvent, usize), &'static str> {
+    let Some([b'e', b'v', b' ', time @ .., b' ']) = line.get(..20) else {
+        return Err("expected an \"ev\" line");
+    };
+    let Some(ms) = hex16(time).map(f64::from_bits) else {
+        return Err("expected 16 lower-case hex digits");
+    };
+    if !ms.is_finite() {
+        return Err("a non-finite time");
+    }
+    let (ev, len) = ev_record(line.get(20..).unwrap_or_default())?;
+    Ok((Time::from_ms(ms), ev, 20 + len))
+}
+
 /// Byte cursor over a snapshot text that accepts exactly what [`Writer`]
-/// emits. Each reader mirrors the [`Writer`] method of the same name: it
-/// takes the one space the writer puts before a token, then the token in
-/// the writer's spelling, and [`Cursor::eol`] takes the lone `\n` that
-/// ends a line. Nothing is split or searched for but a word's end, and
-/// every byte is taken with `get`.
+/// emits. Each token reader wraps the [`read`] codec of the same name,
+/// and [`Cursor::eol`] takes the lone `\n` that ends a line. Nothing is
+/// split or searched for but a word's end, and every byte is taken with
+/// `get`.
 struct Cursor<'a> {
     text: &'a str,
     pos: usize,
@@ -1116,67 +1326,62 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
-    /// The text from the cursor up to the first byte `end` accepts, or
-    /// `None` when no byte does.
-    fn until(&self, end: impl Fn(u8) -> bool) -> Option<(&'a str, usize)> {
-        let len = self.rest().iter().position(|&b| end(b))?;
-        let s = self.text.get(self.pos..self.pos.saturating_add(len))?;
-        Some((s, len))
+    /// Reads one token with `codec` and steps over it, or fails with
+    /// `what`.
+    fn take<T>(
+        &mut self,
+        codec: impl FnOnce(&'a [u8], usize) -> Option<(T, usize)>,
+        what: &str,
+    ) -> Result<T, SnapshotError> {
+        self.advance(codec(self.text.as_bytes(), self.pos), what)
     }
 
     /// A word: the bytes up to the next space or `\n`, at least one.
     fn word(&mut self) -> Result<&'a str, SnapshotError> {
-        self.sep()?;
-        let word = self
-            .until(|b| b == b' ' || b == b'\n')
-            .filter(|&(_, len)| len > 0);
-        self.advance(word, "expected a word")
+        let start = self.pos.saturating_add(1);
+        self.take(read::word, "expected a word")?;
+        // A word sits between ASCII bytes, so its ends are `str` boundaries.
+        Ok(self.text.get(start..self.pos).unwrap_or_default())
     }
 
     /// Everything up to the `\n`, the machine name's spelling: it is the
     /// line's last field and may hold any other byte.
     fn rest_of_line(&mut self) -> Result<&'a str, SnapshotError> {
         self.sep()?;
-        let rest = self.until(|b| b == b'\n');
-        self.advance(rest, "expected the end of the line")
+        let rest = self.text.get(self.pos..).unwrap_or_default();
+        let line = rest
+            .find('\n')
+            .and_then(|len| Some((rest.get(..len)?, len)));
+        self.advance(line, "expected the end of the line")
     }
 
     /// 16 lower-case hex digits, no separator.
     fn hex(&mut self) -> Result<u64, SnapshotError> {
-        let digits = self.rest().get(..16).and_then(hex16).map(|v| (v, 16));
-        self.advance(digits, "expected 16 lower-case hex digits")
-    }
-
-    /// Canonical decimal digits, no separator.
-    fn decimal(&mut self) -> Result<u64, SnapshotError> {
-        self.advance(decimal_prefix(self.rest()), "expected a canonical decimal")
+        self.take(read::hex, "expected 16 lower-case hex digits")
     }
 
     fn bits(&mut self) -> Result<u64, SnapshotError> {
-        self.sep()?;
-        self.hex()
+        self.take(read::bits, "expected 16 lower-case hex digits")
     }
 
     fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.bits()?))
+        self.take(read::f64, "expected 16 lower-case hex digits")
     }
 
     fn time(&mut self) -> Result<Time, SnapshotError> {
-        Ok(Time::from_ms(finite_ms(self.bits()?)?))
+        self.take(read::time, "expected a finite time")
     }
 
     fn work(&mut self) -> Result<Work, SnapshotError> {
-        Ok(Work::from_ms(finite_ms(self.bits()?)?))
+        self.take(read::work, "expected a finite work amount")
     }
 
     fn num(&mut self) -> Result<u64, SnapshotError> {
-        self.sep()?;
-        self.decimal()
+        self.take(read::num, "expected a canonical decimal")
     }
 
     fn index(&mut self) -> Result<usize, SnapshotError> {
-        let v = self.num()?;
-        usize::try_from(v).map_err(|_| corrupt(format!("index {v} out of range")))
+        self.take(read::index, "expected an index within range")
     }
 
     /// A count or position the running kernel increments. No kernel
@@ -1192,22 +1397,11 @@ impl<'a> Cursor<'a> {
     }
 
     fn handle(&mut self) -> Result<TaskHandle, SnapshotError> {
-        Ok(TaskHandle::from_raw(self.num()?))
-    }
-
-    fn policy_name(&mut self) -> Result<&'static str, SnapshotError> {
-        intern_policy_name(self.word()?)
+        self.take(read::handle, "expected a task handle")
     }
 
     fn flag(&mut self) -> Result<bool, SnapshotError> {
-        self.sep()?;
-        if self.skip("0") {
-            Ok(false)
-        } else if self.skip("1") {
-            Ok(true)
-        } else {
-            self.fail("expected a 0 or 1 flag")
-        }
+        self.take(read::flag, "expected a 0 or 1 flag")
     }
 
     /// `none`, or the value `some` reads with no separator.
@@ -1225,50 +1419,43 @@ impl<'a> Cursor<'a> {
 
     /// A time, or `none`.
     fn opt_time(&mut self) -> Result<Option<Time>, SnapshotError> {
-        self.opt(|c| Ok(Time::from_ms(finite_ms(c.hex()?)?)))
+        self.take(read::opt_time, "expected a finite time or none")
     }
 
     /// A point index, or `none`.
     fn opt_point(&mut self) -> Result<Option<usize>, SnapshotError> {
-        self.opt(|c| {
-            let v = c.decimal()?;
-            usize::try_from(v).map_err(|_| corrupt(format!("point {v} out of range")))
-        })
+        self.take(read::opt_point, "expected a point index or none")
     }
 
     fn policy(&mut self) -> Result<PolicyKind, SnapshotError> {
         parse_policy_token(self.word()?)
     }
 
-    /// One `ev` line. The tag, the time and the event word sit at fixed
-    /// offsets (bytes 0, 3 and 20), so the line's head is taken in one
-    /// piece. Inlined like [`parse_event`].
+    /// One `ev` line, decoded by [`ev_line`]: the cursor steps once, over
+    /// the whole line, and error text is built only when the line fails.
     #[inline(always)]
     fn ev_line(&mut self) -> Result<(Time, KernelEvent), SnapshotError> {
-        let Some([b'e', b'v', b' ', time @ .., b' ']) = self.rest().get(..20) else {
-            return self.fail("expected an \"ev\" line");
-        };
-        let Some(bits) = hex16(time) else {
-            return self.fail("expected 16 lower-case hex digits");
-        };
-        let at = Time::from_ms(finite_ms(bits)?);
-        // On the space before the event word.
-        self.pos = self.pos.saturating_add(19);
-        let ev = parse_event(self)?;
-        self.eol()?;
-        Ok((at, ev))
+        match ev_line(self.rest()) {
+            Ok((at, ev, len)) => {
+                self.pos = self.pos.saturating_add(len);
+                Ok((at, ev))
+            }
+            Err(what) => self.fail(what),
+        }
     }
 }
 
 /// The lifecycle a log must follow to restore: exactly the rules of the
-/// audit's clock-monotonicity, epoch-monotonicity and log-consistency
-/// checks (`audit_kernel_log`), held in the parse pass. Timestamps never
-/// go backwards and a clamped clock jump records a positive distance;
-/// each committed mode change carries the epoch after the last one's,
-/// starting at 1; per task, releases number `+1` from the last and come
-/// only once the last is closed, a completion or miss closes the open
-/// release, and every event names a live task. A task's state is created
-/// only by its `admitted` line.
+/// audit's log checks (`audit_kernel_log`) but its deadline-miss report,
+/// held in the parse pass. Timestamps never go backwards and a clamped
+/// clock jump records a positive distance; a late release is late by
+/// more than 0 and at most [`RELEASE_LATENCY_BOUND_MS`]; each committed
+/// mode change carries the epoch after the last one's, starting at 1; a
+/// regulator fallback lands at or above its desired point and at or
+/// below the last `cap` line's point; per task, releases number `+1` from
+/// the last and come only once the last is closed, a completion or miss
+/// closes the open release, and every event names a live task. A task's
+/// state is created only by its `admitted` line.
 #[derive(Default)]
 struct Lifecycle {
     last_ms: f64,
@@ -1279,6 +1466,9 @@ struct Lifecycle {
     /// The last committed mode epoch, 0 before the first commit: the
     /// kernel's epoch must be this one.
     epoch: u64,
+    /// The point of the last `cap` line, `None` before the first or after
+    /// one that lifts the cap: no regulator fallback lands above it.
+    cap: Option<usize>,
 }
 
 /// Handles below this have a slot in the [`Tasks`] table. A kernel issues
@@ -1340,7 +1530,7 @@ struct TaskLife {
 }
 
 impl Lifecycle {
-    /// Checks the next entry of the log. Inlined like [`parse_event`].
+    /// Checks the next entry of the log. Inlined like `ev_record`.
     #[inline(always)]
     fn check(&mut self, at: Time, ev: &KernelEvent) -> Result<(), SnapshotError> {
         if at.as_ms() < self.last_ms {
@@ -1412,6 +1602,27 @@ impl Lifecycle {
             }
             KernelEvent::ClockJumpClamped { attempted } if attempted.as_ms() <= 0.0 => {
                 return Err(corrupt("a clamped clock jump of no distance"));
+            }
+            KernelEvent::BrownoutCapSet { cap } => self.cap = cap,
+            KernelEvent::RegulatorFallback { desired, applied } => {
+                if applied < desired {
+                    return Err(corrupt(format!(
+                        "a regulator fallback applied point {applied} below the desired {desired}"
+                    )));
+                }
+                if self.cap.is_some_and(|cap| applied > cap) {
+                    return Err(corrupt(format!(
+                        "a regulator fallback applied point {applied} above the cap"
+                    )));
+                }
+            }
+            KernelEvent::ReleaseLate { latency, .. }
+                if !(latency.as_ms() > 0.0 && latency.as_ms() <= RELEASE_LATENCY_BOUND_MS) =>
+            {
+                return Err(corrupt(format!(
+                    "a release {} ms late, outside (0, {RELEASE_LATENCY_BOUND_MS}] ms",
+                    latency.as_ms()
+                )));
             }
             _ => {}
         }
@@ -1654,17 +1865,6 @@ fn rebuild_body(
             (server.body(), Some(server))
         }
     })
-}
-
-/// Maps a serialized policy name back to the `'static` string the live
-/// policies report. The set is closed, so an unknown name means
-/// corruption.
-fn intern_policy_name(name: &str) -> Result<&'static str, SnapshotError> {
-    POLICY_NAMES
-        .iter()
-        .find(|k| **k == name)
-        .copied()
-        .ok_or_else(|| corrupt(format!("unknown policy name {name:?}")))
 }
 
 /// How many periods a live task's next release may trail the clock. A
@@ -2091,6 +2291,16 @@ mod tests {
             .to_owned()
     }
 
+    /// Checks that `revived`, restored from a checkpoint of `live`, holds
+    /// its log packed as the live one is: a reader that kept packable
+    /// entries in the side table would decode to an equal log, and fail
+    /// here.
+    fn assert_packed_alike(revived: &RtKernel, live: &RtKernel) {
+        assert_eq!(revived.log(), live.log());
+        assert_eq!(revived.log().unpacked(), live.log().unpacked());
+        assert_eq!(revived.log().stored_bytes(), live.log().stored_bytes());
+    }
+
     /// Checkpoints of generated kernels at random instants, through
     /// policy swaps, checkpoints a staged mode change refuses and
     /// restores: each text equals the unsealed writer's byte for byte and
@@ -2170,7 +2380,7 @@ mod tests {
                 let (mut revived, _) = source.restore().expect("own checkpoint restores");
                 assert_eq!(revived.now(), k.now());
                 assert_eq!(revived.energy().to_bits(), k.energy().to_bits());
-                assert_eq!(revived.log(), k.log());
+                assert_packed_alike(&revived, &k);
                 assert_eq!(revived.status(), k.status());
                 let seal = revived.seal.as_ref().expect("a revived kernel is sealed");
                 assert!(Arc::ptr_eq(&seal.text, &source.text));
@@ -2258,12 +2468,14 @@ mod tests {
                 match rng.next_u64() % 6 {
                     0 => {
                         let (fresh, _) = snap.restore().expect("own checkpoint restores");
+                        assert_packed_alike(&fresh, &k);
                         k = fresh;
                         k.mark_restored();
                     }
                     1 => {
                         let parsed = Snapshot::from_text(snap.as_text()).expect("own text parses");
                         let (fresh, _) = parsed.restore().expect("own checkpoint restores");
+                        assert_packed_alike(&fresh, &k);
                         k = fresh;
                         k.mark_restored();
                     }
@@ -3303,6 +3515,40 @@ mod tests {
         assert_eq!(hex16(b"0123456789abcdef0"), None);
     }
 
+    /// The decimal decoder, which takes 19 digits unchecked, agrees with
+    /// `str::parse` on 1- to 21-digit runs, at and past `u64::MAX`
+    /// included: it takes exactly the canonical spellings of a `u64`, and
+    /// stops at the first byte that is not a digit.
+    #[test]
+    fn decimal_decoding_accepts_only_canonical_u64s() {
+        let mut rng = SplitMix64::seed_from_u64(0xDEC_1A1);
+        let mut runs: Vec<String> = ["0", "01", "18446744073709551615", "18446744073709551616"]
+            .iter()
+            .map(|&s| s.to_owned())
+            .collect();
+        runs.extend(["9".repeat(19), "9".repeat(20), "1".repeat(21)]);
+        for len in 1..=21 {
+            for _ in 0..200 {
+                let digits = (0..len).map(|_| char::from(b'0' + (rng.next_u64() % 10) as u8));
+                runs.push(digits.collect());
+            }
+        }
+        for run in &runs {
+            let canonical = run.len() == 1 || !run.starts_with('0');
+            let expected = run
+                .parse::<u64>()
+                .ok()
+                .filter(|_| canonical)
+                .map(|v| (v, run.len()));
+            for end in ["", " ", "\n", "x"] {
+                let text = format!("{run}{end}");
+                assert_eq!(decimal_prefix(text.as_bytes()), expected, "{text:?}");
+            }
+        }
+        assert_eq!(decimal_prefix(b""), None);
+        assert_eq!(decimal_prefix(b"+1"), None);
+    }
+
     /// Reseals `body` (the text above the checksum line), loads it and
     /// restores it; returns the first error.
     fn load_forged(body: &str) -> Result<(), SnapshotError> {
@@ -3311,11 +3557,13 @@ mod tests {
         snap.restore().map(|_| ())
     }
 
-    /// The spellings the writer never emits, each resealed into an `ev`
-    /// line and into a state stanza (`epoch`, or `clock` for the hex
-    /// ones, since the epoch is a decimal), and the `\r\n` one into the
-    /// version line: every one is corrupt, so an accepted text's `ev` run
-    /// is the writer's bytes.
+    /// The spellings the writer never emits, each resealed into `ev`
+    /// lines and into a state stanza, and the `\r\n` one into the version
+    /// line: every one is corrupt, so an accepted text's `ev` run is the
+    /// writer's bytes. The hex ones go into the time of a `released` and
+    /// a `completed` line and the `clock` stanza; the others into the
+    /// handle and the invocation of both lines and the `epoch` stanza. An
+    /// event word with no fields after it is corrupt too.
     #[test]
     fn non_canonical_spellings_are_corrupt() {
         use crate::modechange::ModeChange;
@@ -3331,80 +3579,110 @@ mod tests {
         let body = &text[..text.rfind("checksum ").expect("a sealed text")];
         load_forged(body).expect("the unedited text restores");
         let has_letter = |tok: &str| tok.bytes().any(|b| b.is_ascii_lowercase());
-        let ev = body
-            .lines()
-            .find(|l| l.contains(" completed 1 ") && has_letter(&l[3..19]))
-            .expect("a completion of task 1 at an instant with a letter digit");
+        let ev = |word: &str| {
+            let needle = format!(" {word} 1 ");
+            let line = body
+                .lines()
+                .find(|l| l.contains(&needle) && has_letter(&l[3..19]));
+            line.unwrap_or_else(|| panic!("a {word} line of task 1 at a time with a letter"))
+        };
+        let (release, completion) = (ev("released"), ev("completed"));
         let clock = body
             .lines()
             .find(|l| l.starts_with("clock "))
             .expect("clock");
         assert!(has_letter(&clock[6..]));
 
-        let hex = |line: &str, edit: fn(&str) -> String| {
-            let at = line.find(' ').expect("a tagged line") + 1;
+        // Line `line` with `sep` for the space before token `field`, or
+        // with `edit` applied to that token.
+        let respace = |line: &str, field: usize, sep: &str| {
+            let toks: Vec<&str> = line.split(' ').collect();
             format!(
-                "{}{}{}",
-                &line[..at],
-                edit(&line[at..at + 16]),
-                &line[at + 16..]
+                "{}{sep}{}",
+                toks[..field].join(" "),
+                toks[field..].join(" ")
             )
         };
-        let decimal = |line: &str, prefix: &str| {
-            let (head, value) = match line.split_once(" completed ") {
-                Some((head, rest)) => (format!("{head} completed "), rest),
-                None => ("epoch ".to_owned(), &line[6..]),
-            };
-            format!("{head}{prefix}{value}")
+        let retoken = |line: &str, field: usize, edit: &dyn Fn(&str) -> String| {
+            let mut toks: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            toks[field] = edit(&toks[field]);
+            toks.join(" ")
         };
-        type Edit<'a> = Box<dyn Fn(&str) -> String + 'a>;
-        let spellings: [(&str, Edit); 8] = [
-            ("a doubled space", Box::new(|l| l.replacen(' ', "  ", 1))),
-            ("a tab", Box::new(|l| l.replacen(' ', "\t", 1))),
-            ("a trailing space", Box::new(|l| format!("{l} "))),
-            ("a \\r before the \\n", Box::new(|l| format!("{l}\r"))),
+        type Edit<'a> = Box<dyn Fn(&str, usize) -> String + 'a>;
+        let spellings: [(&str, Edit); 9] = [
+            ("a doubled space", Box::new(|l, f| respace(l, f, "  "))),
+            ("a tab", Box::new(|l, f| respace(l, f, "\t"))),
+            ("a trailing space", Box::new(|l, _| format!("{l} "))),
+            ("a \\r before the \\n", Box::new(|l, _| format!("{l}\r"))),
             (
                 "upper-case hex",
-                Box::new(|l| hex(l, |d| d.to_ascii_uppercase())),
+                Box::new(|l, f| retoken(l, f, &|t| t.to_ascii_uppercase())),
             ),
-            ("15-digit hex", Box::new(|l| hex(l, |d| d[1..].to_owned()))),
-            ("a sign", Box::new(|l| decimal(l, "+"))),
-            ("a leading zero", Box::new(|l| decimal(l, "0"))),
+            (
+                "15-digit hex",
+                Box::new(|l, f| retoken(l, f, &|t| t[1..].to_owned())),
+            ),
+            (
+                "a sign",
+                Box::new(|l, f| retoken(l, f, &|t| format!("+{t}"))),
+            ),
+            (
+                "a leading zero",
+                Box::new(|l, f| retoken(l, f, &|t| format!("0{t}"))),
+            ),
+            (
+                "a decimal one past u64::MAX",
+                Box::new(|l, f| retoken(l, f, &|_| "18446744073709551616".into())),
+            ),
         ];
+        let hex_fields = [(release, 1), (completion, 1), (clock, 1)];
+        let decimal_fields = [
+            (release, 3),
+            (release, 4),
+            (completion, 3),
+            (completion, 4),
+            ("epoch 1", 1),
+        ];
+        let refused = |what: &str, line: &str, edited: &str| {
+            assert_ne!(edited, line, "{what} does not change {line:?}");
+            let forged = body.replacen(&format!("\n{line}\n"), &format!("\n{edited}\n"), 1);
+            assert_ne!(forged, body);
+            let e = load_forged(&forged).expect_err(what);
+            assert!(
+                matches!(e, SnapshotError::Corrupt(_)),
+                "{what} in {line:?}: {e:?}"
+            );
+        };
         for (what, edit) in &spellings {
-            let stanza = if what.contains("hex") {
-                clock
+            let fields = if what.contains("hex") {
+                &hex_fields[..]
             } else {
-                "epoch 1"
+                &decimal_fields[..]
             };
-            for line in [ev, stanza] {
-                let edited = edit(line);
-                assert_ne!(edited, line, "{what} does not change {line:?}");
-                let forged = body.replacen(&format!("\n{line}\n"), &format!("\n{edited}\n"), 1);
-                assert_ne!(forged, body);
-                let e = load_forged(&forged).expect_err(what);
-                assert!(
-                    matches!(e, SnapshotError::Corrupt(_)),
-                    "{what} in {line:?}: {e:?}"
-                );
+            for &(line, field) in fields {
+                refused(what, line, &edit(line, field));
             }
         }
+        assert!(release[..28].ends_with(" released"));
+        refused("an event word with no fields", release, &release[..28]);
         let crlf = body.replacen(SNAPSHOT_VERSION, &format!("{SNAPSHOT_VERSION}\r"), 1);
         let e = load_forged(&crlf).expect_err("a \\r\\n version line");
         assert!(matches!(e, SnapshotError::Corrupt(_)), "{e:?}");
     }
 
-    /// A resealed log that breaks the task lifecycle the audit checks
-    /// (its clock-monotonicity, epoch-monotonicity and log-consistency
-    /// rules) is corrupt, and so are state stanzas the log does not lead
-    /// to: a clock behind the log, an epoch that is not the log's last
+    /// A resealed log that breaks a rule the audit checks (its
+    /// clock-monotonicity, release-latency, epoch-monotonicity,
+    /// log-consistency, unsafe-fallback and cap rules) is corrupt, and so
+    /// are state stanzas the log does not lead to: a clock behind the log, an epoch that is not the log's last
     /// committed one, a next handle the log has admitted (a spawn would
     /// reuse a live one), or an entry that does not resume its task's last
     /// release. The first probe is Table 2 under ccEDF at 100 ms with one
     /// `released` line duplicated, which restored before the parse held
     /// the log to those rules; the epoch stanza off the log and the
     /// duplicated commit restored before it held the epoch rule, and the
-    /// first revived a kernel whose next commit the audit flags.
+    /// first revived a kernel whose next commit the audit flags. The
+    /// fallback and late-release lines restored before restore held those
+    /// rules.
     #[test]
     fn lifecycle_broken_logs_are_corrupt() {
         use crate::modechange::ModeChange;
@@ -3422,6 +3700,19 @@ mod tests {
         let completion = line(" completed 1 1");
         let late = body.lines().rfind(|l| l.starts_with("ev ")).expect("a log");
         let t = &late[3..19];
+        // The bound, and the next float past it.
+        let bound = RELEASE_LATENCY_BOUND_MS.to_bits();
+        let (at_bound, past_bound) = (format!("{bound:016x}"), format!("{:016x}", bound + 1));
+        // What the rules below leave alone restores.
+        let kept = [
+            format!("ev {t} reg-fallback 1 2"),
+            format!("ev {t} cap 2\nev {t} reg-fallback 0 2"),
+            format!("ev {t} release-late 1 1 {at_bound}"),
+        ];
+        for line in kept {
+            load_forged(&body.replacen(late, &format!("{late}\n{line}"), 1))
+                .unwrap_or_else(|e| panic!("{line:?} is refused: {e:?}"));
+        }
         let probes = [
             (
                 "a duplicated release",
@@ -3454,6 +3745,34 @@ mod tests {
             (
                 "a second admission of a live task",
                 body.replacen(late, &format!("{late}\nev {t} admitted 1 0"), 1),
+            ),
+            (
+                "a regulator fallback below its desired point",
+                body.replacen(late, &format!("{late}\nev {t} reg-fallback 2 1"), 1),
+            ),
+            (
+                "a regulator fallback above the cap",
+                body.replacen(
+                    late,
+                    &format!("{late}\nev {t} cap 1\nev {t} reg-fallback 0 2"),
+                    1,
+                ),
+            ),
+            (
+                "a late release of no latency",
+                body.replacen(
+                    late,
+                    &format!("{late}\nev {t} release-late 1 1 0000000000000000"),
+                    1,
+                ),
+            ),
+            (
+                "a late release past the latency bound",
+                body.replacen(
+                    late,
+                    &format!("{late}\nev {t} release-late 1 1 {past_bound}"),
+                    1,
+                ),
             ),
             (
                 "a clock behind the log",

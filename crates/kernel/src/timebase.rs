@@ -45,6 +45,13 @@ const EWMA_ALPHA: f64 = 0.125;
 /// rail until real ticks resume.
 pub const WATCHDOG_GAP_TICKS: u64 = 8;
 
+/// Worst acceptable release latency behind schedule, in milliseconds.
+/// The watchdog bounds how long a gated release can trail its scheduled
+/// instant to about [`WATCHDOG_GAP_TICKS`] ticks plus the catch-up
+/// cascade; twice that window at the nominal tick is a safe ceiling. The
+/// audit flags a late release past it, and restore refuses one.
+pub const RELEASE_LATENCY_BOUND_MS: f64 = 2.0 * WATCHDOG_GAP_TICKS as f64 * TICK_MS;
+
 /// Ticks of |EWMA error| added to the admission guarantee-test WCET.
 /// Applied only to the candidate the policy tests — never to the stored
 /// spec, so checkpoints restore bit-identically.
