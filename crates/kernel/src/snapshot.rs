@@ -1008,36 +1008,18 @@ fn hex8(digits: [u8; 8]) -> Option<u32> {
     u32::try_from((quads | quads >> 16) & 0xffff_ffff).ok()
 }
 
-/// The value of the decimal digit `b`, if it is one.
-fn digit(b: Option<&u8>) -> Option<u64> {
-    let d = b?.wrapping_sub(b'0');
-    (d <= 9).then_some(u64::from(d))
-}
-
 /// Decodes the canonical decimal `digits` start with — no sign, no
-/// leading zero, within `u64` — and how many bytes it spans. Nineteen
-/// digits cannot overflow (10^19 − 1 < 2^64), so they are taken with no
-/// check; only a twentieth is checked, and a twenty-first is past
-/// `u64::MAX`.
+/// leading zero, within `u64` — and how many bytes it spans.
 fn decimal_prefix(digits: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     let mut len = 0;
-    for &b in digits.iter().take(19) {
+    for &b in digits {
         let d = b.wrapping_sub(b'0');
         if d > 9 {
             break;
         }
-        v = v * 10 + u64::from(d);
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
         len += 1;
-    }
-    if len == 19 {
-        if let Some(d) = digit(digits.get(19)) {
-            v = v.checked_mul(10)?.checked_add(d)?;
-            len += 1;
-            if digit(digits.get(20)).is_some() {
-                return None;
-            }
-        }
     }
     let leading_zero = len > 1 && digits.first() == Some(&b'0');
     (len > 0 && !leading_zero).then_some((v, len))
@@ -1069,14 +1051,14 @@ fn bounded(v: f64) -> Result<f64, SnapshotError> {
 /// The token codecs, one per kind of token the writer emits. Each reads a
 /// token at byte `at` of a byte slice, in the writer's spelling only, and
 /// returns its value and the bytes it spans, or `None`. A codec named
-/// after a [`Writer`] method reads what that method writes, the one space
-/// before the token included; [`read::hex`] reads bare digits. The `ev`
-/// loop calls them on the line it decodes, at the offset where the last
-/// token ended, and each [`Cursor`] token reader wraps one, so every token
-/// kind has one decoder. Each takes two arguments, unlike the [`Writer`]
-/// method of its name, so that `xtask analyze`, which resolves a method
-/// call by its name and argument count, keeps the reader off the
-/// writer's call graph.
+/// after a [`Writer`] method reads what that method writes: the one space
+/// before the token included, or bare digits for `hex` and `decimal`,
+/// which the others build on. The `ev` loop calls them on the line it
+/// decodes, at the offset where the last token ended, and each [`Cursor`]
+/// token reader wraps one, so every token kind has one decoder. Each
+/// takes two arguments, unlike the [`Writer`] method of its name, so that
+/// `xtask analyze`, which resolves a method call by its name and argument
+/// count, keeps the reader off the writer's call graph.
 mod read {
     use rtdvs_core::time::{Time, Work};
 
@@ -1100,7 +1082,7 @@ mod read {
 
     /// 16 lower-case hex digits.
     #[inline(always)]
-    pub(super) fn hex(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    fn hex(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
         Some((hex16(bytes.get(at..at.checked_add(16)?)?)?, 16))
     }
 
@@ -1205,6 +1187,15 @@ mod read {
     /// A time, or `none`.
     pub(super) fn opt_time(bytes: &[u8], at: usize) -> Option<(Option<Time>, usize)> {
         opt(bytes, at, time)
+    }
+
+    /// The two switch costs of an `overhead` line, or `none`.
+    pub(super) fn switch_costs(bytes: &[u8], at: usize) -> Option<(Option<(f64, f64)>, usize)> {
+        opt(bytes, at, |bytes, at| {
+            let (freq_only, len) = f64(bytes, at)?;
+            let (voltage_change, more) = f64(bytes, at.checked_add(len)?)?;
+            Some(((freq_only, voltage_change), len + more))
+        })
     }
 }
 
@@ -1355,11 +1346,6 @@ impl<'a> Cursor<'a> {
         self.advance(line, "expected the end of the line")
     }
 
-    /// 16 lower-case hex digits, no separator.
-    fn hex(&mut self) -> Result<u64, SnapshotError> {
-        self.take(read::hex, "expected 16 lower-case hex digits")
-    }
-
     fn bits(&mut self) -> Result<u64, SnapshotError> {
         self.take(read::bits, "expected 16 lower-case hex digits")
     }
@@ -1402,19 +1388,6 @@ impl<'a> Cursor<'a> {
 
     fn flag(&mut self) -> Result<bool, SnapshotError> {
         self.take(read::flag, "expected a 0 or 1 flag")
-    }
-
-    /// `none`, or the value `some` reads with no separator.
-    fn opt<T>(
-        &mut self,
-        some: impl FnOnce(&mut Cursor<'a>) -> Result<T, SnapshotError>,
-    ) -> Result<Option<T>, SnapshotError> {
-        self.sep()?;
-        if self.skip("none") {
-            Ok(None)
-        } else {
-            some(self).map(Some)
-        }
     }
 
     /// A time, or `none`.
@@ -1926,14 +1899,16 @@ fn restore_from_text(
     let degrade_on_fault = c.flag()?;
     let traced = c.flag()?;
     c.eol()?;
-    let switch_overhead = c.one("overhead", |c| {
-        c.opt(|c| {
-            Ok(SwitchOverhead {
-                freq_only: Time::from_ms(bounded(f64::from_bits(c.hex()?))?),
-                voltage_change: Time::from_ms(bounded(c.f64()?)?),
-            })
-        })
+    let costs = c.one("overhead", |c| {
+        c.take(read::switch_costs, "expected two switch costs or none")
     })?;
+    let switch_overhead = match costs {
+        Some((freq_only, voltage_change)) => Some(SwitchOverhead {
+            freq_only: Time::from_ms(bounded(freq_only)?),
+            voltage_change: Time::from_ms(bounded(voltage_change)?),
+        }),
+        None => None,
+    };
     let last_snapshot_at = c.one("last-snapshot", Cursor::opt_time)?;
     let brownout_cap = c.one("cap", Cursor::opt_point)?;
     c.tag("ladder")?;
@@ -3515,10 +3490,10 @@ mod tests {
         assert_eq!(hex16(b"0123456789abcdef0"), None);
     }
 
-    /// The decimal decoder, which takes 19 digits unchecked, agrees with
-    /// `str::parse` on 1- to 21-digit runs, at and past `u64::MAX`
-    /// included: it takes exactly the canonical spellings of a `u64`, and
-    /// stops at the first byte that is not a digit.
+    /// The decimal decoder agrees with `str::parse` on 1- to 21-digit
+    /// runs, at and past `u64::MAX` included: it takes exactly the
+    /// canonical spellings of a `u64`, and stops at the first byte that is
+    /// not a digit.
     #[test]
     fn decimal_decoding_accepts_only_canonical_u64s() {
         let mut rng = SplitMix64::seed_from_u64(0xDEC_1A1);
@@ -3560,10 +3535,14 @@ mod tests {
     /// The spellings the writer never emits, each resealed into `ev`
     /// lines and into a state stanza, and the `\r\n` one into the version
     /// line: every one is corrupt, so an accepted text's `ev` run is the
-    /// writer's bytes. The hex ones go into the time of a `released` and
-    /// a `completed` line and the `clock` stanza; the others into the
-    /// handle and the invocation of both lines and the `epoch` stanza. An
-    /// event word with no fields after it is corrupt too.
+    /// writer's bytes. A doubled space and a tab go in place of each
+    /// separator of a `released` and a `completed` line (after the tag,
+    /// after the time and before each field) and of the `clock` and
+    /// `epoch` stanzas; a trailing space and a `\r` at the end of all
+    /// four. The hex ones go into the time of both `ev` lines and the
+    /// `clock` stanza; the decimal ones into the handle and the invocation
+    /// of both lines and the `epoch` stanza. An event word with no fields
+    /// after it is corrupt too.
     #[test]
     fn non_canonical_spellings_are_corrupt() {
         use crate::modechange::ModeChange;
@@ -3608,33 +3587,21 @@ mod tests {
             toks[field] = edit(&toks[field]);
             toks.join(" ")
         };
-        type Edit<'a> = Box<dyn Fn(&str, usize) -> String + 'a>;
-        let spellings: [(&str, Edit); 9] = [
-            ("a doubled space", Box::new(|l, f| respace(l, f, "  "))),
-            ("a tab", Box::new(|l, f| respace(l, f, "\t"))),
-            ("a trailing space", Box::new(|l, _| format!("{l} "))),
-            ("a \\r before the \\n", Box::new(|l, _| format!("{l}\r"))),
-            (
-                "upper-case hex",
-                Box::new(|l, f| retoken(l, f, &|t| t.to_ascii_uppercase())),
-            ),
-            (
-                "15-digit hex",
-                Box::new(|l, f| retoken(l, f, &|t| t[1..].to_owned())),
-            ),
-            (
-                "a sign",
-                Box::new(|l, f| retoken(l, f, &|t| format!("+{t}"))),
-            ),
-            (
-                "a leading zero",
-                Box::new(|l, f| retoken(l, f, &|t| format!("0{t}"))),
-            ),
-            (
-                "a decimal one past u64::MAX",
-                Box::new(|l, f| retoken(l, f, &|_| "18446744073709551616".into())),
-            ),
+        // Every separator of both `ev` lines (after the tag, around the
+        // time and before each field) and of both stanzas.
+        let space_fields = [
+            (release, 1),
+            (release, 2),
+            (release, 3),
+            (release, 4),
+            (completion, 1),
+            (completion, 2),
+            (completion, 3),
+            (completion, 4),
+            (clock, 1),
+            ("epoch 1", 1),
         ];
+        let line_ends = [(release, 0), (completion, 0), (clock, 0), ("epoch 1", 0)];
         let hex_fields = [(release, 1), (completion, 1), (clock, 1)];
         let decimal_fields = [
             (release, 3),
@@ -3642,6 +3609,52 @@ mod tests {
             (completion, 3),
             (completion, 4),
             ("epoch 1", 1),
+        ];
+        // The lines an edit goes into, each with the token it edits.
+        type Fields<'a> = &'a [(&'a str, usize)];
+        type Edit<'a> = Box<dyn Fn(&str, usize) -> String + 'a>;
+        let spellings: [(&str, Fields, Edit); 9] = [
+            (
+                "a doubled space",
+                &space_fields,
+                Box::new(|l, f| respace(l, f, "  ")),
+            ),
+            ("a tab", &space_fields, Box::new(|l, f| respace(l, f, "\t"))),
+            (
+                "a trailing space",
+                &line_ends,
+                Box::new(|l, _| format!("{l} ")),
+            ),
+            (
+                "a \\r before the \\n",
+                &line_ends,
+                Box::new(|l, _| format!("{l}\r")),
+            ),
+            (
+                "upper-case hex",
+                &hex_fields,
+                Box::new(|l, f| retoken(l, f, &|t| t.to_ascii_uppercase())),
+            ),
+            (
+                "15-digit hex",
+                &hex_fields,
+                Box::new(|l, f| retoken(l, f, &|t| t[1..].to_owned())),
+            ),
+            (
+                "a sign",
+                &decimal_fields,
+                Box::new(|l, f| retoken(l, f, &|t| format!("+{t}"))),
+            ),
+            (
+                "a leading zero",
+                &decimal_fields,
+                Box::new(|l, f| retoken(l, f, &|t| format!("0{t}"))),
+            ),
+            (
+                "a decimal one past u64::MAX",
+                &decimal_fields,
+                Box::new(|l, f| retoken(l, f, &|_| "18446744073709551616".into())),
+            ),
         ];
         let refused = |what: &str, line: &str, edited: &str| {
             assert_ne!(edited, line, "{what} does not change {line:?}");
@@ -3653,13 +3666,8 @@ mod tests {
                 "{what} in {line:?}: {e:?}"
             );
         };
-        for (what, edit) in &spellings {
-            let fields = if what.contains("hex") {
-                &hex_fields[..]
-            } else {
-                &decimal_fields[..]
-            };
-            for &(line, field) in fields {
+        for (what, fields, edit) in &spellings {
+            for &(line, field) in *fields {
                 refused(what, line, &edit(line, field));
             }
         }

@@ -4,8 +4,7 @@
 //!
 //! * `cargo run -p xtask -- ci` — the full local gate, nine stages: fmt,
 //!   clippy, `lint`, `analyze`, release build, workspace tests, the
-//!   crash-recovery smoke test (with the snapshot reader's unit tests and
-//!   the reader fuzz, in release), examples (the workspace examples, then the
+//!   crash-recovery smoke test, examples (the workspace examples, then the
 //!   `examples/benchmark` package's release build and unit tests, then
 //!   one-second runs of its four workloads whose `result_digest`s must be
 //!   those in `DIGESTS`) and `bench-check`, each
@@ -210,41 +209,17 @@ const STAGES: [Stage; 9] = [
         runs: &[&["test", "--workspace", "-q"]],
         check: None,
     },
-    // The crash-recovery harness, then the snapshot reader's unit tests
-    // and the reader fuzz in the profile the benchmark ships: the `test`
-    // stage runs them in debug only, where an unchecked decimal that
-    // overflows panics rather than wrapping.
     Stage {
         name: "recovery-smoke",
-        runs: &[
-            &[
-                "test",
-                "-q",
-                "--release",
-                "-p",
-                "rtdvs",
-                "--test",
-                "recovery",
-            ],
-            &[
-                "test",
-                "-q",
-                "--release",
-                "-p",
-                "rtdvs-kernel",
-                "--lib",
-                "snapshot::",
-            ],
-            &[
-                "test",
-                "-q",
-                "--release",
-                "-p",
-                "rtdvs",
-                "--test",
-                "reader_fuzz",
-            ],
-        ],
+        runs: &[&[
+            "test",
+            "-q",
+            "--release",
+            "-p",
+            "rtdvs",
+            "--test",
+            "recovery",
+        ]],
         check: None,
     },
     // The workspace examples, then the benchmark package: its binary in
